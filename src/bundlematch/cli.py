@@ -11,9 +11,10 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_market_config, load_sweep_spec
+from .equilibria import FEASIBILITY_TOL
 from .market import InvalidParameterError, MarketParams, Scenario
 from .oracle import find_fixed_point
-from .policy import solve_subgame
+from .policy import AGREEMENT_TOL, solve_subgame
 from .sweep import (
     build_symmetric_table,
     run_sweep,
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="PMG flags, e.g. --pmg r1=cm r2=nocm (ignored when --bundling 0)",
         )
-        p.add_argument("--tol", type=float, default=1e-9, help="feasibility tolerance")
+        p.add_argument("--tol", type=float, default=FEASIBILITY_TOL, help="feasibility tolerance")
 
     solve = sub.add_parser("solve", help="solve one subgame and print the equilibrium")
     add_market_flags(solve)
@@ -145,8 +146,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if oracle_check and solution.oracle is not None:
         outcome = solution.oracle
         if solution.chosen is not None and outcome.converged:
-            scale = max(1.0, max(abs(v) for v in solution.chosen.prices.present()))
-            dev = solution.chosen.prices.sup_distance(outcome.prices) / scale
+            dev = solution.chosen.prices.relative_distance(outcome.prices)
             print(
                 f"oracle: converged in {outcome.iterations} iterations; "
                 f"max relative deviation {dev:.3e}"
@@ -195,10 +195,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"closed form: no feasible equilibrium; oracle {status} "
               f"after {outcome.iterations} iterations")
         return EXIT_OK
-    scale = max(1.0, max(abs(v) for v in solution.chosen.prices.present()))
     if outcome.converged:
-        dev = solution.chosen.prices.sup_distance(outcome.prices) / scale
-        agrees = "agree" if dev <= 1e-4 else "DISAGREE"
+        dev = solution.chosen.prices.relative_distance(outcome.prices)
+        agrees = "agree" if dev <= AGREEMENT_TOL else "DISAGREE"
         print(
             f"closed form {solution.chosen.theorem_id} and oracle {agrees}: "
             f"max relative deviation {dev:.3e} ({outcome.iterations} iterations)"

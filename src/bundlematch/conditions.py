@@ -1,12 +1,10 @@
-"""Sufficient condition sets A-F and per-regime concavity checks.
+"""Sufficient condition sets A-F.
 
 Each condition set is a list of parameter inequalities under which exactly one
 price-ordering regime of a subgame admits a valid equilibrium.  The sets are
 sufficient, not necessary: a failing report does not rule an equilibrium out.
-
-The Hessians of the per-regime quadratic profits are constant matrices with
-closed-form eigenvalues; negative definiteness (all eigenvalues < 0) holds
-whenever b_l >= lambda_l and theta_l in (0, 1).
+The concavity reports (per-regime Hessians) live with the profits in
+`profits`.
 """
 
 from __future__ import annotations
@@ -14,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .market import MarketParams, Regime, Scenario
-from .profits import r1_gradient_structure, r2_gradient_structure
+from .market import MarketParams
 
 
 class UnknownSetError(ValueError):
@@ -189,86 +184,3 @@ def check_condition_set(
 
 
 CONDITION_SET_IDS = ("A", "B", "C", "D", "E", "F")
-
-
-# ---------------------------------------------------------------------------
-# Hessians of the per-regime quadratic profits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HessianReport:
-    """Constant Hessian of a retailer's profit within a regime.
-
-    `eigenvalues` are the closed-form expressions; `eigenvalues_numeric` come
-    from a symmetric eigensolve of the same matrix.  Both are sorted
-    ascending.  t1 = b_l + lambda_l and t2 = b_l theta_l + lambda_l are the
-    shorthands the closed forms are written in.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvalues_numeric: np.ndarray
-    negative_definite: bool
-    t1: float
-    t2: float
-
-
-def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> HessianReport:
-    numeric = np.linalg.eigvalsh(matrix)
-    closed = np.sort(np.asarray(closed, dtype=float))
-    return HessianReport(
-        matrix=matrix,
-        eigenvalues=closed,
-        eigenvalues_numeric=numeric,
-        negative_definite=bool(np.all(numeric < 0.0)),
-        t1=params.t1,
-        t2=params.t2,
-    )
-
-
-def _hessian_r1_bundled(params: MarketParams, *, matched: bool, strat_w: float) -> HessianReport:
-    p = params
-    t1, t2, lam = p.t1, p.t2, p.lambda_l
-    e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
-    if matched:
-        m = 2.0 * np.array([[-t1, -t2, lam], [-t2, -t1, lam], [lam, lam, -t1]])
-        root = math.sqrt((p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2)
-        mid = 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l
-        closed = np.array([e1, -mid - root, -mid + root])
-    else:
-        corner = -2.0 * t1 - strat_w * p.b_s
-        m = 2.0 * np.array(
-            [[-t1, -t2, 1.5 * lam], [-t2, -t1, 1.5 * lam], [1.5 * lam, 1.5 * lam, corner]]
-        )
-        psi = math.sqrt((p.b_l * (1.0 - p.theta_l) + strat_w * p.b_s) ** 2 + 18.0 * lam**2)
-        mid = strat_w * p.b_s + p.b_l * p.theta_l + 3.0 * p.b_l + 4.0 * lam
-        closed = np.array([e1, -mid - psi, -mid + psi])
-    return _report(m, closed, params)
-
-
-def _hessian_r1_unbundled(params: MarketParams, *, strat_w: float) -> HessianReport:
-    p = params
-    diag = -6.0 * p.b_l - 2.0 * strat_w * p.b_s
-    off = -(4.0 + 2.0 * p.theta_l) * p.b_l - 2.0 * strat_w * p.b_s
-    m = np.array([[diag, off], [off, diag]])
-    e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
-    e2 = -2.0 * p.b_l * (5.0 + p.theta_l) - 4.0 * strat_w * p.b_s
-    return _report(m, np.array([e1, e2]), params)
-
-
-def hessian_r1(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
-    """Hessian of retailer 1's profit in its own prices for a fixed regime
-    (3x3 under bundling, 2x2 otherwise)."""
-    matched, w = r1_gradient_structure(scenario, regime, params.alpha)
-    if scenario.bundling == 1:
-        return _hessian_r1_bundled(params, matched=matched, strat_w=w)
-    return _hessian_r1_unbundled(params, strat_w=w)
-
-
-def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
-    """Retailer 2's scalar second derivative in pb2, wrapped as a 1x1 report."""
-    include_q, w = r2_gradient_structure(scenario, regime, params.alpha)
-    value = -2.0 * params.b_l * (2.0 if include_q else 1.0) - 2.0 * w * params.b_s
-    m = np.array([[value]])
-    return _report(m, np.array([value]), params)

@@ -8,6 +8,7 @@ b_l, theta_l, ...) and default to the symmetric baseline when omitted.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .market import InvalidParameterError, MarketParams
@@ -98,6 +99,9 @@ def _build_axis(path: str | Path, section: str, kv: dict[str, tuple[str, int]]) 
         raise ConfigError(path, kv["name"][1], f"axis name {name!r} is not a market parameter")
     lo = _parse_float(path, "min", kv["min"][0], kv["min"][1])
     hi = _parse_float(path, "max", kv["max"][0], kv["max"][1])
+    for key, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(path, kv[key][1], f"axis {key} must be finite, got {value!r}")
     try:
         steps = int(kv["steps"][0])
     except ValueError:

@@ -1,6 +1,7 @@
 """Closed-form equilibrium candidates, one per subgame/regime pair.
 
-Six candidate solutions cover the strategy space:
+Six candidate solutions cover the strategy space, one per regime structure
+in market.STRUCTURES:
 
   T1  bundling, r1 offers a PMG, regime pb1 >= pb2   (r2's PMG irrelevant)
   T2  bundling, r1 without a PMG, regime pb1 >= pb2  (r2's PMG irrelevant)
@@ -25,20 +26,17 @@ import numpy as np
 
 from .conditions import ConditionReport, check_condition_set
 from .market import (
+    STRUCTURES,
     DemandProfile,
     MarketParams,
     PriceVector,
     Regime,
     Scenario,
     demands,
-    effective_prices_in_regime,
+    effective_prices,
+    structure,
 )
-from .profits import (
-    ProfitPair,
-    gradient_r1_in_regime,
-    gradient_r2_in_regime,
-    profits_in_regime,
-)
+from .profits import ProfitPair, profit_gradient_r1, profit_gradient_r2, profits
 
 FOC_RESIDUAL_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
@@ -48,24 +46,9 @@ class DegenerateParamsError(ValueError):
     """Parameters make a closed-form denominator vanish."""
 
 
-@dataclass(frozen=True)
-class TheoremInfo:
-    """Which subgames a candidate applies to and which regime it presumes."""
-
-    theorem_id: str
-    regime: Regime
-    condition_set: str
-    scenario: Scenario  # representative subgame incl. the PMG flag that matters
-
-
-THEOREM_INFO: dict[str, TheoremInfo] = {
-    "T1": TheoremInfo("T1", Regime.R1_HIGH, "A", Scenario.bundled(True, True)),
-    "T2": TheoremInfo("T2", Regime.R1_HIGH, "B", Scenario.bundled(False, True)),
-    "T3": TheoremInfo("T3", Regime.R1_LOW, "C", Scenario.bundled(True, True)),
-    "T4": TheoremInfo("T4", Regime.R1_LOW, "D", Scenario.bundled(True, False)),
-    "T5a": TheoremInfo("T5a", Regime.R1_HIGH, "E", Scenario.no_bundle()),
-    "T5b": TheoremInfo("T5b", Regime.R1_LOW, "F", Scenario.no_bundle()),
-}
+# each candidate is evaluated in the subgame whose only PMGs are the ones
+# acting in its regime; every subgame with that structure gives the same result
+_SUBGAME = {tid: Scenario(s.bundling, s.r1_matched, s.r2_matched) for tid, s in STRUCTURES.items()}
 
 
 @dataclass(frozen=True)
@@ -106,13 +89,13 @@ def _guard_denominator(value: float, description: str) -> float:
 
 
 def _assemble(params: MarketParams, theorem_id: str, prices: PriceVector) -> EquilibriumResult:
-    info = THEOREM_INFO[theorem_id]
-    scenario, regime = info.scenario, info.regime
-    eff = effective_prices_in_regime(params, scenario, prices, regime)
+    s = STRUCTURES[theorem_id]
+    scenario, regime = _SUBGAME[theorem_id], s.regime
+    eff = effective_prices(params, scenario, prices, regime)
     d = demands(params, scenario, prices, eff)
-    pp = profits_in_regime(params, scenario, prices, regime)
-    g1 = gradient_r1_in_regime(params, scenario, prices, regime)
-    g2 = gradient_r2_in_regime(params, scenario, prices, regime)
+    pp = profits(params, scenario, prices, regime)
+    g1 = profit_gradient_r1(params, scenario, prices, regime)
+    g2 = profit_gradient_r2(params, scenario, prices, regime)
     residual = max(float(np.max(np.abs(g1))), abs(g2))
     result = EquilibriumResult(
         prices=prices,
@@ -120,20 +103,26 @@ def _assemble(params: MarketParams, theorem_id: str, prices: PriceVector) -> Equ
         profits=pp,
         regime=regime,
         theorem_id=theorem_id,
-        condition_report=check_condition_set(info.condition_set, params),
+        condition_report=check_condition_set(s.condition_set, params),
         foc_residual=residual,
         feasible=False,
     )
     return dataclasses.replace(result, feasible=result.is_feasible())
 
 
+def _item_skew(p: MarketParams) -> float:
+    """Half the gap between the two item prices, driven by the asymmetry of
+    the item demand bases: (a_l_i1 - a_l_i2) / (4 b_l (1 - theta_l))."""
+    return 0.25 * (p.a_l_i1 - p.a_l_i2) / _guard_denominator(
+        p.b_l * (1.0 - p.theta_l), "b_l (1 - theta_l)"
+    )
+
+
 def _item_price_split(params: MarketParams, common: float) -> tuple[float, float]:
     """Split a common item-price level into p1, p2 using the base asymmetry
     and the cost difference (bundled regimes pb1 >= pb2 carry c/2 terms)."""
     p = params
-    skew = 0.25 * (p.a_l_i1 - p.a_l_i2) / _guard_denominator(
-        p.b_l * (1.0 - p.theta_l), "b_l (1 - theta_l)"
-    )
+    skew = _item_skew(p)
     return skew + common + 0.5 * p.c1, -skew + common + 0.5 * p.c2
 
 
@@ -188,9 +177,7 @@ def _low_or_unmatched_items(
 ) -> tuple[float, float]:
     """Item prices when the price-aware segment pays pb1: a base-asymmetry
     skew, lopsided cost terms, and a level tied to the bundle price."""
-    skew = 0.25 * (p.a_l_i1 - p.a_l_i2) / _guard_denominator(
-        p.b_l * (1.0 - p.theta_l), "b_l (1 - theta_l)"
-    )
+    skew = _item_skew(p)
     c = p.total_cost
     level = -captive_bases / (6.0 * p.lambda_l) + (2.0 * pb1 - c) * slope / (3.0 * p.lambda_l)
     p1 = skew + 5.0 * p.c1 / 12.0 - p.c2 / 12.0 + level
@@ -237,9 +224,7 @@ def eq_T4(params: MarketParams) -> EquilibriumResult:
 
 
 def _no_bundle_items(p: MarketParams, strat_w: float) -> tuple[float, float]:
-    skew = (p.a_l_i1 - p.a_l_i2) / _guard_denominator(
-        4.0 * p.b_l * (1.0 - p.theta_l), "b_l (1 - theta_l)"
-    )
+    skew = _item_skew(p)
     level = (
         p.a_l_i1
         + p.a_l_i2
@@ -279,8 +264,7 @@ THEOREMS = {
 
 def candidate_theorems(scenario: Scenario) -> tuple[str, str]:
     """The (high-regime, low-regime) candidate pair for a subgame."""
-    if scenario.bundling == 0:
-        return ("T5a", "T5b")
-    high = "T1" if scenario.pmg_r1 else "T2"
-    low = "T3" if scenario.pmg_r2 else "T4"
-    return (high, low)
+    return (
+        structure(scenario, Regime.R1_HIGH).theorem_id,
+        structure(scenario, Regime.R1_LOW).theorem_id,
+    )

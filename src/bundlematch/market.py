@@ -6,6 +6,12 @@ segments with linear demand curves: loyal price-unaware, loyal price-aware,
 and non-loyal price-aware (strategic).  Price-matching guarantees (PMGs) act
 at the bundle level: they replace posted bundle prices by effective prices for
 the price-aware segments before demands are evaluated.
+
+Which segment pays which price, and retailer 1's share of strategic demand,
+is fixed per price-ordering regime of a subgame.  The six possibilities are
+the regime structures in STRUCTURES, one per closed-form candidate T1-T5b;
+structure(scenario, regime) looks a subgame's up, and every other module
+derives prices, profits and derivatives from it.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ class MarketParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            # NaN passes every comparison below as false, +inf every lower bound
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s"):
             if not getattr(self, name) >= 0.0:
                 raise InvalidParameterError(f"demand base {name} must be >= 0")
@@ -169,6 +179,12 @@ class PriceVector:
             raise InvalidPriceError("cannot compare price vectors of different shapes")
         return max(abs(x - y) for x, y in zip(a, b))
 
+    def relative_distance(self, other: "PriceVector") -> float:
+        """Sup-norm distance relative to this vector's largest price (at
+        least 1)."""
+        scale = max(1.0, max(abs(v) for v in self.present()))
+        return self.sup_distance(other) / scale
+
 
 @dataclass(frozen=True)
 class EffectivePrices:
@@ -183,6 +199,81 @@ class EffectivePrices:
     tilde_pb2: float
     hat_pb: float
     regime: Regime
+
+
+@dataclass(frozen=True)
+class RegimeStructure:
+    """Who pays what in one price-ordering regime of one subgame.
+
+    Each of the six structures is the regime a closed-form candidate T1-T5b
+    is derived in.  "r1's price" is retailer 1's bundle-equivalent price.
+    r1_share is retailer 1's share of strategic demand as a rule: "0", "1",
+    or "alpha" for the split parameter.
+    """
+
+    theorem_id: str
+    condition_set: str
+    bundling: int
+    regime: Regime
+    r1_matched: bool  # retailer 1's loyal price-aware buyers pay pb2
+    r2_matched: bool  # retailer 2's loyal price-aware buyers pay r1's price
+    strategic_at_r1: bool  # strategic buyers pay r1's price, else pb2
+    r1_share: str
+
+    def strategic_share(self, alpha: float) -> float:
+        """Retailer 1's share of strategic demand."""
+        if self.r1_share == "alpha":
+            return alpha
+        return 1.0 if self.r1_share == "1" else 0.0
+
+    def effective_prices(self, prices: PriceVector) -> EffectivePrices:
+        """Effective prices under this structure, whatever ordering the
+        prices satisfy."""
+        r1_eq = prices.r1_bundle_equivalent()
+        pb2 = prices.pb2
+        return EffectivePrices(
+            tilde_pb1=pb2 if self.r1_matched else r1_eq,
+            tilde_pb2=r1_eq if self.r2_matched else pb2,
+            hat_pb=r1_eq if self.strategic_at_r1 else pb2,
+            regime=self.regime,
+        )
+
+
+_HIGH, _LOW = Regime.R1_HIGH, Regime.R1_LOW
+# In R1_HIGH retailer 2 posts the low price, so only retailer 1's PMG can
+# act, and retailer 1 serves strategic demand only by matching (alpha).
+# R1_LOW mirrors it.  Without bundling no PMG exists and the cheap side
+# takes the whole strategic segment.  An exact tie is R1_HIGH and takes its
+# split: splitting alpha at ties retailer 1 reaches only by posting (not
+# matching) would create kinks where retailer 2's best response fails to
+# exist (it would undercut rather than concede its strategic sales).
+STRUCTURES: dict[str, RegimeStructure] = {
+    s.theorem_id: s
+    for s in (
+        RegimeStructure("T1", "A", 1, _HIGH, True, False, False, "alpha"),
+        RegimeStructure("T2", "B", 1, _HIGH, False, False, False, "0"),
+        RegimeStructure("T3", "C", 1, _LOW, False, True, True, "alpha"),
+        RegimeStructure("T4", "D", 1, _LOW, False, False, True, "1"),
+        RegimeStructure("T5a", "E", 0, _HIGH, False, False, False, "0"),
+        RegimeStructure("T5b", "F", 0, _LOW, False, False, True, "1"),
+    )
+}
+
+# keyed by (bundling, pmg_r1, pmg_r2, regime is R1_HIGH): plain values hash
+# several times faster than the dataclass and the enum
+_BOTH = (False, True)
+_TABLE: dict[tuple[int, bool, bool, bool], RegimeStructure] = {
+    (0, False, False, True): STRUCTURES["T5a"],
+    (0, False, False, False): STRUCTURES["T5b"],
+    **{(1, r1, r2, True): STRUCTURES["T1" if r1 else "T2"] for r1 in _BOTH for r2 in _BOTH},
+    **{(1, r1, r2, False): STRUCTURES["T3" if r2 else "T4"] for r1 in _BOTH for r2 in _BOTH},
+}
+
+
+def structure(scenario: Scenario, regime: Regime) -> RegimeStructure:
+    """The regime structure of a subgame: the one place the PMG flags meet a
+    price ordering."""
+    return _TABLE[scenario.bundling, scenario.pmg_r1, scenario.pmg_r2, regime is Regime.R1_HIGH]
 
 
 @dataclass(frozen=True)
@@ -228,58 +319,28 @@ def _validate_prices(scenario: Scenario, prices: PriceVector) -> None:
 
 
 def effective_prices(
-    params: MarketParams, scenario: Scenario, prices: PriceVector
+    params: MarketParams,
+    scenario: Scenario,
+    prices: PriceVector,
+    regime: Regime | None = None,
 ) -> EffectivePrices:
     """Resolve PMGs into the effective bundle prices faced by price-aware
     customers.
 
     A retailer with a PMG charges the rival's bundle price whenever the rival
-    posts strictly less; without a PMG the effective price is the posted one.
-    Strategic customers always face the market minimum.  Under B=0 retailer
-    1's bundle-equivalent price is the item-price sum and no PMGs apply.
+    posts less; strategic customers face the market minimum; under B=0
+    retailer 1's bundle-equivalent price is the item-price sum and no PMGs
+    apply.  With regime=None the regime is read off the prices (a tie is
+    R1_HIGH).
+    A presumed regime applies its structure whatever ordering the prices
+    satisfy: closed-form candidates are derived per regime, so residuals and
+    profits of a candidate that violates its own ordering still refer to the
+    branch that produced it.
     """
     _validate_prices(scenario, prices)
-    r1_eq = prices.r1_bundle_equivalent()
-    pb2 = prices.pb2
-    regime = Regime.R1_HIGH if r1_eq >= pb2 else Regime.R1_LOW
-    if scenario.bundling == 0:
-        return EffectivePrices(
-            tilde_pb1=r1_eq, tilde_pb2=pb2, hat_pb=min(r1_eq, pb2), regime=regime
-        )
-    pb1 = prices.pb1
-    tilde_pb1 = pb2 if (scenario.pmg_r1 and pb1 >= pb2) else pb1
-    tilde_pb2 = pb1 if (scenario.pmg_r2 and pb2 > pb1) else pb2
-    return EffectivePrices(
-        tilde_pb1=tilde_pb1, tilde_pb2=tilde_pb2, hat_pb=min(pb1, pb2), regime=regime
-    )
-
-
-def effective_prices_in_regime(
-    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime
-) -> EffectivePrices:
-    """Effective prices under a presumed price ordering, regardless of the
-    ordering the posted prices actually satisfy.
-
-    Closed-form equilibrium candidates are derived per regime; evaluating a
-    candidate that violates its own regime still has to use the regime's
-    algebra so that residuals and profits refer to the branch that produced it.
-    """
-    _validate_prices(scenario, prices)
-    r1_eq = prices.r1_bundle_equivalent()
-    pb2 = prices.pb2
-    if scenario.bundling == 0:
-        hat = pb2 if regime is Regime.R1_HIGH else r1_eq
-        return EffectivePrices(tilde_pb1=r1_eq, tilde_pb2=pb2, hat_pb=hat, regime=regime)
-    pb1 = prices.pb1
-    if regime is Regime.R1_HIGH:
-        tilde_pb1 = pb2 if scenario.pmg_r1 else pb1
-        tilde_pb2 = pb2
-        hat = pb2
-    else:
-        tilde_pb1 = pb1
-        tilde_pb2 = pb1 if scenario.pmg_r2 else pb2
-        hat = pb1
-    return EffectivePrices(tilde_pb1=tilde_pb1, tilde_pb2=tilde_pb2, hat_pb=hat, regime=regime)
+    if regime is None:
+        regime = Regime.R1_HIGH if prices.r1_bundle_equivalent() >= prices.pb2 else Regime.R1_LOW
+    return structure(scenario, regime).effective_prices(prices)
 
 
 def demands(

@@ -14,21 +14,13 @@ where no pure-strategy equilibrium exists.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import _hessian_r1_bundled, _hessian_r1_unbundled, hessian_r1, hessian_r2
-from .market import MarketParams, PriceVector, Regime, Scenario, effective_prices
-from .profits import (
-    _grad_r1_bundled,
-    _grad_r1_unbundled,
-    _grad_r2,
-    profits,
-    r1_gradient_structure,
-    r2_gradient_structure,
-    tie_strategic_share,
-)
+from .market import MarketParams, PriceVector, Regime, Scenario, effective_prices, structure
+from .profits import hessian_r1, profits, quadratic_r1, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -88,22 +80,6 @@ def _require_negative_definite(params: MarketParams, scenario: Scenario, regime:
         )
 
 
-def _r1_quadratic(
-    params: MarketParams, scenario: Scenario, pb2: float, *, matched: bool, strat_w: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Constant Hessian and gradient-at-zero of r1's profit for one branch
-    structure; the gradient is affine, so evaluating it at the origin pins
-    the linear system completely."""
-    p = params
-    if scenario.bundling == 1:
-        h = _hessian_r1_bundled(p, matched=matched, strat_w=strat_w).matrix
-        g0 = _grad_r1_bundled(p, PriceVector(0.0, 0.0, 0.0, pb2), matched=matched, strat_w=strat_w)
-    else:
-        h = _hessian_r1_unbundled(p, strat_w=strat_w).matrix
-        g0 = _grad_r1_unbundled(p, PriceVector(0.0, 0.0, None, pb2), strat_w=strat_w)
-    return h, g0
-
-
 def best_response_r1(
     params: MarketParams, scenario: Scenario, pb2: float
 ) -> tuple[float, float, float | None]:
@@ -116,20 +92,18 @@ def best_response_r1(
     """
     if not np.isfinite(pb2):
         raise ValueError("pb2 must be finite")
-    alpha = params.alpha
+    for regime in (Regime.R1_HIGH, Regime.R1_LOW):
+        _require_negative_definite(params, scenario, regime)
+    high = structure(scenario, Regime.R1_HIGH)
+    # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
+    # and that share buys at pb1 (= pb2)
+    tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
+    structures = {
+        "high": quadratic_r1(params, scenario, high, pb2),
+        "low": quadratic_r1(params, scenario, structure(scenario, Regime.R1_LOW), pb2),
+        "tie": quadratic_r1(params, scenario, tie, pb2),
+    }
     if scenario.bundling == 1:
-        for regime in (Regime.R1_HIGH, Regime.R1_LOW):
-            _require_negative_definite(params, scenario, regime)
-        matched_high, _ = r1_gradient_structure(scenario, Regime.R1_HIGH, alpha)
-        _, w_low = r1_gradient_structure(scenario, Regime.R1_LOW, alpha)
-        structures = {
-            "high": _r1_quadratic(params, scenario, pb2, matched=matched_high, strat_w=0.0),
-            "low": _r1_quadratic(params, scenario, pb2, matched=False, strat_w=w_low),
-            "tie": _r1_quadratic(
-                params, scenario, pb2, matched=False,
-                strat_w=tie_strategic_share(params, scenario),
-            ),
-        }
         kink = (np.array([0.0, 0.0, 1.0]), pb2)  # pb1 = pb2
         discount = (np.array([1.0, 1.0, -1.0]), 0.0)  # p1 + p2 = pb1
         plans = [
@@ -170,20 +144,10 @@ def best_response_r1(
         return (float(x[0]), float(x[1]), float(x[2]))
 
     # B = 0: two item prices, ordering on their sum
-    for regime in (Regime.R1_HIGH, Regime.R1_LOW):
-        _require_negative_definite(params, scenario, regime)
-    structures0 = {
-        "high": _r1_quadratic(params, scenario, pb2, matched=False, strat_w=0.0),
-        "low": _r1_quadratic(params, scenario, pb2, matched=False, strat_w=1.0),
-        "tie": _r1_quadratic(
-            params, scenario, pb2, matched=False,
-            strat_w=tie_strategic_share(params, scenario),
-        ),
-    }
     plans0 = [("high", []), ("low", []), ("tie", [(np.array([1.0, 1.0]), pb2)])]
     best0: tuple[float, np.ndarray] | None = None
     for name, constraints in plans0:
-        h, g0 = structures0[name]
+        h, g0 = structures[name]
         try:
             x = _solve_kkt(h, g0, constraints)
         except np.linalg.LinAlgError as exc:
@@ -210,18 +174,14 @@ def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceV
     r1_eq = r1_prices.r1_bundle_equivalent()
     if not np.isfinite(r1_eq):
         raise ValueError("r1 prices must be finite")
-    alpha = params.alpha
     candidates: list[float] = [r1_eq]  # the kink is always a candidate
     # regime HIGH means r1's bundle-equivalent price is above pb2
     for regime, bound in ((Regime.R1_HIGH, "below"), (Regime.R1_LOW, "above")):
-        include_q, w = r2_gradient_structure(scenario, regime, alpha)
-        h = hessian_r2(params, scenario, regime).matrix[0, 0]
+        h, g0 = quadratic_r2(params, structure(scenario, regime))
         if h >= 0.0:
             raise SingularSystemError(
                 f"retailer 2 second derivative for regime {regime.value} is not negative"
             )
-        zero = PriceVector(r1_prices.p1, r1_prices.p2, r1_prices.pb1, 0.0)
-        g0 = _grad_r2(params, zero, include_q=include_q, strat_w=w)
         stationary = -g0 / h
         if bound == "below" and stationary <= r1_eq + _SLACK:
             candidates.append(min(stationary, r1_eq))

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .equilibria import EquilibriumResult, THEOREMS, candidate_theorems
+from .equilibria import FEASIBILITY_TOL, EquilibriumResult, THEOREMS, candidate_theorems
 from .market import MarketParams, Scenario
 from .oracle import OracleConfig, OracleOutcome, find_fixed_point
 
-DEFAULT_FEASIBILITY_TOL = 1e-9
+# largest relative sup-norm deviation at which the oracle's fixed point
+# agrees with a closed-form equilibrium
+AGREEMENT_TOL = 1e-4
 
 # tie-break preference: no PMG commitments first, then lexicographic on the
 # (pmg_r1, pmg_r2) flags
@@ -63,7 +65,7 @@ def solve_subgame(
     params: MarketParams,
     scenario: Scenario,
     *,
-    tol: float = DEFAULT_FEASIBILITY_TOL,
+    tol: float = FEASIBILITY_TOL,
     oracle_check: bool = False,
     oracle_cfg: OracleConfig | None = None,
 ) -> SubgameSolution:
@@ -93,9 +95,8 @@ def solve_subgame(
             if not oracle_outcome.converged:
                 warnings.append("oracle: best-response iteration did not converge")
             else:
-                scale = max(1.0, max(abs(v) for v in chosen.prices.present()))
-                dev = chosen.prices.sup_distance(oracle_outcome.prices) / scale
-                if dev > 1e-4:
+                dev = chosen.prices.relative_distance(oracle_outcome.prices)
+                if dev > AGREEMENT_TOL:
                     warnings.append(
                         f"oracle: fixed point deviates from selected equilibrium "
                         f"(relative sup-norm {dev:.2e})"
@@ -110,7 +111,7 @@ def solve_subgame(
 
 
 def compare_policies(
-    params: MarketParams, *, tol: float = DEFAULT_FEASIBILITY_TOL
+    params: MarketParams, *, tol: float = FEASIBILITY_TOL
 ) -> PolicyComparison:
     """Solve all five subgames and compare bundling against no bundling.
 

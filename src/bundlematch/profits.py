@@ -1,33 +1,34 @@
-"""Retailer profits and their analytic gradients.
+"""Retailer profits and their derivatives.
 
 Profit is margin times demand summed over the segments a retailer serves.
-Price-aware and strategic margins use effective (post-PMG) prices.  Strategic
-demand is split between the retailers according to who actually offers the
-market-low effective bundle price: the full share goes to the strictly
-cheapest retailer unless the other one matches via a PMG, in which case the
-split parameter alpha applies; exact posted-price ties follow the R1_HIGH
-convention (see tie_strategic_share).
+Price-aware and strategic margins use effective (post-PMG) prices.  Which
+segment pays which price, and retailer 1's share of strategic demand, come
+from the regime structure (market.structure) of the subgame and the price
+ordering; exact posted-price ties follow the R1_HIGH convention.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
-retailer's own prices, so the gradients below are affine and match the
-regime's first-order-condition system term by term.
+retailer's own prices: the gradients below are affine and match the regime's
+first-order-condition system term by term, and the Hessians are constant
+matrices with closed-form eigenvalues, negative definite whenever
+b_l >= lambda_l and theta_l in (0, 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .market import (
-    EffectivePrices,
     MarketParams,
     PriceVector,
     Regime,
+    RegimeStructure,
     Scenario,
     demands,
     effective_prices,
-    effective_prices_in_regime,
+    structure,
 )
 
 
@@ -48,50 +49,22 @@ class ProfitPair:
         return self.pi_r1 + self.pi_r2
 
 
-def strategic_share_in_regime(params: MarketParams, scenario: Scenario, regime: Regime) -> float:
-    """Retailer 1's share of strategic demand in a regime's interior.
-
-    R1_HIGH: retailer 2 posts the low price; retailer 1 serves alpha of the
-    segment only by matching through its own PMG.  R1_LOW: mirrored, with
-    retailer 2 matching; without a PMG the cheap retailer takes everything.
-    Under B=0 no PMGs exist, so the cheap side takes the whole segment.
-    """
-    if scenario.bundling == 0:
-        return 0.0 if regime is Regime.R1_HIGH else 1.0
-    if regime is Regime.R1_HIGH:
-        return params.alpha if scenario.pmg_r1 else 0.0
-    return params.alpha if scenario.pmg_r2 else 1.0
-
-
-def tie_strategic_share(params: MarketParams, scenario: Scenario) -> float:
-    """Retailer 1's strategic share at an exact bundle-equivalent price tie.
-
-    Ties are labelled R1_HIGH and inherit that regime's split: alpha when
-    retailer 1 can match through its own PMG, zero otherwise.  Splitting
-    alpha at ties retailer 1 reaches only by posting (not matching) would
-    create kink points where retailer 2's best response fails to exist (it
-    would undercut rather than concede its strategic sales), destroying the
-    interior equilibria the per-regime analyses identify.
-    """
-    return strategic_share_in_regime(params, scenario, Regime.R1_HIGH)
-
-
-def _strategic_share_at(params: MarketParams, scenario: Scenario, prices: PriceVector) -> float:
-    r1_eq = prices.r1_bundle_equivalent()
-    if r1_eq == prices.pb2:
-        return tie_strategic_share(params, scenario)
-    regime = Regime.R1_HIGH if r1_eq > prices.pb2 else Regime.R1_LOW
-    return strategic_share_in_regime(params, scenario, regime)
-
-
-def _profit_pair(
+def profits(
     params: MarketParams,
     scenario: Scenario,
     prices: PriceVector,
-    eff: EffectivePrices,
-    share: float,
+    regime: Regime | None = None,
 ) -> ProfitPair:
+    """Both retailers' profits at posted prices.
+
+    With regime=None the regime (and with it the PMG resolution and the
+    strategic split) is read off the prices, so the function is total,
+    including at regime kinks.  A presumed regime evaluates the branch a
+    closed-form candidate was derived in, whatever ordering the prices satisfy.
+    """
     p = params
+    eff = effective_prices(params, scenario, prices, regime)
+    share = structure(scenario, eff.regime).strategic_share(p.alpha)
     d = demands(params, scenario, prices, eff)
     c = p.total_cost
     m1 = prices.p1 - p.c1
@@ -112,169 +85,205 @@ def _profit_pair(
     return ProfitPair(pi_r1=pi_r1, pi_r2=pi_r2)
 
 
-def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
-    """Both retailers' profits at posted prices.
-
-    The regime (and with it the PMG resolution and the strategic split) is
-    read off the prices themselves, so the function is total, including at
-    regime kinks.
-    """
-    eff = effective_prices(params, scenario, prices)
-    share = _strategic_share_at(params, scenario, prices)
-    return _profit_pair(params, scenario, prices, eff, share)
-
-
-def profits_in_regime(
-    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime
-) -> ProfitPair:
-    """Profits under a presumed price ordering (the branch a closed-form
-    candidate was derived in), regardless of the ordering the prices satisfy."""
-    eff = effective_prices_in_regime(params, scenario, prices, regime)
-    share = strategic_share_in_regime(params, scenario, regime)
-    return _profit_pair(params, scenario, prices, eff, share)
-
-
 # ---------------------------------------------------------------------------
 # analytic gradients (the per-regime first-order-condition systems)
 # ---------------------------------------------------------------------------
 
 
-def _grad_r1_bundled(
-    params: MarketParams, prices: PriceVector, *, matched: bool, strat_w: float
-) -> np.ndarray:
-    """d pi_r1 / d(p1, p2, pb1) under B=1.
+def _own_strategic_weights(s: RegimeStructure, alpha: float) -> tuple[float, float]:
+    """Weight of strategic demand in each retailer's own-price derivative:
+    the retailer's share when strategic buyers pay its price, else zero."""
+    share = s.strategic_share(alpha)
+    if s.strategic_at_r1:
+        return share, 0.0
+    return 0.0, 1.0 - share
 
-    matched=True: the loyal price-aware segment at retailer 1 pays pb2 (its
-    PMG matched down), so that term's margin does not vary with pb1.
-    strat_w: weight of strategic demand priced at pb1 (zero whenever the
-    segment buys at pb2).
+
+def _gradient_r1(
+    params: MarketParams, scenario: Scenario, s: RegimeStructure, prices: PriceVector
+) -> np.ndarray:
+    """d pi_r1 / d(p1, p2, pb1) under B=1, d pi_r1 / d(p1, p2) under B=0.
+
+    When retailer 1 is matched its loyal price-aware segment pays pb2, so
+    that term's margin does not vary with pb1.
     """
     p = params
-    pb1, pb2 = prices.pb1, prices.pb2
-    tilde1 = pb2 if matched else pb1
-    hat = pb1 if strat_w > 0.0 else pb2
-    regime = Regime.R1_LOW if strat_w > 0.0 else Regime.R1_HIGH
-    eff = EffectivePrices(tilde_pb1=tilde1, tilde_pb2=pb2, hat_pb=hat, regime=regime)
-    d = demands(params, Scenario.bundled(True, True), prices, eff)
+    eff = s.effective_prices(prices)
+    d = demands(params, scenario, prices, eff)
+    w, _ = _own_strategic_weights(s, p.alpha)
     c = p.total_cost
     m1 = prices.p1 - p.c1
     m2 = prices.p2 - p.c2
-    mb = pb1 - c
-    mt = tilde1 - c
+    if s.bundling == 0:
+        ms = prices.p1 + prices.p2 - c
+        joint = d.d_l_ib + d.d_q_ib - 2.0 * ms * p.b_l
+        if w > 0.0:
+            joint += w * (d.d_s - ms * p.b_s)
+        g1 = d.d_l_i1 - m1 * p.b_l - m2 * p.b_l * p.theta_l + joint
+        g2 = d.d_l_i2 - m1 * p.b_l * p.theta_l - m2 * p.b_l + joint
+        return np.array([g1, g2])
+    mb = prices.pb1 - c
+    mt = eff.tilde_pb1 - c
     g1 = d.d_l_i1 - m1 * p.t1 - m2 * p.t2 + mb * p.lambda_l + mt * p.lambda_l
     g2 = d.d_l_i2 - m1 * p.t2 - m2 * p.t1 + mb * p.lambda_l + mt * p.lambda_l
     g3 = (m1 + m2) * p.lambda_l + d.d_l_ib - mb * p.t1
-    if not matched:
+    if not s.r1_matched:
         g3 += d.d_q_ib - mb * p.t1
-    if strat_w > 0.0:
-        g3 += strat_w * (d.d_s - mb * p.b_s)
+    if w > 0.0:
+        g3 += w * (d.d_s - mb * p.b_s)
     return np.array([g1, g2, g3])
 
 
-def _grad_r1_unbundled(params: MarketParams, prices: PriceVector, *, strat_w: float) -> np.ndarray:
-    """d pi_r1 / d(p1, p2) under B=0; strat_w weights strategic demand priced
-    at the item-price sum."""
+def _gradient_r2(params: MarketParams, s: RegimeStructure, pb2: float) -> float:
+    """d pi_r2 / d pb2: loyal price-unaware demand always, loyal price-aware
+    demand unless matched down to retailer 1's price, and strategic demand
+    when it buys at pb2."""
     p = params
-    s = prices.p1 + prices.p2
-    hat = s if strat_w > 0.0 else prices.pb2
-    regime = Regime.R1_LOW if strat_w > 0.0 else Regime.R1_HIGH
-    eff = EffectivePrices(tilde_pb1=s, tilde_pb2=prices.pb2, hat_pb=hat, regime=regime)
-    d = demands(params, Scenario.no_bundle(), prices, eff)
     c = p.total_cost
-    m1 = prices.p1 - p.c1
-    m2 = prices.p2 - p.c2
-    ms = s - c
-    joint = d.d_l_ib + d.d_q_ib - 2.0 * ms * p.b_l
-    if strat_w > 0.0:
-        joint += strat_w * (d.d_s - ms * p.b_s)
-    g1 = d.d_l_i1 - m1 * p.b_l - m2 * p.b_l * p.theta_l + joint
-    g2 = d.d_l_i2 - m1 * p.b_l * p.theta_l - m2 * p.b_l + joint
-    return np.array([g1, g2])
-
-
-def _grad_r2(
-    params: MarketParams, prices: PriceVector, *, include_q: bool, strat_w: float
-) -> float:
-    """d pi_r2 / d pb2.
-
-    include_q: the loyal price-aware segment at retailer 2 pays the posted
-    pb2 (no PMG matching down to retailer 1's price).  strat_w: weight of
-    strategic demand priced at pb2 (zero when the segment buys at retailer
-    1's bundle-equivalent price).
-    """
-    p = params
-    pb2 = prices.pb2
-    c = p.total_cost
+    _, w = _own_strategic_weights(s, p.alpha)
     g = (p.a_l_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
-    if include_q:
+    if not s.r2_matched:
         g += (p.a_q_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
-    if strat_w > 0.0:
-        g += strat_w * ((p.a_s - p.b_s * pb2) - (pb2 - c) * p.b_s)
+    if w > 0.0:
+        g += w * ((p.a_s - p.b_s * pb2) - (pb2 - c) * p.b_s)
     return g
 
 
-def r1_gradient_structure(scenario: Scenario, regime: Regime, alpha: float) -> tuple[bool, float]:
-    """(matched, strat_w) pair defining retailer 1's FOC system per regime."""
-    if scenario.bundling == 0:
-        return False, (0.0 if regime is Regime.R1_HIGH else 1.0)
-    if regime is Regime.R1_HIGH:
-        return scenario.pmg_r1, 0.0
-    return False, (alpha if scenario.pmg_r2 else 1.0)
-
-
-def r2_gradient_structure(scenario: Scenario, regime: Regime, alpha: float) -> tuple[bool, float]:
-    """(include_q, strat_w) pair defining retailer 2's FOC per regime."""
-    if scenario.bundling == 0:
-        return True, (1.0 if regime is Regime.R1_HIGH else 0.0)
-    if regime is Regime.R1_HIGH:
-        share = alpha if scenario.pmg_r1 else 0.0
-        return True, 1.0 - share
-    return (not scenario.pmg_r2), 0.0
-
-
-def gradient_r1_in_regime(
-    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime
-) -> np.ndarray:
-    matched, w = r1_gradient_structure(scenario, regime, params.alpha)
-    if scenario.bundling == 1:
-        return _grad_r1_bundled(params, prices, matched=matched, strat_w=w)
-    return _grad_r1_unbundled(params, prices, strat_w=w)
-
-
-def gradient_r2_in_regime(
-    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime
-) -> float:
-    include_q, w = r2_gradient_structure(scenario, regime, params.alpha)
-    return _grad_r2(params, prices, include_q=include_q, strat_w=w)
-
-
-def _resolve_regime_for_gradient(scenario: Scenario, prices: PriceVector) -> Regime:
-    r1_eq = prices.r1_bundle_equivalent()
-    if r1_eq == prices.pb2:
-        raise AmbiguousKinkError(
-            "gradient is ambiguous exactly at the regime kink "
-            f"(bundle-equivalent price {r1_eq} equals pb2)"
-        )
-    return Regime.R1_HIGH if r1_eq > prices.pb2 else Regime.R1_LOW
+def _gradient_structure(
+    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime | None
+) -> RegimeStructure:
+    """A presumed regime's structure, or with regime=None the structure of
+    the regime the prices lie in, after validating them; that one is
+    ambiguous exactly at the kink."""
+    if regime is None:
+        regime = effective_prices(params, scenario, prices).regime
+        r1_eq = prices.r1_bundle_equivalent()
+        if r1_eq == prices.pb2:
+            raise AmbiguousKinkError(
+                "gradient is ambiguous exactly at the regime kink "
+                f"(bundle-equivalent price {r1_eq} equals pb2)"
+            )
+    return structure(scenario, regime)
 
 
 def profit_gradient_r1(
-    params: MarketParams, scenario: Scenario, prices: PriceVector
+    params: MarketParams,
+    scenario: Scenario,
+    prices: PriceVector,
+    regime: Regime | None = None,
 ) -> np.ndarray:
-    """Analytic gradient of retailer 1's profit w.r.t. its own prices,
-    evaluated in the regime the prices lie in.
+    """Analytic gradient of retailer 1's profit w.r.t. its own prices, in a
+    presumed regime or, with regime=None, in the regime the prices lie in.
 
-    Raises AmbiguousKinkError exactly at the regime boundary, where the two
-    one-sided systems disagree.
+    With regime=None, raises AmbiguousKinkError exactly at the regime
+    boundary, where the two one-sided systems disagree.
     """
-    effective_prices(params, scenario, prices)  # validates shape and finiteness
-    regime = _resolve_regime_for_gradient(scenario, prices)
-    return gradient_r1_in_regime(params, scenario, prices, regime)
+    s = _gradient_structure(params, scenario, prices, regime)
+    return _gradient_r1(params, scenario, s, prices)
 
 
-def profit_gradient_r2(params: MarketParams, scenario: Scenario, prices: PriceVector) -> float:
+def profit_gradient_r2(
+    params: MarketParams,
+    scenario: Scenario,
+    prices: PriceVector,
+    regime: Regime | None = None,
+) -> float:
     """Analytic derivative of retailer 2's profit w.r.t. pb2 (see
-    profit_gradient_r1 for kink behavior)."""
-    effective_prices(params, scenario, prices)
-    regime = _resolve_regime_for_gradient(scenario, prices)
-    return gradient_r2_in_regime(params, scenario, prices, regime)
+    profit_gradient_r1 for the regime and kink behavior)."""
+    s = _gradient_structure(params, scenario, prices, regime)
+    return _gradient_r2(params, s, prices.pb2)
+
+
+# ---------------------------------------------------------------------------
+# Hessians and the per-regime quadratics
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HessianReport:
+    """Constant Hessian of a retailer's profit within a regime.
+
+    `eigenvalues` are the closed-form expressions; `eigenvalues_numeric` come
+    from a symmetric eigensolve of the same matrix.  Both are sorted
+    ascending.  t1 = b_l + lambda_l and t2 = b_l theta_l + lambda_l are the
+    shorthands the closed forms are written in.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvalues_numeric: np.ndarray
+    negative_definite: bool
+    t1: float
+    t2: float
+
+
+def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> HessianReport:
+    numeric = np.linalg.eigvalsh(matrix)
+    closed = np.sort(np.asarray(closed, dtype=float))
+    return HessianReport(
+        matrix=matrix,
+        eigenvalues=closed,
+        eigenvalues_numeric=numeric,
+        negative_definite=bool(np.all(numeric < 0.0)),
+        t1=params.t1,
+        t2=params.t2,
+    )
+
+
+def _hessian_r1(params: MarketParams, s: RegimeStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Retailer 1's Hessian in structure s and its closed-form eigenvalues."""
+    p = params
+    w, _ = _own_strategic_weights(s, p.alpha)
+    e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
+    if s.bundling == 0:
+        diag = -6.0 * p.b_l - 2.0 * w * p.b_s
+        off = -(4.0 + 2.0 * p.theta_l) * p.b_l - 2.0 * w * p.b_s
+        e2 = -2.0 * p.b_l * (5.0 + p.theta_l) - 4.0 * w * p.b_s
+        return np.array([[diag, off], [off, diag]]), np.array([e1, e2])
+    t1, t2, lam = p.t1, p.t2, p.lambda_l
+    if s.r1_matched:
+        m = 2.0 * np.array([[-t1, -t2, lam], [-t2, -t1, lam], [lam, lam, -t1]])
+        root = math.sqrt((p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2)
+        mid = 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l
+        return m, np.array([e1, -mid - root, -mid + root])
+    corner = -2.0 * t1 - w * p.b_s
+    m = 2.0 * np.array(
+        [[-t1, -t2, 1.5 * lam], [-t2, -t1, 1.5 * lam], [1.5 * lam, 1.5 * lam, corner]]
+    )
+    psi = math.sqrt((p.b_l * (1.0 - p.theta_l) + w * p.b_s) ** 2 + 18.0 * lam**2)
+    mid = w * p.b_s + p.b_l * p.theta_l + 3.0 * p.b_l + 4.0 * lam
+    return m, np.array([e1, -mid - psi, -mid + psi])
+
+
+def _hessian_r2(params: MarketParams, s: RegimeStructure) -> float:
+    _, w = _own_strategic_weights(s, params.alpha)
+    return -2.0 * params.b_l * (1.0 if s.r2_matched else 2.0) - 2.0 * w * params.b_s
+
+
+def hessian_r1(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
+    """Hessian of retailer 1's profit in its own prices for a fixed regime
+    (3x3 under bundling, 2x2 otherwise)."""
+    matrix, closed = _hessian_r1(params, structure(scenario, regime))
+    return _report(matrix, closed, params)
+
+
+def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
+    """Retailer 2's scalar second derivative in pb2, wrapped as a 1x1 report."""
+    value = _hessian_r2(params, structure(scenario, regime))
+    return _report(np.array([[value]]), np.array([value]), params)
+
+
+def quadratic_r1(
+    params: MarketParams, scenario: Scenario, s: RegimeStructure, pb2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Retailer 1's profit in structure s against a fixed pb2 as (H, g0):
+    the constant Hessian and the gradient at zero own prices.  The gradient
+    is H x + g0, so the pair pins the first-order system completely."""
+    zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
+    return _hessian_r1(params, s)[0], _gradient_r1(params, scenario, s, zero)
+
+
+def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:
+    """Retailer 2's profit in structure s as (h, g0) in pb2; retailer 1's
+    prices enter only its constant terms."""
+    return _hessian_r2(params, s), _gradient_r2(params, s, 0.0)

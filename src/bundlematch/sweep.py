@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .equilibria import FEASIBILITY_TOL
 from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import PolicyComparison, compare_policies, solve_subgame
 
@@ -89,7 +90,7 @@ class GridCell:
     existence: dict[str, bool] = field(default_factory=dict)
 
 
-def build_symmetric_table(params: MarketParams, *, tol: float = 1e-9) -> list[dict[str, object]]:
+def build_symmetric_table(params: MarketParams, *, tol: float = FEASIBILITY_TOL) -> list[dict[str, object]]:
     """One row per strategy configuration with the selected equilibrium's
     prices, demands, and profits (profits in thousands).
 

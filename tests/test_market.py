@@ -158,6 +158,14 @@ class TestTypes:
         with pytest.raises(InvalidParameterError):
             MarketParams.baseline(**overrides)
 
+    @pytest.mark.parametrize("name", ["c1", "c2", "a_s", "a_l_i1", "b_l", "b_s", "alpha", "theta_l"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_parameters_rejected(self, name, value):
+        # NaN slips through every `<`/`>=` invariant, and +inf through the
+        # lower bounds, so finiteness is checked on its own
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            MarketParams.baseline(**{name: value})
+
     def test_bundle_equivalent_price(self):
         assert PriceVector(10.0, 20.0, 25.0, 40.0).r1_bundle_equivalent() == 25.0
         assert PriceVector(10.0, 20.0, None, 40.0).r1_bundle_equivalent() == 30.0

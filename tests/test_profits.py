@@ -16,8 +16,6 @@ from bundlematch import (
     profit_gradient_r2,
     profits,
 )
-from bundlematch.profits import gradient_r1_in_regime, profits_in_regime
-
 from conftest import draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
@@ -167,8 +165,8 @@ class TestGradients:
 
     def test_bundle_gradient_decouples_from_item_prices_without_gap_term(self, baseline):
         params = baseline.replace(lambda_l=1e-9)
-        a = gradient_r1_in_regime(params, CM_CM, PriceVector(50.0, 60.0, 200.0, 150.0), Regime.R1_HIGH)
-        b = gradient_r1_in_regime(params, CM_CM, PriceVector(90.0, 30.0, 200.0, 150.0), Regime.R1_HIGH)
+        a = profit_gradient_r1(params, CM_CM, PriceVector(50.0, 60.0, 200.0, 150.0), Regime.R1_HIGH)
+        b = profit_gradient_r1(params, CM_CM, PriceVector(90.0, 30.0, 200.0, 150.0), Regime.R1_HIGH)
         assert abs(a[2] - b[2]) < 1e-6
 
 
@@ -192,7 +190,7 @@ class TestQuadraticStructure:
         matrix = hessian_r1(baseline, scen, regime).matrix
 
         def f(prices):
-            return profits_in_regime(baseline, scen, prices, regime).pi_r1
+            return profits(baseline, scen, prices, regime).pi_r1
 
         n = len(coords)
         for i in range(n):
@@ -213,7 +211,7 @@ class TestQuadraticStructure:
                 assert num == pytest.approx(matrix[i, j], abs=1e-6)
 
         def g(prices):
-            return profits_in_regime(baseline, scen, prices, regime).pi_r2
+            return profits(baseline, scen, prices, regime).pi_r2
 
         num_r2 = (g(_bump(base, "pb2", h)) - 2.0 * g(base) + g(_bump(base, "pb2", -h))) / h**2
         assert num_r2 == pytest.approx(hessian_r2(baseline, scen, regime).matrix[0, 0], abs=1e-6)

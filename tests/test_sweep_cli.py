@@ -176,6 +176,13 @@ class TestCli:
         assert code == 1
         assert "theta_l" in err
 
+    @pytest.mark.parametrize("line", ["c1 = nan", "a_s = inf", "c2 = -inf"])
+    def test_solve_nonfinite_config_exits_1(self, tmp_path, capsys, line):
+        path = tmp_path / "m.cfg"
+        path.write_text(line + "\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_solve_without_equilibrium_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
         path.write_text("b_l = 0.9\nb_s = 0.1\nlambda_l = 0.1\ntheta_l = 0.1\n")
@@ -232,6 +239,15 @@ class TestCli:
         payload = json.loads((out1 / "sweep_base.json").read_text())
         assert len(payload) == 9
         assert payload[0]["exists"] == rows[0]["exists"]
+
+    @pytest.mark.parametrize("old,new", [("max = 0.4", "max = inf"), ("min = 0.05", "min = nan")])
+    def test_sweep_nonfinite_axis_exits_1(self, tmp_path, capsys, old, new):
+        spec_path = tmp_path / "s.cfg"
+        spec_path.write_text(SWEEP_SPEC.replace(old, new, 1))
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_sweep_spec(spec_path)
+        assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_sweep_malformed_spec_exits_1(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.cfg"
