@@ -1,7 +1,8 @@
 """Command-line interface: solve one subgame, emit the five-row table, run
 parameter sweeps, or cross-check against the best-response oracle.
 
-Exit codes: 0 success, 1 input error, 2 no equilibrium (solve only).
+Exit codes: 0 success, 1 input error (usage errors too), 2 no equilibrium (solve
+only).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a grid sweep from a sweep-spec file")
     sweep.add_argument("--config", type=Path, required=True, help="sweep-spec path")
     sweep.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    sweep.add_argument("--threads", type=int, default=1)
     sweep.add_argument("--json", action="store_true", help="also write JSON mirrors")
 
     verify = sub.add_parser("verify", help="cross-check closed forms against the oracle")
@@ -171,9 +171,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.config)
-    if args.threads < 1:
-        raise ConfigError("--threads", None, "thread count must be >= 1")
-    results = run_sweep(MarketParams.baseline(), spec, threads=args.threads)
+    results = run_sweep(MarketParams.baseline(), spec)
     args.out.mkdir(parents=True, exist_ok=True)
     for label, cells in results.items():
         path = args.out / f"sweep_{label}.csv"
@@ -212,7 +210,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 means no equilibrium here
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     handlers = {
         "solve": _cmd_solve,
         "table": _cmd_table,

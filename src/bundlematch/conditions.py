@@ -181,6 +181,3 @@ def check_condition_set(
     else:
         raise UnknownSetError(f"unknown condition set {set_id!r}; expected one of A-F")
     return ConditionReport(set_id=sid, inequalities=checks)
-
-
-CONDITION_SET_IDS = ("A", "B", "C", "D", "E", "F")

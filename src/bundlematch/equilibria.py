@@ -11,16 +11,16 @@ in market.STRUCTURES:
   T5b no bundling, regime p1 + p2 <  pb2
 
 Each function returns the regime's unique stationary point together with the
-demands, profits, condition-set report, residuals, and a feasibility flag.
-Infeasible candidates (ordering violated, a demand negative) are returned
-with feasible=False rather than raised, so the selection layer can map
-non-existence regions.
+demands, profits, residuals, and a feasibility flag; the condition-set report
+is built on first access.  Infeasible candidates (ordering violated, a demand
+negative) are returned with feasible=False rather than raised, so the
+selection layer can map non-existence regions.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,14 +53,25 @@ _SUBGAME = {tid: Scenario(s.bundling, s.r1_matched, s.r2_matched) for tid, s in 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """One closed-form candidate at one parameter point.  Its condition-set
+    report is built lazily, on first access, and cached."""
+
     prices: PriceVector
     demands: DemandProfile
     profits: ProfitPair
     regime: Regime
     theorem_id: str
-    condition_report: ConditionReport
     foc_residual: float
-    feasible: bool
+    params: MarketParams
+
+    @cached_property
+    def condition_report(self) -> ConditionReport:
+        return check_condition_set(STRUCTURES[self.theorem_id].condition_set, self.params)
+
+    @property
+    def feasible(self) -> bool:
+        """is_feasible at the default tolerance."""
+        return self.is_feasible()
 
     def is_feasible(self, tol: float = FEASIBILITY_TOL) -> bool:
         """Ordering of the presumed regime holds, all demands and prices are
@@ -89,25 +100,22 @@ def _guard_denominator(value: float, description: str) -> float:
 
 
 def _assemble(params: MarketParams, theorem_id: str, prices: PriceVector) -> EquilibriumResult:
-    s = STRUCTURES[theorem_id]
-    scenario, regime = _SUBGAME[theorem_id], s.regime
+    scenario, regime = _SUBGAME[theorem_id], STRUCTURES[theorem_id].regime
     eff = effective_prices(params, scenario, prices, regime)
     d = demands(params, scenario, prices, eff)
     pp = profits(params, scenario, prices, regime)
     g1 = profit_gradient_r1(params, scenario, prices, regime)
     g2 = profit_gradient_r2(params, scenario, prices, regime)
     residual = max(float(np.max(np.abs(g1))), abs(g2))
-    result = EquilibriumResult(
+    return EquilibriumResult(
         prices=prices,
         demands=d,
         profits=pp,
         regime=regime,
         theorem_id=theorem_id,
-        condition_report=check_condition_set(s.condition_set, params),
         foc_residual=residual,
-        feasible=False,
+        params=params,
     )
-    return dataclasses.replace(result, feasible=result.is_feasible())
 
 
 def _item_skew(p: MarketParams) -> float:

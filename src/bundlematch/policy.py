@@ -13,7 +13,7 @@ with the PMG pair attaining it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .equilibria import FEASIBILITY_TOL, EquilibriumResult, THEOREMS, candidate_theorems
 from .market import MarketParams, Scenario
@@ -61,6 +61,22 @@ class PolicyComparison:
     tie_break: str | None = None
 
 
+def _select(scenario: Scenario, candidates: list[EquilibriumResult], tol: float) -> SubgameSolution:
+    """Select the feasible candidate maximizing retailer 1's profit."""
+    feasible = [r for r in candidates if r.is_feasible(tol)]
+    # sort makes the selection independent of candidate enumeration order
+    feasible.sort(key=lambda r: (-r.profits.pi_r1, r.theorem_id))
+    chosen = feasible[0] if feasible else None
+    warnings: list[str] = []
+    if chosen is not None and not chosen.condition_report.all_satisfied:
+        warnings.append(
+            f"conditions-not-verified: {chosen.theorem_id} admitted on feasibility and "
+            f"stationarity alone ({chosen.condition_report.summary()}; the sets are "
+            "sufficient, not necessary)"
+        )
+    return SubgameSolution(scenario, chosen, candidates, warnings)
+
+
 def solve_subgame(
     params: MarketParams,
     scenario: Scenario,
@@ -76,38 +92,22 @@ def solve_subgame(
     oracle_check=True, a best-response fixed point is computed independently
     and disagreement is reported as a warning.
     """
-    results = [THEOREMS[tid](params) for tid in candidate_theorems(scenario)]
-    feasible = [r for r in results if r.is_feasible(tol)]
-    # sort makes the selection independent of candidate enumeration order
-    feasible.sort(key=lambda r: (-r.profits.pi_r1, r.theorem_id))
-    chosen = feasible[0] if feasible else None
-    warnings: list[str] = []
-    if chosen is not None and not chosen.condition_report.all_satisfied:
-        warnings.append(
-            f"conditions-not-verified: {chosen.theorem_id} admitted on feasibility and "
-            f"stationarity alone ({chosen.condition_report.summary()}; the sets are "
-            "sufficient, not necessary)"
-        )
-    oracle_outcome = None
-    if oracle_check:
-        oracle_outcome = find_fixed_point(params, scenario, oracle_cfg)
-        if chosen is not None:
-            if not oracle_outcome.converged:
-                warnings.append("oracle: best-response iteration did not converge")
-            else:
-                dev = chosen.prices.relative_distance(oracle_outcome.prices)
-                if dev > AGREEMENT_TOL:
-                    warnings.append(
-                        f"oracle: fixed point deviates from selected equilibrium "
-                        f"(relative sup-norm {dev:.2e})"
-                    )
-    return SubgameSolution(
-        scenario=scenario,
-        chosen=chosen,
-        candidates=results,
-        warnings=warnings,
-        oracle=oracle_outcome,
-    )
+    candidates = [THEOREMS[tid](params) for tid in candidate_theorems(scenario)]
+    solution = _select(scenario, candidates, tol)
+    if not oracle_check:
+        return solution
+    oracle_outcome = find_fixed_point(params, scenario, oracle_cfg)
+    if solution.chosen is not None:
+        if not oracle_outcome.converged:
+            solution.warnings.append("oracle: best-response iteration did not converge")
+        else:
+            dev = solution.chosen.prices.relative_distance(oracle_outcome.prices)
+            if dev > AGREEMENT_TOL:
+                solution.warnings.append(
+                    f"oracle: fixed point deviates from selected equilibrium "
+                    f"(relative sup-norm {dev:.2e})"
+                )
+    return replace(solution, oracle=oracle_outcome)
 
 
 def compare_policies(
@@ -115,27 +115,27 @@ def compare_policies(
 ) -> PolicyComparison:
     """Solve all five subgames and compare bundling against no bundling.
 
-    pi_bundle is the best feasible retailer-1 profit across the four bundled
-    PMG configurations; profit ties between PMG pairs are broken toward fewer
-    PMG commitments, then lexicographically, and the tie is recorded.
+    Each closed-form candidate is evaluated once and shared by the subgames
+    that have it.  pi_bundle is the best feasible retailer-1 profit across the
+    four bundled PMG configurations; profit ties between PMG pairs are broken
+    toward fewer PMG commitments, then lexicographically, and the tie is
+    recorded.
     """
-    solutions: dict[str, SubgameSolution] = {}
-    for scenario in BUNDLED_SCENARIOS:
-        solutions[scenario_key(scenario)] = solve_subgame(params, scenario, tol=tol)
-    no_bundle = solve_subgame(params, Scenario.no_bundle(), tol=tol)
-    solutions["no_bundle"] = no_bundle
+    results = {tid: theorem(params) for tid, theorem in THEOREMS.items()}
+    solutions = {
+        scenario_key(s): _select(s, [results[tid] for tid in candidate_theorems(s)], tol)
+        for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle())
+    }
+    no_bundle = solutions["no_bundle"]
 
     existence = {key: sol.chosen is not None for key, sol in solutions.items()}
-    bundled = [
-        (scenario, solutions[scenario_key(scenario)].chosen)
-        for scenario in BUNDLED_SCENARIOS
-        if solutions[scenario_key(scenario)].chosen is not None
-    ]
-    pi_bundle = max((r.profits.pi_r1 for _, r in bundled), default=None)
+    # in BUNDLED_SCENARIOS order, which the tie-break relies on
+    bundled = [sol for sol in solutions.values() if sol.scenario.bundling and sol.chosen is not None]
+    pi_bundle = max((sol.chosen.profits.pi_r1 for sol in bundled), default=None)
     best_scenario = None
     tie_break = None
     if pi_bundle is not None:
-        attaining = [s for s, r in bundled if r.profits.pi_r1 == pi_bundle]
+        attaining = [sol.scenario for sol in bundled if sol.chosen.profits.pi_r1 == pi_bundle]
         best_scenario = attaining[0]
         if len(attaining) > 1:
             tie_break = (

@@ -153,17 +153,17 @@ def _gradient_structure(
     params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime | None
 ) -> RegimeStructure:
     """A presumed regime's structure, or with regime=None the structure of
-    the regime the prices lie in, after validating them; that one is
-    ambiguous exactly at the kink."""
+    the regime the prices lie in; that one is ambiguous exactly at the kink.
+    The prices are validated either way."""
+    resolved = effective_prices(params, scenario, prices, regime).regime
     if regime is None:
-        regime = effective_prices(params, scenario, prices).regime
         r1_eq = prices.r1_bundle_equivalent()
         if r1_eq == prices.pb2:
             raise AmbiguousKinkError(
                 "gradient is ambiguous exactly at the regime kink "
                 f"(bundle-equivalent price {r1_eq} equals pb2)"
             )
-    return structure(scenario, regime)
+    return structure(scenario, resolved)
 
 
 def profit_gradient_r1(

@@ -4,9 +4,8 @@ Sweeps evaluate the policy comparison on a rectangular grid (axis1 outer,
 axis2 inner, exactly steps1 x steps2 cells).  Cells violating a model
 invariant or lacking an equilibrium on either side of the bundling
 comparison are emitted with exists=0 and empty value fields, never skipped.
-Cell evaluation is order-independent, so grids may be computed on a thread
-pool; output assembly restores grid order, keeping files byte-identical
-across runs and thread counts.
+Cells are evaluated serially in grid order, one policy comparison each, so
+files are byte-identical across runs.
 
 Profits in emitted files are reported in thousands of currency; the engine
 itself works in raw currency.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,22 +149,16 @@ def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: floa
     )
 
 
-def run_panel(
-    base: MarketParams, spec: SweepSpec, panel: Panel, *, threads: int = 1
-) -> list[GridCell]:
+def run_panel(base: MarketParams, spec: SweepSpec, panel: Panel) -> list[GridCell]:
     """Evaluate one panel's full grid in deterministic (axis1 outer, axis2
     inner) order."""
-    points = [(v1, v2) for v1 in spec.axis1.values() for v2 in spec.axis2.values()]
-    if threads <= 1:
-        return [_cell(base, spec, panel, v1, v2) for v1, v2 in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda pt: _cell(base, spec, panel, pt[0], pt[1]), points))
+    return [
+        _cell(base, spec, panel, v1, v2) for v1 in spec.axis1.values() for v2 in spec.axis2.values()
+    ]
 
 
-def run_sweep(
-    base: MarketParams, spec: SweepSpec, *, threads: int = 1
-) -> dict[str, list[GridCell]]:
-    return {panel.label: run_panel(base, spec, panel, threads=threads) for panel in spec.panels}
+def run_sweep(base: MarketParams, spec: SweepSpec) -> dict[str, list[GridCell]]:
+    return {panel.label: run_panel(base, spec, panel) for panel in spec.panels}
 
 
 def _fmt(value: object) -> str:

@@ -1,12 +1,17 @@
 """Equilibrium selection per subgame and the bundling/PMG policy comparison."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import bundlematch.equilibria
+import bundlematch.policy
 from bundlematch import (
     MarketParams,
     Scenario,
     compare_policies,
+    eq_T1,
     solve_subgame,
 )
 
@@ -139,6 +144,71 @@ class TestComparePolicies:
                 comp = compare_policies(baseline.replace(lambda_l=float(lam), theta_l=float(theta)))
                 if comp.delta_pi_B is not None:
                     assert comp.delta_pi_B > 0.0
+
+    def test_each_theorem_is_evaluated_once(self, baseline, monkeypatch):
+        calls = Counter()
+
+        def counted(tid, theorem):
+            def wrapper(params):
+                calls[tid] += 1
+                return theorem(params)
+
+            return wrapper
+
+        theorems = bundlematch.policy.THEOREMS
+        monkeypatch.setattr(
+            bundlematch.policy, "THEOREMS", {tid: counted(tid, fn) for tid, fn in theorems.items()}
+        )
+        compare_policies(baseline)
+        assert calls == Counter(dict.fromkeys(theorems, 1))
+        assert sum(calls.values()) == 6
+
+    def test_condition_reports_are_built_on_access(self, baseline, monkeypatch):
+        built = []
+        check = bundlematch.equilibria.check_condition_set
+
+        def counted(set_id, params):
+            built.append(set_id)
+            return check(set_id, params)
+
+        monkeypatch.setattr(bundlematch.equilibria, "check_condition_set", counted)
+        result = eq_T1(baseline)
+        assert built == []
+        assert result.condition_report.set_id == "A"
+        assert result.condition_report is result.condition_report
+        assert built == ["A"]
+        built.clear()
+        comp = compare_policies(baseline)
+        chosen = {id(sol.chosen): sol.chosen for sol in comp.solutions.values()}
+        assert sorted(built) == sorted(r.condition_report.set_id for r in chosen.values())
+
+    def test_matches_per_subgame_selection(self):
+        rng = np.random.default_rng(31)
+        scenarios = {
+            "cm_cm": Scenario.bundled(True, True),
+            "cm_nocm": Scenario.bundled(True, False),
+            "nocm_cm": Scenario.bundled(False, True),
+            "nocm_nocm": Scenario.bundled(False, False),
+            "no_bundle": Scenario.no_bundle(),
+        }
+        chosen_any = 0
+        for _ in range(250):
+            params = draw_valid_params(rng)
+            comp = compare_policies(params)
+            assert list(comp.solutions) == ["nocm_nocm", "nocm_cm", "cm_nocm", "cm_cm", "no_bundle"]
+            for key, scenario in scenarios.items():
+                shared, alone = comp.solutions[key], solve_subgame(params, scenario)
+                assert shared.scenario == alone.scenario
+                assert (shared.chosen is None) == (alone.chosen is None)
+                if alone.chosen is not None:
+                    chosen_any += 1
+                    assert shared.chosen.theorem_id == alone.chosen.theorem_id
+                    assert shared.chosen.prices == alone.chosen.prices
+                assert shared.warnings == alone.warnings
+                assert [(r.theorem_id, r.feasible) for r in shared.candidates] == [
+                    (r.theorem_id, r.feasible) for r in alone.candidates
+                ]
+        assert chosen_any > 100
 
     def test_welfare_is_profit_sum(self, baseline):
         sol = solve_subgame(baseline, CM_CM)

@@ -5,6 +5,7 @@ import pytest
 
 from bundlematch import (
     AmbiguousKinkError,
+    InvalidPriceError,
     MarketParams,
     PriceVector,
     Regime,
@@ -162,6 +163,19 @@ class TestGradients:
             profit_gradient_r1(baseline, CM_CM, PriceVector(80.0, 80.0, 135.0, 135.0))
         with pytest.raises(AmbiguousKinkError):
             profit_gradient_r2(baseline, Scenario.no_bundle(), PriceVector(70.0, 65.0, None, 135.0))
+
+    @pytest.mark.parametrize("gradient", [profit_gradient_r1, profit_gradient_r2])
+    @pytest.mark.parametrize("regime", [None, Regime.R1_HIGH, Regime.R1_LOW])
+    def test_invalid_prices_raise_in_every_regime_mode(self, baseline, gradient, regime):
+        bad = [
+            (CM_CM, PriceVector(80.0, float("nan"), 150.0, 135.0)),
+            (CM_CM, PriceVector(80.0, 80.0, 150.0, float("inf"))),
+            (CM_CM, PriceVector(80.0, 80.0, None, 135.0)),
+            (Scenario.no_bundle(), PriceVector(70.0, 70.0, 130.0, 135.0)),
+        ]
+        for scen, prices in bad:
+            with pytest.raises(InvalidPriceError):
+                gradient(baseline, scen, prices, regime)
 
     def test_bundle_gradient_decouples_from_item_prices_without_gap_term(self, baseline):
         params = baseline.replace(lambda_l=1e-9)

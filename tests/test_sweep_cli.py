@@ -14,7 +14,6 @@ from bundlematch.sweep import (
     SweepSpec,
     build_symmetric_table,
     run_panel,
-    run_sweep,
 )
 from bundlematch.policy import compare_policies
 
@@ -150,15 +149,6 @@ class TestSweeps:
         assert cells[0].delta_pi_B == pytest.approx(comp.delta_pi_B, abs=1e-9)
         assert cells[0].best_regime == comp.best_pmg_regime.label()
 
-    def test_threaded_run_matches_serial(self, baseline):
-        spec = SweepSpec(
-            axis1=AxisSpec("lambda_l", 0.05, 0.4, 3),
-            axis2=AxisSpec("theta_l", 0.2, 0.8, 3),
-        )
-        serial = run_sweep(baseline, spec, threads=1)
-        threaded = run_sweep(baseline, spec, threads=4)
-        assert serial == threaded
-
 
 class TestCli:
     def test_solve_baseline_matches_table(self, capsys):
@@ -200,6 +190,23 @@ class TestCli:
     def test_bad_pmg_flag_exits_1(self, capsys):
         assert main(["solve", "--pmg", "r1=sometimes", "r2=cm"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--bundling", "3"],
+            ["sweep", "--config", "x", "--threads", "4"],
+            ["table", "--no-such-flag"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_verify_subcommand(self, capsys):
         code = main(["verify", "--pmg", "r1=nocm", "r2=nocm"])
         out = capsys.readouterr().out
@@ -226,12 +233,10 @@ class TestCli:
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
         assert main(["sweep", "--config", str(spec_path), "--out", str(out1), "--json"]) == 0
-        assert main(
-            ["sweep", "--config", str(spec_path), "--out", str(out2), "--threads", "4", "--json"]
-        ) == 0
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out2), "--json"]) == 0
         csv1 = (out1 / "sweep_base.csv").read_bytes()
         csv2 = (out2 / "sweep_base.csv").read_bytes()
-        assert csv1 == csv2  # byte-identical across runs and thread counts
+        assert csv1 == csv2  # byte-identical across runs
         with open(out1 / "sweep_base.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 9
