@@ -12,9 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_market_config, load_sweep_spec
-from .equilibria import FEASIBILITY_TOL
-from .market import InvalidParameterError, MarketParams, Scenario
-from .oracle import find_fixed_point
+from .market import FEASIBILITY_TOL, InvalidParameterError, MarketParams, Scenario
 from .policy import AGREEMENT_TOL, solve_subgame
 from .sweep import (
     build_symmetric_table,
@@ -143,10 +141,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     oracle_check = args.verify == "oracle"
     solution = solve_subgame(params, scenario, tol=args.tol, oracle_check=oracle_check)
     _print_solution(params, scenario, solution)
-    if oracle_check and solution.oracle is not None:
+    if oracle_check:
         outcome = solution.oracle
-        if solution.chosen is not None and outcome.converged:
-            dev = solution.chosen.prices.relative_distance(outcome.prices)
+        dev = solution.oracle_deviation
+        if dev is not None:
             print(
                 f"oracle: converged in {outcome.iterations} iterations; "
                 f"max relative deviation {dev:.3e}"
@@ -186,15 +184,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
     scenario = _scenario_from_args(args)
-    solution = solve_subgame(params, scenario, tol=args.tol)
-    outcome = find_fixed_point(params, scenario)
+    solution = solve_subgame(params, scenario, tol=args.tol, oracle_check=True)
+    outcome = solution.oracle
     if solution.chosen is None:
         status = "converged" if outcome.converged else "did not converge"
         print(f"closed form: no feasible equilibrium; oracle {status} "
               f"after {outcome.iterations} iterations")
         return EXIT_OK
-    if outcome.converged:
-        dev = solution.chosen.prices.relative_distance(outcome.prices)
+    dev = solution.oracle_deviation
+    if dev is not None:
         agrees = "agree" if dev <= AGREEMENT_TOL else "DISAGREE"
         print(
             f"closed form {solution.chosen.theorem_id} and oracle {agrees}: "

@@ -26,6 +26,7 @@ import numpy as np
 
 from .conditions import ConditionReport, check_condition_set
 from .market import (
+    FEASIBILITY_TOL,
     STRUCTURES,
     DemandProfile,
     MarketParams,
@@ -39,7 +40,6 @@ from .market import (
 from .profits import ProfitPair, profit_gradient_r1, profit_gradient_r2, profits
 
 FOC_RESIDUAL_TOL = 1e-8
-FEASIBILITY_TOL = 1e-9
 
 
 class DegenerateParamsError(ValueError):
@@ -77,18 +77,13 @@ class EquilibriumResult:
         """Ordering of the presumed regime holds, all demands and prices are
         nonnegative, the bundle is not priced above its parts, and the
         first-order conditions are satisfied."""
-        r1_eq = self.prices.r1_bundle_equivalent()
-        if self.regime is Regime.R1_HIGH:
-            if r1_eq < self.prices.pb2 - tol:
-                return False
-        else:
-            if r1_eq > self.prices.pb2 + tol:
-                return False
+        if not self.regime.holds(self.prices.r1_bundle_equivalent(), self.prices.pb2, tol):
+            return False
         if self.demands.min() < -tol:
             return False
         if min(self.prices.present()) < -tol:
             return False
-        if self.prices.pb1 is not None and self.prices.p1 + self.prices.p2 < self.prices.pb1 - tol:
+        if not self.prices.bundle_within_parts(tol):
             return False
         return self.foc_residual <= FOC_RESIDUAL_TOL
 

@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+# the one feasibility tolerance: the slack within which a price ordering,
+# the bundle-within-parts constraint or a nonnegativity counts as holding,
+# for closed-form candidates and best responses alike
+FEASIBILITY_TOL = 1e-9
+
+
 class InvalidParameterError(ValueError):
     """A market parameter violates a model assumption."""
 
@@ -40,6 +46,13 @@ class Regime(Enum):
 
     R1_HIGH = "r1_high"
     R1_LOW = "r1_low"
+
+    def holds(self, r1_eq: float, pb2: float, tol: float = FEASIBILITY_TOL) -> bool:
+        """Whether retailer 1's bundle-equivalent price r1_eq lies on this
+        regime's side of pb2, within tol."""
+        if self is Regime.R1_HIGH:
+            return r1_eq >= pb2 - tol
+        return r1_eq <= pb2 + tol
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,10 @@ class PriceVector:
         """The price a joint purchase at retailer 1 compares at: pb1 when a
         bundle is posted, the item-price sum otherwise."""
         return self.pb1 if self.pb1 is not None else self.p1 + self.p2
+
+    def bundle_within_parts(self, tol: float = FEASIBILITY_TOL) -> bool:
+        """Whether a posted bundle costs no more than its parts, within tol."""
+        return self.pb1 is None or self.p1 + self.p2 >= self.pb1 - tol
 
     def present(self) -> tuple[float, ...]:
         if self.pb1 is None:
@@ -339,7 +356,8 @@ def effective_prices(
     """
     _validate_prices(scenario, prices)
     if regime is None:
-        regime = Regime.R1_HIGH if prices.r1_bundle_equivalent() >= prices.pb2 else Regime.R1_LOW
+        high = Regime.R1_HIGH.holds(prices.r1_bundle_equivalent(), prices.pb2, 0.0)
+        regime = Regime.R1_HIGH if high else Regime.R1_LOW
     return structure(scenario, regime).effective_prices(prices)
 
 

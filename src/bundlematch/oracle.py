@@ -2,9 +2,11 @@
 
 Within each price-ordering regime a retailer's profit is an exact concave
 quadratic, so best responses are computed by solving the regime's linear
-first-order system (plus boundary candidates on the ordering kink and the
-bundle-discount face) and keeping the candidate with the highest actual
-profit.  Nash candidates are then found by damped alternating best response.
+first-order system and keeping the candidate with the highest actual
+profit.  Retailer 1's candidates come from one plan table for both bundling
+values: the high and low regimes and the kink tie, each again on the
+bundle-discount face when it bundles.  Nash candidates are then found by
+damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import MarketParams, PriceVector, Regime, Scenario, effective_prices, structure
-from .profits import hessian_r1, profits, quadratic_r1, quadratic_r2
+from .profits import profits, quadratic_r1, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -37,6 +39,8 @@ class OracleConfig:
     record_trajectory: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if not self.tol_fp > 0.0:
             raise ValueError("tol_fp must be > 0")
         if not 0.0 < self.damping <= 1.0:
@@ -50,9 +54,6 @@ class OracleOutcome:
     iterations: int
     classified_regime: Regime
     trajectory: list[PriceVector] = field(default_factory=list)
-
-
-_SLACK = 1e-9
 
 
 def _solve_kkt(h: np.ndarray, g: np.ndarray, constraints: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -73,96 +74,60 @@ def _solve_kkt(h: np.ndarray, g: np.ndarray, constraints: list[tuple[np.ndarray,
     return np.linalg.solve(kkt, rhs)[:n]
 
 
-def _require_negative_definite(params: MarketParams, scenario: Scenario, regime: Regime) -> None:
-    if not hessian_r1(params, scenario, regime).negative_definite:
-        raise SingularSystemError(
-            f"retailer 1 Hessian for regime {regime.value} is not negative definite"
-        )
-
-
 def best_response_r1(
     params: MarketParams, scenario: Scenario, pb2: float
 ) -> tuple[float, float, float | None]:
     """Retailer 1's profit-maximizing prices against a fixed pb2.
 
     Solves the first-order system of each ordering regime exactly, adds the
-    kink (equal bundle-equivalent prices) and bundle-discount boundary
-    candidates, and returns the candidate with the highest realized profit.
-    Components are clamped at zero, which only binds for degenerate inputs.
+    kink (bundle-equivalent price equal to pb2) and, when bundling, the
+    bundle-discount boundary candidates, and returns the candidate with the
+    highest realized profit.  Components are then clamped at zero; where
+    the best candidate has a negative component the other prices are not
+    re-optimized, so the clamped prices need not be a best response.
     """
     if not np.isfinite(pb2):
         raise ValueError("pb2 must be finite")
-    for regime in (Regime.R1_HIGH, Regime.R1_LOW):
-        _require_negative_definite(params, scenario, regime)
+    bundled = scenario.bundling == 1
     high = structure(scenario, Regime.R1_HIGH)
     # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
-    # and that share buys at pb1 (= pb2)
+    # and that share buys at r1's price (= pb2)
     tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
-    structures = {
-        "high": quadratic_r1(params, scenario, high, pb2),
-        "low": quadratic_r1(params, scenario, structure(scenario, Regime.R1_LOW), pb2),
-        "tie": quadratic_r1(params, scenario, tie, pb2),
-    }
-    if scenario.bundling == 1:
-        kink = (np.array([0.0, 0.0, 1.0]), pb2)  # pb1 = pb2
-        discount = (np.array([1.0, 1.0, -1.0]), 0.0)  # p1 + p2 = pb1
-        plans = [
-            ("high", []),
-            ("low", []),
-            ("tie", [kink]),
-            ("high", [discount]),
-            ("low", [discount]),
-            ("tie", [kink, discount]),
-        ]
-
-        def valid(name: str, x: np.ndarray) -> bool:
-            if x[0] + x[1] < x[2] - _SLACK:  # bundle cheaper than its parts only
-                return False
-            if name == "high":
-                return x[2] >= pb2 - _SLACK
-            if name == "low":
-                return x[2] <= pb2 + _SLACK
-            return True
-
-        best: tuple[float, np.ndarray] | None = None
-        for name, constraints in plans:
-            h, g0 = structures[name]
+    kink = (np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0]), pb2)  # r1's price = pb2
+    # (quadratic, regime whose ordering the solution must satisfy or None on
+    # the kink, equality constraints)
+    sides = [
+        (quadratic_r1(params, scenario, structure(scenario, regime), pb2), regime, [])
+        for regime in Regime
+    ]
+    for (h, _), regime, _ in sides:
+        if not np.all(np.linalg.eigvalsh(h) < 0.0):
+            raise SingularSystemError(
+                f"retailer 1 Hessian for regime {regime.value} is not negative definite"
+            )
+    sides.append((quadratic_r1(params, scenario, tie, pb2), None, [kink]))
+    # each side again on the bundle-discount face p1 + p2 = pb1
+    faces = ([], [(np.array([1.0, 1.0, -1.0]), 0.0)]) if bundled else ([],)
+    best: tuple[float, np.ndarray] | None = None
+    for face in faces:
+        for (h, g0), regime, constraints in sides:
             try:
-                x = _solve_kkt(h, g0, constraints)
+                x = _solve_kkt(h, g0, constraints + face)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(str(exc)) from exc
-            if name == "tie":
-                x = x.copy()
+            if regime is None and bundled:
                 x[2] = pb2  # snap exactly onto the kink
-            if not valid(name, x):
+            prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
+            if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
                 continue
-            value = profits(params, scenario, PriceVector(x[0], x[1], x[2], pb2)).pi_r1
+            if not prices.bundle_within_parts():
+                continue
+            value = profits(params, scenario, prices).pi_r1
             if best is None or value > best[0]:
                 best = (value, x)
-        assert best is not None  # the constrained plans always yield a candidate
-        x = np.maximum(best[1], 0.0)
-        return (float(x[0]), float(x[1]), float(x[2]))
-
-    # B = 0: two item prices, ordering on their sum
-    plans0 = [("high", []), ("low", []), ("tie", [(np.array([1.0, 1.0]), pb2)])]
-    best0: tuple[float, np.ndarray] | None = None
-    for name, constraints in plans0:
-        h, g0 = structures[name]
-        try:
-            x = _solve_kkt(h, g0, constraints)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        s = x[0] + x[1]
-        if name == "high" and s < pb2 - _SLACK:
-            continue
-        if name == "low" and s > pb2 + _SLACK:
-            continue
-        value = profits(params, scenario, PriceVector(x[0], x[1], None, pb2)).pi_r1
-        if best0 is None or value > best0[0]:
-            best0 = (value, x)
-    assert best0 is not None
-    x = np.maximum(best0[1], 0.0)
-    return (float(x[0]), float(x[1]), None)
+    assert best is not None  # the kink plans always yield a candidate
+    x = np.maximum(best[1], 0.0)
+    return (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
 
 
 def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceVector) -> float:
@@ -175,18 +140,17 @@ def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceV
     if not np.isfinite(r1_eq):
         raise ValueError("r1 prices must be finite")
     candidates: list[float] = [r1_eq]  # the kink is always a candidate
-    # regime HIGH means r1's bundle-equivalent price is above pb2
-    for regime, bound in ((Regime.R1_HIGH, "below"), (Regime.R1_LOW, "above")):
+    for regime in Regime:
         h, g0 = quadratic_r2(params, structure(scenario, regime))
         if h >= 0.0:
             raise SingularSystemError(
                 f"retailer 2 second derivative for regime {regime.value} is not negative"
             )
         stationary = -g0 / h
-        if bound == "below" and stationary <= r1_eq + _SLACK:
-            candidates.append(min(stationary, r1_eq))
-        if bound == "above" and stationary >= r1_eq - _SLACK:
-            candidates.append(max(stationary, r1_eq))
+        if regime.holds(r1_eq, stationary):
+            # kept on the regime's side of the kink
+            side = min if regime is Regime.R1_HIGH else max
+            candidates.append(side(stationary, r1_eq))
     best_value, best_pb2 = -np.inf, r1_eq
     for pb2 in candidates:
         value = profits(
@@ -266,17 +230,7 @@ def find_fixed_points(
     for r1_level, r2_level in ((lo_r1, lo_r2), (lo_r1, hi_r2), (hi_r1, lo_r2), (hi_r1, hi_r2)):
         pb1 = r1_level if scenario.bundling == 1 else None
         start = PriceVector(r1_level / 2.0, r1_level / 2.0, pb1, r2_level)
-        outcome = find_fixed_point(
-            params,
-            scenario,
-            OracleConfig(
-                max_iters=cfg.max_iters,
-                tol_fp=cfg.tol_fp,
-                damping=cfg.damping,
-                initial_prices=start,
-                record_trajectory=cfg.record_trajectory,
-            ),
-        )
+        outcome = find_fixed_point(params, scenario, dataclasses.replace(cfg, initial_prices=start))
         duplicate = any(
             o.converged
             and outcome.converged

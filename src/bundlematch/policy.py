@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .equilibria import FEASIBILITY_TOL, EquilibriumResult, THEOREMS, candidate_theorems
-from .market import MarketParams, Scenario
-from .oracle import OracleConfig, OracleOutcome, find_fixed_point
+from .equilibria import EquilibriumResult, THEOREMS, candidate_theorems
+from .market import FEASIBILITY_TOL, MarketParams, Scenario
+from .oracle import OracleOutcome, find_fixed_point
 
 # largest relative sup-norm deviation at which the oracle's fixed point
 # agrees with a closed-form equilibrium
@@ -48,6 +48,14 @@ class SubgameSolution:
     candidates: list[EquilibriumResult]
     warnings: list[str] = field(default_factory=list)
     oracle: OracleOutcome | None = None
+
+    @property
+    def oracle_deviation(self) -> float | None:
+        """Relative sup-norm distance of the oracle's fixed point from the
+        chosen equilibrium; None unless both exist and the oracle converged."""
+        if self.chosen is None or self.oracle is None or not self.oracle.converged:
+            return None
+        return self.chosen.prices.relative_distance(self.oracle.prices)
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,6 @@ def solve_subgame(
     *,
     tol: float = FEASIBILITY_TOL,
     oracle_check: bool = False,
-    oracle_cfg: OracleConfig | None = None,
 ) -> SubgameSolution:
     """Evaluate both regime candidates for a subgame and select the feasible
     one maximizing retailer 1's profit.
@@ -96,18 +103,16 @@ def solve_subgame(
     solution = _select(scenario, candidates, tol)
     if not oracle_check:
         return solution
-    oracle_outcome = find_fixed_point(params, scenario, oracle_cfg)
-    if solution.chosen is not None:
-        if not oracle_outcome.converged:
-            solution.warnings.append("oracle: best-response iteration did not converge")
-        else:
-            dev = solution.chosen.prices.relative_distance(oracle_outcome.prices)
-            if dev > AGREEMENT_TOL:
-                solution.warnings.append(
-                    f"oracle: fixed point deviates from selected equilibrium "
-                    f"(relative sup-norm {dev:.2e})"
-                )
-    return replace(solution, oracle=oracle_outcome)
+    solution = replace(solution, oracle=find_fixed_point(params, scenario))
+    dev = solution.oracle_deviation
+    if solution.chosen is not None and not solution.oracle.converged:
+        solution.warnings.append("oracle: best-response iteration did not converge")
+    elif dev is not None and dev > AGREEMENT_TOL:
+        solution.warnings.append(
+            f"oracle: fixed point deviates from selected equilibrium "
+            f"(relative sup-norm {dev:.2e})"
+        )
+    return solution
 
 
 def compare_policies(

@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibria import FEASIBILITY_TOL
-from .market import InvalidParameterError, MarketParams, Scenario
-from .policy import PolicyComparison, compare_policies, solve_subgame
+from .market import FEASIBILITY_TOL, InvalidParameterError, MarketParams, Scenario
+from .policy import PolicyComparison, compare_policies, scenario_key
 
 TABLE_SCENARIOS = (
     Scenario.bundled(True, True),
@@ -95,9 +94,10 @@ def build_symmetric_table(params: MarketParams, *, tol: float = FEASIBILITY_TOL)
     For the no-bundling row the bundle-price column carries the item-price
     sum, the bundle-equivalent price a joint purchase pays.
     """
+    solutions = compare_policies(params, tol=tol).solutions
     rows: list[dict[str, object]] = []
     for scenario in TABLE_SCENARIOS:
-        solution = solve_subgame(params, scenario, tol=tol)
+        solution = solutions[scenario_key(scenario)]
         row: dict[str, object] = {"scenario": scenario.label()}
         if solution.chosen is None:
             row.update({name: None for name in TABLE_COLUMNS[1:]})

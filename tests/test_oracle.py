@@ -4,12 +4,14 @@ non-existence signal."""
 import numpy as np
 import pytest
 
+import bundlematch.oracle
 from bundlematch import (
     MarketParams,
     OracleConfig,
     PriceVector,
     Regime,
     Scenario,
+    SingularSystemError,
     best_response_r1,
     best_response_r2,
     eq_T1,
@@ -17,9 +19,10 @@ from bundlematch import (
     find_fixed_point,
     find_fixed_points,
     profits,
+    solve_subgame,
 )
 
-from conftest import GOLDEN_TABLE, draw_set_params
+from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
 
@@ -29,6 +32,22 @@ SCENARIOS = {
     "noCM,CM": Scenario.bundled(False, True),
     "noCM,noCM": Scenario.bundled(False, False),
     "NoBundle": Scenario.no_bundle(),
+}
+
+_rng = np.random.default_rng(0)
+SCAN_POINTS = [MarketParams.baseline()] + [draw_valid_params(_rng) for _ in range(3)]
+# Inputs where the scan beats retailer 1's response: open defects of the
+# oracle.  At points 1 and 2 an item price's unconstrained optimum is
+# negative, and the response clamps it to zero instead of re-optimizing the
+# other prices with it held there.  In UNDERCUT, pricing just below pb2 earns
+# the R1_LOW strategic share; that supremum is not attained (an exact tie is
+# R1_HIGH), so the response misses it.
+CLAMPED_POINTS = (1, 2)
+UNDERCUT = {
+    (0, "noCM,noCM", "eq"),
+    (0, "noCM,CM", "eq"),
+    (3, "noCM,noCM", "kink"),
+    (3, "noCM,CM", "kink"),
 }
 
 
@@ -51,25 +70,48 @@ class TestBestResponses:
         p1, p2 = best_response_r1(params, Scenario.no_bundle(), 135.0)[:2]
         assert p1 == pytest.approx(p2, abs=1e-9)
 
-    def test_coordinate_scans_find_no_improvement(self, baseline):
+    @pytest.mark.parametrize("level", ["eq", "kink"])
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    @pytest.mark.parametrize("point", range(len(SCAN_POINTS)))
+    def test_coordinate_scans_find_no_improvement(self, point, label, level, request):
         # profit along each coordinate near the response is a concave section;
-        # a fine scan must not beat the returned maximizer beyond tolerance
-        for scen, pb2 in ((CM_CM, 135.0), (Scenario.no_bundle(), 135.0)):
-            response = best_response_r1(baseline, scen, pb2)
-            prices = PriceVector(response[0], response[1], response[2], pb2)
-            best = profits(baseline, scen, prices).pi_r1
-            offsets = np.arange(-5.0, 5.0 + 1e-12, 1e-3)
-            coords = range(3 if scen.bundling == 1 else 2)
-            for i in coords:
-                values = []
-                for delta in offsets:
-                    trial = [response[0], response[1], response[2]]
-                    trial[i] = trial[i] + delta
-                    if scen.bundling == 1 and trial[0] + trial[1] < trial[2]:
-                        continue  # bundle may not exceed the sum of its parts
-                    pv = PriceVector(trial[0], trial[1], trial[2], pb2)
-                    values.append(profits(baseline, scen, pv).pi_r1)
-                assert max(values) <= best + 1e-6
+        # a fine scan must not beat the returned maximizer beyond tolerance.
+        # pb2 is the high-regime candidate's ("eq"), or on the kink of its
+        # retailer-1 price ("kink")
+        if point in CLAMPED_POINTS:
+            request.applymarker(pytest.mark.xfail(strict=True, reason="response clamped at zero"))
+        elif (point, label, level) in UNDERCUT:
+            request.applymarker(pytest.mark.xfail(strict=True, reason="undercut below the kink"))
+        params, scen = SCAN_POINTS[point], SCENARIOS[label]
+        candidate = solve_subgame(params, scen).candidates[0].prices
+        pb2 = candidate.pb2 if level == "eq" else candidate.r1_bundle_equivalent()
+        response = best_response_r1(params, scen, pb2)
+        prices = PriceVector(response[0], response[1], response[2], pb2)
+        best = profits(params, scen, prices).pi_r1
+        offsets = np.arange(-5.0, 5.0 + 1e-12, 1e-3)
+        coords = range(3 if scen.bundling == 1 else 2)
+        for i in coords:
+            values = []
+            for delta in offsets:
+                trial = [response[0], response[1], response[2]]
+                trial[i] = trial[i] + delta
+                if scen.bundling == 1 and trial[0] + trial[1] < trial[2]:
+                    continue  # bundle may not exceed the sum of its parts
+                pv = PriceVector(trial[0], trial[1], trial[2], pb2)
+                values.append(profits(params, scen, pv).pi_r1)
+            assert max(values) <= best + 1e-6
+
+    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
+    def test_r1_rejects_a_regime_quadratic_that_is_not_concave(self, baseline, label, monkeypatch):
+        quadratic = bundlematch.oracle.quadratic_r1
+
+        def convex(*args):
+            h, g0 = quadratic(*args)
+            return -h, g0
+
+        monkeypatch.setattr(bundlematch.oracle, "quadratic_r1", convex)
+        with pytest.raises(SingularSystemError, match="not negative definite"):
+            best_response_r1(baseline, SCENARIOS[label], 135.0)
 
     def test_r2_reproduces_golden_price(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 0.0)
@@ -173,3 +215,7 @@ class TestFixedPoints:
             OracleConfig(damping=0.0)
         with pytest.raises(ValueError):
             OracleConfig(tol_fp=0.0)
+        with pytest.raises(ValueError):
+            OracleConfig(max_iters=-5)
+        with pytest.raises(ValueError):
+            OracleConfig(max_iters=2.5)

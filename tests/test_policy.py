@@ -14,11 +14,31 @@ from bundlematch import (
     eq_T1,
     solve_subgame,
 )
+from bundlematch.sweep import build_symmetric_table
 
 from conftest import draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
 NOCM_CM = Scenario.bundled(False, True)
+
+
+@pytest.fixture
+def theorem_calls(monkeypatch) -> Counter:
+    """Counts closed-form evaluations made through policy.THEOREMS."""
+    calls = Counter()
+
+    def counted(tid, theorem):
+        def wrapper(params):
+            calls[tid] += 1
+            return theorem(params)
+
+        return wrapper
+
+    theorems = bundlematch.policy.THEOREMS
+    monkeypatch.setattr(
+        bundlematch.policy, "THEOREMS", {tid: counted(tid, fn) for tid, fn in theorems.items()}
+    )
+    return calls
 
 
 class TestSolveSubgame:
@@ -145,23 +165,14 @@ class TestComparePolicies:
                 if comp.delta_pi_B is not None:
                     assert comp.delta_pi_B > 0.0
 
-    def test_each_theorem_is_evaluated_once(self, baseline, monkeypatch):
-        calls = Counter()
-
-        def counted(tid, theorem):
-            def wrapper(params):
-                calls[tid] += 1
-                return theorem(params)
-
-            return wrapper
-
-        theorems = bundlematch.policy.THEOREMS
-        monkeypatch.setattr(
-            bundlematch.policy, "THEOREMS", {tid: counted(tid, fn) for tid, fn in theorems.items()}
-        )
+    def test_each_theorem_is_evaluated_once(self, baseline, theorem_calls):
         compare_policies(baseline)
-        assert calls == Counter(dict.fromkeys(theorems, 1))
-        assert sum(calls.values()) == 6
+        assert theorem_calls == Counter(dict.fromkeys(bundlematch.equilibria.THEOREMS, 1))
+        assert sum(theorem_calls.values()) == 6
+
+    def test_table_takes_one_selection_pass(self, baseline, theorem_calls):
+        build_symmetric_table(baseline)
+        assert sum(theorem_calls.values()) == 6
 
     def test_condition_reports_are_built_on_access(self, baseline, monkeypatch):
         built = []

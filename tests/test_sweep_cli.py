@@ -180,6 +180,15 @@ class TestCli:
         assert code == 2
         assert "no feasible equilibrium" in capsys.readouterr().out
 
+    def test_verify_without_equilibrium(self, tmp_path, capsys):
+        path = tmp_path / "m.cfg"
+        path.write_text("b_l = 0.9\nb_s = 0.1\nlambda_l = 0.1\ntheta_l = 0.1\n")
+        code = main(["verify", "--config", str(path), "--pmg", "r1=cm", "r2=cm"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "closed form: no feasible equilibrium; oracle did not converge after 500 iterations\n"
+        )
+
     def test_solve_with_oracle_verification(self, capsys):
         code = main(["solve", "--pmg", "r1=cm", "r2=nocm", "--verify", "oracle"])
         out = capsys.readouterr().out
