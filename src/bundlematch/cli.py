@@ -1,7 +1,9 @@
 """Command-line interface: solve one subgame, emit the five-row table, run
 parameter sweeps, or cross-check against the best-response oracle.
 
-Exit codes: 0 success, 1 input error (usage errors too), 2 no equilibrium (solve
+Feasibility is judged at market.FEASIBILITY_TOL; no command sets a
+tolerance.  Exit codes: 0 success, 1 input error (usage errors too, such as
+an unknown flag or a repeated --pmg retailer key), 2 no equilibrium (solve
 only).
 """
 
@@ -12,16 +14,16 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_market_config, load_sweep_spec
-from .market import FEASIBILITY_TOL, InvalidParameterError, MarketParams, Scenario
+from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import AGREEMENT_TOL, solve_subgame
 from .sweep import (
     build_symmetric_table,
     run_sweep,
     sweep_rows,
+    table_rows,
+    write_csv,
+    write_json,
     write_sweep_csv,
-    write_sweep_json,
-    write_table_csv,
-    write_table_json,
 )
 
 EXIT_OK = 0
@@ -49,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="PMG flags, e.g. --pmg r1=cm r2=nocm (ignored when --bundling 0)",
         )
-        p.add_argument("--tol", type=float, default=FEASIBILITY_TOL, help="feasibility tolerance")
 
     solve = sub.add_parser("solve", help="solve one subgame and print the equilibrium")
     add_market_flags(solve)
@@ -76,16 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_pmg(values: list[str] | None) -> tuple[bool, bool]:
-    flags = {"r1": False, "r2": False}
-    if values is None:
-        return flags["r1"], flags["r2"]
-    for item in values:
+    flags: dict[str, bool] = {}
+    for item in values or ():
         key, _, setting = item.partition("=")
         key, setting = key.strip().lower(), setting.strip().lower()
-        if key not in flags or setting not in ("cm", "nocm"):
+        if key not in ("r1", "r2") or setting not in ("cm", "nocm"):
             raise ConfigError("--pmg", None, f"expected rN=cm|nocm, got {item!r}")
+        if key in flags:
+            raise ConfigError("--pmg", None, f"retailer {key} given twice, got {item!r}")
         flags[key] = setting == "cm"
-    return flags["r1"], flags["r2"]
+    return flags.get("r1", False), flags.get("r2", False)
 
 
 def _load_params(config: Path | None) -> MarketParams:
@@ -101,7 +102,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario.bundled(pmg_r1, pmg_r2)
 
 
-def _print_solution(params: MarketParams, scenario: Scenario, solution) -> None:
+def _print_solution(scenario: Scenario, solution) -> None:
     print(f"scenario: {scenario.label()} (bundling={scenario.bundling})")
     if solution.chosen is None:
         print("no feasible equilibrium (all regime candidates rejected)")
@@ -139,8 +140,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
     scenario = _scenario_from_args(args)
     oracle_check = args.verify == "oracle"
-    solution = solve_subgame(params, scenario, tol=args.tol, oracle_check=oracle_check)
-    _print_solution(params, scenario, solution)
+    solution = solve_subgame(params, scenario, oracle_check=oracle_check)
+    _print_solution(scenario, solution)
     if oracle_check:
         outcome = solution.oracle
         dev = solution.oracle_deviation
@@ -157,12 +158,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
-    rows = build_symmetric_table(params)
+    rows = table_rows(build_symmetric_table(params))
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "table.csv"
-    write_table_csv(rows, csv_path)
+    write_csv(rows, csv_path)
     if args.json:
-        write_table_json(rows, args.out / "table.json")
+        write_json(rows, args.out / "table.json")
     print(csv_path.read_text(), end="")
     return EXIT_OK
 
@@ -175,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         path = args.out / f"sweep_{label}.csv"
         write_sweep_csv(spec, cells, path)
         if args.json:
-            write_sweep_json(spec, cells, args.out / f"sweep_{label}.json")
+            write_json(sweep_rows(spec, cells), args.out / f"sweep_{label}.json")
         n_exist = sum(cell.exists for cell in cells)
         print(f"{path}: {len(cells)} cells, {n_exist} with equilibria on both sides")
     return EXIT_OK
@@ -184,7 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
     scenario = _scenario_from_args(args)
-    solution = solve_subgame(params, scenario, tol=args.tol, oracle_check=True)
+    solution = solve_subgame(params, scenario, oracle_check=True)
     outcome = solution.oracle
     if solution.chosen is None:
         status = "converged" if outcome.converged else "did not converge"

@@ -27,13 +27,16 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _parse_lines(path: str | Path) -> list[tuple[str, str, str, int]]:
-    """Yield (section, key, value, line_no) for every assignment."""
+def _parse_lines(path: str | Path) -> tuple[dict[str, int], list[tuple[str, str, str, int]]]:
+    """The header line of every section, in file order, and (section, key,
+    value, line_no) for every assignment.  Section names are lower-cased,
+    and a section may appear only once."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(path, None, f"cannot read config: {exc}") from exc
     section = ""
+    headers: dict[str, int] = {}
     entries: list[tuple[str, str, str, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -43,6 +46,9 @@ def _parse_lines(path: str | Path) -> list[tuple[str, str, str, int]]:
             section = line[1:-1].strip().lower()
             if not section:
                 raise ConfigError(path, line_no, "empty section name")
+            if section in headers:
+                raise ConfigError(path, line_no, f"[{section}] repeats line {headers[section]}")
+            headers[section] = line_no
             continue
         if "=" not in line:
             raise ConfigError(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
@@ -51,7 +57,7 @@ def _parse_lines(path: str | Path) -> list[tuple[str, str, str, int]]:
         if not key or not value:
             raise ConfigError(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
         entries.append((section, key, value, line_no))
-    return entries
+    return headers, entries
 
 
 def _parse_float(path: str | Path, key: str, value: str, line_no: int) -> float:
@@ -68,7 +74,7 @@ def load_market_config(path: str | Path) -> MarketParams:
     invariant violations are reported with the offending invariant named.
     """
     overrides: dict[str, float] = {}
-    for section, key, value, line_no in _parse_lines(path):
+    for section, key, value, line_no in _parse_lines(path)[1]:
         if section not in ("", "market"):
             raise ConfigError(path, line_no, f"unknown section [{section}] in market config")
         if key not in PARAM_FIELDS:
@@ -116,17 +122,16 @@ def _build_axis(path: str | Path, section: str, kv: dict[str, tuple[str, int]]) 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Read a sweep spec: [axis1] and [axis2] (name/min/max/steps), optional
     [fixed] overrides, and any number of [panel <label>] override sections."""
+    headers, entries = _parse_lines(path)
+    # sections with at least one entry, in order of first entry
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    order: list[str] = []
-    for section, key, value, line_no in _parse_lines(path):
+    for section, key, value, line_no in entries:
         if section == "":
             raise ConfigError(path, line_no, "sweep spec entries must live in a section")
-        if section not in sections:
-            sections[section] = {}
-            order.append(section)
-        if key in sections[section]:
+        kv = sections.setdefault(section, {})
+        if key in kv:
             raise ConfigError(path, line_no, f"duplicate key {key!r} in [{section}]")
-        sections[section][key] = (value, line_no)
+        kv[key] = (value, line_no)
     for required in ("axis1", "axis2"):
         if required not in sections:
             raise ConfigError(path, None, f"sweep spec is missing the [{required}] section")
@@ -146,15 +151,17 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         return out
 
     fixed = param_overrides("fixed") if "fixed" in sections else {}
-    panels: list[Panel] = []
-    for section in order:
+    panels: dict[str, Panel] = {}
+    for section in sections:
         if section.startswith("panel"):
-            label = section[len("panel") :].strip() or f"panel{len(panels) + 1}"
-            panels.append(Panel(label=label.replace(" ", "_"), overrides=param_overrides(section)))
+            label = (section[len("panel") :].strip() or f"panel{len(panels) + 1}").replace(" ", "_")
+            if label in panels:
+                raise ConfigError(path, headers[section], f"another panel is labelled {label!r}")
+            panels[label] = Panel(label=label, overrides=param_overrides(section))
     if not panels:
-        panels = [Panel(label="default", overrides={})]
-    known = {"axis1", "axis2", "fixed"} | {s for s in order if s.startswith("panel")}
-    for section in order:
+        panels = {"default": Panel(label="default", overrides={})}
+    known = {"axis1", "axis2", "fixed"} | {s for s in sections if s.startswith("panel")}
+    for section in sections:
         if section not in known:
             raise ConfigError(path, None, f"unknown section [{section}] in sweep spec")
-    return SweepSpec(axis1=axis1, axis2=axis2, fixed=fixed, panels=tuple(panels))
+    return SweepSpec(axis1=axis1, axis2=axis2, fixed=fixed, panels=tuple(panels.values()))

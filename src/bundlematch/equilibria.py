@@ -10,11 +10,16 @@ in market.STRUCTURES:
   T5a no bundling, regime p1 + p2 >= pb2
   T5b no bundling, regime p1 + p2 <  pb2
 
+Each candidate is read off its structure: retailer 2's stationary price is
+one formula in the segments it serves at pb2, and retailer 1's prices come
+from one of three families, no bundle (T5a, T5b), a bundle matched down to
+pb2 (T1), or an unmatched bundle (T2, T3, T4).
+
 Each function returns the regime's unique stationary point together with the
-demands, profits, residuals, and a feasibility flag; the condition-set report
-is built on first access.  Infeasible candidates (ordering violated, a demand
-negative) are returned with feasible=False rather than raised, so the
-selection layer can map non-existence regions.
+demands, profits, residuals, and a feasibility flag at market.FEASIBILITY_TOL;
+the condition-set report is built on first access.  Infeasible candidates
+(ordering violated, a demand negative) are returned with feasible=False
+rather than raised, so the selection layer can map non-existence regions.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .market import (
     MarketParams,
     PriceVector,
     Regime,
+    RegimeStructure,
     Scenario,
     demands,
     effective_prices,
@@ -70,20 +76,17 @@ class EquilibriumResult:
 
     @property
     def feasible(self) -> bool:
-        """is_feasible at the default tolerance."""
-        return self.is_feasible()
-
-    def is_feasible(self, tol: float = FEASIBILITY_TOL) -> bool:
         """Ordering of the presumed regime holds, all demands and prices are
-        nonnegative, the bundle is not priced above its parts, and the
-        first-order conditions are satisfied."""
-        if not self.regime.holds(self.prices.r1_bundle_equivalent(), self.prices.pb2, tol):
+        nonnegative, and the bundle is not priced above its parts, each
+        within FEASIBILITY_TOL, and the first-order conditions are
+        satisfied."""
+        if not self.regime.holds(self.prices.r1_bundle_equivalent(), self.prices.pb2):
             return False
-        if self.demands.min() < -tol:
+        if self.demands.min() < -FEASIBILITY_TOL:
             return False
-        if min(self.prices.present()) < -tol:
+        if min(self.prices.present()) < -FEASIBILITY_TOL:
             return False
-        if not self.prices.bundle_within_parts(tol):
+        if not self.prices.bundle_within_parts():
             return False
         return self.foc_residual <= FOC_RESIDUAL_TOL
 
@@ -94,25 +97,6 @@ def _guard_denominator(value: float, description: str) -> float:
     return value
 
 
-def _assemble(params: MarketParams, theorem_id: str, prices: PriceVector) -> EquilibriumResult:
-    scenario, regime = _SUBGAME[theorem_id], STRUCTURES[theorem_id].regime
-    eff = effective_prices(params, scenario, prices, regime)
-    d = demands(params, scenario, prices, eff)
-    pp = profits(params, scenario, prices, regime)
-    g1 = profit_gradient_r1(params, scenario, prices, regime)
-    g2 = profit_gradient_r2(params, scenario, prices, regime)
-    residual = max(float(np.max(np.abs(g1))), abs(g2))
-    return EquilibriumResult(
-        prices=prices,
-        demands=d,
-        profits=pp,
-        regime=regime,
-        theorem_id=theorem_id,
-        foc_residual=residual,
-        params=params,
-    )
-
-
 def _item_skew(p: MarketParams) -> float:
     """Half the gap between the two item prices, driven by the asymmetry of
     the item demand bases: (a_l_i1 - a_l_i2) / (4 b_l (1 - theta_l))."""
@@ -121,29 +105,23 @@ def _item_skew(p: MarketParams) -> float:
     )
 
 
-def _item_price_split(params: MarketParams, common: float) -> tuple[float, float]:
-    """Split a common item-price level into p1, p2 using the base asymmetry
-    and the cost difference (bundled regimes pb1 >= pb2 carry c/2 terms)."""
-    p = params
-    skew = _item_skew(p)
-    return skew + common + 0.5 * p.c1, -skew + common + 0.5 * p.c2
+def _r2_level(p: MarketParams, s: RegimeStructure) -> float:
+    """A2 / B2: the bases of the segments retailer 2 serves at pb2 over
+    their slope; its stationary price lies halfway between this and cost."""
+    w2 = 0.0 if s.strategic_at_r1 else 1.0 - s.strategic_share(p.alpha)
+    bases = p.a_l_jb + (0.0 if s.r2_matched else p.a_q_jb) + w2 * p.a_s
+    slope = (1.0 if s.r2_matched else 2.0) * p.b_l + w2 * p.b_s
+    return bases / _guard_denominator(slope, "r2 demand slope")
 
 
-def eq_T1(params: MarketParams) -> EquilibriumResult:
-    """Bundling with a PMG at retailer 1, regime pb1 >= pb2.
-
-    Retailer 2 prices against its whole captive demand plus its strategic
-    share; retailer 1's bundle price inherits a dependence on retailer 2's
-    demand bases through the matched effective price.
-    """
-    p = params
+def _matched_bundle_prices(p: MarketParams, rival_level: float, pb2: float) -> PriceVector:
+    """Retailer 1's stationary prices when its price-aware segment is
+    matched down to pb2: the bundle price inherits retailer 2's demand
+    bases through rival_level."""
     c = p.total_cost
     den_a = _guard_denominator(
         p.t1 * p.b_l * (1.0 + p.theta_l) + 2.0 * p.b_l * p.lambda_l, "bundle-price denominator"
     )
-    den_r2 = _guard_denominator(2.0 * p.b_l + (1.0 - p.alpha) * p.b_s, "r2 demand slope")
-    rival_level = (p.a_l_jb + p.a_q_jb + (1.0 - p.alpha) * p.a_s) / den_r2
-    pb2 = 0.5 * (rival_level + c)
     pb1 = 0.5 * (
         ((p.a_l_i1 + p.a_l_i2) * p.lambda_l + (p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l) * p.a_l_ib)
         / den_a
@@ -151,46 +129,14 @@ def eq_T1(params: MarketParams) -> EquilibriumResult:
         + c
     )
     common = -p.a_l_ib / (4.0 * p.lambda_l) + (2.0 * pb1 - c) * p.t1 / (4.0 * p.lambda_l)
-    p1, p2 = _item_price_split(params, common)
-    return _assemble(params, "T1", PriceVector(p1, p2, pb1, pb2))
-
-
-def eq_T2(params: MarketParams) -> EquilibriumResult:
-    """Bundling without a PMG at retailer 1, regime pb1 >= pb2.  Retailer 1
-    prices on its own demand only; retailer 2 serves all strategic demand."""
-    p = params
-    c = p.total_cost
-    k = p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l
-    den = _guard_denominator(
-        4.0 * p.b_l * k + 4.0 * p.b_l * (1.0 + p.theta_l) * p.lambda_l - p.lambda_l**2,
-        "bundle-price denominator",
-    )
-    cross = p.b_l * (1.0 + p.theta_l) * p.lambda_l - p.lambda_l**2
-    pb1 = 0.5 * (
-        (3.0 * (p.a_l_i1 + p.a_l_i2) * p.lambda_l + 2.0 * k * (p.a_l_ib + p.a_q_ib)) / den
-        + c * (1.0 + cross / den)
-    )
-    pb2 = 0.5 * ((p.a_l_jb + p.a_q_jb + p.a_s) / (2.0 * p.b_l + p.b_s) + c)
-    p1, p2 = _low_or_unmatched_items(p, pb1, p.a_l_ib + p.a_q_ib, p.t1)
-    return _assemble(params, "T2", PriceVector(p1, p2, pb1, pb2))
-
-
-def _low_or_unmatched_items(
-    p: MarketParams, pb1: float, captive_bases: float, slope: float
-) -> tuple[float, float]:
-    """Item prices when the price-aware segment pays pb1: a base-asymmetry
-    skew, lopsided cost terms, and a level tied to the bundle price."""
     skew = _item_skew(p)
-    c = p.total_cost
-    level = -captive_bases / (6.0 * p.lambda_l) + (2.0 * pb1 - c) * slope / (3.0 * p.lambda_l)
-    p1 = skew + 5.0 * p.c1 / 12.0 - p.c2 / 12.0 + level
-    p2 = -skew - p.c1 / 12.0 + 5.0 * p.c2 / 12.0 + level
-    return p1, p2
+    return PriceVector(skew + common + 0.5 * p.c1, -skew + common + 0.5 * p.c2, pb1, pb2)
 
 
-def _low_regime_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVector:
-    """Stationary prices in the regime pb1 <= pb2, with retailer 1 serving a
-    `strat_w` share of strategic demand at its bundle price."""
+def _unmatched_bundle_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVector:
+    """Retailer 1's stationary prices when its price-aware segment pays pb1,
+    serving a `strat_w` share of strategic demand at pb1: item prices carry
+    a base-asymmetry skew, lopsided cost terms, and a level tied to pb1."""
     c = p.total_cost
     k = p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l
     den = _guard_denominator(
@@ -205,28 +151,17 @@ def _low_regime_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVect
         (3.0 * (p.a_l_i1 + p.a_l_i2) * p.lambda_l + 2.0 * k * captive) / den
         + c * (1.0 + cross / den)
     )
-    p1, p2 = _low_or_unmatched_items(p, pb1, captive, p.t1 + 0.5 * strat_w * p.b_s)
+    slope = p.t1 + 0.5 * strat_w * p.b_s
+    skew = _item_skew(p)
+    level = -captive / (6.0 * p.lambda_l) + (2.0 * pb1 - c) * slope / (3.0 * p.lambda_l)
+    p1 = skew + 5.0 * p.c1 / 12.0 - p.c2 / 12.0 + level
+    p2 = -skew - p.c1 / 12.0 + 5.0 * p.c2 / 12.0 + level
     return PriceVector(p1, p2, pb1, pb2)
 
 
-def eq_T3(params: MarketParams) -> EquilibriumResult:
-    """Bundling with a PMG at retailer 2, regime pb1 <= pb2.  Retailer 2's
-    price-aware and strategic customers are matched down to pb1, so only
-    its price-unaware loyal demand prices pb2."""
-    p = params
-    pb2 = 0.5 * (p.a_l_jb / p.b_l + p.total_cost)
-    return _assemble(params, "T3", _low_regime_prices(p, p.alpha, pb2))
-
-
-def eq_T4(params: MarketParams) -> EquilibriumResult:
-    """Bundling without a PMG at retailer 2, regime pb1 <= pb2.  Retailer 1
-    is strictly cheapest and captures all strategic demand."""
-    p = params
-    pb2 = 0.5 * ((p.a_l_jb + p.a_q_jb) / (2.0 * p.b_l) + p.total_cost)
-    return _assemble(params, "T4", _low_regime_prices(p, 1.0, pb2))
-
-
-def _no_bundle_items(p: MarketParams, strat_w: float) -> tuple[float, float]:
+def _no_bundle_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVector:
+    """Retailer 1's stationary item prices without a bundle, serving a
+    `strat_w` share of strategic demand at the item-price sum."""
     skew = _item_skew(p)
     level = (
         p.a_l_i1
@@ -234,25 +169,80 @@ def _no_bundle_items(p: MarketParams, strat_w: float) -> tuple[float, float]:
         + 2.0 * (p.a_l_ib + p.a_q_ib)
         + 2.0 * strat_w * p.a_s
     ) / (4.0 * p.b_l * (5.0 + p.theta_l) + 8.0 * strat_w * p.b_s)
-    return skew + 0.5 * p.c1 + level, -skew + 0.5 * p.c2 + level
+    return PriceVector(skew + 0.5 * p.c1 + level, -skew + 0.5 * p.c2 + level, None, pb2)
+
+
+def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
+    """The stationary point of one regime structure, with its demands,
+    profits and first-order residual: retailer 2's price from one formula,
+    retailer 1's from the family its structure picks."""
+    p, s = params, STRUCTURES[theorem_id]
+    rival_level = _r2_level(p, s)
+    pb2 = 0.5 * (rival_level + p.total_cost)
+    strat_w = s.strategic_share(p.alpha) if s.strategic_at_r1 else 0.0
+    if not s.bundling:
+        prices = _no_bundle_prices(p, strat_w, pb2)
+    elif s.r1_matched:
+        prices = _matched_bundle_prices(p, rival_level, pb2)
+    else:
+        prices = _unmatched_bundle_prices(p, strat_w, pb2)
+    scenario, regime = _SUBGAME[theorem_id], s.regime
+    eff = effective_prices(p, scenario, prices, regime)
+    d = demands(p, scenario, prices, eff)
+    pp = profits(p, scenario, prices, regime)
+    g1 = profit_gradient_r1(p, scenario, prices, regime)
+    g2 = profit_gradient_r2(p, scenario, prices, regime)
+    residual = max(float(np.max(np.abs(g1))), abs(g2))
+    return EquilibriumResult(
+        prices=prices,
+        demands=d,
+        profits=pp,
+        regime=regime,
+        theorem_id=theorem_id,
+        foc_residual=residual,
+        params=p,
+    )
+
+
+def eq_T1(params: MarketParams) -> EquilibriumResult:
+    """Bundling with a PMG at retailer 1, regime pb1 >= pb2.
+
+    Retailer 2 prices against its whole captive demand plus its strategic
+    share; retailer 1's bundle price inherits a dependence on retailer 2's
+    demand bases through the matched effective price.
+    """
+    return _candidate(params, "T1")
+
+
+def eq_T2(params: MarketParams) -> EquilibriumResult:
+    """Bundling without a PMG at retailer 1, regime pb1 >= pb2.  Retailer 1
+    prices on its own demand only; retailer 2 serves all strategic demand."""
+    return _candidate(params, "T2")
+
+
+def eq_T3(params: MarketParams) -> EquilibriumResult:
+    """Bundling with a PMG at retailer 2, regime pb1 <= pb2.  Retailer 2's
+    price-aware and strategic customers are matched down to pb1, so only
+    its price-unaware loyal demand prices pb2."""
+    return _candidate(params, "T3")
+
+
+def eq_T4(params: MarketParams) -> EquilibriumResult:
+    """Bundling without a PMG at retailer 2, regime pb1 <= pb2.  Retailer 1
+    is strictly cheapest and captures all strategic demand."""
+    return _candidate(params, "T4")
 
 
 def eq_T5a(params: MarketParams) -> EquilibriumResult:
     """No bundling, regime p1 + p2 >= pb2: retailer 2 serves all strategic
     demand."""
-    p = params
-    p1, p2 = _no_bundle_items(p, 0.0)
-    pb2 = (p.a_l_jb + p.a_q_jb + p.a_s) / (2.0 * (2.0 * p.b_l + p.b_s)) + 0.5 * p.total_cost
-    return _assemble(params, "T5a", PriceVector(p1, p2, None, pb2))
+    return _candidate(params, "T5a")
 
 
 def eq_T5b(params: MarketParams) -> EquilibriumResult:
     """No bundling, regime p1 + p2 < pb2: retailer 1's item-price sum is the
     market-low bundle-equivalent price and captures all strategic demand."""
-    p = params
-    p1, p2 = _no_bundle_items(p, 1.0)
-    pb2 = (p.a_l_jb + p.a_q_jb) / (4.0 * p.b_l) + 0.5 * p.total_cost
-    return _assemble(params, "T5b", PriceVector(p1, p2, None, pb2))
+    return _candidate(params, "T5b")
 
 
 THEOREMS = {

@@ -6,6 +6,10 @@ maximizing retailer 1's profit is selected; when a candidate is feasible and
 stationary but its sufficient condition set fails, it is admitted with a
 warning, because the condition sets are not necessary.
 
+Warnings are derived on access from the chosen candidate and the optional
+oracle outcome, so selection builds no condition report: a sweep, which
+reads only profits and existence, builds none.
+
 The policy comparison solves all five subgames, takes the best bundled
 profit, and reports the profit gain from bundling over no bundling together
 with the PMG pair attaining it.
@@ -13,10 +17,10 @@ with the PMG pair attaining it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .equilibria import EquilibriumResult, THEOREMS, candidate_theorems
-from .market import FEASIBILITY_TOL, MarketParams, Scenario
+from .market import MarketParams, Scenario
 from .oracle import OracleOutcome, find_fixed_point
 
 # largest relative sup-norm deviation at which the oracle's fixed point
@@ -46,7 +50,6 @@ class SubgameSolution:
     scenario: Scenario
     chosen: EquilibriumResult | None
     candidates: list[EquilibriumResult]
-    warnings: list[str] = field(default_factory=list)
     oracle: OracleOutcome | None = None
 
     @property
@@ -56,6 +59,30 @@ class SubgameSolution:
         if self.chosen is None or self.oracle is None or not self.oracle.converged:
             return None
         return self.chosen.prices.relative_distance(self.oracle.prices)
+
+    @property
+    def warnings(self) -> list[str]:
+        """A chosen candidate admitted without its condition set, then an
+        oracle that did not converge or disagrees with the chosen one."""
+        chosen = self.chosen
+        out: list[str] = []
+        if chosen is not None and not chosen.condition_report.all_satisfied:
+            out.append(
+                f"conditions-not-verified: {chosen.theorem_id} admitted on feasibility and "
+                f"stationarity alone ({chosen.condition_report.summary()}; the sets are "
+                "sufficient, not necessary)"
+            )
+        if chosen is None or self.oracle is None:
+            return out
+        dev = self.oracle_deviation
+        if not self.oracle.converged:
+            out.append("oracle: best-response iteration did not converge")
+        elif dev > AGREEMENT_TOL:
+            out.append(
+                f"oracle: fixed point deviates from selected equilibrium "
+                f"(relative sup-norm {dev:.2e})"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -69,28 +96,15 @@ class PolicyComparison:
     tie_break: str | None = None
 
 
-def _select(scenario: Scenario, candidates: list[EquilibriumResult], tol: float) -> SubgameSolution:
-    """Select the feasible candidate maximizing retailer 1's profit."""
-    feasible = [r for r in candidates if r.is_feasible(tol)]
-    # sort makes the selection independent of candidate enumeration order
-    feasible.sort(key=lambda r: (-r.profits.pi_r1, r.theorem_id))
-    chosen = feasible[0] if feasible else None
-    warnings: list[str] = []
-    if chosen is not None and not chosen.condition_report.all_satisfied:
-        warnings.append(
-            f"conditions-not-verified: {chosen.theorem_id} admitted on feasibility and "
-            f"stationarity alone ({chosen.condition_report.summary()}; the sets are "
-            "sufficient, not necessary)"
-        )
-    return SubgameSolution(scenario, chosen, candidates, warnings)
+def _select(candidates: list[EquilibriumResult]) -> EquilibriumResult | None:
+    """The feasible candidate maximizing retailer 1's profit, ties to the
+    lower theorem id, so the choice is independent of candidate order."""
+    feasible = [r for r in candidates if r.feasible]
+    return min(feasible, key=lambda r: (-r.profits.pi_r1, r.theorem_id), default=None)
 
 
 def solve_subgame(
-    params: MarketParams,
-    scenario: Scenario,
-    *,
-    tol: float = FEASIBILITY_TOL,
-    oracle_check: bool = False,
+    params: MarketParams, scenario: Scenario, *, oracle_check: bool = False
 ) -> SubgameSolution:
     """Evaluate both regime candidates for a subgame and select the feasible
     one maximizing retailer 1's profit.
@@ -100,24 +114,11 @@ def solve_subgame(
     and disagreement is reported as a warning.
     """
     candidates = [THEOREMS[tid](params) for tid in candidate_theorems(scenario)]
-    solution = _select(scenario, candidates, tol)
-    if not oracle_check:
-        return solution
-    solution = replace(solution, oracle=find_fixed_point(params, scenario))
-    dev = solution.oracle_deviation
-    if solution.chosen is not None and not solution.oracle.converged:
-        solution.warnings.append("oracle: best-response iteration did not converge")
-    elif dev is not None and dev > AGREEMENT_TOL:
-        solution.warnings.append(
-            f"oracle: fixed point deviates from selected equilibrium "
-            f"(relative sup-norm {dev:.2e})"
-        )
-    return solution
+    oracle = find_fixed_point(params, scenario) if oracle_check else None
+    return SubgameSolution(scenario, _select(candidates), candidates, oracle)
 
 
-def compare_policies(
-    params: MarketParams, *, tol: float = FEASIBILITY_TOL
-) -> PolicyComparison:
+def compare_policies(params: MarketParams) -> PolicyComparison:
     """Solve all five subgames and compare bundling against no bundling.
 
     Each closed-form candidate is evaluated once and shared by the subgames
@@ -127,10 +128,10 @@ def compare_policies(
     recorded.
     """
     results = {tid: theorem(params) for tid, theorem in THEOREMS.items()}
-    solutions = {
-        scenario_key(s): _select(s, [results[tid] for tid in candidate_theorems(s)], tol)
-        for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle())
-    }
+    solutions = {}
+    for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle()):
+        candidates = [results[tid] for tid in candidate_theorems(s)]
+        solutions[scenario_key(s)] = SubgameSolution(s, _select(candidates), candidates)
     no_bundle = solutions["no_bundle"]
 
     existence = {key: sol.chosen is not None for key, sol in solutions.items()}

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .market import FEASIBILITY_TOL, InvalidParameterError, MarketParams, Scenario
+from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import PolicyComparison, compare_policies, scenario_key
 
 TABLE_SCENARIOS = (
@@ -87,14 +87,14 @@ class GridCell:
     existence: dict[str, bool] = field(default_factory=dict)
 
 
-def build_symmetric_table(params: MarketParams, *, tol: float = FEASIBILITY_TOL) -> list[dict[str, object]]:
+def build_symmetric_table(params: MarketParams) -> list[dict[str, object]]:
     """One row per strategy configuration with the selected equilibrium's
     prices, demands, and profits (profits in thousands).
 
     For the no-bundling row the bundle-price column carries the item-price
     sum, the bundle-equivalent price a joint purchase pays.
     """
-    solutions = compare_policies(params, tol=tol).solutions
+    solutions = compare_policies(params).solutions
     rows: list[dict[str, object]] = []
     for scenario in TABLE_SCENARIOS:
         solution = solutions[scenario_key(scenario)]
@@ -169,12 +169,9 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def write_table_csv(rows: list[dict[str, object]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in TABLE_COLUMNS])
+def table_rows(rows: list[dict[str, object]]) -> list[list[str]]:
+    """The symmetric table as a header plus formatted string rows."""
+    return [list(TABLE_COLUMNS), *([_fmt(row.get(col)) for col in TABLE_COLUMNS] for row in rows)]
 
 
 def sweep_rows(spec: SweepSpec, cells: list[GridCell]) -> list[list[str]]:
@@ -194,23 +191,23 @@ def sweep_rows(spec: SweepSpec, cells: list[GridCell]) -> list[list[str]]:
     return out
 
 
-def write_sweep_csv(spec: SweepSpec, cells: list[GridCell], path: str | Path) -> None:
+def write_csv(rows: list[list[str]], path: str | Path) -> None:
+    """Write a header plus string rows as CSV."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerows(sweep_rows(spec, cells))
+        csv.writer(fh).writerows(rows)
 
 
-def write_table_json(rows: list[dict[str, object]], path: str | Path) -> None:
+def write_json(rows: list[list[str]], path: str | Path) -> None:
+    """Write a header plus string rows as a JSON list of objects, one per
+    row, with empty fields as null."""
+    header, *body = rows
     payload = [
-        {col: (_fmt(row.get(col)) if row.get(col) is not None else None) for col in TABLE_COLUMNS}
-        for row in rows
+        {key: (value if value != "" else None) for key, value in zip(header, row)} for row in body
     ]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def write_sweep_json(spec: SweepSpec, cells: list[GridCell], path: str | Path) -> None:
-    header, *rows = sweep_rows(spec, cells)
-    payload = [
-        {key: (value if value != "" else None) for key, value in zip(header, row)} for row in rows
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def write_sweep_csv(spec: SweepSpec, cells: list[GridCell], path: str | Path) -> None:
+    """One panel's CSV (perfbench/tracing.py counts emitted bytes at this
+    name)."""
+    write_csv(sweep_rows(spec, cells), path)

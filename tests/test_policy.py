@@ -92,7 +92,7 @@ class TestSolveSubgame:
                 Scenario.bundled(False, False),
             ):
                 sol = solve_subgame(params, scen)
-                feasible = [r for r in sol.candidates if r.is_feasible(1e-9)]
+                feasible = [r for r in sol.candidates if r.feasible]
                 if len(feasible) == 2:
                     found += 1
                     assert sol.chosen.profits.pi_r1 == max(r.profits.pi_r1 for r in feasible)
@@ -190,6 +190,9 @@ class TestComparePolicies:
         assert built == ["A"]
         built.clear()
         comp = compare_policies(baseline)
+        assert built == []
+        warnings = [sol.warnings for sol in comp.solutions.values()]
+        assert any(warnings)
         chosen = {id(sol.chosen): sol.chosen for sol in comp.solutions.values()}
         assert sorted(built) == sorted(r.condition_report.set_id for r in chosen.values())
 

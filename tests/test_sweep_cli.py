@@ -47,6 +47,12 @@ class TestMarketConfig:
             load_market_config(path)
         assert ":3:" in str(err.value) and "bogus" in str(err.value)
 
+    def test_repeated_section_reports_line(self, tmp_path):
+        path = tmp_path / "m.cfg"
+        path.write_text("[market]\nb_l = 0.5\n[Market]\nc1 = 5\n")
+        with pytest.raises(ConfigError, match=r":3: \[market\] repeats line 1"):
+            load_market_config(path)
+
     def test_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("b_l = fast\n")
@@ -124,6 +130,23 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             load_sweep_spec(path)
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["[panel A]\nc1 = 5\n[panel a]\nc1 = 6\n", "[fixed]\nc1 = 5\n[fixed]\nc2 = 6\n"],
+        ids=["panel", "fixed"],
+    )
+    def test_repeated_section_is_rejected(self, tmp_path, extra):
+        path = tmp_path / "s.cfg"
+        path.write_text(SWEEP_SPEC + extra)
+        with pytest.raises(ConfigError, match=r":18: \[.*\] repeats line 16"):
+            load_sweep_spec(path)
+
+    def test_panels_sharing_an_output_label_are_rejected(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(SWEEP_SPEC + "[panel a b]\nc1 = 5\n[panel a_b]\nc1 = 6\n")
+        with pytest.raises(ConfigError, match=":18: another panel is labelled 'a_b'"):
+            load_sweep_spec(path)
+
     def test_cell_count_is_exact_even_with_invalid_cells(self, baseline):
         # lambda_l beyond b_l violates the standing assumption; those cells
         # are emitted as non-existent, never skipped
@@ -196,8 +219,10 @@ class TestCli:
         assert "oracle: converged" in out
         assert "max relative deviation" in out
 
-    def test_bad_pmg_flag_exits_1(self, capsys):
-        assert main(["solve", "--pmg", "r1=sometimes", "r2=cm"]) == 1
+    @pytest.mark.parametrize("pmg", [["r1=sometimes", "r2=cm"], ["r1=cm", "r1=nocm"]])
+    def test_bad_pmg_flag_exits_1(self, capsys, pmg):
+        assert main(["solve", "--pmg", *pmg]) == 1
+        assert "--pmg" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -206,6 +231,7 @@ class TestCli:
             ["sweep", "--config", "x", "--threads", "4"],
             ["table", "--no-such-flag"],
             [],
+            ["solve", "--tol", "nan"],
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
