@@ -3,8 +3,8 @@ parameter sweeps, or cross-check against the best-response oracle.
 
 Feasibility is judged at market.FEASIBILITY_TOL; no command sets a
 tolerance.  Exit codes: 0 success, 1 input error (usage errors too, such as
-an unknown flag or a repeated --pmg retailer key), 2 no equilibrium (solve
-only).
+an unknown flag or a repeated --pmg retailer key, and parameters at which a
+closed form is degenerate), 2 no equilibrium (solve only).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_market_config, load_sweep_spec
+from .equilibria import DegenerateParamsError
 from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import AGREEMENT_TOL, solve_subgame
 from .sweep import (
@@ -221,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except (ConfigError, InvalidParameterError, DegenerateParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

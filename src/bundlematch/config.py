@@ -121,14 +121,20 @@ def _build_axis(path: str | Path, section: str, kv: dict[str, tuple[str, int]]) 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Read a sweep spec: [axis1] and [axis2] (name/min/max/steps), optional
-    [fixed] overrides, and any number of [panel <label>] override sections."""
+    [fixed] overrides, and any number of [panel <label>] override sections.
+    A panel with no entries is a panel with no overrides; any other section
+    is an error at its header line."""
     headers, entries = _parse_lines(path)
-    # sections with at least one entry, in order of first entry
+    # every section, empty or not, in file order
     sections: dict[str, dict[str, tuple[str, int]]] = {}
+    for section, line_no in headers.items():
+        if section not in ("axis1", "axis2", "fixed") and not section.startswith("panel"):
+            raise ConfigError(path, line_no, f"unknown section [{section}] in sweep spec")
+        sections[section] = {}
     for section, key, value, line_no in entries:
         if section == "":
             raise ConfigError(path, line_no, "sweep spec entries must live in a section")
-        kv = sections.setdefault(section, {})
+        kv = sections[section]
         if key in kv:
             raise ConfigError(path, line_no, f"duplicate key {key!r} in [{section}]")
         kv[key] = (value, line_no)
@@ -160,8 +166,4 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
             panels[label] = Panel(label=label, overrides=param_overrides(section))
     if not panels:
         panels = {"default": Panel(label="default", overrides={})}
-    known = {"axis1", "axis2", "fixed"} | {s for s in sections if s.startswith("panel")}
-    for section in sections:
-        if section not in known:
-            raise ConfigError(path, None, f"unknown section [{section}] in sweep spec")
     return SweepSpec(axis1=axis1, axis2=axis2, fixed=fixed, panels=tuple(panels.values()))

@@ -10,6 +10,14 @@ damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
+What a best response needs that does not depend on the rival's price is
+built once per (params, scenario): plan_r1 holds retailer 1's plan table,
+its Hessians, their concavity checks and each plan's KKT matrix, and
+plan_r2 holds retailer 2's stationary point per regime.  A round
+(respond_r1, respond_r2) computes only the price-dependent right-hand sides
+and the profit comparison.  find_fixed_point builds the plans once per
+search; best_response_r1/r2 build them for a single response.
+
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
 """
@@ -21,8 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketParams, PriceVector, Regime, Scenario, effective_prices, structure
-from .profits import profits, quadratic_r1, quadratic_r2
+from .market import (
+    MarketParams,
+    PriceVector,
+    Regime,
+    RegimeStructure,
+    Scenario,
+    effective_prices,
+    structure,
+)
+from .profits import linear_term_r1, profits, quadratic_r1, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -56,22 +72,113 @@ class OracleOutcome:
     trajectory: list[PriceVector] = field(default_factory=list)
 
 
-def _solve_kkt(h: np.ndarray, g: np.ndarray, constraints: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Maximize the quadratic with Hessian h and gradient-at-zero g subject
-    to equality constraints a.x = b, via the bordered KKT system."""
-    n = h.shape[0]
+@dataclass(frozen=True)
+class _Plan:
+    """One of retailer 1's candidate programs: its side's quadratic, the
+    regime whose ordering the solution must satisfy (None on the kink), and
+    the equality constraints' matrix, built once per search."""
+
+    side: int  # index into R1Plans.structures
+    regime: Regime | None
+    on_face: bool  # on the bundle-discount face p1 + p2 = pb1
+    matrix: np.ndarray  # the Hessian, bordered when constrained (KKT system)
+
+
+@dataclass(frozen=True)
+class R1Plans:
+    """What retailer 1's best response needs that does not depend on pb2."""
+
+    params: MarketParams
+    scenario: Scenario
+    structures: tuple[RegimeStructure, ...]  # R1_HIGH, R1_LOW, kink tie
+    plans: tuple[_Plan, ...]
+
+
+@dataclass(frozen=True)
+class R2Plans:
+    """Retailer 2's stationary price in each regime, which does not depend
+    on retailer 1's prices."""
+
+    params: MarketParams
+    scenario: Scenario
+    stationary: tuple[tuple[Regime, float], ...]
+
+
+def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
+    """The bordered KKT matrix maximizing the quadratic with Hessian h
+    subject to equality constraints a.x = b (h itself when unconstrained)."""
     if not constraints:
-        return np.linalg.solve(h, -g)
-    m = len(constraints)
+        return h
+    n, m = h.shape[0], len(constraints)
     kkt = np.zeros((n + m, n + m))
-    rhs = np.zeros(n + m)
     kkt[:n, :n] = h
-    rhs[:n] = -g
-    for i, (a, b) in enumerate(constraints):
+    for i, a in enumerate(constraints):
         kkt[:n, n + i] = -a
         kkt[n + i, :n] = a
-        rhs[n + i] = b
-    return np.linalg.solve(kkt, rhs)[:n]
+    return kkt
+
+
+def plan_r1(params: MarketParams, scenario: Scenario) -> R1Plans:
+    """Retailer 1's plan table: the high and low regimes and the kink tie,
+    each again on the bundle-discount face when bundling, with their KKT
+    matrices.  Raises SingularSystemError unless both regimes' Hessians are
+    negative definite."""
+    bundled = scenario.bundling == 1
+    high = structure(scenario, Regime.R1_HIGH)
+    # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
+    # and that share buys at r1's price (= pb2)
+    tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
+    structures = (high, structure(scenario, Regime.R1_LOW), tie)
+    # the Hessians do not depend on pb2
+    hessians = [quadratic_r1(params, scenario, s, 0.0)[0] for s in structures]
+    for regime, h in zip(Regime, hessians[:2]):
+        if not np.all(np.linalg.eigvalsh(h) < 0.0):
+            raise SingularSystemError(
+                f"retailer 1 Hessian for regime {regime.value} is not negative definite"
+            )
+    kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
+    sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
+    # each side again on the bundle-discount face p1 + p2 = pb1
+    faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
+    plans = tuple(
+        _Plan(side, regime, bool(face), _kkt_matrix(hessians[side], constraints + face))
+        for face in faces
+        for side, regime, constraints in sides
+    )
+    return R1Plans(params, scenario, structures, plans)
+
+
+def respond_r1(plans: R1Plans, pb2: float) -> tuple[float, float, float | None]:
+    """Retailer 1's best response to pb2 from its plan table: each plan's
+    first-order system solved exactly, the candidate with the highest
+    realized profit kept, then components clamped at zero."""
+    if not np.isfinite(pb2):
+        raise ValueError("pb2 must be finite")
+    params, scenario = plans.params, plans.scenario
+    bundled = scenario.bundling == 1
+    rhs = [-linear_term_r1(params, scenario, s, pb2) for s in plans.structures]
+    best: tuple[float, np.ndarray] | None = None
+    for plan in plans.plans:
+        # the constraints' right-hand sides: pb2 on the kink, 0 on the face
+        tail = ([pb2] if plan.regime is None else []) + ([0.0] if plan.on_face else [])
+        b = np.concatenate((rhs[plan.side], tail)) if tail else rhs[plan.side]
+        try:
+            x = np.linalg.solve(plan.matrix, b)[: len(rhs[plan.side])]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        if plan.regime is None and bundled:
+            x[2] = pb2  # snap exactly onto the kink
+        prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
+        if plan.regime is not None and not plan.regime.holds(prices.r1_bundle_equivalent(), pb2):
+            continue
+        if not prices.bundle_within_parts():
+            continue
+        value = profits(params, scenario, prices).pi_r1
+        if best is None or value > best[0]:
+            best = (value, x)
+    assert best is not None  # the kink plans always yield a candidate
+    x = np.maximum(best[1], 0.0)
+    return (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
 
 
 def best_response_r1(
@@ -86,48 +193,43 @@ def best_response_r1(
     the best candidate has a negative component the other prices are not
     re-optimized, so the clamped prices need not be a best response.
     """
-    if not np.isfinite(pb2):
-        raise ValueError("pb2 must be finite")
-    bundled = scenario.bundling == 1
-    high = structure(scenario, Regime.R1_HIGH)
-    # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
-    # and that share buys at r1's price (= pb2)
-    tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
-    kink = (np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0]), pb2)  # r1's price = pb2
-    # (quadratic, regime whose ordering the solution must satisfy or None on
-    # the kink, equality constraints)
-    sides = [
-        (quadratic_r1(params, scenario, structure(scenario, regime), pb2), regime, [])
-        for regime in Regime
-    ]
-    for (h, _), regime, _ in sides:
-        if not np.all(np.linalg.eigvalsh(h) < 0.0):
+    return respond_r1(plan_r1(params, scenario), pb2)
+
+
+def plan_r2(params: MarketParams, scenario: Scenario) -> R2Plans:
+    """Retailer 2's stationary price in each regime.  Raises
+    SingularSystemError unless each regime's second derivative is negative."""
+    stationary = []
+    for regime in Regime:
+        h, g0 = quadratic_r2(params, structure(scenario, regime))
+        if h >= 0.0:
             raise SingularSystemError(
-                f"retailer 1 Hessian for regime {regime.value} is not negative definite"
+                f"retailer 2 second derivative for regime {regime.value} is not negative"
             )
-    sides.append((quadratic_r1(params, scenario, tie, pb2), None, [kink]))
-    # each side again on the bundle-discount face p1 + p2 = pb1
-    faces = ([], [(np.array([1.0, 1.0, -1.0]), 0.0)]) if bundled else ([],)
-    best: tuple[float, np.ndarray] | None = None
-    for face in faces:
-        for (h, g0), regime, constraints in sides:
-            try:
-                x = _solve_kkt(h, g0, constraints + face)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(str(exc)) from exc
-            if regime is None and bundled:
-                x[2] = pb2  # snap exactly onto the kink
-            prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
-            if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
-                continue
-            if not prices.bundle_within_parts():
-                continue
-            value = profits(params, scenario, prices).pi_r1
-            if best is None or value > best[0]:
-                best = (value, x)
-    assert best is not None  # the kink plans always yield a candidate
-    x = np.maximum(best[1], 0.0)
-    return (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
+        stationary.append((regime, -g0 / h))
+    return R2Plans(params, scenario, tuple(stationary))
+
+
+def respond_r2(plans: R2Plans, r1_prices: PriceVector) -> float:
+    """Retailer 2's best response to r1_prices: each regime's stationary
+    point, kept on that regime's side of the kink, and the kink price itself,
+    compared at their realized profits."""
+    r1_eq = r1_prices.r1_bundle_equivalent()
+    if not np.isfinite(r1_eq):
+        raise ValueError("r1 prices must be finite")
+    candidates: list[float] = [r1_eq]  # the kink is always a candidate
+    for regime, stationary in plans.stationary:
+        if regime.holds(r1_eq, stationary):
+            # kept on the regime's side of the kink
+            side = min if regime is Regime.R1_HIGH else max
+            candidates.append(side(stationary, r1_eq))
+    best_value, best_pb2 = -np.inf, r1_eq
+    for pb2 in candidates:
+        prices = PriceVector(r1_prices.p1, r1_prices.p2, r1_prices.pb1, pb2)
+        value = profits(plans.params, plans.scenario, prices).pi_r2
+        if value > best_value:
+            best_value, best_pb2 = value, pb2
+    return float(max(best_pb2, 0.0))
 
 
 def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceVector) -> float:
@@ -136,29 +238,7 @@ def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceV
     Scalar concave quadratic per regime; regime-interior stationary points
     plus the kink price are compared at their realized profits.
     """
-    r1_eq = r1_prices.r1_bundle_equivalent()
-    if not np.isfinite(r1_eq):
-        raise ValueError("r1 prices must be finite")
-    candidates: list[float] = [r1_eq]  # the kink is always a candidate
-    for regime in Regime:
-        h, g0 = quadratic_r2(params, structure(scenario, regime))
-        if h >= 0.0:
-            raise SingularSystemError(
-                f"retailer 2 second derivative for regime {regime.value} is not negative"
-            )
-        stationary = -g0 / h
-        if regime.holds(r1_eq, stationary):
-            # kept on the regime's side of the kink
-            side = min if regime is Regime.R1_HIGH else max
-            candidates.append(side(stationary, r1_eq))
-    best_value, best_pb2 = -np.inf, r1_eq
-    for pb2 in candidates:
-        value = profits(
-            params, scenario, PriceVector(r1_prices.p1, r1_prices.p2, r1_prices.pb1, pb2)
-        ).pi_r2
-        if value > best_value:
-            best_value, best_pb2 = value, pb2
-    return float(max(best_pb2, 0.0))
+    return respond_r2(plan_r2(params, scenario), r1_prices)
 
 
 def _default_start(params: MarketParams, scenario: Scenario) -> PriceVector:
@@ -181,9 +261,10 @@ def find_fixed_point(
     x = cfg.initial_prices or _default_start(params, scenario)
     trajectory: list[PriceVector] = [x] if cfg.record_trajectory else []
     delta = cfg.damping
+    r1_plans, r2_plans = plan_r1(params, scenario), plan_r2(params, scenario)
     for iteration in range(cfg.max_iters):
-        r1_star = best_response_r1(params, scenario, x.pb2)
-        pb2_star = best_response_r2(params, scenario, x)
+        r1_star = respond_r1(r1_plans, x.pb2)
+        pb2_star = respond_r2(r2_plans, x)
         star = PriceVector(r1_star[0], r1_star[1], r1_star[2], pb2_star)
         residual = star.sup_distance(x)
         if residual < cfg.tol_fp:

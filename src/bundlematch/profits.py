@@ -273,14 +273,22 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     return _report(np.array([[value]]), np.array([value]), params)
 
 
+def linear_term_r1(
+    params: MarketParams, scenario: Scenario, s: RegimeStructure, pb2: float
+) -> np.ndarray:
+    """Gradient of retailer 1's profit in structure s at zero own prices
+    against a fixed pb2: the only part of its quadratic that moves with pb2."""
+    zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
+    return _gradient_r1(params, scenario, s, zero)
+
+
 def quadratic_r1(
     params: MarketParams, scenario: Scenario, s: RegimeStructure, pb2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retailer 1's profit in structure s against a fixed pb2 as (H, g0):
     the constant Hessian and the gradient at zero own prices.  The gradient
     is H x + g0, so the pair pins the first-order system completely."""
-    zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
-    return _hessian_r1(params, s)[0], _gradient_r1(params, scenario, s, zero)
+    return _hessian_r1(params, s)[0], linear_term_r1(params, scenario, s, pb2)
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

@@ -3,7 +3,9 @@
 Sweeps evaluate the policy comparison on a rectangular grid (axis1 outer,
 axis2 inner, exactly steps1 x steps2 cells).  Cells violating a model
 invariant or lacking an equilibrium on either side of the bundling
-comparison are emitted with exists=0 and empty value fields, never skipped.
+comparison are emitted with exists=0 and empty value fields, never skipped;
+a cell at which a closed form is degenerate stops the sweep with a
+DegenerateParamsError that names the panel and the cell.
 Cells are evaluated serially in grid order, one policy comparison each, so
 files are byte-identical across runs.
 
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .equilibria import DegenerateParamsError
 from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import PolicyComparison, compare_policies, scenario_key
 
@@ -137,7 +140,13 @@ def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: floa
         # e.g. lambda_l above b_l on part of a sweep range: not an admissible
         # parameter point, recorded as non-existent rather than skipped
         return GridCell(float(v1), float(v2), exists=False, delta_pi_B=None, best_regime=None)
-    comparison: PolicyComparison = compare_policies(params)
+    try:
+        comparison: PolicyComparison = compare_policies(params)
+    except DegenerateParamsError as exc:
+        raise DegenerateParamsError(
+            f"panel {panel.label!r} at {spec.axis1.name}={float(v1)!r}, "
+            f"{spec.axis2.name}={float(v2)!r}: {exc}"
+        ) from exc
     exists = comparison.delta_pi_B is not None
     return GridCell(
         axis1_value=float(v1),

@@ -101,8 +101,14 @@ class TestBestResponses:
                 values.append(profits(params, scen, pv).pi_r1)
             assert max(values) <= best + 1e-6
 
-    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
-    def test_r1_rejects_a_regime_quadratic_that_is_not_concave(self, baseline, label, monkeypatch):
+    @pytest.mark.parametrize(
+        "label,search",
+        [("CM,CM", False), ("NoBundle", False), ("CM,CM", True), ("NoBundle", True)],
+        ids=["CM,CM", "NoBundle", "CM,CM-fixed_point", "NoBundle-fixed_point"],
+    )
+    def test_r1_rejects_a_regime_quadratic_that_is_not_concave(
+        self, baseline, label, search, monkeypatch
+    ):
         quadratic = bundlematch.oracle.quadratic_r1
 
         def convex(*args):
@@ -111,7 +117,10 @@ class TestBestResponses:
 
         monkeypatch.setattr(bundlematch.oracle, "quadratic_r1", convex)
         with pytest.raises(SingularSystemError, match="not negative definite"):
-            best_response_r1(baseline, SCENARIOS[label], 135.0)
+            if search:
+                find_fixed_point(baseline, SCENARIOS[label])
+            else:
+                best_response_r1(baseline, SCENARIOS[label], 135.0)
 
     def test_r2_reproduces_golden_price(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 0.0)
@@ -164,6 +173,23 @@ class TestFixedPoints:
         assert out.prices.r1_bundle_equivalent() == pytest.approx(expected[2], abs=1e-2)
         assert out.prices.pb2 == pytest.approx(expected[3], abs=1e-2)
         assert out.classified_regime is Regime.R1_HIGH
+
+    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
+    def test_fixed_point_builds_plans_once(self, baseline, label, monkeypatch):
+        # the Hessians, KKT matrices and retailer 2's stationary points depend
+        # only on (params, scenario), so one search builds them once
+        calls = {"quadratic_r1": 0, "quadratic_r2": 0}
+        for name in calls:
+            original = getattr(bundlematch.oracle, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bundlematch.oracle, name, counted)
+        out = find_fixed_point(baseline, SCENARIOS[label], OracleConfig(damping=0.5))
+        assert out.iterations > 2
+        assert calls == {"quadratic_r1": 3, "quadratic_r2": 2}
 
     def test_nonconvergence_in_blank_region(self, baseline):
         params = baseline.replace(b_l=0.9, b_s=0.1, lambda_l=0.1, theta_l=0.1)

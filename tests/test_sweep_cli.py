@@ -147,6 +147,22 @@ class TestSweeps:
         with pytest.raises(ConfigError, match=":18: another panel is labelled 'a_b'"):
             load_sweep_spec(path)
 
+    def test_empty_panel_writes_its_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "s.cfg"
+        spec_path.write_text(SWEEP_SPEC + "[panel b]\n")
+        spec = load_sweep_spec(spec_path)
+        assert [(p.label, p.overrides) for p in spec.panels][1] == ("b", {})
+        assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "sweep_base.csv").exists() and (tmp_path / "sweep_b.csv").exists()
+
+    @pytest.mark.parametrize("extra", ["[bogus]\n", "[bogus]\nc1 = 5\n"], ids=["empty", "entries"])
+    def test_unknown_section_reports_line(self, tmp_path, capsys, extra):
+        spec_path = tmp_path / "s.cfg"
+        spec_path.write_text(SWEEP_SPEC + extra)
+        with pytest.raises(ConfigError, match=r":16: unknown section \[bogus\]"):
+            load_sweep_spec(spec_path)
+        assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
+
     def test_cell_count_is_exact_even_with_invalid_cells(self, baseline):
         # lambda_l beyond b_l violates the standing assumption; those cells
         # are emitted as non-existent, never skipped
@@ -195,6 +211,24 @@ class TestCli:
         path.write_text(line + "\n")
         assert main(["solve", "--config", str(path)]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "table", "verify", "sweep"])
+    def test_degenerate_params_exit_1(self, tmp_path, capsys, command):
+        # b_l (1 - theta_l) vanishes, so the closed forms are undefined
+        path = tmp_path / "m.cfg"
+        if command == "sweep":
+            path.write_text(SWEEP_SPEC.replace("max = 0.8", "max = 0.99999999999999"))
+            argv = ["sweep", "--config", str(path), "--out", str(tmp_path)]
+        else:
+            path.write_text("theta_l = 0.99999999999999\n")
+            argv = [command, "--config", str(path)]
+            if command == "table":
+                argv += ["--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "degenerate parameters" in err
+        if command == "sweep":
+            assert "panel 'base' at lambda_l=0.05, theta_l=0.99999999999999" in err
 
     def test_solve_without_equilibrium_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
