@@ -3,8 +3,9 @@ parameter sweeps, or cross-check against the best-response oracle.
 
 Feasibility is judged at market.FEASIBILITY_TOL; no command sets a
 tolerance.  Exit codes: 0 success, 1 input error (usage errors too, such as
-an unknown flag or a repeated --pmg retailer key, and parameters at which a
-closed form is degenerate), 2 no equilibrium (solve only).
+an unknown flag or a repeated --pmg retailer key, parameters at which a
+closed form is degenerate, and an --out that cannot be written), 2 no
+equilibrium (solve only).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidParameterError, DegenerateParamsError) as exc:
+    except (ConfigError, InvalidParameterError, DegenerateParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -93,10 +93,13 @@ def load_market_config(path: str | Path) -> MarketParams:
 _AXIS_KEYS = ("name", "min", "max", "steps")
 
 
-def _build_axis(path: str | Path, section: str, kv: dict[str, tuple[str, int]]) -> AxisSpec:
+def _build_axis(
+    path: str | Path, section: str, header: int, kv: dict[str, tuple[str, int]]
+) -> AxisSpec:
+    """The axis in [section], whose header is on line `header`."""
     for key in _AXIS_KEYS:
         if key not in kv:
-            raise ConfigError(path, None, f"[{section}] is missing {key!r}")
+            raise ConfigError(path, header, f"[{section}] is missing {key!r}")
     for key in kv:
         if key not in _AXIS_KEYS:
             raise ConfigError(path, kv[key][1], f"unknown key {key!r} in [{section}]")
@@ -141,10 +144,11 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     for required in ("axis1", "axis2"):
         if required not in sections:
             raise ConfigError(path, None, f"sweep spec is missing the [{required}] section")
-    axis1 = _build_axis(path, "axis1", sections["axis1"])
-    axis2 = _build_axis(path, "axis2", sections["axis2"])
+    axis1 = _build_axis(path, "axis1", headers["axis1"], sections["axis1"])
+    axis2 = _build_axis(path, "axis2", headers["axis2"], sections["axis2"])
     if axis1.name == axis2.name:
-        raise ConfigError(path, None, "axis1 and axis2 must name distinct parameters")
+        line = sections["axis2"]["name"][1]
+        raise ConfigError(path, line, "axis1 and axis2 must name distinct parameters")
 
     def param_overrides(section: str) -> dict[str, float]:
         out: dict[str, float] = {}

@@ -108,7 +108,7 @@ def _item_skew(p: MarketParams) -> float:
 def _r2_level(p: MarketParams, s: RegimeStructure) -> float:
     """A2 / B2: the bases of the segments retailer 2 serves at pb2 over
     their slope; its stationary price lies halfway between this and cost."""
-    w2 = 0.0 if s.strategic_at_r1 else 1.0 - s.strategic_share(p.alpha)
+    _, w2 = s.own_strategic_weights(p.alpha)
     bases = p.a_l_jb + (0.0 if s.r2_matched else p.a_q_jb) + w2 * p.a_s
     slope = (1.0 if s.r2_matched else 2.0) * p.b_l + w2 * p.b_s
     return bases / _guard_denominator(slope, "r2 demand slope")
@@ -179,7 +179,7 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     p, s = params, STRUCTURES[theorem_id]
     rival_level = _r2_level(p, s)
     pb2 = 0.5 * (rival_level + p.total_cost)
-    strat_w = s.strategic_share(p.alpha) if s.strategic_at_r1 else 0.0
+    strat_w, _ = s.own_strategic_weights(p.alpha)
     if not s.bundling:
         prices = _no_bundle_prices(p, strat_w, pb2)
     elif s.r1_matched:

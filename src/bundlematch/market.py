@@ -243,6 +243,15 @@ class RegimeStructure:
             return alpha
         return 1.0 if self.r1_share == "1" else 0.0
 
+    def own_strategic_weights(self, alpha: float) -> tuple[float, float]:
+        """Weight of strategic demand in each retailer's own-price derivative,
+        (retailer 1, retailer 2): the retailer's share when strategic buyers
+        pay its price, else zero."""
+        share = self.strategic_share(alpha)
+        if self.strategic_at_r1:
+            return share, 0.0
+        return 0.0, 1.0 - share
+
     def effective_prices(self, prices: PriceVector) -> EffectivePrices:
         """Effective prices under this structure, whatever ordering the
         prices satisfy."""

@@ -10,13 +10,11 @@ damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
-What a best response needs that does not depend on the rival's price is
-built once per (params, scenario): plan_r1 holds retailer 1's plan table,
-its Hessians, their concavity checks and each plan's KKT matrix, and
-plan_r2 holds retailer 2's stationary point per regime.  A round
-(respond_r1, respond_r2) computes only the price-dependent right-hand sides
-and the profit comparison.  find_fixed_point builds the plans once per
-search; best_response_r1/r2 build them for a single response.
+A BestResponses object holds one game, (params, scenario), and builds once
+what does not depend on the rival's price: retailer 2's stationary points
+on construction, retailer 1's plan table (Hessians, concavity checks, KKT
+matrices) on its first response.  find_fixed_point and find_fixed_points
+share one object across all rounds and starts.
 
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,38 +71,6 @@ class OracleOutcome:
     trajectory: list[PriceVector] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """One of retailer 1's candidate programs: its side's quadratic, the
-    regime whose ordering the solution must satisfy (None on the kink), and
-    the equality constraints' matrix, built once per search."""
-
-    side: int  # index into R1Plans.structures
-    regime: Regime | None
-    on_face: bool  # on the bundle-discount face p1 + p2 = pb1
-    matrix: np.ndarray  # the Hessian, bordered when constrained (KKT system)
-
-
-@dataclass(frozen=True)
-class R1Plans:
-    """What retailer 1's best response needs that does not depend on pb2."""
-
-    params: MarketParams
-    scenario: Scenario
-    structures: tuple[RegimeStructure, ...]  # R1_HIGH, R1_LOW, kink tie
-    plans: tuple[_Plan, ...]
-
-
-@dataclass(frozen=True)
-class R2Plans:
-    """Retailer 2's stationary price in each regime, which does not depend
-    on retailer 1's prices."""
-
-    params: MarketParams
-    scenario: Scenario
-    stationary: tuple[tuple[Regime, float], ...]
-
-
 def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
     """The bordered KKT matrix maximizing the quadratic with Hessian h
     subject to equality constraints a.x = b (h itself when unconstrained)."""
@@ -118,67 +85,106 @@ def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
     return kkt
 
 
-def plan_r1(params: MarketParams, scenario: Scenario) -> R1Plans:
-    """Retailer 1's plan table: the high and low regimes and the kink tie,
-    each again on the bundle-discount face when bundling, with their KKT
-    matrices.  Raises SingularSystemError unless both regimes' Hessians are
-    negative definite."""
-    bundled = scenario.bundling == 1
-    high = structure(scenario, Regime.R1_HIGH)
-    # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
-    # and that share buys at r1's price (= pb2)
-    tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
-    structures = (high, structure(scenario, Regime.R1_LOW), tie)
-    # the Hessians do not depend on pb2
-    hessians = [quadratic_r1(params, scenario, s, 0.0)[0] for s in structures]
-    for regime, h in zip(Regime, hessians[:2]):
-        if not np.all(np.linalg.eigvalsh(h) < 0.0):
-            raise SingularSystemError(
-                f"retailer 1 Hessian for regime {regime.value} is not negative definite"
-            )
-    kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
-    sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
-    # each side again on the bundle-discount face p1 + p2 = pb1
-    faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
-    plans = tuple(
-        _Plan(side, regime, bool(face), _kkt_matrix(hessians[side], constraints + face))
-        for face in faces
-        for side, regime, constraints in sides
-    )
-    return R1Plans(params, scenario, structures, plans)
+class BestResponses:
+    """Both retailers' best responses in one (params, scenario) game.  Raises
+    SingularSystemError unless retailer 2's second derivative is negative in
+    each regime; retailer 1's plans are checked on its first response."""
 
+    def __init__(self, params: MarketParams, scenario: Scenario) -> None:
+        self.params, self.scenario = params, scenario
+        stationary = []
+        for regime in Regime:
+            h, g0 = quadratic_r2(params, structure(scenario, regime))
+            if h >= 0.0:
+                raise SingularSystemError(
+                    f"retailer 2 second derivative for regime {regime.value} is not negative"
+                )
+            stationary.append((regime, -g0 / h))
+        self._stationary_r2 = tuple(stationary)
 
-def respond_r1(plans: R1Plans, pb2: float) -> tuple[float, float, float | None]:
-    """Retailer 1's best response to pb2 from its plan table: each plan's
-    first-order system solved exactly, the candidate with the highest
-    realized profit kept, then components clamped at zero."""
-    if not np.isfinite(pb2):
-        raise ValueError("pb2 must be finite")
-    params, scenario = plans.params, plans.scenario
-    bundled = scenario.bundling == 1
-    rhs = [-linear_term_r1(params, scenario, s, pb2) for s in plans.structures]
-    best: tuple[float, np.ndarray] | None = None
-    for plan in plans.plans:
-        # the constraints' right-hand sides: pb2 on the kink, 0 on the face
-        tail = ([pb2] if plan.regime is None else []) + ([0.0] if plan.on_face else [])
-        b = np.concatenate((rhs[plan.side], tail)) if tail else rhs[plan.side]
-        try:
-            x = np.linalg.solve(plan.matrix, b)[: len(rhs[plan.side])]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        if plan.regime is None and bundled:
-            x[2] = pb2  # snap exactly onto the kink
-        prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
-        if plan.regime is not None and not plan.regime.holds(prices.r1_bundle_equivalent(), pb2):
-            continue
-        if not prices.bundle_within_parts():
-            continue
-        value = profits(params, scenario, prices).pi_r1
-        if best is None or value > best[0]:
-            best = (value, x)
-    assert best is not None  # the kink plans always yield a candidate
-    x = np.maximum(best[1], 0.0)
-    return (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
+    @cached_property
+    def _plans_r1(self) -> tuple[tuple[RegimeStructure, ...], list[tuple]]:
+        """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie) and plans as
+        (side, regime, on_face, KKT matrix).  Raises SingularSystemError
+        unless both regimes' Hessians are negative definite."""
+        params, scenario = self.params, self.scenario
+        bundled = scenario.bundling == 1
+        high = structure(scenario, Regime.R1_HIGH)
+        # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
+        # and that share buys at r1's price (= pb2)
+        tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
+        structures = (high, structure(scenario, Regime.R1_LOW), tie)
+        # the Hessians do not depend on pb2
+        hessians = [quadratic_r1(params, scenario, s, 0.0)[0] for s in structures]
+        for regime, h in zip(Regime, hessians[:2]):
+            if not np.all(np.linalg.eigvalsh(h) < 0.0):
+                raise SingularSystemError(
+                    f"retailer 1 Hessian for regime {regime.value} is not negative definite"
+                )
+        kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
+        sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
+        # each side again on the bundle-discount face p1 + p2 = pb1
+        faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
+        plans = [
+            (side, regime, bool(face), _kkt_matrix(hessians[side], constraints + face))
+            for face in faces
+            for side, regime, constraints in sides
+        ]
+        return structures, plans
+
+    def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
+        """Retailer 1's best response to pb2: each plan's first-order system
+        solved exactly, the candidate with the highest realized profit kept,
+        then components clamped at zero."""
+        if not np.isfinite(pb2):
+            raise ValueError("pb2 must be finite")
+        params, scenario = self.params, self.scenario
+        bundled = scenario.bundling == 1
+        structures, plans = self._plans_r1
+        rhs = [-linear_term_r1(params, scenario, s, pb2) for s in structures]
+        best: tuple[float, np.ndarray] | None = None
+        for side, regime, on_face, matrix in plans:
+            # the constraints' right-hand sides: pb2 on the kink, 0 on the face
+            tail = ([pb2] if regime is None else []) + ([0.0] if on_face else [])
+            b = np.concatenate((rhs[side], tail)) if tail else rhs[side]
+            try:
+                x = np.linalg.solve(matrix, b)[: len(rhs[side])]
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(str(exc)) from exc
+            if regime is None and bundled:
+                x[2] = pb2  # snap exactly onto the kink
+            prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
+            if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
+                continue
+            if not prices.bundle_within_parts():
+                continue
+            value = profits(params, scenario, prices).pi_r1
+            if best is None or value > best[0]:
+                best = (value, x)
+        assert best is not None  # the kink plans always yield a candidate
+        x = np.maximum(best[1], 0.0)
+        return (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
+
+    def respond_r2(self, r1_prices: PriceVector) -> float:
+        """Retailer 2's best response to r1_prices: each regime's stationary
+        point, kept on that regime's side of the kink, and the kink price
+        itself, compared at their realized profits."""
+        r1_eq = r1_prices.r1_bundle_equivalent()
+        if not np.isfinite(r1_eq):
+            raise ValueError("r1 prices must be finite")
+        candidates: list[float] = [r1_eq]  # the kink is always a candidate
+        for regime, stationary in self._stationary_r2:
+            if regime.holds(r1_eq, stationary):
+                # kept on the regime's side of the kink
+                side = min if regime is Regime.R1_HIGH else max
+                candidates.append(side(stationary, r1_eq))
+        best_value, best_pb2 = -np.inf, r1_eq
+        for pb2 in candidates:
+            prices = PriceVector(r1_prices.p1, r1_prices.p2, r1_prices.pb1, pb2)
+            value = profits(self.params, self.scenario, prices).pi_r2
+            if value > best_value:
+                best_value, best_pb2 = value, pb2
+        return float(max(best_pb2, 0.0))
 
 
 def best_response_r1(
@@ -193,43 +199,7 @@ def best_response_r1(
     the best candidate has a negative component the other prices are not
     re-optimized, so the clamped prices need not be a best response.
     """
-    return respond_r1(plan_r1(params, scenario), pb2)
-
-
-def plan_r2(params: MarketParams, scenario: Scenario) -> R2Plans:
-    """Retailer 2's stationary price in each regime.  Raises
-    SingularSystemError unless each regime's second derivative is negative."""
-    stationary = []
-    for regime in Regime:
-        h, g0 = quadratic_r2(params, structure(scenario, regime))
-        if h >= 0.0:
-            raise SingularSystemError(
-                f"retailer 2 second derivative for regime {regime.value} is not negative"
-            )
-        stationary.append((regime, -g0 / h))
-    return R2Plans(params, scenario, tuple(stationary))
-
-
-def respond_r2(plans: R2Plans, r1_prices: PriceVector) -> float:
-    """Retailer 2's best response to r1_prices: each regime's stationary
-    point, kept on that regime's side of the kink, and the kink price itself,
-    compared at their realized profits."""
-    r1_eq = r1_prices.r1_bundle_equivalent()
-    if not np.isfinite(r1_eq):
-        raise ValueError("r1 prices must be finite")
-    candidates: list[float] = [r1_eq]  # the kink is always a candidate
-    for regime, stationary in plans.stationary:
-        if regime.holds(r1_eq, stationary):
-            # kept on the regime's side of the kink
-            side = min if regime is Regime.R1_HIGH else max
-            candidates.append(side(stationary, r1_eq))
-    best_value, best_pb2 = -np.inf, r1_eq
-    for pb2 in candidates:
-        prices = PriceVector(r1_prices.p1, r1_prices.p2, r1_prices.pb1, pb2)
-        value = profits(plans.params, plans.scenario, prices).pi_r2
-        if value > best_value:
-            best_value, best_pb2 = value, pb2
-    return float(max(best_pb2, 0.0))
+    return BestResponses(params, scenario).respond_r1(pb2)
 
 
 def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceVector) -> float:
@@ -238,12 +208,46 @@ def best_response_r2(params: MarketParams, scenario: Scenario, r1_prices: PriceV
     Scalar concave quadratic per regime; regime-interior stationary points
     plus the kink price are compared at their realized profits.
     """
-    return respond_r2(plan_r2(params, scenario), r1_prices)
+    return BestResponses(params, scenario).respond_r2(r1_prices)
 
 
 def _default_start(params: MarketParams, scenario: Scenario) -> PriceVector:
     pb1 = params.total_cost + 1.0 if scenario.bundling == 1 else None
     return PriceVector(params.c1 + 1.0, params.c2 + 1.0, pb1, params.total_cost + 1.0)
+
+
+def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> OracleOutcome:
+    """Damped alternating best response from start."""
+    x = start
+    trajectory: list[PriceVector] = [x] if cfg.record_trajectory else []
+    delta = cfg.damping
+    for iteration in range(cfg.max_iters):
+        r1_star = responses.respond_r1(x.pb2)
+        pb2_star = responses.respond_r2(x)
+        star = PriceVector(r1_star[0], r1_star[1], r1_star[2], pb2_star)
+        if star.sup_distance(x) < cfg.tol_fp:
+            converged = True
+            break
+        pb1_next = None
+        if responses.scenario.bundling == 1:
+            pb1_next = (1.0 - delta) * x.pb1 + delta * star.pb1
+        x = PriceVector(
+            (1.0 - delta) * x.p1 + delta * star.p1,
+            (1.0 - delta) * x.p2 + delta * star.p2,
+            pb1_next,
+            (1.0 - delta) * x.pb2 + delta * star.pb2,
+        )
+        if cfg.record_trajectory:
+            trajectory.append(x)
+    else:
+        converged, iteration = False, cfg.max_iters
+    return OracleOutcome(
+        converged=converged,
+        prices=x,
+        iterations=iteration,
+        classified_regime=effective_prices(responses.params, responses.scenario, x).regime,
+        trajectory=trajectory,
+    )
 
 
 def find_fixed_point(
@@ -258,41 +262,8 @@ def find_fixed_point(
     with no pure-strategy equilibrium found.
     """
     cfg = cfg or OracleConfig()
-    x = cfg.initial_prices or _default_start(params, scenario)
-    trajectory: list[PriceVector] = [x] if cfg.record_trajectory else []
-    delta = cfg.damping
-    r1_plans, r2_plans = plan_r1(params, scenario), plan_r2(params, scenario)
-    for iteration in range(cfg.max_iters):
-        r1_star = respond_r1(r1_plans, x.pb2)
-        pb2_star = respond_r2(r2_plans, x)
-        star = PriceVector(r1_star[0], r1_star[1], r1_star[2], pb2_star)
-        residual = star.sup_distance(x)
-        if residual < cfg.tol_fp:
-            return OracleOutcome(
-                converged=True,
-                prices=x,
-                iterations=iteration,
-                classified_regime=effective_prices(params, scenario, x).regime,
-                trajectory=trajectory,
-            )
-        pb1_next = None
-        if scenario.bundling == 1:
-            pb1_next = (1.0 - delta) * x.pb1 + delta * star.pb1
-        x = PriceVector(
-            (1.0 - delta) * x.p1 + delta * star.p1,
-            (1.0 - delta) * x.p2 + delta * star.p2,
-            pb1_next,
-            (1.0 - delta) * x.pb2 + delta * star.pb2,
-        )
-        if cfg.record_trajectory:
-            trajectory.append(x)
-    return OracleOutcome(
-        converged=False,
-        prices=x,
-        iterations=cfg.max_iters,
-        classified_regime=effective_prices(params, scenario, x).regime,
-        trajectory=trajectory,
-    )
+    start = cfg.initial_prices or _default_start(params, scenario)
+    return _search(BestResponses(params, scenario), start, cfg)
 
 
 def find_fixed_points(
@@ -305,13 +276,14 @@ def find_fixed_points(
     one start, so callers that care about multiplicity get all of them.
     """
     cfg = cfg or OracleConfig()
+    responses = BestResponses(params, scenario)
     lo_r1, hi_r1 = params.total_cost, params.total_cost + _price_span(params)
     lo_r2, hi_r2 = lo_r1, hi_r1
     outcomes: list[OracleOutcome] = []
     for r1_level, r2_level in ((lo_r1, lo_r2), (lo_r1, hi_r2), (hi_r1, lo_r2), (hi_r1, hi_r2)):
         pb1 = r1_level if scenario.bundling == 1 else None
         start = PriceVector(r1_level / 2.0, r1_level / 2.0, pb1, r2_level)
-        outcome = find_fixed_point(params, scenario, dataclasses.replace(cfg, initial_prices=start))
+        outcome = _search(responses, start, cfg)
         duplicate = any(
             o.converged
             and outcome.converged

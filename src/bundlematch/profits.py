@@ -90,15 +90,6 @@ def profits(
 # ---------------------------------------------------------------------------
 
 
-def _own_strategic_weights(s: RegimeStructure, alpha: float) -> tuple[float, float]:
-    """Weight of strategic demand in each retailer's own-price derivative:
-    the retailer's share when strategic buyers pay its price, else zero."""
-    share = s.strategic_share(alpha)
-    if s.strategic_at_r1:
-        return share, 0.0
-    return 0.0, 1.0 - share
-
-
 def _gradient_r1(
     params: MarketParams, scenario: Scenario, s: RegimeStructure, prices: PriceVector
 ) -> np.ndarray:
@@ -110,7 +101,7 @@ def _gradient_r1(
     p = params
     eff = s.effective_prices(prices)
     d = demands(params, scenario, prices, eff)
-    w, _ = _own_strategic_weights(s, p.alpha)
+    w, _ = s.own_strategic_weights(p.alpha)
     c = p.total_cost
     m1 = prices.p1 - p.c1
     m2 = prices.p2 - p.c2
@@ -140,7 +131,7 @@ def _gradient_r2(params: MarketParams, s: RegimeStructure, pb2: float) -> float:
     when it buys at pb2."""
     p = params
     c = p.total_cost
-    _, w = _own_strategic_weights(s, p.alpha)
+    _, w = s.own_strategic_weights(p.alpha)
     g = (p.a_l_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
     if not s.r2_matched:
         g += (p.a_q_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
@@ -233,7 +224,7 @@ def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> Hes
 def _hessian_r1(params: MarketParams, s: RegimeStructure) -> tuple[np.ndarray, np.ndarray]:
     """Retailer 1's Hessian in structure s and its closed-form eigenvalues."""
     p = params
-    w, _ = _own_strategic_weights(s, p.alpha)
+    w, _ = s.own_strategic_weights(p.alpha)
     e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
     if s.bundling == 0:
         diag = -6.0 * p.b_l - 2.0 * w * p.b_s
@@ -256,7 +247,7 @@ def _hessian_r1(params: MarketParams, s: RegimeStructure) -> tuple[np.ndarray, n
 
 
 def _hessian_r2(params: MarketParams, s: RegimeStructure) -> float:
-    _, w = _own_strategic_weights(s, params.alpha)
+    _, w = s.own_strategic_weights(params.alpha)
     return -2.0 * params.b_l * (1.0 if s.r2_matched else 2.0) - 2.0 * w * params.b_s
 
 

@@ -51,6 +51,21 @@ UNDERCUT = {
 }
 
 
+@pytest.fixture
+def count_quadratics(monkeypatch):
+    """Calls of the oracle's quadratic_r1 and quadratic_r2, by name."""
+    calls = {"quadratic_r1": 0, "quadratic_r2": 0}
+    for name in calls:
+        original = getattr(bundlematch.oracle, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bundlematch.oracle, name, counted)
+    return calls
+
+
 class TestBestResponses:
     def test_r1_reproduces_closed_form_under_set_a(self):
         rng = np.random.default_rng(15)
@@ -190,6 +205,15 @@ class TestFixedPoints:
         out = find_fixed_point(baseline, SCENARIOS[label], OracleConfig(damping=0.5))
         assert out.iterations > 2
         assert calls == {"quadratic_r1": 3, "quadratic_r2": 2}
+
+    def test_fixed_points_build_plans_once(self, baseline, count_quadratics):
+        # all four starts share one game's plans
+        find_fixed_points(baseline, CM_CM)
+        assert count_quadratics == {"quadratic_r1": 3, "quadratic_r2": 2}
+
+    def test_best_response_r2_builds_no_r1_plans(self, baseline, count_quadratics):
+        best_response_r2(baseline, CM_CM, PriceVector(99.05, 99.05, 162.05, 0.0))
+        assert count_quadratics == {"quadratic_r1": 0, "quadratic_r2": 2}
 
     def test_nonconvergence_in_blank_region(self, baseline):
         params = baseline.replace(b_l=0.9, b_s=0.1, lambda_l=0.1, theta_l=0.1)

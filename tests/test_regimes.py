@@ -72,6 +72,14 @@ class TestTable:
         shares = {tid: s.strategic_share(0.3) for tid, s in STRUCTURES.items()}
         assert shares == {"T1": 0.3, "T2": 0.0, "T3": 0.3, "T4": 1.0, "T5a": 0.0, "T5b": 1.0}
 
+    def test_own_strategic_weights(self):
+        # (retailer 1, retailer 2): only the side strategic buyers pay weighs
+        weights = {tid: s.own_strategic_weights(0.3) for tid, s in STRUCTURES.items()}
+        assert weights == {
+            "T1": (0.0, 0.7), "T2": (0.0, 1.0), "T3": (0.3, 0.0),
+            "T4": (1.0, 0.0), "T5a": (0.0, 1.0), "T5b": (1.0, 0.0),
+        }
+
 
 def _prices(rng, scenario, tie):
     p1, p2 = rng.uniform(1.0, 250.0, size=2)

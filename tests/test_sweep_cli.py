@@ -163,6 +163,21 @@ class TestSweeps:
             load_sweep_spec(spec_path)
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("name = lambda_l\nmin = 0.05\nmax = 0.4\nsteps = 3\n", "", r":1: \[axis1\] is missing 'name'"),
+            ("max = 0.8\nsteps = 3\n", "max = 0.8\n", r":7: \[axis2\] is missing 'steps'"),
+            ("name = theta_l", "name = lambda_l", ":8: axis1 and axis2 must name distinct parameters"),
+        ],
+        ids=["empty-axis1", "axis2-steps", "same-name"],
+    )
+    def test_axis_errors_report_line(self, tmp_path, old, new, message):
+        path = tmp_path / "s.cfg"
+        path.write_text(SWEEP_SPEC.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=message):
+            load_sweep_spec(path)
+
     def test_cell_count_is_exact_even_with_invalid_cells(self, baseline):
         # lambda_l beyond b_l violates the standing assumption; those cells
         # are emitted as non-existent, never skipped
@@ -229,6 +244,19 @@ class TestCli:
         assert err.startswith("error: ") and "degenerate parameters" in err
         if command == "sweep":
             assert "panel 'base' at lambda_l=0.05, theta_l=0.99999999999999" in err
+
+    @pytest.mark.parametrize("command", ["table", "sweep"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        argv = [command, "--out", str(out)]
+        if command == "sweep":
+            spec = tmp_path / "s.cfg"
+            spec.write_text(SWEEP_SPEC)
+            argv += ["--config", str(spec)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_solve_without_equilibrium_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
