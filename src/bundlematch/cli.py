@@ -160,8 +160,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
-    rows = table_rows(build_symmetric_table(params))
     args.out.mkdir(parents=True, exist_ok=True)
+    rows = table_rows(build_symmetric_table(params))
     csv_path = args.out / "table.csv"
     write_csv(rows, csv_path)
     if args.json:
@@ -172,8 +172,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.config)
-    results = run_sweep(MarketParams.baseline(), spec)
     args.out.mkdir(parents=True, exist_ok=True)
+    results = run_sweep(MarketParams.baseline(), spec)
     for label, cells in results.items():
         path = args.out / f"sweep_{label}.csv"
         write_sweep_csv(spec, cells, path)

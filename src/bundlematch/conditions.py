@@ -45,16 +45,6 @@ class ConditionReport:
         return f"set {self.set_id}: {n_ok}/{len(self.inequalities)} inequalities hold"
 
 
-def _check(label: str, lhs: float, rhs: float, relation: str, slack: float) -> ConditionCheck:
-    if relation == ">=":
-        ok = lhs >= rhs - slack
-    elif relation == "<=":
-        ok = lhs <= rhs + slack
-    else:
-        raise ValueError(f"bad relation {relation!r}")
-    return ConditionCheck(label=label, lhs=lhs, rhs=rhs, relation=relation, satisfied=ok)
-
-
 def _div(num: float, den: float) -> float:
     """Ratio with signed-infinity semantics at a zero denominator (a zero
     demand base makes a comparison vacuously one-sided, not an error)."""
@@ -67,19 +57,11 @@ def _div(num: float, den: float) -> float:
     return math.nan
 
 
-def check_condition_set(
-    set_id: str,
-    params: MarketParams,
-    *,
-    slack: float = 0.0,
-    set_b_literal: bool = True,
-) -> ConditionReport:
+def check_condition_set(set_id: str, params: MarketParams) -> ConditionReport:
     """Evaluate every inequality of a sufficient condition set.
 
-    Inequalities are weak and checked exactly by default; `slack` loosens
-    them for boundary exploration.  Set B's last lower bound is stated with a
-    duplicated term (a_q_jb + a_q_jb); the flag keeps that literal reading
-    (default) or switches to the a_l_jb + a_q_jb reading that parallels set A.
+    Inequalities are weak and checked exactly.  Set B's last lower bound is
+    stated with a duplicated term (a_q_jb + a_q_jb) and is read literally.
     """
     p = params
     sid = set_id.upper()
@@ -90,10 +72,10 @@ def check_condition_set(
     checks: list[ConditionCheck] = []
 
     def ge(label: str, lhs: float, rhs: float) -> None:
-        checks.append(_check(label, lhs, rhs, ">=", slack))
+        checks.append(ConditionCheck(label, lhs, rhs, ">=", lhs >= rhs))
 
     def le(label: str, lhs: float, rhs: float) -> None:
-        checks.append(_check(label, lhs, rhs, "<=", slack))
+        checks.append(ConditionCheck(label, lhs, rhs, "<=", lhs <= rhs))
 
     if sid == "A":
         ge("a_l_i1 + a_l_i2 >= 4/3 (a_l_jb + a_q_jb)", sum_i, 4.0 / 3.0 * sum_j)
@@ -109,20 +91,13 @@ def check_condition_set(
         ge("a_l_ib + a_q_ib >= a_l_jb + a_q_jb", p.a_l_ib + p.a_q_ib, sum_j)
         ge("a_q_jb >= a_l_jb", p.a_q_jb, p.a_l_jb)
         ge("(a_l_i1 + a_l_i2)/(2 a_s) >= 4/3 b_l/b_s", _div(sum_i, 2.0 * p.a_s), 4.0 / 3.0 * ratio)
-        if set_b_literal:
-            # stated as (a_q_jb + a_q_jb); a_l_jb + a_q_jb is the likely intent
-            # but the literal form is the default reading
-            ge(
-                "4/3 b_l/b_s >= (a_q_jb + a_q_jb)/(2 a_s)",
-                4.0 / 3.0 * ratio,
-                _div(2.0 * p.a_q_jb, 2.0 * p.a_s),
-            )
-        else:
-            ge(
-                "4/3 b_l/b_s >= (a_l_jb + a_q_jb)/(2 a_s)",
-                4.0 / 3.0 * ratio,
-                _div(sum_j, 2.0 * p.a_s),
-            )
+        # stated as (a_q_jb + a_q_jb); a_l_jb + a_q_jb, which parallels set A,
+        # is the likely intent, but the literal form is the one checked
+        ge(
+            "4/3 b_l/b_s >= (a_q_jb + a_q_jb)/(2 a_s)",
+            4.0 / 3.0 * ratio,
+            _div(2.0 * p.a_q_jb, 2.0 * p.a_s),
+        )
         ge("b_l/b_s >= a_l_jb/a_s", ratio, _div(p.a_l_jb, p.a_s))
     elif sid == "C":
         one_th = 1.0 + p.theta_l

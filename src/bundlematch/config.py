@@ -165,6 +165,10 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     for section in sections:
         if section.startswith("panel"):
             label = (section[len("panel") :].strip() or f"panel{len(panels) + 1}").replace(" ", "_")
+            if any(sep in label for sep in "/\\\0"):
+                # the label names the panel's output file, sweep_<label>.csv
+                message = f"panel label {label!r} may not contain '/', '\\' or NUL"
+                raise ConfigError(path, headers[section], message)
             if label in panels:
                 raise ConfigError(path, headers[section], f"another panel is labelled {label!r}")
             panels[label] = Panel(label=label, overrides=param_overrides(section))

@@ -181,9 +181,9 @@ class PriceVector:
         bundle is posted, the item-price sum otherwise."""
         return self.pb1 if self.pb1 is not None else self.p1 + self.p2
 
-    def bundle_within_parts(self, tol: float = FEASIBILITY_TOL) -> bool:
-        """Whether a posted bundle costs no more than its parts, within tol."""
-        return self.pb1 is None or self.p1 + self.p2 >= self.pb1 - tol
+    def bundle_within_parts(self) -> bool:
+        """Whether a posted bundle costs no more than its parts, within FEASIBILITY_TOL."""
+        return self.pb1 is None or self.p1 + self.p2 >= self.pb1 - FEASIBILITY_TOL
 
     def present(self) -> tuple[float, ...]:
         if self.pb1 is None:

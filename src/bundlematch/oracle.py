@@ -23,7 +23,7 @@ where no pure-strategy equilibrium exists.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,8 +50,6 @@ class OracleConfig:
     max_iters: int = 500
     tol_fp: float = 1e-8  # sup-norm tolerance on the best-response residual
     damping: float = 1.0  # step fraction toward the best response, in (0, 1]
-    initial_prices: PriceVector | None = None  # default: unit costs plus 1
-    record_trajectory: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
@@ -68,7 +66,6 @@ class OracleOutcome:
     prices: PriceVector
     iterations: int
     classified_regime: Regime
-    trajectory: list[PriceVector] = field(default_factory=list)
 
 
 def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
@@ -219,7 +216,6 @@ def _default_start(params: MarketParams, scenario: Scenario) -> PriceVector:
 def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> OracleOutcome:
     """Damped alternating best response from start."""
     x = start
-    trajectory: list[PriceVector] = [x] if cfg.record_trajectory else []
     delta = cfg.damping
     for iteration in range(cfg.max_iters):
         r1_star = responses.respond_r1(x.pb2)
@@ -237,8 +233,6 @@ def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> 
             pb1_next,
             (1.0 - delta) * x.pb2 + delta * star.pb2,
         )
-        if cfg.record_trajectory:
-            trajectory.append(x)
     else:
         converged, iteration = False, cfg.max_iters
     return OracleOutcome(
@@ -246,7 +240,6 @@ def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> 
         prices=x,
         iterations=iteration,
         classified_regime=effective_prices(responses.params, responses.scenario, x).regime,
-        trajectory=trajectory,
     )
 
 
@@ -262,8 +255,7 @@ def find_fixed_point(
     with no pure-strategy equilibrium found.
     """
     cfg = cfg or OracleConfig()
-    start = cfg.initial_prices or _default_start(params, scenario)
-    return _search(BestResponses(params, scenario), start, cfg)
+    return _search(BestResponses(params, scenario), _default_start(params, scenario), cfg)
 
 
 def find_fixed_points(

@@ -87,7 +87,6 @@ class GridCell:
     exists: bool
     delta_pi_B: float | None  # raw currency; emitted in thousands
     best_regime: str | None
-    existence: dict[str, bool] = field(default_factory=dict)
 
 
 def build_symmetric_table(params: MarketParams) -> list[dict[str, object]]:
@@ -154,7 +153,6 @@ def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: floa
         exists=exists,
         delta_pi_B=comparison.delta_pi_B if exists else None,
         best_regime=comparison.best_pmg_regime.label() if exists else None,
-        existence=comparison.existence,
     )
 
 

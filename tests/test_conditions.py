@@ -52,27 +52,24 @@ class TestConditionSets:
         with pytest.raises(UnknownSetError):
             check_condition_set("G", baseline)
 
-    def test_set_b_duplicated_term_readings_differ(self):
-        # a_l_jb large, a_q_jb small: the literal lower bound (a_q_jb twice)
-        # is loose where the parallel-to-set-A reading is binding
+    def test_set_b_reads_the_duplicated_term_literally(self):
+        # a_l_jb != a_q_jb: the literal bound (a_q_jb twice) differs from the
+        # a_l_jb + a_q_jb reading that parallels set A
         params = MarketParams.baseline(
             a_l_i1=400.0, a_l_i2=400.0, a_l_ib=200.0, a_q_ib=200.0,
             a_l_jb=30.0, a_q_jb=31.0, a_s=100.0, b_l=0.4, b_s=0.9,
         )
-        literal = check_condition_set("B", params, set_b_literal=True)
-        corrected = check_condition_set("B", params, set_b_literal=False)
-        lit_line = next(c for c in literal.inequalities if "a_q_jb + a_q_jb" in c.label)
-        cor_line = next(c for c in corrected.inequalities if "a_l_jb + a_q_jb" in c.label)
-        assert lit_line.rhs != cor_line.rhs
+        report = check_condition_set("B", params)
+        line = next(c for c in report.inequalities if "(a_q_jb + a_q_jb)" in c.label)
+        assert line.rhs == 2.0 * params.a_q_jb / (2.0 * params.a_s)
 
-    def test_slack_admits_boundary_points(self, baseline):
+    def test_inequalities_are_weak_and_exact(self, baseline):
         params = baseline.replace(a_l_i1=100.0, a_l_i2=100.0, a_l_jb=75.0, a_q_jb=75.0)
         strict = check_condition_set("A", params)
         first = strict.inequalities[0]  # 200 >= 4/3 * 150 = 200 exactly
         assert first.satisfied
         nudged = baseline.replace(a_l_i1=100.0, a_l_i2=99.9999999, a_l_jb=75.0, a_q_jb=75.0)
         assert not check_condition_set("A", nudged).inequalities[0].satisfied
-        assert check_condition_set("A", nudged, slack=1e-6).inequalities[0].satisfied
 
     def test_zero_strategic_base_does_not_error(self, baseline):
         for set_id in "ABCDEF":

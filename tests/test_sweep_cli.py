@@ -163,6 +163,16 @@ class TestSweeps:
             load_sweep_spec(spec_path)
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("label", ["a/b", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+    def test_panel_label_must_be_a_file_name(self, tmp_path, capsys, label):
+        spec_path = tmp_path / "s.cfg"
+        spec_path.write_text(SWEEP_SPEC + f"[panel {label}]\nc1 = 5\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ":16: panel label" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "old,new,message",
         [
@@ -257,6 +267,23 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("command", ["table", "sweep"])
+    def test_out_is_prepared_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
+        def no_cells(*args):
+            raise AssertionError("a cell was computed before --out was prepared")
+
+        monkeypatch.setattr("bundlematch.cli.build_symmetric_table", no_cells)
+        monkeypatch.setattr("bundlematch.cli.run_sweep", no_cells)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        argv = [command, "--out", str(out)]
+        if command == "sweep":
+            spec = tmp_path / "s.cfg"
+            spec.write_text(SWEEP_SPEC)
+            argv += ["--config", str(spec)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_solve_without_equilibrium_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.cfg"
