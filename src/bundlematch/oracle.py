@@ -16,6 +16,10 @@ on construction, retailer 1's plan table (Hessians, concavity checks, KKT
 matrices) on its first response.  find_fixed_point and find_fixed_points
 share one object across all rounds and starts.
 
+A search stops at its first exactly repeated state, which starts a cycle
+that can never converge, and returns the outcome the full max_iters rounds
+would have returned.
+
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
 """
@@ -214,10 +218,24 @@ def _default_start(params: MarketParams, scenario: Scenario) -> PriceVector:
 
 
 def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> OracleOutcome:
-    """Damped alternating best response from start."""
+    """Damped alternating best response from start.
+
+    A round is a pure function of its state, and every state seen before has
+    failed the convergence test, so a repeated state starts an exact cycle
+    that never converges.  The search stops there and returns the state the
+    loop would hold after max_iters rounds.
+    """
     x = start
     delta = cfg.damping
+    converged = False
+    first_seen: dict[tuple[str, ...], int] = {}  # by exact bits: 0.0 and -0.0 differ
+    history: list[PriceVector] = []
     for iteration in range(cfg.max_iters):
+        mu = first_seen.setdefault(tuple(float(v).hex() for v in x.present()), iteration)
+        if mu < iteration:
+            x = history[mu + (cfg.max_iters - mu) % (iteration - mu)]
+            break
+        history.append(x)
         r1_star = responses.respond_r1(x.pb2)
         pb2_star = responses.respond_r2(x)
         star = PriceVector(r1_star[0], r1_star[1], r1_star[2], pb2_star)
@@ -233,12 +251,10 @@ def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> 
             pb1_next,
             (1.0 - delta) * x.pb2 + delta * star.pb2,
         )
-    else:
-        converged, iteration = False, cfg.max_iters
     return OracleOutcome(
         converged=converged,
         prices=x,
-        iterations=iteration,
+        iterations=iteration if converged else cfg.max_iters,
         classified_regime=effective_prices(responses.params, responses.scenario, x).regime,
     )
 
@@ -252,7 +268,10 @@ def find_fixed_point(
     Convergence certifies that both retailers' best responses reproduce the
     returned prices within tol_fp.  Hitting max_iters (oscillation or
     divergence) returns converged=False; that outcome marks parameter points
-    with no pure-strategy equilibrium found.
+    with no pure-strategy equilibrium found.  An exact cycle (a state
+    repeated bit for bit) is detected when it closes; the search then
+    returns the prices the loop would hold after max_iters rounds, and
+    iterations still reports max_iters.
     """
     cfg = cfg or OracleConfig()
     return _search(BestResponses(params, scenario), _default_start(params, scenario), cfg)

@@ -51,6 +51,41 @@ UNDERCUT = {
 }
 
 
+# undamped best response cycles here in noCM,noCM and noCM,CM
+CYCLING = {"theta_l": 0.8, "b_s": 0.3}
+# no pure-strategy equilibrium is found here under CM,CM
+BLANK = {"b_l": 0.9, "b_s": 0.1, "lambda_l": 0.1, "theta_l": 0.1}
+
+
+def _full_loop(params, scenario, cfg):
+    """Reference search: damped alternating best response for up to
+    max_iters rounds, with no cycle check."""
+    responses = bundlematch.oracle.BestResponses(params, scenario)
+    pb1 = params.total_cost + 1.0 if scenario.bundling == 1 else None
+    x = PriceVector(params.c1 + 1.0, params.c2 + 1.0, pb1, params.total_cost + 1.0)
+    delta = cfg.damping
+    for iteration in range(cfg.max_iters):
+        r1_star = responses.respond_r1(x.pb2)
+        star = PriceVector(*r1_star, responses.respond_r2(x))
+        if star.sup_distance(x) < cfg.tol_fp:
+            converged = True
+            break
+        x = PriceVector(
+            (1.0 - delta) * x.p1 + delta * star.p1,
+            (1.0 - delta) * x.p2 + delta * star.p2,
+            None if pb1 is None else (1.0 - delta) * x.pb1 + delta * star.pb1,
+            (1.0 - delta) * x.pb2 + delta * star.pb2,
+        )
+    else:
+        converged, iteration = False, cfg.max_iters
+    regime = bundlematch.oracle.effective_prices(params, scenario, x).regime
+    return bundlematch.oracle.OracleOutcome(converged, x, iteration, regime)
+
+
+def _hex(prices):
+    return [float(v).hex() for v in prices.present()]
+
+
 @pytest.fixture
 def count_quadratics(monkeypatch):
     """Calls of the oracle's quadratic_r1 and quadratic_r2, by name."""
@@ -216,10 +251,47 @@ class TestFixedPoints:
         assert count_quadratics == {"quadratic_r1": 0, "quadratic_r2": 2}
 
     def test_nonconvergence_in_blank_region(self, baseline):
-        params = baseline.replace(b_l=0.9, b_s=0.1, lambda_l=0.1, theta_l=0.1)
-        out = find_fixed_point(params, CM_CM)
+        out = find_fixed_point(baseline.replace(**BLANK), CM_CM)
         assert not out.converged
         assert out.iterations == OracleConfig().max_iters
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [OracleConfig(), OracleConfig(damping=0.7), OracleConfig(max_iters=37),
+         OracleConfig(max_iters=501)],
+        ids=["default", "damping=0.7", "max_iters=37", "max_iters=501"],
+    )
+    def test_cycle_stop_matches_the_full_loop_bit_for_bit(self, baseline, cfg):
+        # the odd caps land the full loop on either phase of a 2- or 4-cycle
+        rng = np.random.default_rng(3)
+        points = [baseline, baseline.replace(**CYCLING), baseline.replace(**BLANK)]
+        points += [draw_valid_params(rng) for _ in range(10)]
+        capped = 0
+        for params in points:
+            for scen in SCENARIOS.values():
+                out = find_fixed_point(params, scen, cfg)
+                ref = _full_loop(params, scen, cfg)
+                assert (out.converged, out.iterations, out.classified_regime) == (
+                    ref.converged, ref.iterations, ref.classified_regime)
+                assert _hex(out.prices) == _hex(ref.prices)
+                capped += not ref.converged
+        if cfg.damping == 1.0:
+            assert capped  # cycling searches were among those compared
+
+    def test_cycling_search_stops_early_but_reports_the_cap(self, baseline, monkeypatch):
+        calls = 0
+        respond_r1 = bundlematch.oracle.BestResponses.respond_r1
+
+        def counted(self, pb2):
+            nonlocal calls
+            calls += 1
+            return respond_r1(self, pb2)
+
+        monkeypatch.setattr(bundlematch.oracle.BestResponses, "respond_r1", counted)
+        out = find_fixed_point(baseline.replace(**CYCLING), SCENARIOS["noCM,noCM"])
+        assert out.iterations == 500
+        assert out.converged is False
+        assert calls <= 50
 
     def test_damping_reaches_the_same_fixed_point(self, baseline):
         heavy = find_fixed_point(baseline, CM_CM, OracleConfig(damping=0.4))
