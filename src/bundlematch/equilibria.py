@@ -16,18 +16,23 @@ from one of three families, no bundle (T5a, T5b), a bundle matched down to
 pb2 (T1), or an unmatched bundle (T2, T3, T4).
 
 Each function returns the regime's unique stationary point together with the
-demands, profits, residuals, and a feasibility flag at market.FEASIBILITY_TOL;
-the condition-set report is built on first access.  Infeasible candidates
-(ordering violated, a demand negative) are returned with feasible=False
-rather than raised, so the selection layer can map non-existence regions.
+demands, profits and first-order residual, all read off one evaluation of
+its prices: the prices are checked finite once, their effective prices and
+demands resolved once, and both profits and both gradients taken from that
+point (profits.profits_at, gradient_r1_at, gradient_r2_at).  The
+feasibility flag at market.FEASIBILITY_TOL is decided on first access and
+cached, as is the condition-set report.  Infeasible candidates (ordering
+violated, a demand negative) are returned with feasible=False rather than
+raised, so the selection layer can map non-existence regions; parameters at
+which a closed form has a vanishing denominator or overflows raise
+DegenerateParamsError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .conditions import ConditionReport, check_condition_set
 from .market import (
@@ -40,16 +45,16 @@ from .market import (
     RegimeStructure,
     Scenario,
     demands,
-    effective_prices,
     structure,
 )
-from .profits import ProfitPair, profit_gradient_r1, profit_gradient_r2, profits
+from .profits import ProfitPair, gradient_r1_at, gradient_r2_at, profits_at
 
 FOC_RESIDUAL_TOL = 1e-8
 
 
 class DegenerateParamsError(ValueError):
-    """Parameters make a closed-form denominator vanish."""
+    """Parameters make a closed-form denominator vanish or a closed form
+    overflow."""
 
 
 # each candidate is evaluated in the subgame whose only PMGs are the ones
@@ -59,8 +64,9 @@ _SUBGAME = {tid: Scenario(s.bundling, s.r1_matched, s.r2_matched) for tid, s in 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """One closed-form candidate at one parameter point.  Its condition-set
-    report is built lazily, on first access, and cached."""
+    """One closed-form candidate at one parameter point.  Its feasibility is
+    decided and its condition-set report built lazily, on first access, and
+    both are cached."""
 
     prices: PriceVector
     demands: DemandProfile
@@ -74,7 +80,7 @@ class EquilibriumResult:
     def condition_report(self) -> ConditionReport:
         return check_condition_set(STRUCTURES[self.theorem_id].condition_set, self.params)
 
-    @property
+    @cached_property
     def feasible(self) -> bool:
         """Ordering of the presumed regime holds, all demands and prices are
         nonnegative, and the bundle is not priced above its parts, each
@@ -172,10 +178,25 @@ def _no_bundle_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVecto
     return PriceVector(skew + 0.5 * p.c1 + level, -skew + 0.5 * p.c2 + level, None, pb2)
 
 
+def _largest_magnitude(values: tuple[float, ...]) -> float:
+    """The largest |value|, or NaN when any value is NaN (Python's max keeps
+    a NaN only in first place), so a NaN gradient fails feasibility."""
+    largest = 0.0
+    for v in values:
+        a = abs(v)
+        if a > largest:
+            largest = a
+        elif a != a:
+            return a
+    return largest
+
+
 def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     """The stationary point of one regime structure, with its demands,
     profits and first-order residual: retailer 2's price from one formula,
-    retailer 1's from the family its structure picks."""
+    retailer 1's from the family its structure picks.  Demands, profits and
+    both gradients are read off one evaluation of the prices.  Raises
+    DegenerateParamsError when a price overflows or is NaN."""
     p, s = params, STRUCTURES[theorem_id]
     rival_level = _r2_level(p, s)
     pb2 = 0.5 * (rival_level + p.total_cost)
@@ -186,20 +207,21 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
         prices = _matched_bundle_prices(p, rival_level, pb2)
     else:
         prices = _unmatched_bundle_prices(p, strat_w, pb2)
-    scenario, regime = _SUBGAME[theorem_id], s.regime
-    eff = effective_prices(p, scenario, prices, regime)
-    d = demands(p, scenario, prices, eff)
-    pp = profits(p, scenario, prices, regime)
-    g1 = profit_gradient_r1(p, scenario, prices, regime)
-    g2 = profit_gradient_r2(p, scenario, prices, regime)
-    residual = max(float(np.max(np.abs(g1))), abs(g2))
+    if not all(map(math.isfinite, prices.present())):
+        raise DegenerateParamsError(
+            f"degenerate parameters: {theorem_id} closed form is not finite"
+        )
+    # one evaluation: the prices are well formed by construction and finite
+    eff = s.effective_prices(prices)
+    d = demands(p, _SUBGAME[theorem_id], prices, eff)
+    g1 = gradient_r1_at(p, s, prices, eff, d)
     return EquilibriumResult(
         prices=prices,
         demands=d,
-        profits=pp,
-        regime=regime,
+        profits=profits_at(p, s, prices, eff, d),
+        regime=s.regime,
         theorem_id=theorem_id,
-        foc_residual=residual,
+        foc_residual=_largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2))),
         params=p,
     )
 

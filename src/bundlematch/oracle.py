@@ -13,8 +13,9 @@ makes fixed points an independent cross-check of the closed forms.
 A BestResponses object holds one game, (params, scenario), and builds once
 what does not depend on the rival's price: retailer 2's stationary points
 on construction, retailer 1's plan table (Hessians, concavity checks, KKT
-matrices) on its first response.  find_fixed_point and find_fixed_points
-share one object across all rounds and starts.
+matrices stacked by system size) on its first response.  Each response of
+retailer 1 then makes one stacked solve per system size.  find_fixed_point
+and find_fixed_points share one object across all rounds and starts.
 
 A search stops at its first exactly repeated state, which starts a cycle
 that can never converge, and returns the outcome the full max_iters rounds
@@ -104,10 +105,14 @@ class BestResponses:
         self._stationary_r2 = tuple(stationary)
 
     @cached_property
-    def _plans_r1(self) -> tuple[tuple[RegimeStructure, ...], list[tuple]]:
-        """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie) and plans as
-        (side, regime, on_face, KKT matrix).  Raises SingularSystemError
-        unless both regimes' Hessians are negative definite."""
+    def _plans_r1(
+        self,
+    ) -> tuple[tuple[RegimeStructure, ...], list[tuple], dict[int, np.ndarray]]:
+        """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie), its plans as
+        (side, regime, on_face, size, row), and the plans' KKT matrices
+        stacked by system size: a plan's matrix is row `row` of the stack
+        of `size`.  Raises SingularSystemError unless both regimes'
+        Hessians are negative definite."""
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
         high = structure(scenario, Regime.R1_HIGH)
@@ -126,32 +131,43 @@ class BestResponses:
         sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
         # each side again on the bundle-discount face p1 + p2 = pb1
         faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
-        plans = [
-            (side, regime, bool(face), _kkt_matrix(hessians[side], constraints + face))
-            for face in faces
-            for side, regime, constraints in sides
-        ]
-        return structures, plans
+        plans, by_size = [], {}
+        for face in faces:
+            for side, regime, constraints in sides:
+                matrix = _kkt_matrix(hessians[side], constraints + face)
+                group = by_size.setdefault(len(matrix), [])
+                plans.append((side, regime, bool(face), len(matrix), len(group)))
+                group.append(matrix)
+        return structures, plans, {n: np.stack(group) for n, group in by_size.items()}
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
         """Retailer 1's best response to pb2: each plan's first-order system
-        solved exactly, the candidate with the highest realized profit kept,
-        then components clamped at zero."""
+        solved exactly, in one stacked solve per system size, the candidate
+        with the highest realized profit kept, then components clamped at
+        zero."""
         if not np.isfinite(pb2):
             raise ValueError("pb2 must be finite")
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
-        structures, plans = self._plans_r1
-        rhs = [-linear_term_r1(params, scenario, s, pb2) for s in structures]
-        best: tuple[float, np.ndarray] | None = None
-        for side, regime, on_face, matrix in plans:
+        structures, plans, stacks = self._plans_r1
+        rhs = [(-linear_term_r1(params, scenario, s, pb2)).tolist() for s in structures]
+        columns: dict[int, list[list[float]]] = {n: [] for n in stacks}
+        for side, regime, on_face, size, _ in plans:
             # the constraints' right-hand sides: pb2 on the kink, 0 on the face
             tail = ([pb2] if regime is None else []) + ([0.0] if on_face else [])
-            b = np.concatenate((rhs[side], tail)) if tail else rhs[side]
-            try:
-                x = np.linalg.solve(matrix, b)[: len(rhs[side])]
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(str(exc)) from exc
+            columns[size].append(rhs[side] + tail)
+        try:
+            # (k, n, 1) right-hand sides mean one column per system under
+            # numpy 1.x and 2.x alike
+            solved = {
+                n: np.linalg.solve(stacks[n], np.array(b)[:, :, None])[:, :, 0].tolist()
+                for n, b in columns.items()
+            }
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        best: tuple[float, list[float]] | None = None
+        for side, regime, on_face, size, row in plans:
+            x = solved[size][row][: len(rhs[side])]
             if regime is None and bundled:
                 x[2] = pb2  # snap exactly onto the kink
             prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)

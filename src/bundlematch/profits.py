@@ -6,6 +6,13 @@ segment pays which price, and retailer 1's share of strategic demand, come
 from the regime structure (market.structure) of the subgame and the price
 ordering; exact posted-price ties follow the R1_HIGH convention.
 
+Each formula is written once, as a function of an evaluated point: a
+structure, posted prices, their effective prices and the demands there
+(profits_at, gradient_r1_at, gradient_r2_at).  profits and the
+profit_gradient_* functions validate and evaluate the prices and then read
+off that point; a caller holding an evaluated point, such as a closed-form
+candidate, reads both profits and both gradients from it directly.
+
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients below are affine and match the regime's
 first-order-condition system term by term, and the Hessians are constant
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import (
+    DemandProfile,
+    EffectivePrices,
     MarketParams,
     PriceVector,
     Regime,
@@ -49,6 +58,99 @@ class ProfitPair:
         return self.pi_r1 + self.pi_r2
 
 
+def profits_at(
+    params: MarketParams,
+    s: RegimeStructure,
+    prices: PriceVector,
+    eff: EffectivePrices,
+    d: DemandProfile,
+) -> ProfitPair:
+    """Both retailers' profits at an evaluated point: posted prices, their
+    effective prices eff and demands d under structure s."""
+    p = params
+    share = s.strategic_share(p.alpha)
+    c = p.total_cost
+    m1 = prices.p1 - p.c1
+    m2 = prices.p2 - p.c2
+    strategic = (eff.hat_pb - c) * d.d_s
+    if s.bundling == 1:
+        pi_r1 = (
+            m1 * d.d_l_i1
+            + m2 * d.d_l_i2
+            + (prices.pb1 - c) * d.d_l_ib
+            + (eff.tilde_pb1 - c) * d.d_q_ib
+            + share * strategic
+        )
+    else:
+        joint = prices.p1 + prices.p2 - c
+        pi_r1 = m1 * d.d_l_i1 + m2 * d.d_l_i2 + joint * (d.d_l_ib + d.d_q_ib) + share * strategic
+    pi_r2 = (prices.pb2 - c) * d.d_l_jb + (eff.tilde_pb2 - c) * d.d_q_jb + (1.0 - share) * strategic
+    return ProfitPair(pi_r1=pi_r1, pi_r2=pi_r2)
+
+
+def gradient_r1_at(
+    params: MarketParams,
+    s: RegimeStructure,
+    prices: PriceVector,
+    eff: EffectivePrices,
+    d: DemandProfile,
+) -> tuple[float, ...]:
+    """d pi_r1 / d(p1, p2, pb1) under B=1, d pi_r1 / d(p1, p2) under B=0, at
+    an evaluated point (see profits_at).
+
+    When retailer 1 is matched its loyal price-aware segment pays pb2, so
+    that term's margin does not vary with pb1.
+    """
+    p = params
+    w, _ = s.own_strategic_weights(p.alpha)
+    c = p.total_cost
+    m1 = prices.p1 - p.c1
+    m2 = prices.p2 - p.c2
+    if s.bundling == 0:
+        ms = prices.p1 + prices.p2 - c
+        joint = d.d_l_ib + d.d_q_ib - 2.0 * ms * p.b_l
+        if w > 0.0:
+            joint += w * (d.d_s - ms * p.b_s)
+        g1 = d.d_l_i1 - m1 * p.b_l - m2 * p.b_l * p.theta_l + joint
+        g2 = d.d_l_i2 - m1 * p.b_l * p.theta_l - m2 * p.b_l + joint
+        return (g1, g2)
+    mb = prices.pb1 - c
+    mt = eff.tilde_pb1 - c
+    g1 = d.d_l_i1 - m1 * p.t1 - m2 * p.t2 + mb * p.lambda_l + mt * p.lambda_l
+    g2 = d.d_l_i2 - m1 * p.t2 - m2 * p.t1 + mb * p.lambda_l + mt * p.lambda_l
+    g3 = (m1 + m2) * p.lambda_l + d.d_l_ib - mb * p.t1
+    if not s.r1_matched:
+        g3 += d.d_q_ib - mb * p.t1
+    if w > 0.0:
+        g3 += w * (d.d_s - mb * p.b_s)
+    return (g1, g2, g3)
+
+
+def gradient_r2_at(params: MarketParams, s: RegimeStructure, pb2: float) -> float:
+    """d pi_r2 / d pb2 under structure s: loyal price-unaware demand always,
+    loyal price-aware demand unless matched down to retailer 1's price, and
+    strategic demand when it buys at pb2.  Retailer 1's prices do not enter."""
+    p = params
+    c = p.total_cost
+    _, w = s.own_strategic_weights(p.alpha)
+    g = (p.a_l_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
+    if not s.r2_matched:
+        g += (p.a_q_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
+    if w > 0.0:
+        g += w * ((p.a_s - p.b_s * pb2) - (pb2 - c) * p.b_s)
+    return g
+
+
+def _evaluate(
+    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime | None
+) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
+    """Validate the prices and evaluate them once: the structure of the
+    presumed regime (or, with regime=None, of the regime the prices lie in),
+    the effective prices and the demands."""
+    eff = effective_prices(params, scenario, prices, regime)
+    return structure(scenario, eff.regime), eff, demands(params, scenario, prices, eff)
+
+
 def profits(
     params: MarketParams,
     scenario: Scenario,
@@ -62,27 +164,8 @@ def profits(
     including at regime kinks.  A presumed regime evaluates the branch a
     closed-form candidate was derived in, whatever ordering the prices satisfy.
     """
-    p = params
-    eff = effective_prices(params, scenario, prices, regime)
-    share = structure(scenario, eff.regime).strategic_share(p.alpha)
-    d = demands(params, scenario, prices, eff)
-    c = p.total_cost
-    m1 = prices.p1 - p.c1
-    m2 = prices.p2 - p.c2
-    strategic = (eff.hat_pb - c) * d.d_s
-    if scenario.bundling == 1:
-        pi_r1 = (
-            m1 * d.d_l_i1
-            + m2 * d.d_l_i2
-            + (prices.pb1 - c) * d.d_l_ib
-            + (eff.tilde_pb1 - c) * d.d_q_ib
-            + share * strategic
-        )
-    else:
-        s = prices.p1 + prices.p2
-        pi_r1 = m1 * d.d_l_i1 + m2 * d.d_l_i2 + (s - c) * (d.d_l_ib + d.d_q_ib) + share * strategic
-    pi_r2 = (prices.pb2 - c) * d.d_l_jb + (eff.tilde_pb2 - c) * d.d_q_jb + (1.0 - share) * strategic
-    return ProfitPair(pi_r1=pi_r1, pi_r2=pi_r2)
+    s, eff, d = _evaluate(params, scenario, prices, regime)
+    return profits_at(params, s, prices, eff, d)
 
 
 # ---------------------------------------------------------------------------
@@ -90,63 +173,12 @@ def profits(
 # ---------------------------------------------------------------------------
 
 
-def _gradient_r1(
-    params: MarketParams, scenario: Scenario, s: RegimeStructure, prices: PriceVector
-) -> np.ndarray:
-    """d pi_r1 / d(p1, p2, pb1) under B=1, d pi_r1 / d(p1, p2) under B=0.
-
-    When retailer 1 is matched its loyal price-aware segment pays pb2, so
-    that term's margin does not vary with pb1.
-    """
-    p = params
-    eff = s.effective_prices(prices)
-    d = demands(params, scenario, prices, eff)
-    w, _ = s.own_strategic_weights(p.alpha)
-    c = p.total_cost
-    m1 = prices.p1 - p.c1
-    m2 = prices.p2 - p.c2
-    if s.bundling == 0:
-        ms = prices.p1 + prices.p2 - c
-        joint = d.d_l_ib + d.d_q_ib - 2.0 * ms * p.b_l
-        if w > 0.0:
-            joint += w * (d.d_s - ms * p.b_s)
-        g1 = d.d_l_i1 - m1 * p.b_l - m2 * p.b_l * p.theta_l + joint
-        g2 = d.d_l_i2 - m1 * p.b_l * p.theta_l - m2 * p.b_l + joint
-        return np.array([g1, g2])
-    mb = prices.pb1 - c
-    mt = eff.tilde_pb1 - c
-    g1 = d.d_l_i1 - m1 * p.t1 - m2 * p.t2 + mb * p.lambda_l + mt * p.lambda_l
-    g2 = d.d_l_i2 - m1 * p.t2 - m2 * p.t1 + mb * p.lambda_l + mt * p.lambda_l
-    g3 = (m1 + m2) * p.lambda_l + d.d_l_ib - mb * p.t1
-    if not s.r1_matched:
-        g3 += d.d_q_ib - mb * p.t1
-    if w > 0.0:
-        g3 += w * (d.d_s - mb * p.b_s)
-    return np.array([g1, g2, g3])
-
-
-def _gradient_r2(params: MarketParams, s: RegimeStructure, pb2: float) -> float:
-    """d pi_r2 / d pb2: loyal price-unaware demand always, loyal price-aware
-    demand unless matched down to retailer 1's price, and strategic demand
-    when it buys at pb2."""
-    p = params
-    c = p.total_cost
-    _, w = s.own_strategic_weights(p.alpha)
-    g = (p.a_l_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
-    if not s.r2_matched:
-        g += (p.a_q_jb - p.b_l * pb2) - (pb2 - c) * p.b_l
-    if w > 0.0:
-        g += w * ((p.a_s - p.b_s * pb2) - (pb2 - c) * p.b_s)
-    return g
-
-
-def _gradient_structure(
+def _gradient_point(
     params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime | None
-) -> RegimeStructure:
-    """A presumed regime's structure, or with regime=None the structure of
-    the regime the prices lie in; that one is ambiguous exactly at the kink.
-    The prices are validated either way."""
-    resolved = effective_prices(params, scenario, prices, regime).regime
+) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
+    """The evaluated point a gradient is read at; with regime=None it is
+    ambiguous exactly at the kink."""
+    point = _evaluate(params, scenario, prices, regime)
     if regime is None:
         r1_eq = prices.r1_bundle_equivalent()
         if r1_eq == prices.pb2:
@@ -154,7 +186,7 @@ def _gradient_structure(
                 "gradient is ambiguous exactly at the regime kink "
                 f"(bundle-equivalent price {r1_eq} equals pb2)"
             )
-    return structure(scenario, resolved)
+    return point
 
 
 def profit_gradient_r1(
@@ -169,8 +201,8 @@ def profit_gradient_r1(
     With regime=None, raises AmbiguousKinkError exactly at the regime
     boundary, where the two one-sided systems disagree.
     """
-    s = _gradient_structure(params, scenario, prices, regime)
-    return _gradient_r1(params, scenario, s, prices)
+    s, eff, d = _gradient_point(params, scenario, prices, regime)
+    return np.array(gradient_r1_at(params, s, prices, eff, d))
 
 
 def profit_gradient_r2(
@@ -181,8 +213,8 @@ def profit_gradient_r2(
 ) -> float:
     """Analytic derivative of retailer 2's profit w.r.t. pb2 (see
     profit_gradient_r1 for the regime and kink behavior)."""
-    s = _gradient_structure(params, scenario, prices, regime)
-    return _gradient_r2(params, s, prices.pb2)
+    s, _, _ = _gradient_point(params, scenario, prices, regime)
+    return gradient_r2_at(params, s, prices.pb2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +302,8 @@ def linear_term_r1(
     """Gradient of retailer 1's profit in structure s at zero own prices
     against a fixed pb2: the only part of its quadratic that moves with pb2."""
     zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
-    return _gradient_r1(params, scenario, s, zero)
+    eff = s.effective_prices(zero)
+    return np.array(gradient_r1_at(params, s, zero, eff, demands(params, scenario, zero, eff)))
 
 
 def quadratic_r1(
@@ -285,4 +318,4 @@ def quadratic_r1(
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:
     """Retailer 2's profit in structure s as (h, g0) in pb2; retailer 1's
     prices enter only its constant terms."""
-    return _hessian_r2(params, s), _gradient_r2(params, s, 0.0)
+    return _hessian_r2(params, s), gradient_r2_at(params, s, 0.0)

@@ -274,3 +274,34 @@ class TestOracleCrossValidation:
                 eq = fn(params)
                 assert getattr(eq.demands, field) <= 1e-9
                 assert not eq.feasible
+
+
+class TestItemSwap:
+    def test_swapping_the_items_swaps_item_prices_and_demands(self):
+        """Items 1 and 2 enter the model symmetrically, so exchanging their
+        demand bases and costs exchanges every candidate's item prices and
+        item demands and leaves its bundle prices and profits unchanged."""
+
+        def close(x, y):
+            return abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            params = draw_valid_params(rng)
+            swapped = params.replace(
+                a_l_i1=params.a_l_i2, a_l_i2=params.a_l_i1, c1=params.c2, c2=params.c1
+            )
+            for tid, theorem in EQ.items():
+                a, b = theorem(params), theorem(swapped)
+                pairs = [
+                    (a.prices.p1, b.prices.p2),
+                    (a.prices.p2, b.prices.p1),
+                    (a.prices.pb2, b.prices.pb2),
+                    (a.demands.d_l_i1, b.demands.d_l_i2),
+                    (a.demands.d_l_i2, b.demands.d_l_i1),
+                    (a.profits.pi_r1, b.profits.pi_r1),
+                    (a.profits.pi_r2, b.profits.pi_r2),
+                ]
+                if a.prices.pb1 is not None:
+                    pairs.append((a.prices.pb1, b.prices.pb1))
+                assert all(close(x, y) for x, y in pairs), (tid, pairs)

@@ -101,7 +101,35 @@ def count_quadratics(monkeypatch):
     return calls
 
 
+# retailer 1's responses at the baseline as float.hex, pinned so that any
+# change in how the plans are solved shows up to the last bit
+RESPONSES_R1 = {
+    ("CM,CM", 60.0): ("0x1.5c7c1f07c1f08p+6", "0x1.5c7c1f07c1f08p+6", "0x1.2fa2e8ba2e8bap+7"),
+    ("CM,CM", 135.0): ("0x1.8c364d9364d93p+6", "0x1.8c364d9364d94p+6", "0x1.441745d1745d2p+7"),
+    ("CM,CM", 210.0): ("0x1.772e77f93dad4p+6", "0x1.772e77f93dad4p+6", "0x1.160511be1958cp+7"),
+    ("CM,noCM", 60.0): ("0x1.5c7c1f07c1f08p+6", "0x1.5c7c1f07c1f08p+6", "0x1.2fa2e8ba2e8bap+7"),
+    ("CM,noCM", 135.0): ("0x1.8c364d9364d93p+6", "0x1.8c364d9364d94p+6", "0x1.441745d1745d2p+7"),
+    ("CM,noCM", 210.0): ("0x1.765be5be5be5bp+6", "0x1.765be5be5be5dp+6", "0x1.14ec4ec4ec4edp+7"),
+    ("noCM,CM", 60.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
+    ("noCM,CM", 135.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
+    ("noCM,CM", 210.0): ("0x1.772e77f93dad4p+6", "0x1.772e77f93dad4p+6", "0x1.160511be1958cp+7"),
+    ("noCM,noCM", 60.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
+    ("noCM,noCM", 135.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
+    ("noCM,noCM", 210.0): ("0x1.765be5be5be5bp+6", "0x1.765be5be5be5dp+6", "0x1.14ec4ec4ec4edp+7"),
+    ("NoBundle", 60.0): ("0x1.24ba2e8ba2e8bp+6", "0x1.24ba2e8ba2e8bp+6", None),
+    ("NoBundle", 135.0): ("0x1.24ba2e8ba2e8bp+6", "0x1.24ba2e8ba2e8bp+6", None),
+    ("NoBundle", 210.0): ("0x1.1eaaaaaaaaaadp+6", "0x1.1eaaaaaaaaaa8p+6", None),
+}
+
+
 class TestBestResponses:
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_r1_responses_are_pinned_to_the_bit(self, baseline, label):
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        for pb2 in (60.0, 135.0, 210.0):
+            got = responses.respond_r1(pb2)
+            assert tuple(None if v is None else v.hex() for v in got) == RESPONSES_R1[label, pb2]
+
     def test_r1_reproduces_closed_form_under_set_a(self):
         rng = np.random.default_rng(15)
         for _ in range(5):

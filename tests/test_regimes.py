@@ -9,10 +9,12 @@ import pytest
 import bundlematch
 from bundlematch import (
     AmbiguousKinkError,
+    MarketParams,
     PriceVector,
     Regime,
     Scenario,
     candidate_theorems,
+    demands,
     effective_prices,
     profit_gradient_r1,
     profit_gradient_r2,
@@ -21,6 +23,7 @@ from bundlematch import (
     quadratic_r2,
     structure,
 )
+from bundlematch.equilibria import THEOREMS
 from bundlematch.market import STRUCTURES
 
 from conftest import draw_valid_params
@@ -122,6 +125,26 @@ class TestPresumedRegime:
                 profit_gradient_r2(params, scen, prices)
             # a presumed regime has a gradient on the kink too
             profit_gradient_r1(params, scen, prices, Regime.R1_LOW)
+
+
+class TestOneEvaluation:
+    def test_candidates_equal_the_public_functions(self):
+        # a candidate reads demands, profits and both gradients off one
+        # evaluation of its prices; each must equal the public function
+        # evaluated afresh, bit for bit
+        rng = np.random.default_rng(17)
+        points = [MarketParams.baseline()] + [draw_valid_params(rng) for _ in range(50)]
+        for params in points:
+            for scen in ALL_SCENARIOS:
+                for tid in candidate_theorems(scen):
+                    r = THEOREMS[tid](params)
+                    prices, regime = r.prices, r.regime
+                    eff = effective_prices(params, scen, prices, regime)
+                    assert r.demands == demands(params, scen, prices, eff)
+                    assert r.profits == profits(params, scen, prices, regime)
+                    g1 = profit_gradient_r1(params, scen, prices, regime)
+                    g2 = profit_gradient_r2(params, scen, prices, regime)
+                    assert r.foc_residual == max(float(np.max(np.abs(g1))), abs(g2))
 
 
 class TestQuadratics:

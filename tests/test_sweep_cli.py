@@ -255,6 +255,25 @@ class TestCli:
         if command == "sweep":
             assert "panel 'base' at lambda_l=0.05, theta_l=0.99999999999999" in err
 
+    @pytest.mark.parametrize("command", ["solve", "table", "verify", "sweep"])
+    def test_overflowing_closed_form_exits_1(self, tmp_path, capsys, command):
+        # a_s = 1e308 is admissible, but retailer 2's price level overflows
+        path = tmp_path / "m.cfg"
+        if command == "sweep":
+            path.write_text(SWEEP_SPEC + "a_s = 1e308\n")
+            argv = ["sweep", "--config", str(path), "--out", str(tmp_path)]
+        else:
+            path.write_text("a_s = 1e308\n")
+            argv = [command, "--config", str(path)]
+            if command == "table":
+                argv += ["--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "degenerate parameters: T4 closed form is not finite" in err
+        if command == "sweep":
+            assert "panel 'base' at lambda_l=0.05, theta_l=0.2" in err
+
     @pytest.mark.parametrize("command", ["table", "sweep"])
     def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
         out = tmp_path / "taken"
