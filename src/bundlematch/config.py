@@ -124,14 +124,14 @@ def _build_axis(
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Read a sweep spec: [axis1] and [axis2] (name/min/max/steps), optional
-    [fixed] overrides, and any number of [panel <label>] override sections.
-    A panel with no entries is a panel with no overrides; any other section
-    is an error at its header line."""
+    [fixed] overrides, and any number of [panel] (labelled panelN) and
+    [panel <label>] override sections.  A panel with no entries is a panel
+    with no overrides; any other section is an error at its header line."""
     headers, entries = _parse_lines(path)
     # every section, empty or not, in file order
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     for section, line_no in headers.items():
-        if section not in ("axis1", "axis2", "fixed") and not section.startswith("panel"):
+        if section not in ("axis1", "axis2", "fixed") and section.split()[0] != "panel":
             raise ConfigError(path, line_no, f"unknown section [{section}] in sweep spec")
         sections[section] = {}
     for section, key, value, line_no in entries:
@@ -163,7 +163,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     fixed = param_overrides("fixed") if "fixed" in sections else {}
     panels: dict[str, Panel] = {}
     for section in sections:
-        if section.startswith("panel"):
+        if section.split()[0] == "panel":
             label = (section[len("panel") :].strip() or f"panel{len(panels) + 1}").replace(" ", "_")
             if any(sep in label for sep in "/\\\0"):
                 # the label names the panel's output file, sweep_<label>.csv

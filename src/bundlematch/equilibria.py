@@ -17,15 +17,15 @@ pb2 (T1), or an unmatched bundle (T2, T3, T4).
 
 Each function returns the regime's unique stationary point together with the
 demands, profits and first-order residual, all read off one evaluation of
-its prices: the prices are checked finite once, their effective prices and
-demands resolved once, and both profits and both gradients taken from that
-point (profits.profits_at, gradient_r1_at, gradient_r2_at).  The
-feasibility flag at market.FEASIBILITY_TOL is decided on first access and
-cached, as is the condition-set report.  Infeasible candidates (ordering
-violated, a demand negative) are returned with feasible=False rather than
-raised, so the selection layer can map non-existence regions; parameters at
-which a closed form has a vanishing denominator or overflows raise
-DegenerateParamsError.
+its prices under its structure alone: the prices are checked finite once,
+their effective prices and demands resolved once, and both profits and both
+gradients taken from that point (profits.profits_at, gradient_r1_at,
+gradient_r2_at).  The feasibility flag at market.FEASIBILITY_TOL is decided
+on first access and cached, as is the condition-set report.  Infeasible
+candidates (ordering violated, a demand negative) are returned with
+feasible=False rather than raised, so the selection layer can map
+non-existence regions; parameters at which a closed form has a vanishing
+denominator or overflows raise DegenerateParamsError.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ FOC_RESIDUAL_TOL = 1e-8
 class DegenerateParamsError(ValueError):
     """Parameters make a closed-form denominator vanish or a closed form
     overflow."""
-
-
-# each candidate is evaluated in the subgame whose only PMGs are the ones
-# acting in its regime; every subgame with that structure gives the same result
-_SUBGAME = {tid: Scenario(s.bundling, s.r1_matched, s.r2_matched) for tid, s in STRUCTURES.items()}
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
         )
     # one evaluation: the prices are well formed by construction and finite
     eff = s.effective_prices(prices)
-    d = demands(p, _SUBGAME[theorem_id], prices, eff)
+    d = demands(p, prices, eff)
     g1 = gradient_r1_at(p, s, prices, eff, d)
     return EquilibriumResult(
         prices=prices,

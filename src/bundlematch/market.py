@@ -10,8 +10,9 @@ the price-aware segments before demands are evaluated.
 Which segment pays which price, and retailer 1's share of strategic demand,
 is fixed per price-ordering regime of a subgame.  The six possibilities are
 the regime structures in STRUCTURES, one per closed-form candidate T1-T5b;
-structure(scenario, regime) looks a subgame's up, and every other module
-derives prices, profits and derivatives from it.
+structure(scenario, regime) looks a subgame's up, kink_structure(scenario)
+its row for a retailer-1 price exactly on the kink, and every other module
+derives prices, profits and derivatives from them.
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ class PriceVector:
             return (self.p1, self.p2, self.pb2)
         return (self.p1, self.p2, self.pb1, self.pb2)
 
+    @classmethod
+    def from_present(cls, values: tuple[float, ...] | list[float]) -> "PriceVector":
+        """The inverse of present()."""
+        return cls(*values) if len(values) == 4 else cls(values[0], values[1], None, values[2])
+
     def sup_distance(self, other: "PriceVector") -> float:
         a, b = self.present(), other.present()
         if len(a) != len(b):
@@ -272,7 +278,9 @@ _HIGH, _LOW = Regime.R1_HIGH, Regime.R1_LOW
 # takes the whole strategic segment.  An exact tie is R1_HIGH and takes its
 # split: splitting alpha at ties retailer 1 reaches only by posting (not
 # matching) would create kinks where retailer 2's best response fails to
-# exist (it would undercut rather than concede its strategic sales).
+# exist (it would undercut rather than concede its strategic sales).  A
+# retailer-1 price exactly on the kink (r1's price = pb2) is unmatched and
+# keeps R1_HIGH's strategic share, which buys at r1's price (_KINK_TABLE).
 STRUCTURES: dict[str, RegimeStructure] = {
     s.theorem_id: s
     for s in (
@@ -294,12 +302,25 @@ _TABLE: dict[tuple[int, bool, bool, bool], RegimeStructure] = {
     **{(1, r1, r2, True): STRUCTURES["T1" if r1 else "T2"] for r1 in _BOTH for r2 in _BOTH},
     **{(1, r1, r2, False): STRUCTURES["T3" if r2 else "T4"] for r1 in _BOTH for r2 in _BOTH},
 }
+# keyed by (bundling, pmg_r1, pmg_r2)
+_KINK_TABLE: dict[tuple[int, bool, bool], RegimeStructure] = {
+    key[:3]: dataclasses.replace(s, r1_matched=False, strategic_at_r1=True)
+    for key, s in _TABLE.items() if key[3]
+}
 
 
 def structure(scenario: Scenario, regime: Regime) -> RegimeStructure:
     """The regime structure of a subgame: the one place the PMG flags meet a
     price ordering."""
     return _TABLE[scenario.bundling, scenario.pmg_r1, scenario.pmg_r2, regime is Regime.R1_HIGH]
+
+
+def kink_structure(scenario: Scenario) -> RegimeStructure:
+    """A subgame's structure on the kink, where retailer 1's bundle-equivalent
+    price equals pb2: its R1_HIGH row with retailer 1 unmatched and strategic
+    buyers paying its price.  The theorem_id and condition_set are the R1_HIGH
+    row's; nothing reads them."""
+    return _KINK_TABLE[scenario.bundling, scenario.pmg_r1, scenario.pmg_r2]
 
 
 @dataclass(frozen=True)
@@ -345,10 +366,7 @@ def _validate_prices(scenario: Scenario, prices: PriceVector) -> None:
 
 
 def effective_prices(
-    params: MarketParams,
-    scenario: Scenario,
-    prices: PriceVector,
-    regime: Regime | None = None,
+    scenario: Scenario, prices: PriceVector, regime: Regime | None = None
 ) -> EffectivePrices:
     """Resolve PMGs into the effective bundle prices faced by price-aware
     customers.
@@ -370,21 +388,17 @@ def effective_prices(
     return structure(scenario, regime).effective_prices(prices)
 
 
-def demands(
-    params: MarketParams,
-    scenario: Scenario,
-    prices: PriceVector,
-    eff: EffectivePrices,
-) -> DemandProfile:
+def demands(params: MarketParams, prices: PriceVector, eff: EffectivePrices) -> DemandProfile:
     """Evaluate all seven segment demands at a price vector.
 
-    `eff` must have been computed from the same scenario and prices (or from a
-    presumed regime of them).  Demands are affine in prices; negative values
-    are returned as-is.
+    `eff` must have been computed from the same prices (or from a presumed
+    regime of them).  Whether a bundle is posted is read off prices.pb1,
+    which every public entry ties to the scenario.  Demands are affine in
+    prices; negative values are returned as-is.
     """
     p = params
     p1, p2, pb2 = prices.p1, prices.p2, prices.pb2
-    if scenario.bundling == 1:
+    if prices.pb1 is not None:
         pb1 = prices.pb1
         gap = p.lambda_l * (pb1 - p1 - p2)
         d_l_i1 = p.a_l_i1 - p.b_l * p1 - p.b_l * p.theta_l * p2 + gap

@@ -4,9 +4,9 @@ Within each price-ordering regime a retailer's profit is an exact concave
 quadratic, so best responses are computed by solving the regime's linear
 first-order system and keeping the candidate with the highest actual
 profit.  Retailer 1's candidates come from one plan table for both bundling
-values: the high and low regimes and the kink tie, each again on the
-bundle-discount face when it bundles.  Nash candidates are then found by
-damped alternating best response.
+values: the high and low regimes and the kink tie (market.kink_structure),
+each again on the bundle-discount face when it bundles.  Nash candidates are
+then found by damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
@@ -27,7 +27,6 @@ where no pure-strategy equilibrium exists.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +39,7 @@ from .market import (
     RegimeStructure,
     Scenario,
     effective_prices,
+    kink_structure,
     structure,
 )
 from .profits import linear_term_r1, profits, quadratic_r1, quadratic_r2
@@ -115,13 +115,9 @@ class BestResponses:
         Hessians are negative definite."""
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
-        high = structure(scenario, Regime.R1_HIGH)
-        # on the kink retailer 1 is not matched, keeps R1_HIGH's strategic share,
-        # and that share buys at r1's price (= pb2)
-        tie = dataclasses.replace(high, r1_matched=False, strategic_at_r1=True)
-        structures = (high, structure(scenario, Regime.R1_LOW), tie)
+        structures = (*(structure(scenario, regime) for regime in Regime), kink_structure(scenario))
         # the Hessians do not depend on pb2
-        hessians = [quadratic_r1(params, scenario, s, 0.0)[0] for s in structures]
+        hessians = [quadratic_r1(params, s, 0.0)[0] for s in structures]
         for regime, h in zip(Regime, hessians[:2]):
             if not np.all(np.linalg.eigvalsh(h) < 0.0):
                 raise SingularSystemError(
@@ -150,7 +146,7 @@ class BestResponses:
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
         structures, plans, stacks = self._plans_r1
-        rhs = [(-linear_term_r1(params, scenario, s, pb2)).tolist() for s in structures]
+        rhs = [(-linear_term_r1(params, s, pb2)).tolist() for s in structures]
         columns: dict[int, list[list[float]]] = {n: [] for n in stacks}
         for side, regime, on_face, size, _ in plans:
             # the constraints' right-hand sides: pb2 on the kink, 0 on the face
@@ -170,7 +166,7 @@ class BestResponses:
             x = solved[size][row][: len(rhs[side])]
             if regime is None and bundled:
                 x[2] = pb2  # snap exactly onto the kink
-            prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
+            prices = PriceVector.from_present((*x, pb2))
             if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
                 continue
             if not prices.bundle_within_parts():
@@ -258,20 +254,14 @@ def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> 
         if star.sup_distance(x) < cfg.tol_fp:
             converged = True
             break
-        pb1_next = None
-        if responses.scenario.bundling == 1:
-            pb1_next = (1.0 - delta) * x.pb1 + delta * star.pb1
-        x = PriceVector(
-            (1.0 - delta) * x.p1 + delta * star.p1,
-            (1.0 - delta) * x.p2 + delta * star.p2,
-            pb1_next,
-            (1.0 - delta) * x.pb2 + delta * star.pb2,
+        x = PriceVector.from_present(
+            [(1.0 - delta) * a + delta * b for a, b in zip(x.present(), star.present())]
         )
     return OracleOutcome(
         converged=converged,
         prices=x,
         iterations=iteration if converged else cfg.max_iters,
-        classified_regime=effective_prices(responses.params, responses.scenario, x).regime,
+        classified_regime=effective_prices(responses.scenario, x).regime,
     )
 
 

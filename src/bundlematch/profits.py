@@ -17,7 +17,8 @@ Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients below are affine and match the regime's
 first-order-condition system term by term, and the Hessians are constant
 matrices with closed-form eigenvalues, negative definite whenever
-b_l >= lambda_l and theta_l in (0, 1).
+b_l >= lambda_l and theta_l in (0, 1).  The quadratics (quadratic_r1,
+quadratic_r2) take a structure and no scenario.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def _evaluate(
     """Validate the prices and evaluate them once: the structure of the
     presumed regime (or, with regime=None, of the regime the prices lie in),
     the effective prices and the demands."""
-    eff = effective_prices(params, scenario, prices, regime)
-    return structure(scenario, eff.regime), eff, demands(params, scenario, prices, eff)
+    eff = effective_prices(scenario, prices, regime)
+    return structure(scenario, eff.regime), eff, demands(params, prices, eff)
 
 
 def profits(
@@ -296,23 +297,21 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     return _report(np.array([[value]]), np.array([value]), params)
 
 
-def linear_term_r1(
-    params: MarketParams, scenario: Scenario, s: RegimeStructure, pb2: float
-) -> np.ndarray:
+def linear_term_r1(params: MarketParams, s: RegimeStructure, pb2: float) -> np.ndarray:
     """Gradient of retailer 1's profit in structure s at zero own prices
     against a fixed pb2: the only part of its quadratic that moves with pb2."""
     zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
     eff = s.effective_prices(zero)
-    return np.array(gradient_r1_at(params, s, zero, eff, demands(params, scenario, zero, eff)))
+    return np.array(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))
 
 
 def quadratic_r1(
-    params: MarketParams, scenario: Scenario, s: RegimeStructure, pb2: float
+    params: MarketParams, s: RegimeStructure, pb2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retailer 1's profit in structure s against a fixed pb2 as (H, g0):
     the constant Hessian and the gradient at zero own prices.  The gradient
     is H x + g0, so the pair pins the first-order system completely."""
-    return _hessian_r1(params, s)[0], linear_term_r1(params, scenario, s, pb2)
+    return _hessian_r1(params, s)[0], linear_term_r1(params, s, pb2)
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bundlematch import MarketParams, check_condition_set
+import bundlematch.policy
+from bundlematch import MarketParams, OracleOutcome, PriceVector, check_condition_set, eq_T1
 from bundlematch.market import InvalidParameterError
 
 GOLDEN_TABLE = {
@@ -28,6 +29,21 @@ GOLDEN_TABLE = {
 @pytest.fixture
 def baseline() -> MarketParams:
     return MarketParams.baseline()
+
+
+@pytest.fixture
+def fixed_oracle(monkeypatch):
+    """Installs a fixed outcome for every oracle check: the baseline CM,CM
+    equilibrium (T1) with each price times `scale`, converged after 12
+    iterations or not converged after 500."""
+
+    def install(converged: bool, scale: float = 1.0) -> None:
+        t1 = eq_T1(MarketParams.baseline())
+        prices = PriceVector.from_present(tuple(scale * v for v in t1.prices.present()))
+        outcome = OracleOutcome(converged, prices, 12 if converged else 500, t1.regime)
+        monkeypatch.setattr(bundlematch.policy, "find_fixed_point", lambda *args: outcome)
+
+    return install
 
 
 def _spread_pair(rng: np.random.Generator, total: float, spread: float = 0.1) -> tuple[float, float]:

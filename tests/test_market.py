@@ -23,43 +23,43 @@ NO_BUNDLE = Scenario.no_bundle()
 
 class TestEffectivePrices:
     def test_both_pmgs_high_regime(self, baseline):
-        eff = effective_prices(baseline, CM_CM, PriceVector(99.05, 99.05, 162.05, 135.0))
+        eff = effective_prices(CM_CM, PriceVector(99.05, 99.05, 162.05, 135.0))
         assert eff.tilde_pb1 == 135.0
         assert eff.tilde_pb2 == 135.0
         assert eff.hat_pb == 135.0
         assert eff.regime is Regime.R1_HIGH
 
     def test_no_pmg_tie(self, baseline):
-        eff = effective_prices(baseline, NOCM_NOCM, PriceVector(80.0, 80.0, 100.0, 100.0))
+        eff = effective_prices(NOCM_NOCM, PriceVector(80.0, 80.0, 100.0, 100.0))
         assert (eff.tilde_pb1, eff.tilde_pb2, eff.hat_pb) == (100.0, 100.0, 100.0)
         assert eff.regime is Regime.R1_HIGH  # ties are labelled R1_HIGH
 
     def test_no_bundle_composite_price(self, baseline):
-        eff = effective_prices(baseline, NO_BUNDLE, PriceVector(73.18, 73.18, None, 135.0))
+        eff = effective_prices(NO_BUNDLE, PriceVector(73.18, 73.18, None, 135.0))
         assert eff.hat_pb == 135.0
         assert eff.regime is Regime.R1_HIGH  # 146.36 >= 135
         assert eff.tilde_pb1 == pytest.approx(146.36)
 
     def test_pmg_applies_only_when_rival_cheaper(self, baseline):
         prices = PriceVector(80.0, 80.0, 120.0, 150.0)  # r1 cheaper
-        eff = effective_prices(baseline, CM_CM, prices)
+        eff = effective_prices(CM_CM, prices)
         assert eff.tilde_pb1 == 120.0  # own price already lowest
         assert eff.tilde_pb2 == 120.0  # r2 matches down
         assert eff.regime is Regime.R1_LOW
 
     def test_rejects_nonfinite(self, baseline):
         with pytest.raises(InvalidPriceError):
-            effective_prices(baseline, CM_CM, PriceVector(math.nan, 80.0, 120.0, 150.0))
+            effective_prices(CM_CM, PriceVector(math.nan, 80.0, 120.0, 150.0))
         with pytest.raises(InvalidPriceError):
-            effective_prices(baseline, NO_BUNDLE, PriceVector(80.0, math.inf, None, 150.0))
+            effective_prices(NO_BUNDLE, PriceVector(80.0, math.inf, None, 150.0))
 
     def test_rejects_pb1_without_bundling(self, baseline):
         with pytest.raises(InvalidPriceError):
-            effective_prices(baseline, NO_BUNDLE, PriceVector(80.0, 80.0, 150.0, 150.0))
+            effective_prices(NO_BUNDLE, PriceVector(80.0, 80.0, 150.0, 150.0))
 
     def test_rejects_missing_pb1_with_bundling(self, baseline):
         with pytest.raises(InvalidPriceError):
-            effective_prices(baseline, CM_CM, PriceVector(80.0, 80.0, None, 150.0))
+            effective_prices(CM_CM, PriceVector(80.0, 80.0, None, 150.0))
 
     def test_pmg_never_raises_own_effective_price(self, baseline):
         rng = np.random.default_rng(0)
@@ -67,12 +67,12 @@ class TestEffectivePrices:
             p1, p2, pb1, pb2 = rng.uniform(0.0, 300.0, size=4)
             prices = PriceVector(p1, p2, pb1, pb2)
             for pmg_r2 in (False, True):
-                off = effective_prices(baseline, Scenario.bundled(False, pmg_r2), prices)
-                on = effective_prices(baseline, Scenario.bundled(True, pmg_r2), prices)
+                off = effective_prices(Scenario.bundled(False, pmg_r2), prices)
+                on = effective_prices(Scenario.bundled(True, pmg_r2), prices)
                 assert on.tilde_pb1 <= off.tilde_pb1
             for pmg_r1 in (False, True):
-                off = effective_prices(baseline, Scenario.bundled(pmg_r1, False), prices)
-                on = effective_prices(baseline, Scenario.bundled(pmg_r1, True), prices)
+                off = effective_prices(Scenario.bundled(pmg_r1, False), prices)
+                on = effective_prices(Scenario.bundled(pmg_r1, True), prices)
                 assert on.tilde_pb2 <= off.tilde_pb2
 
     def test_hat_is_market_minimum(self, baseline):
@@ -80,17 +80,17 @@ class TestEffectivePrices:
         for _ in range(10_000):
             p1, p2, pb1, pb2 = rng.uniform(0.0, 400.0, size=4)
             scen = Scenario.bundled(bool(rng.integers(2)), bool(rng.integers(2)))
-            eff = effective_prices(baseline, scen, PriceVector(p1, p2, pb1, pb2))
+            eff = effective_prices(scen, PriceVector(p1, p2, pb1, pb2))
             assert eff.hat_pb == min(pb1, pb2)
-            eff0 = effective_prices(baseline, NO_BUNDLE, PriceVector(p1, p2, None, pb2))
+            eff0 = effective_prices(NO_BUNDLE, PriceVector(p1, p2, None, pb2))
             assert eff0.hat_pb == min(p1 + p2, pb2)
 
 
 class TestDemands:
     def test_golden_row_both_pmgs(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 135.0)
-        eff = effective_prices(baseline, CM_CM, prices)
-        d = demands(baseline, CM_CM, prices, eff)
+        eff = effective_prices(CM_CM, prices)
+        d = demands(baseline, prices, eff)
         assert d.d_l_i1 == pytest.approx(29.75, abs=0.01)
         assert d.d_l_i2 == pytest.approx(29.75, abs=0.01)
         assert d.d_l_ib == pytest.approx(46.0, abs=0.01)
@@ -101,22 +101,22 @@ class TestDemands:
 
     def test_zero_prices_recover_bases(self, baseline):
         prices = PriceVector(0.0, 0.0, 0.0, 0.0)
-        eff = effective_prices(baseline, CM_CM, prices)
-        d = demands(baseline, CM_CM, prices, eff)
+        eff = effective_prices(CM_CM, prices)
+        d = demands(baseline, prices, eff)
         assert d.as_tuple() == (100.0,) * 7
         prices0 = PriceVector(0.0, 0.0, None, 0.0)
-        eff0 = effective_prices(baseline, NO_BUNDLE, prices0)
-        assert demands(baseline, NO_BUNDLE, prices0, eff0).as_tuple() == (100.0,) * 7
+        eff0 = effective_prices(NO_BUNDLE, prices0)
+        assert demands(baseline, prices0, eff0).as_tuple() == (100.0,) * 7
 
     def test_item_demand_decouples_from_bundle_price_without_gap_term(self, baseline):
         # the d_l_i1 slope in pb1 is exactly lambda_l, so it vanishes with it
         params = baseline.replace(lambda_l=1e-9)
         for pb1 in (100.0, 150.0):
             base = PriceVector(80.0, 80.0, pb1, 200.0)
-            eff = effective_prices(params, CM_CM, base)
-            d1 = demands(params, CM_CM, base, eff).d_l_i1
+            eff = effective_prices(CM_CM, base)
+            d1 = demands(params, base, eff).d_l_i1
             bumped = PriceVector(80.0, 80.0, pb1 + 10.0, 200.0)
-            d2 = demands(params, CM_CM, bumped, effective_prices(params, CM_CM, bumped)).d_l_i1
+            d2 = demands(params, bumped, effective_prices(CM_CM, bumped)).d_l_i1
             assert abs(d2 - d1) == pytest.approx(10.0 * params.lambda_l, abs=1e-12)
             assert abs(d2 - d1) < 1e-7
 
@@ -124,8 +124,8 @@ class TestDemands:
         h = 1.0
         lo = PriceVector(80.0, 90.0, 200.0, 300.0)
         hi = PriceVector(80.0 + h, 90.0, 200.0, 300.0)
-        d_lo = demands(baseline, CM_CM, lo, effective_prices(baseline, CM_CM, lo))
-        d_hi = demands(baseline, CM_CM, hi, effective_prices(baseline, CM_CM, hi))
+        d_lo = demands(baseline, lo, effective_prices(CM_CM, lo))
+        d_hi = demands(baseline, hi, effective_prices(CM_CM, hi))
         slope = (d_hi.d_l_i1 - d_lo.d_l_i1) / h
         assert slope == pytest.approx(-(baseline.b_l + baseline.lambda_l), abs=1e-10)
 

@@ -78,7 +78,7 @@ def _full_loop(params, scenario, cfg):
         )
     else:
         converged, iteration = False, cfg.max_iters
-    regime = bundlematch.oracle.effective_prices(params, scenario, x).regime
+    regime = bundlematch.oracle.effective_prices(scenario, x).regime
     return bundlematch.oracle.OracleOutcome(converged, x, iteration, regime)
 
 

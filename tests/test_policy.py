@@ -78,6 +78,20 @@ class TestSolveSubgame:
         assert sol.oracle is not None and sol.oracle.converged
         assert not any("oracle" in w for w in sol.warnings)
 
+    def test_oracle_that_did_not_converge_is_a_warning(self, baseline, fixed_oracle):
+        fixed_oracle(converged=False)
+        sol = solve_subgame(baseline, CM_CM, oracle_check=True)
+        assert sol.oracle_deviation is None
+        assert sol.warnings[1:] == ["oracle: best-response iteration did not converge"]
+
+    def test_oracle_that_deviates_is_a_warning(self, baseline, fixed_oracle):
+        fixed_oracle(converged=True, scale=1.1)
+        sol = solve_subgame(baseline, CM_CM, oracle_check=True)
+        assert sol.oracle_deviation == pytest.approx(0.1, rel=1e-12)
+        assert sol.warnings[1:] == [
+            "oracle: fixed point deviates from selected equilibrium (relative sup-norm 1.00e-01)"
+        ]
+
     def test_selection_takes_profit_maximal_feasible_candidate(self):
         # a subgame where both regime candidates are feasible at once; the
         # spec's rule picks the one with the higher retailer-1 profit

@@ -99,10 +99,8 @@ class TestPresumedRegime:
             params = draw_valid_params(rng)
             scen = ALL_SCENARIOS[rng.integers(len(ALL_SCENARIOS))]
             prices = _prices(rng, scen, tie=False)
-            regime = effective_prices(params, scen, prices).regime
-            assert effective_prices(params, scen, prices, regime) == effective_prices(
-                params, scen, prices
-            )
+            regime = effective_prices(scen, prices).regime
+            assert effective_prices(scen, prices, regime) == effective_prices(scen, prices)
             assert profits(params, scen, prices, regime) == profits(params, scen, prices)
             g1 = profit_gradient_r1(params, scen, prices)
             assert np.array_equal(profit_gradient_r1(params, scen, prices, regime), g1)
@@ -115,9 +113,9 @@ class TestPresumedRegime:
         for _ in range(50):
             params = draw_valid_params(rng)
             prices = _prices(rng, scen, tie=True)
-            eff = effective_prices(params, scen, prices)
+            eff = effective_prices(scen, prices)
             assert eff.regime is Regime.R1_HIGH
-            assert effective_prices(params, scen, prices, Regime.R1_HIGH) == eff
+            assert effective_prices(scen, prices, Regime.R1_HIGH) == eff
             assert profits(params, scen, prices, Regime.R1_HIGH) == profits(params, scen, prices)
             with pytest.raises(AmbiguousKinkError):
                 profit_gradient_r1(params, scen, prices)
@@ -139,8 +137,8 @@ class TestOneEvaluation:
                 for tid in candidate_theorems(scen):
                     r = THEOREMS[tid](params)
                     prices, regime = r.prices, r.regime
-                    eff = effective_prices(params, scen, prices, regime)
-                    assert r.demands == demands(params, scen, prices, eff)
+                    eff = effective_prices(scen, prices, regime)
+                    assert r.demands == demands(params, prices, eff)
                     assert r.profits == profits(params, scen, prices, regime)
                     g1 = profit_gradient_r1(params, scen, prices, regime)
                     g2 = profit_gradient_r2(params, scen, prices, regime)
@@ -156,7 +154,7 @@ class TestQuadratics:
             params = draw_valid_params(rng)
             prices = _prices(rng, scen, tie=False)
             s = structure(scen, regime)
-            h, g0 = quadratic_r1(params, scen, s, prices.pb2)
+            h, g0 = quadratic_r1(params, s, prices.pb2)
             x = np.array(prices.present()[:-1])
             expected = profit_gradient_r1(params, scen, prices, regime)
             assert h @ x + g0 == pytest.approx(expected, rel=1e-9, abs=1e-9)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -59,6 +60,27 @@ class TestMarketConfig:
         with pytest.raises(ConfigError) as err:
             load_market_config(path)
         assert ":1:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, r": cannot read config: \[Errno 2\] .*"),
+            ("[]\n", r":1: empty section name"),
+            ("[market]\nb_l\n", r":2: expected 'key = value', got 'b_l'"),
+            ("= 0.5\n", r":1: expected 'key = value', got '= 0.5'"),
+            ("b_l =  # slope\n", r":1: expected 'key = value', got 'b_l =  # slope'"),
+            ("[fixed]\nb_l = 0.5\n", r":2: unknown section \[fixed\] in market config"),
+            ("b_l = 0.5\n[market]\nb_l = 0.6\n", r":3: duplicate parameter 'b_l'"),
+        ],
+        ids=["unreadable", "empty-section", "no-equals", "empty-key", "empty-value",
+             "unknown-section", "duplicate-key"],
+    )
+    def test_errors_report_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "m.cfg"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}{message}$"):
+            load_market_config(path)
 
     def test_invariant_violation_names_the_parameter(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -155,11 +177,21 @@ class TestSweeps:
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "sweep_base.csv").exists() and (tmp_path / "sweep_b.csv").exists()
 
-    @pytest.mark.parametrize("extra", ["[bogus]\n", "[bogus]\nc1 = 5\n"], ids=["empty", "entries"])
+    def test_bare_panel_is_numbered(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(SWEEP_SPEC + "[panel]\nc1 = 5\n")
+        assert [p.label for p in load_sweep_spec(path).panels] == ["base", "panel2"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["[bogus]\n", "[bogus]\nc1 = 5\n", "[panels]\n", "[panelling]\nc1 = 5\n"],
+        ids=["empty", "entries", "panels", "panelling"],
+    )
     def test_unknown_section_reports_line(self, tmp_path, capsys, extra):
         spec_path = tmp_path / "s.cfg"
         spec_path.write_text(SWEEP_SPEC + extra)
-        with pytest.raises(ConfigError, match=r":16: unknown section \[bogus\]"):
+        section = re.escape(extra.split("\n")[0])
+        with pytest.raises(ConfigError, match=rf":16: unknown section {section} in sweep spec"):
             load_sweep_spec(spec_path)
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
 
@@ -179,13 +211,25 @@ class TestSweeps:
             ("name = lambda_l\nmin = 0.05\nmax = 0.4\nsteps = 3\n", "", r":1: \[axis1\] is missing 'name'"),
             ("max = 0.8\nsteps = 3\n", "max = 0.8\n", r":7: \[axis2\] is missing 'steps'"),
             ("name = theta_l", "name = lambda_l", ":8: axis1 and axis2 must name distinct parameters"),
+            ("steps = 3\n", "steps = 3\nstep = 4\n", r":6: unknown key 'step' in \[axis1\]"),
+            ("name = lambda_l", "name = lambda", ":2: axis name 'lambda' is not a market parameter"),
+            ("steps = 3", "steps = 3.5", ":5: steps must be an integer"),
+            ("max = 0.4", "max = 0.05", ":4: axis max must exceed min"),
+            ("[axis1]", "c1 = 5\n[axis1]", ":1: sweep spec entries must live in a section"),
+            ("steps = 3\n", "steps = 3\nsteps = 4\n", r":6: duplicate key 'steps' in \[axis1\]"),
+            ("b_s = 0.4\n", "b_s = 0.4\n[fixed]\nbogus = 1\n",
+             r":17: unknown market parameter 'bogus' in \[fixed\]"),
+            ("b_s = 0.4\n", "b_s = 0.4\n[fixed]\nlambda_l = 0.1\n",
+             ":17: 'lambda_l' is a sweep axis and cannot be fixed"),
         ],
-        ids=["empty-axis1", "axis2-steps", "same-name"],
+        ids=["empty-axis1", "axis2-steps", "same-name", "unknown-key", "unknown-name",
+             "fractional-steps", "max-not-above-min", "entry-outside-section", "duplicate-key",
+             "unknown-fixed", "fixed-axis"],
     )
     def test_axis_errors_report_line(self, tmp_path, old, new, message):
         path = tmp_path / "s.cfg"
         path.write_text(SWEEP_SPEC.replace(old, new, 1))
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}{message}$"):
             load_sweep_spec(path)
 
     def test_cell_count_is_exact_even_with_invalid_cells(self, baseline):
@@ -326,6 +370,58 @@ class TestCli:
         assert code == 0
         assert "oracle: converged" in out
         assert "max relative deviation" in out
+
+    @pytest.mark.parametrize(
+        "converged,lines",
+        [
+            (False, [
+                "warning: oracle: best-response iteration did not converge",
+                "oracle: did not converge after 500 iterations",
+            ]),
+            (True, [
+                "warning: oracle: fixed point deviates from selected equilibrium "
+                "(relative sup-norm 1.00e-01)",
+                "oracle: converged in 12 iterations; max relative deviation 1.000e-01",
+            ]),
+        ],
+        ids=["not-converged", "deviates"],
+    )
+    def test_solve_reports_the_oracle_verdict(self, capsys, fixed_oracle, converged, lines):
+        fixed_oracle(converged=converged, scale=1.1)
+        assert main(["solve", "--pmg", "r1=cm", "r2=cm", "--verify", "oracle"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == lines
+
+    @pytest.mark.parametrize(
+        "converged,line",
+        [
+            (False, "closed form T1 feasible but oracle did not converge within 500 iterations"),
+            (True, "closed form T1 and oracle DISAGREE: max relative deviation 1.000e-01 "
+                   "(12 iterations)"),
+        ],
+        ids=["not-converged", "deviates"],
+    )
+    def test_verify_reports_the_oracle_verdict(self, capsys, fixed_oracle, converged, line):
+        fixed_oracle(converged=converged, scale=1.1)
+        assert main(["verify", "--pmg", "r1=cm", "r2=cm"]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_solve_without_bundling(self, capsys):
+        assert main(["solve", "--bundling", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == [
+            "scenario: NoBundle (bundling=0)",
+            "selected candidate: T5a (regime r1_high)",
+        ]
+
+    def test_table_leaves_subgames_without_equilibrium_empty(self, tmp_path, capsys):
+        path = tmp_path / "m.cfg"
+        path.write_text("lambda_l = 0.099\ntheta_l = 0.1\nb_s = 0.2\n")
+        assert main(["table", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "table.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows[:2]] == ["CM,CM", "CM,noCM"]
+        assert all(rows[0][1:]) and all(rows[1][1:])
+        assert rows[2:] == [[label] + [""] * 14 for label in ("noCM,CM", "noCM,noCM", "NoBundle")]
 
     @pytest.mark.parametrize("pmg", [["r1=sometimes", "r2=cm"], ["r1=cm", "r1=nocm"]])
     def test_bad_pmg_flag_exits_1(self, capsys, pmg):
