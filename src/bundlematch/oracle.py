@@ -12,10 +12,15 @@ makes fixed points an independent cross-check of the closed forms.
 
 A BestResponses object holds one game, (params, scenario), and builds once
 what does not depend on the rival's price: retailer 2's stationary points
-on construction, retailer 1's plan table (Hessians, concavity checks, KKT
-matrices stacked by system size) on its first response.  Each response of
-retailer 1 then makes one stacked solve per system size.  find_fixed_point
-and find_fixed_points share one object across all rounds and starts.
+on construction, retailer 1's plan table (structures, Hessians, concavity
+checks, KKT matrices padded with an identity block to one size and
+stacked) on its first response.  Each response of retailer 1 then makes
+one stacked solve and evaluates each candidate from the plan table: the
+structure of the regime its prices lie in, that structure's effective
+prices, the demands and profits_at.  The object remembers every response
+by the exact bits of its argument, so a price seen again in the same game
+costs a lookup.  find_fixed_point and find_fixed_points share one object
+across all rounds and starts; nothing is remembered across games.
 
 A search stops at its first exactly repeated state, which starts a cycle
 that can never converge, and returns the outcome the full max_iters rounds
@@ -27,22 +32,25 @@ where no pure-strategy equilibrium exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .market import (
+    InvalidPriceError,
     MarketParams,
     PriceVector,
     Regime,
     RegimeStructure,
     Scenario,
+    demands,
     effective_prices,
     kink_structure,
     structure,
 )
-from .profits import linear_term_r1, profits, quadratic_r1, quadratic_r2
+from .profits import gradient_r1_at, profits, profits_at, quadratic_r1, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -88,7 +96,8 @@ def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
 
 
 class BestResponses:
-    """Both retailers' best responses in one (params, scenario) game.  Raises
+    """Both retailers' best responses in one (params, scenario) game, each
+    remembered by the exact bits of its argument.  Raises
     SingularSystemError unless retailer 2's second derivative is negative in
     each regime; retailer 1's plans are checked on its first response."""
 
@@ -103,16 +112,19 @@ class BestResponses:
                 )
             stationary.append((regime, -g0 / h))
         self._stationary_r2 = tuple(stationary)
+        # each response of this game, by the exact bits of its argument
+        self._r1_memo: dict[str, tuple[float, float, float | None]] = {}
+        self._r2_memo: dict[tuple[str, str, str | None], float] = {}
 
     @cached_property
     def _plans_r1(
         self,
-    ) -> tuple[tuple[RegimeStructure, ...], list[tuple], dict[int, np.ndarray]]:
+    ) -> tuple[tuple[RegimeStructure, ...], list[tuple[int, Regime | None, bool]], np.ndarray]:
         """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie), its plans as
-        (side, regime, on_face, size, row), and the plans' KKT matrices
-        stacked by system size: a plan's matrix is row `row` of the stack
-        of `size`.  Raises SingularSystemError unless both regimes'
-        Hessians are negative definite."""
+        (side, regime, on_face), and the plans' KKT matrices stacked in plan
+        order, each padded with an identity block to the largest system
+        size (5 under B=1, 3 under B=0).  Raises SingularSystemError unless
+        both regimes' Hessians are negative definite."""
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
         structures = (*(structure(scenario, regime) for regime in Regime), kink_structure(scenario))
@@ -127,64 +139,94 @@ class BestResponses:
         sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
         # each side again on the bundle-discount face p1 + p2 = pb1
         faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
-        plans, by_size = [], {}
+        plans, matrices = [], []
         for face in faces:
             for side, regime, constraints in sides:
-                matrix = _kkt_matrix(hessians[side], constraints + face)
-                group = by_size.setdefault(len(matrix), [])
-                plans.append((side, regime, bool(face), len(matrix), len(group)))
-                group.append(matrix)
-        return structures, plans, {n: np.stack(group) for n, group in by_size.items()}
+                plans.append((side, regime, bool(face)))
+                matrices.append(_kkt_matrix(hessians[side], constraints + face))
+        # the identity block leaves a system's solution exact: its rows and
+        # columns are zero against the system's, and its right-hand side 0
+        size = max(len(m) for m in matrices)
+        stack = np.zeros((len(matrices), size, size))
+        for padded, matrix in zip(stack, matrices):
+            n = len(matrix)
+            padded[:n, :n] = matrix
+            padded[range(n, size), range(n, size)] = 1.0
+        return structures, plans, stack
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
-        """Retailer 1's best response to pb2: each plan's first-order system
-        solved exactly, in one stacked solve per system size, the candidate
-        with the highest realized profit kept, then components clamped at
-        zero."""
-        if not np.isfinite(pb2):
+        """Retailer 1's best response to pb2: every plan's first-order system
+        solved exactly in one stacked solve, each candidate evaluated under
+        the structure of the regime its prices lie in, the one with the
+        highest profit kept, then components clamped at zero.  Remembered
+        per pb2, by its exact bits."""
+        if not math.isfinite(pb2):
             raise ValueError("pb2 must be finite")
-        params, scenario = self.params, self.scenario
-        bundled = scenario.bundling == 1
-        structures, plans, stacks = self._plans_r1
-        rhs = [(-linear_term_r1(params, s, pb2)).tolist() for s in structures]
-        columns: dict[int, list[list[float]]] = {n: [] for n in stacks}
-        for side, regime, on_face, size, _ in plans:
+        key = float(pb2).hex()
+        if key in self._r1_memo:
+            return self._r1_memo[key]
+        params = self.params
+        bundled = self.scenario.bundling == 1
+        structures, plans, stack = self._plans_r1
+        zero = PriceVector(0.0, 0.0, 0.0 if bundled else None, pb2)
+        # the gradient at zero own prices, negated: the part of each plan's
+        # right-hand side that moves with pb2 (profits.linear_term_r1)
+        rhs = []
+        for s in structures:
+            eff = s.effective_prices(zero)
+            rhs.append([-g for g in gradient_r1_at(params, s, zero, eff, demands(params, zero, eff))])
+        size = stack.shape[1]
+        columns = []
+        for side, regime, on_face in plans:
             # the constraints' right-hand sides: pb2 on the kink, 0 on the face
-            tail = ([pb2] if regime is None else []) + ([0.0] if on_face else [])
-            columns[size].append(rhs[side] + tail)
+            column = rhs[side] + ([pb2] if regime is None else []) + ([0.0] if on_face else [])
+            columns.append(column + [0.0] * (size - len(column)))
         try:
             # (k, n, 1) right-hand sides mean one column per system under
             # numpy 1.x and 2.x alike
-            solved = {
-                n: np.linalg.solve(stacks[n], np.array(b)[:, :, None])[:, :, 0].tolist()
-                for n, b in columns.items()
-            }
+            solved = np.linalg.solve(stack, np.array(columns)[:, :, None])[:, :, 0].tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
         best: tuple[float, list[float]] | None = None
-        for side, regime, on_face, size, row in plans:
-            x = solved[size][row][: len(rhs[side])]
+        for (side, regime, _), x in zip(plans, solved):
+            x = x[: len(rhs[side])]
             if regime is None and bundled:
                 x[2] = pb2  # snap exactly onto the kink
             prices = PriceVector.from_present((*x, pb2))
-            if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
+            r1_eq = prices.r1_bundle_equivalent()
+            if regime is not None and not regime.holds(r1_eq, pb2):
                 continue
             if not prices.bundle_within_parts():
                 continue
-            value = profits(params, scenario, prices).pi_r1
+            for v in x:
+                if not math.isfinite(v):
+                    raise InvalidPriceError(f"prices must be finite, got {v!r}")
+            # the regime the prices lie in, as effective_prices reads it
+            s = structures[0 if Regime.R1_HIGH.holds(r1_eq, pb2, 0.0) else 1]
+            eff = s.effective_prices(prices)
+            value = profits_at(params, s, prices, eff, demands(params, prices, eff)).pi_r1
             if best is None or value > best[0]:
                 best = (value, x)
         assert best is not None  # the kink plans always yield a candidate
         x = np.maximum(best[1], 0.0)
-        return (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
+        response = (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
+        self._r1_memo[key] = response
+        return response
 
     def respond_r2(self, r1_prices: PriceVector) -> float:
         """Retailer 2's best response to r1_prices: each regime's stationary
         point, kept on that regime's side of the kink, and the kink price
-        itself, compared at their realized profits."""
+        itself, compared at their realized profits.  Remembered per
+        retailer-1 prices (p1, p2, pb1), by their exact bits; r1_prices.pb2
+        is not read."""
         r1_eq = r1_prices.r1_bundle_equivalent()
-        if not np.isfinite(r1_eq):
+        if not math.isfinite(r1_eq):
             raise ValueError("r1 prices must be finite")
+        p1, p2, pb1 = r1_prices.p1, r1_prices.p2, r1_prices.pb1
+        # a price that fails validation raises below, so it is never stored
+        key = (float(p1).hex(), float(p2).hex(), None if pb1 is None else float(pb1).hex())
+        if key in self._r2_memo:
+            return self._r2_memo[key]
         candidates: list[float] = [r1_eq]  # the kink is always a candidate
         for regime, stationary in self._stationary_r2:
             if regime.holds(r1_eq, stationary):
@@ -193,11 +235,13 @@ class BestResponses:
                 candidates.append(side(stationary, r1_eq))
         best_value, best_pb2 = -np.inf, r1_eq
         for pb2 in candidates:
-            prices = PriceVector(r1_prices.p1, r1_prices.p2, r1_prices.pb1, pb2)
+            prices = PriceVector(p1, p2, pb1, pb2)
             value = profits(self.params, self.scenario, prices).pi_r2
             if value > best_value:
                 best_value, best_pb2 = value, pb2
-        return float(max(best_pb2, 0.0))
+        response = float(max(best_pb2, 0.0))
+        self._r2_memo[key] = response
+        return response
 
 
 def best_response_r1(

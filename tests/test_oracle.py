@@ -6,6 +6,7 @@ import pytest
 
 import bundlematch.oracle
 from bundlematch import (
+    InvalidPriceError,
     MarketParams,
     OracleConfig,
     PriceVector,
@@ -371,3 +372,110 @@ class TestFixedPoints:
             OracleConfig(max_iters=-5)
         with pytest.raises(ValueError):
             OracleConfig(max_iters=2.5)
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Calls of np.linalg.solve, which the oracle reaches as np.linalg.solve."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def _hex_r1(response):
+    return tuple(None if v is None else v.hex() for v in response)
+
+
+class TestResponseMemo:
+    def test_zero_and_negative_zero_are_computed_separately(self, baseline, count_solves):
+        responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
+        at_zero = responses.respond_r1(0.0)
+        at_negative_zero = responses.respond_r1(-0.0)
+        assert len(count_solves) == 2
+        assert _hex_r1(at_zero) == _hex_r1(best_response_r1(baseline, CM_CM, 0.0))
+        assert _hex_r1(at_negative_zero) == _hex_r1(best_response_r1(baseline, CM_CM, -0.0))
+
+    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
+    def test_repeated_pb2_makes_no_second_solve(self, baseline, label, count_solves):
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        first = responses.respond_r1(135.0)
+        assert len(count_solves) == 1
+        assert responses.respond_r1(135.0) == first
+        assert len(count_solves) == 1
+
+    def test_r1_checks_finiteness_before_the_lookup(self, baseline):
+        responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
+        responses.respond_r1(135.0)
+        for pb2 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="pb2 must be finite"):
+                responses.respond_r1(pb2)
+
+    @pytest.mark.parametrize(
+        "p1,p2", [(float("nan"), 30.0), (30.0, float("inf"))], ids=["nan-p1", "inf-p2"]
+    )
+    def test_r2_validates_every_price_after_a_cached_entry(self, baseline, p1, p2):
+        responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
+        responses.respond_r2(PriceVector(30.0, 30.0, 50.0, 0.0))
+        with pytest.raises(InvalidPriceError, match="prices must be finite"):
+            responses.respond_r2(PriceVector(p1, p2, 50.0, 0.0))
+
+    def test_shared_object_matches_fresh_calls_bit_for_bit(self):
+        # a seeded pb2 sequence with repeats, as a search revisits prices
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            params = draw_valid_params(rng)
+            levels = params.total_cost + rng.uniform(0.0, 300.0, 4)
+            sequence = [*levels.tolist(), 0.0, -0.0]
+            sequence = [sequence[i] for i in rng.integers(0, len(sequence), 12)]
+            for scen in SCENARIOS.values():
+                shared = bundlematch.oracle.BestResponses(params, scen)
+                for pb2 in sequence:
+                    got = shared.respond_r1(pb2)
+                    assert _hex_r1(got) == _hex_r1(best_response_r1(params, scen, pb2))
+                    r1_prices = PriceVector(got[0], got[1], got[2], pb2)
+                    assert shared.respond_r2(r1_prices).hex() == (
+                        best_response_r2(params, scen, r1_prices).hex()
+                    )
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_uncached_response_makes_one_solve(self, baseline, label, count_solves):
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        for pb2 in (60.0, 135.0, 210.0):
+            before = len(count_solves)
+            responses.respond_r1(pb2)
+            assert len(count_solves) == before + 1
+
+    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
+    def test_padded_stack_solves_as_per_size_systems_bit_for_bit(self, label):
+        # each plan's system padded with an identity block to the largest
+        # size must solve to the same bits as the systems stacked by their
+        # own size; a LAPACK build where the padding is inexact fails here
+        rng = np.random.default_rng(21)
+        scen = SCENARIOS[label]
+        dims = 3 if scen.bundling == 1 else 2
+        compared = 0
+        for _ in range(60):
+            params = draw_valid_params(rng)
+            _, plans, stack = bundlematch.oracle.BestResponses(params, scen)._plans_r1
+            k, size = stack.shape[:2]
+            assert size == (5 if scen.bundling == 1 else 3)
+            sizes = [dims + (regime is None) + on_face for _, regime, on_face in plans]
+            rhs = rng.uniform(-300.0, 300.0, (k, size))
+            for row, n in enumerate(sizes):
+                rhs[row, n:] = 0.0
+            padded = np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]
+            for n in set(sizes):
+                rows = [row for row, m in enumerate(sizes) if m == n]
+                own = np.linalg.solve(stack[rows, :n, :n], rhs[rows, :n, None])[:, :, 0]
+                assert np.array_equal(own.view(np.int64), padded[rows, :n].view(np.int64))
+                assert not padded[rows, n:].any()
+                compared += own.size
+        assert compared == 60 * (23 if scen.bundling == 1 else 7)

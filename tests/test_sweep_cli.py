@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -497,3 +498,39 @@ class TestCli:
         spec_path = tmp_path / "bad.cfg"
         spec_path.write_text("[axis1]\nname = lambda_l\n")
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
+
+
+# `bundlematch verify` stdout for the five subgames at three market configs,
+# recorded before the oracle's responses were remembered and stacked
+VERIFY_EXPECTED = Path(__file__).with_name("verify_expected.txt")
+VERIFY_SUBGAMES = (
+    ["--pmg", "r1=cm", "r2=cm"],
+    ["--pmg", "r1=cm", "r2=nocm"],
+    ["--pmg", "r1=nocm", "r2=cm"],
+    ["--pmg", "r1=nocm", "r2=nocm"],
+    ["--bundling", "0"],
+)
+
+
+def _verify_sections() -> dict[str, list[str]]:
+    """The expected file's sections: [overrides] header, then one line per
+    subgame."""
+    sections: dict[str, list[str]] = {}
+    for line in VERIFY_EXPECTED.read_text().splitlines():
+        if line.startswith("["):
+            sections[line[1:-1]] = current = []
+        elif not line.startswith("#"):
+            current.append(line)
+    return sections
+
+
+@pytest.mark.parametrize("section", list(_verify_sections()))
+def test_verify_stdout_is_pinned(tmp_path, capsys, section):
+    config = []
+    if section != "baseline":
+        path = tmp_path / "market.cfg"
+        path.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in section.split(",")))
+        config = ["--config", str(path)]
+    for flags in VERIFY_SUBGAMES:
+        assert main(["verify", *flags, *config]) == 0
+    assert capsys.readouterr().out.splitlines() == _verify_sections()[section]
