@@ -1,5 +1,13 @@
 """Nash equilibria of a two-retailer complementary-goods pricing game with
-mixed bundling and price-matching guarantees."""
+mixed bundling and price-matching guarantees.
+
+The closed forms, the selection and the table run in pure Python, so
+importing the package does not load numpy.  Only the code that builds
+arrays imports it: the best-response oracle (bundlematch.oracle), the
+array-returning helpers in profits (Hessians, quadratics, the gradient
+vector) and a sweep's axis grid.  The oracle's exports below are resolved
+on first access, which imports bundlematch.oracle and with it numpy.
+"""
 
 from .conditions import (
     ConditionCheck,
@@ -31,15 +39,6 @@ from .market import (
     demands,
     effective_prices,
     structure,
-)
-from .oracle import (
-    OracleConfig,
-    OracleOutcome,
-    SingularSystemError,
-    best_response_r1,
-    best_response_r2,
-    find_fixed_point,
-    find_fixed_points,
 )
 from .policy import (
     PolicyComparison,
@@ -108,3 +107,29 @@ __all__ = [
     "solve_subgame",
     "structure",
 ]
+
+# resolved on first access (PEP 562), so that importing the package does not
+# import the oracle or numpy
+_ORACLE_EXPORTS = frozenset(
+    {
+        "OracleConfig",
+        "OracleOutcome",
+        "SingularSystemError",
+        "best_response_r1",
+        "best_response_r2",
+        "find_fixed_point",
+        "find_fixed_points",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -28,6 +28,10 @@ would have returned.
 
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
+
+This module imports numpy at load time; the package loads it only when an
+oracle name is first used (bundlematch.__getattr__) or a subgame is solved
+with oracle_check=True (policy.find_fixed_point).
 """
 
 from __future__ import annotations

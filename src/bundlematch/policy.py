@@ -13,15 +13,21 @@ reads only profits and existence, builds none.
 The policy comparison solves all five subgames, takes the best bundled
 profit, and reports the profit gain from bundling over no bundling together
 with the PMG pair attaining it.
+
+Selection needs no numpy.  The oracle, which does, is imported only when a
+subgame is solved with oracle_check=True (see find_fixed_point below).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .equilibria import EquilibriumResult, THEOREMS, candidate_theorems
 from .market import MarketParams, Scenario
-from .oracle import OracleOutcome, find_fixed_point
+
+if TYPE_CHECKING:
+    from .oracle import OracleOutcome
 
 # largest relative sup-norm deviation at which the oracle's fixed point
 # agrees with a closed-form equilibrium
@@ -116,6 +122,15 @@ def solve_subgame(
     candidates = [THEOREMS[tid](params) for tid in candidate_theorems(scenario)]
     oracle = find_fixed_point(params, scenario) if oracle_check else None
     return SubgameSolution(scenario, _select(candidates), candidates, oracle)
+
+
+def find_fixed_point(params: MarketParams, scenario: Scenario) -> OracleOutcome:
+    """The oracle check of solve_subgame: oracle.find_fixed_point at the
+    default settings, imported on the first check, so that selection alone
+    never loads the oracle or numpy."""
+    from . import oracle
+
+    return oracle.find_fixed_point(params, scenario)
 
 
 def compare_policies(params: MarketParams) -> PolicyComparison:

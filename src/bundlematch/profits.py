@@ -19,14 +19,19 @@ first-order-condition system term by term, and the Hessians are constant
 matrices with closed-form eigenvalues, negative definite whenever
 b_l >= lambda_l and theta_l in (0, 1).  The quadratics (quadratic_r1,
 quadratic_r2) take a structure and no scenario.
+
+The profits and the gradients read at an evaluated point are pure Python.
+Only the functions that return arrays (profit_gradient_r1, hessian_r1,
+hessian_r2, linear_term_r1, quadratic_r1) need numpy, and it is imported in
+the bodies of the functions that build them, so the closed forms and the
+selection run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .market import (
     DemandProfile,
@@ -40,6 +45,9 @@ from .market import (
     effective_prices,
     structure,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AmbiguousKinkError(ValueError):
@@ -202,6 +210,8 @@ def profit_gradient_r1(
     With regime=None, raises AmbiguousKinkError exactly at the regime
     boundary, where the two one-sided systems disagree.
     """
+    import numpy as np
+
     s, eff, d = _gradient_point(params, scenario, prices, regime)
     return np.array(gradient_r1_at(params, s, prices, eff, d))
 
@@ -242,6 +252,8 @@ class HessianReport:
 
 
 def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> HessianReport:
+    import numpy as np
+
     numeric = np.linalg.eigvalsh(matrix)
     closed = np.sort(np.asarray(closed, dtype=float))
     return HessianReport(
@@ -256,6 +268,8 @@ def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> Hes
 
 def _hessian_r1(params: MarketParams, s: RegimeStructure) -> tuple[np.ndarray, np.ndarray]:
     """Retailer 1's Hessian in structure s and its closed-form eigenvalues."""
+    import numpy as np
+
     p = params
     w, _ = s.own_strategic_weights(p.alpha)
     e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
@@ -293,6 +307,8 @@ def hessian_r1(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
 
 def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
     """Retailer 2's scalar second derivative in pb2, wrapped as a 1x1 report."""
+    import numpy as np
+
     value = _hessian_r2(params, structure(scenario, regime))
     return _report(np.array([[value]]), np.array([value]), params)
 
@@ -300,6 +316,8 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
 def linear_term_r1(params: MarketParams, s: RegimeStructure, pb2: float) -> np.ndarray:
     """Gradient of retailer 1's profit in structure s at zero own prices
     against a fixed pb2: the only part of its quadratic that moves with pb2."""
+    import numpy as np
+
     zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
     eff = s.effective_prices(zero)
     return np.array(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))

@@ -19,12 +19,14 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .equilibria import DegenerateParamsError
 from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import PolicyComparison, compare_policies, scenario_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TABLE_SCENARIOS = (
     Scenario.bundled(True, True),
@@ -63,6 +65,10 @@ class AxisSpec:
     steps: int
 
     def values(self) -> np.ndarray:
+        # the one numpy use of a sweep, imported here so that the other
+        # commands start without numpy
+        import numpy as np
+
         return np.linspace(self.lo, self.hi, self.steps)
 
 
@@ -159,9 +165,8 @@ def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: floa
 def run_panel(base: MarketParams, spec: SweepSpec, panel: Panel) -> list[GridCell]:
     """Evaluate one panel's full grid in deterministic (axis1 outer, axis2
     inner) order."""
-    return [
-        _cell(base, spec, panel, v1, v2) for v1 in spec.axis1.values() for v2 in spec.axis2.values()
-    ]
+    values1, values2 = spec.axis1.values(), spec.axis2.values()
+    return [_cell(base, spec, panel, v1, v2) for v1 in values1 for v2 in values2]
 
 
 def run_sweep(base: MarketParams, spec: SweepSpec) -> dict[str, list[GridCell]]:

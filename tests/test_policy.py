@@ -242,3 +242,37 @@ class TestComparePolicies:
         sol = solve_subgame(baseline, CM_CM)
         pp = sol.chosen.profits
         assert pp.welfare == pp.pi_r1 + pp.pi_r2
+
+
+class TestItemSwap:
+    def test_the_selection_is_item_swap_covariant(self, baseline):
+        """Exchanging the items' demand bases and costs exchanges item prices
+        and leaves profits unchanged (test_equilibria.TestItemSwap), so the
+        selection must not move: the theorem chosen in each subgame, which
+        subgames have an equilibrium, the best PMG pair, whether a profit
+        tie was broken, and the gain from bundling."""
+
+        def selection(comparison):
+            chosen = {
+                key: sol.chosen and sol.chosen.theorem_id
+                for key, sol in comparison.solutions.items()
+            }
+            tied = comparison.tie_break is not None
+            return chosen, comparison.existence, comparison.best_pmg_regime, tied
+
+        rng = np.random.default_rng(19)
+        points = [baseline] + [draw_valid_params(rng) for _ in range(400)]
+        ties = 0
+        for params in points:
+            swapped = params.replace(
+                a_l_i1=params.a_l_i2, a_l_i2=params.a_l_i1, c1=params.c2, c2=params.c1
+            )
+            a, b = compare_policies(params), compare_policies(swapped)
+            assert selection(a) == selection(b)
+            ties += a.tie_break is not None
+            if a.delta_pi_B is None:
+                assert b.delta_pi_B is None
+            else:
+                assert b.delta_pi_B == pytest.approx(a.delta_pi_B, rel=1e-12)
+        # the tie-break is exercised, not only the strict choices
+        assert ties > 0
