@@ -61,17 +61,23 @@ def _parse_lines(path: str | Path) -> tuple[dict[str, int], list[tuple[str, str,
 
 
 def _parse_float(path: str | Path, key: str, value: str, line_no: int) -> float:
+    """The number on line line_no, which must be finite: float() also reads
+    nan and inf, which a sweep would carry into every cell as inadmissible."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(path, line_no, f"value for {key!r} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(path, line_no, f"value for {key!r} must be finite, got {number!r}")
+    return number
 
 
 def load_market_config(path: str | Path) -> MarketParams:
     """Read market parameters; keys may live at top level or in [market].
 
-    Unknown keys and non-numeric values are line-level errors; model
-    invariant violations are reported with the offending invariant named.
+    Unknown keys and non-numeric or non-finite values are line-level errors;
+    model invariant violations are reported with the offending invariant
+    named.
     """
     overrides: dict[str, float] = {}
     for section, key, value, line_no in _parse_lines(path)[1]:
@@ -108,9 +114,6 @@ def _build_axis(
         raise ConfigError(path, kv["name"][1], f"axis name {name!r} is not a market parameter")
     lo = _parse_float(path, "min", kv["min"][0], kv["min"][1])
     hi = _parse_float(path, "max", kv["max"][0], kv["max"][1])
-    for key, value in (("min", lo), ("max", hi)):
-        if not math.isfinite(value):
-            raise ConfigError(path, kv[key][1], f"axis {key} must be finite, got {value!r}")
     try:
         steps = int(kv["steps"][0])
     except ValueError:

@@ -42,11 +42,18 @@ class Regime(Enum):
 
     R1_HIGH: retailer 1's bundle-equivalent price (bundle price under B=1,
     item-price sum under B=0) is >= retailer 2's bundle price.  Ties are
-    labelled R1_HIGH; both orderings produce identical demands at a tie.
+    labelled R1_HIGH (Regime.of); both orderings produce identical demands
+    at a tie.
     """
 
     R1_HIGH = "r1_high"
     R1_LOW = "r1_low"
+
+    @staticmethod
+    def of(r1_eq: float, pb2: float) -> "Regime":
+        """The regime prices lie in: R1_HIGH when retailer 1's
+        bundle-equivalent price r1_eq is >= pb2, so a tie is R1_HIGH."""
+        return Regime.R1_HIGH if r1_eq >= pb2 else Regime.R1_LOW
 
     def holds(self, r1_eq: float, pb2: float, tol: float = FEASIBILITY_TOL) -> bool:
         """Whether retailer 1's bundle-equivalent price r1_eq lies on this
@@ -355,7 +362,8 @@ class DemandProfile:
         return min(self.as_tuple())
 
 
-def _validate_prices(scenario: Scenario, prices: PriceVector) -> None:
+def validate_prices(scenario: Scenario, prices: PriceVector) -> None:
+    """Raise InvalidPriceError unless the prices fit the scenario and are finite."""
     if scenario.bundling == 1 and prices.pb1 is None:
         raise InvalidPriceError("bundle price pb1 is required when bundling is on")
     if scenario.bundling == 0 and prices.pb1 is not None:
@@ -365,34 +373,26 @@ def _validate_prices(scenario: Scenario, prices: PriceVector) -> None:
             raise InvalidPriceError(f"prices must be finite, got {value!r}")
 
 
-def effective_prices(
-    scenario: Scenario, prices: PriceVector, regime: Regime | None = None
-) -> EffectivePrices:
+def effective_prices(scenario: Scenario, prices: PriceVector) -> EffectivePrices:
     """Resolve PMGs into the effective bundle prices faced by price-aware
-    customers.
+    customers, in the regime the prices lie in (Regime.of).
 
     A retailer with a PMG charges the rival's bundle price whenever the rival
     posts less; strategic customers face the market minimum; under B=0
     retailer 1's bundle-equivalent price is the item-price sum and no PMGs
-    apply.  With regime=None the regime is read off the prices (a tie is
-    R1_HIGH).
-    A presumed regime applies its structure whatever ordering the prices
-    satisfy: closed-form candidates are derived per regime, so residuals and
-    profits of a candidate that violates its own ordering still refer to the
-    branch that produced it.
+    apply.  Under a presumed regime, whatever ordering the prices satisfy,
+    they resolve through structure(scenario, regime).effective_prices.
     """
-    _validate_prices(scenario, prices)
-    if regime is None:
-        high = Regime.R1_HIGH.holds(prices.r1_bundle_equivalent(), prices.pb2, 0.0)
-        regime = Regime.R1_HIGH if high else Regime.R1_LOW
+    validate_prices(scenario, prices)
+    regime = Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
     return structure(scenario, regime).effective_prices(prices)
 
 
 def demands(params: MarketParams, prices: PriceVector, eff: EffectivePrices) -> DemandProfile:
     """Evaluate all seven segment demands at a price vector.
 
-    `eff` must have been computed from the same prices (or from a presumed
-    regime of them).  Whether a bundle is posted is read off prices.pb1,
+    `eff` must have been computed from the same prices, in their own regime
+    or a presumed one.  Whether a bundle is posted is read off prices.pb1,
     which every public entry ties to the scenario.  Demands are affine in
     prices; negative values are returned as-is.
     """

@@ -15,12 +15,13 @@ what does not depend on the rival's price: retailer 2's stationary points
 on construction, retailer 1's plan table (structures, Hessians, concavity
 checks, KKT matrices padded with an identity block to one size and
 stacked) on its first response.  Each response of retailer 1 then makes
-one stacked solve and evaluates each candidate from the plan table: the
-structure of the regime its prices lie in, that structure's effective
-prices, the demands and profits_at.  The object remembers every response
-by the exact bits of its argument, so a price seen again in the same game
-costs a lookup.  find_fixed_point and find_fixed_points share one object
-across all rounds and starts; nothing is remembered across games.
+one stacked solve.  Both retailers' candidates are evaluated one way
+(BestResponses._profits): validated, in the regime their prices lie in
+(market.Regime.of), under the structures the object holds for its game.
+The object remembers every response by the exact bits of its argument, so
+a price seen again in the same game costs a lookup.  find_fixed_point and
+find_fixed_points share one object across all rounds and starts; nothing is
+remembered across games.
 
 A search stops at its first exactly repeated state, which starts a cycle
 that can never converge, and returns the outcome the full max_iters rounds
@@ -43,7 +44,6 @@ from functools import cached_property
 import numpy as np
 
 from .market import (
-    InvalidPriceError,
     MarketParams,
     PriceVector,
     Regime,
@@ -53,8 +53,9 @@ from .market import (
     effective_prices,
     kink_structure,
     structure,
+    validate_prices,
 )
-from .profits import gradient_r1_at, profits, profits_at, quadratic_r1, quadratic_r2
+from .profits import ProfitPair, linear_term_r1, profits_at, quadratic_r1, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -107,9 +108,10 @@ class BestResponses:
 
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
         self.params, self.scenario = params, scenario
+        self._structures = {regime: structure(scenario, regime) for regime in Regime}
         stationary = []
-        for regime in Regime:
-            h, g0 = quadratic_r2(params, structure(scenario, regime))
+        for regime, s in self._structures.items():
+            h, g0 = quadratic_r2(params, s)
             if h >= 0.0:
                 raise SingularSystemError(
                     f"retailer 2 second derivative for regime {regime.value} is not negative"
@@ -119,6 +121,14 @@ class BestResponses:
         # each response of this game, by the exact bits of its argument
         self._r1_memo: dict[str, tuple[float, float, float | None]] = {}
         self._r2_memo: dict[tuple[str, str, str | None], float] = {}
+
+    def _profits(self, prices: PriceVector) -> ProfitPair:
+        """Both profits at prices, as profits() evaluates them: validated, in
+        the regime the prices lie in."""
+        validate_prices(self.scenario, prices)
+        s = self._structures[Regime.of(prices.r1_bundle_equivalent(), prices.pb2)]
+        eff = s.effective_prices(prices)
+        return profits_at(self.params, s, prices, eff, demands(self.params, prices, eff))
 
     @cached_property
     def _plans_r1(
@@ -131,7 +141,7 @@ class BestResponses:
         both regimes' Hessians are negative definite."""
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
-        structures = (*(structure(scenario, regime) for regime in Regime), kink_structure(scenario))
+        structures = (*self._structures.values(), kink_structure(scenario))
         # the Hessians do not depend on pb2
         hessians = [quadratic_r1(params, s, 0.0)[0] for s in structures]
         for regime, h in zip(Regime, hessians[:2]):
@@ -172,13 +182,9 @@ class BestResponses:
         params = self.params
         bundled = self.scenario.bundling == 1
         structures, plans, stack = self._plans_r1
-        zero = PriceVector(0.0, 0.0, 0.0 if bundled else None, pb2)
         # the gradient at zero own prices, negated: the part of each plan's
-        # right-hand side that moves with pb2 (profits.linear_term_r1)
-        rhs = []
-        for s in structures:
-            eff = s.effective_prices(zero)
-            rhs.append([-g for g in gradient_r1_at(params, s, zero, eff, demands(params, zero, eff))])
+        # right-hand side that moves with pb2
+        rhs = [[-g for g in linear_term_r1(params, s, pb2)] for s in structures]
         size = stack.shape[1]
         columns = []
         for side, regime, on_face in plans:
@@ -197,18 +203,11 @@ class BestResponses:
             if regime is None and bundled:
                 x[2] = pb2  # snap exactly onto the kink
             prices = PriceVector.from_present((*x, pb2))
-            r1_eq = prices.r1_bundle_equivalent()
-            if regime is not None and not regime.holds(r1_eq, pb2):
+            if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
                 continue
             if not prices.bundle_within_parts():
                 continue
-            for v in x:
-                if not math.isfinite(v):
-                    raise InvalidPriceError(f"prices must be finite, got {v!r}")
-            # the regime the prices lie in, as effective_prices reads it
-            s = structures[0 if Regime.R1_HIGH.holds(r1_eq, pb2, 0.0) else 1]
-            eff = s.effective_prices(prices)
-            value = profits_at(params, s, prices, eff, demands(params, prices, eff)).pi_r1
+            value = self._profits(prices).pi_r1
             if best is None or value > best[0]:
                 best = (value, x)
         assert best is not None  # the kink plans always yield a candidate
@@ -239,8 +238,7 @@ class BestResponses:
                 candidates.append(side(stationary, r1_eq))
         best_value, best_pb2 = -np.inf, r1_eq
         for pb2 in candidates:
-            prices = PriceVector(p1, p2, pb1, pb2)
-            value = profits(self.params, self.scenario, prices).pi_r2
+            value = self._profits(PriceVector(p1, p2, pb1, pb2)).pi_r2
             if value > best_value:
                 best_value, best_pb2 = value, pb2
         response = float(max(best_pb2, 0.0))

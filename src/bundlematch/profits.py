@@ -9,9 +9,11 @@ ordering; exact posted-price ties follow the R1_HIGH convention.
 Each formula is written once, as a function of an evaluated point: a
 structure, posted prices, their effective prices and the demands there
 (profits_at, gradient_r1_at, gradient_r2_at).  profits and the
-profit_gradient_* functions validate and evaluate the prices and then read
-off that point; a caller holding an evaluated point, such as a closed-form
-candidate, reads both profits and both gradients from it directly.
+profit_gradient_* functions validate and evaluate the prices in the regime
+they lie in (market.Regime.of) and then read off that point.  A caller
+holding an evaluated point, such as a closed-form candidate evaluated in the
+regime it was derived in, reads both profits and both gradients from it
+directly: that is the one way to evaluate prices under a presumed regime.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients below are affine and match the regime's
@@ -20,11 +22,11 @@ matrices with closed-form eigenvalues, negative definite whenever
 b_l >= lambda_l and theta_l in (0, 1).  The quadratics (quadratic_r1,
 quadratic_r2) take a structure and no scenario.
 
-The profits and the gradients read at an evaluated point are pure Python.
-Only the functions that return arrays (profit_gradient_r1, hessian_r1,
-hessian_r2, linear_term_r1, quadratic_r1) need numpy, and it is imported in
-the bodies of the functions that build them, so the closed forms and the
-selection run without it.
+The profits and the gradients read at an evaluated point, and
+linear_term_r1, are pure Python.  Only the functions that return arrays
+(profit_gradient_r1, hessian_r1, hessian_r2, quadratic_r1) need numpy, and
+it is imported in the bodies of the functions that build them, so the
+closed forms and the selection run without it.
 """
 
 from __future__ import annotations
@@ -151,29 +153,19 @@ def gradient_r2_at(params: MarketParams, s: RegimeStructure, pb2: float) -> floa
 
 
 def _evaluate(
-    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime | None
+    params: MarketParams, scenario: Scenario, prices: PriceVector
 ) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
-    """Validate the prices and evaluate them once: the structure of the
-    presumed regime (or, with regime=None, of the regime the prices lie in),
-    the effective prices and the demands."""
-    eff = effective_prices(scenario, prices, regime)
+    """Validate the prices and evaluate them once, in the regime they lie in:
+    its structure, the effective prices and the demands."""
+    eff = effective_prices(scenario, prices)
     return structure(scenario, eff.regime), eff, demands(params, prices, eff)
 
 
-def profits(
-    params: MarketParams,
-    scenario: Scenario,
-    prices: PriceVector,
-    regime: Regime | None = None,
-) -> ProfitPair:
-    """Both retailers' profits at posted prices.
-
-    With regime=None the regime (and with it the PMG resolution and the
-    strategic split) is read off the prices, so the function is total,
-    including at regime kinks.  A presumed regime evaluates the branch a
-    closed-form candidate was derived in, whatever ordering the prices satisfy.
-    """
-    s, eff, d = _evaluate(params, scenario, prices, regime)
+def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
+    """Both retailers' profits at posted prices, in the regime (and with it
+    the PMG resolution and the strategic split) the prices lie in, so the
+    function is total, including at regime kinks."""
+    s, eff, d = _evaluate(params, scenario, prices)
     return profits_at(params, s, prices, eff, d)
 
 
@@ -183,48 +175,36 @@ def profits(
 
 
 def _gradient_point(
-    params: MarketParams, scenario: Scenario, prices: PriceVector, regime: Regime | None
+    params: MarketParams, scenario: Scenario, prices: PriceVector
 ) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
-    """The evaluated point a gradient is read at; with regime=None it is
-    ambiguous exactly at the kink."""
-    point = _evaluate(params, scenario, prices, regime)
-    if regime is None:
-        r1_eq = prices.r1_bundle_equivalent()
-        if r1_eq == prices.pb2:
-            raise AmbiguousKinkError(
-                "gradient is ambiguous exactly at the regime kink "
-                f"(bundle-equivalent price {r1_eq} equals pb2)"
-            )
+    """The evaluated point a gradient is read at, which is ambiguous exactly
+    at the kink."""
+    point = _evaluate(params, scenario, prices)
+    r1_eq = prices.r1_bundle_equivalent()
+    if r1_eq == prices.pb2:
+        raise AmbiguousKinkError(
+            "gradient is ambiguous exactly at the regime kink "
+            f"(bundle-equivalent price {r1_eq} equals pb2)"
+        )
     return point
 
 
 def profit_gradient_r1(
-    params: MarketParams,
-    scenario: Scenario,
-    prices: PriceVector,
-    regime: Regime | None = None,
+    params: MarketParams, scenario: Scenario, prices: PriceVector
 ) -> np.ndarray:
-    """Analytic gradient of retailer 1's profit w.r.t. its own prices, in a
-    presumed regime or, with regime=None, in the regime the prices lie in.
-
-    With regime=None, raises AmbiguousKinkError exactly at the regime
-    boundary, where the two one-sided systems disagree.
-    """
+    """Analytic gradient of retailer 1's profit w.r.t. its own prices, in the
+    regime the prices lie in.  Raises AmbiguousKinkError exactly at the
+    regime boundary, where the two one-sided systems disagree."""
     import numpy as np
 
-    s, eff, d = _gradient_point(params, scenario, prices, regime)
+    s, eff, d = _gradient_point(params, scenario, prices)
     return np.array(gradient_r1_at(params, s, prices, eff, d))
 
 
-def profit_gradient_r2(
-    params: MarketParams,
-    scenario: Scenario,
-    prices: PriceVector,
-    regime: Regime | None = None,
-) -> float:
+def profit_gradient_r2(params: MarketParams, scenario: Scenario, prices: PriceVector) -> float:
     """Analytic derivative of retailer 2's profit w.r.t. pb2 (see
     profit_gradient_r1 for the regime and kink behavior)."""
-    s, _, _ = _gradient_point(params, scenario, prices, regime)
+    s, _, _ = _gradient_point(params, scenario, prices)
     return gradient_r2_at(params, s, prices.pb2)
 
 
@@ -313,14 +293,12 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     return _report(np.array([[value]]), np.array([value]), params)
 
 
-def linear_term_r1(params: MarketParams, s: RegimeStructure, pb2: float) -> np.ndarray:
+def linear_term_r1(params: MarketParams, s: RegimeStructure, pb2: float) -> tuple[float, ...]:
     """Gradient of retailer 1's profit in structure s at zero own prices
     against a fixed pb2: the only part of its quadratic that moves with pb2."""
-    import numpy as np
-
     zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
     eff = s.effective_prices(zero)
-    return np.array(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))
+    return gradient_r1_at(params, s, zero, eff, demands(params, zero, eff))
 
 
 def quadratic_r1(
@@ -329,7 +307,9 @@ def quadratic_r1(
     """Retailer 1's profit in structure s against a fixed pb2 as (H, g0):
     the constant Hessian and the gradient at zero own prices.  The gradient
     is H x + g0, so the pair pins the first-order system completely."""
-    return _hessian_r1(params, s)[0], linear_term_r1(params, s, pb2)
+    import numpy as np
+
+    return _hessian_r1(params, s)[0], np.array(linear_term_r1(params, s, pb2))
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

@@ -1,6 +1,8 @@
 """Best-response oracle: regime-exact responses, fixed points, and the
 non-existence signal."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -442,6 +444,24 @@ class TestResponseMemo:
                     assert shared.respond_r2(r1_prices).hex() == (
                         best_response_r2(params, scen, r1_prices).hex()
                     )
+
+
+class TestPriceErrors:
+    def test_infinite_stationary_points_raise(self, baseline):
+        # admissible, but retailer 2's demand bases make both of its
+        # stationary points +inf, which no evaluation may accept
+        params = baseline.replace(a_l_jb=1e308, a_q_jb=1e308)
+        scen = SCENARIOS["noCM,noCM"]
+        responses = bundlematch.oracle.BestResponses(params, scen)
+        assert [point for _, point in responses._stationary_r2] == [math.inf, math.inf]
+        with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
+            responses.respond_r2(PriceVector(50.0, 50.0, 90.0, 100.0))
+        with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
+            find_fixed_point(params, scen)
+
+    def test_r2_requires_a_bundle_price_under_bundling(self, baseline):
+        with pytest.raises(InvalidPriceError, match="pb1 is required"):
+            best_response_r2(baseline, CM_CM, PriceVector(50.0, 50.0, None, 100.0))
 
 
 class TestStackedSolve:

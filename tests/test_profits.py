@@ -165,8 +165,7 @@ class TestGradients:
             profit_gradient_r2(baseline, Scenario.no_bundle(), PriceVector(70.0, 65.0, None, 135.0))
 
     @pytest.mark.parametrize("gradient", [profit_gradient_r1, profit_gradient_r2])
-    @pytest.mark.parametrize("regime", [None, Regime.R1_HIGH, Regime.R1_LOW])
-    def test_invalid_prices_raise_in_every_regime_mode(self, baseline, gradient, regime):
+    def test_invalid_prices_raise(self, baseline, gradient):
         bad = [
             (CM_CM, PriceVector(80.0, float("nan"), 150.0, 135.0)),
             (CM_CM, PriceVector(80.0, 80.0, 150.0, float("inf"))),
@@ -175,12 +174,13 @@ class TestGradients:
         ]
         for scen, prices in bad:
             with pytest.raises(InvalidPriceError):
-                gradient(baseline, scen, prices, regime)
+                gradient(baseline, scen, prices)
 
     def test_bundle_gradient_decouples_from_item_prices_without_gap_term(self, baseline):
         params = baseline.replace(lambda_l=1e-9)
-        a = profit_gradient_r1(params, CM_CM, PriceVector(50.0, 60.0, 200.0, 150.0), Regime.R1_HIGH)
-        b = profit_gradient_r1(params, CM_CM, PriceVector(90.0, 30.0, 200.0, 150.0), Regime.R1_HIGH)
+        # pb1 > pb2: both points lie in R1_HIGH
+        a = profit_gradient_r1(params, CM_CM, PriceVector(50.0, 60.0, 200.0, 150.0))
+        b = profit_gradient_r1(params, CM_CM, PriceVector(90.0, 30.0, 200.0, 150.0))
         assert abs(a[2] - b[2]) < 1e-6
 
 
@@ -195,16 +195,19 @@ class TestQuadraticStructure:
     @pytest.mark.parametrize("regime", [Regime.R1_HIGH, Regime.R1_LOW])
     def test_hessian_matches_second_differences(self, baseline, scen, regime):
         h = 0.5  # profit is exactly quadratic per regime, so any step works
+        # retailer 1's price (120 or 122) at least 18 from pb2, on the
+        # regime's side, so every step of size h keeps the ordering
+        pb2 = 100.0 if regime is Regime.R1_HIGH else 140.0
         base = (
-            PriceVector(80.0, 85.0, 120.0, 140.0)
+            PriceVector(80.0, 85.0, 120.0, pb2)
             if scen.bundling == 1
-            else PriceVector(60.0, 62.0, None, 140.0)
+            else PriceVector(60.0, 62.0, None, pb2)
         )
         coords = ["p1", "p2"] + (["pb1"] if scen.bundling == 1 else [])
         matrix = hessian_r1(baseline, scen, regime).matrix
 
         def f(prices):
-            return profits(baseline, scen, prices, regime).pi_r1
+            return profits(baseline, scen, prices).pi_r1
 
         n = len(coords)
         for i in range(n):
@@ -225,7 +228,7 @@ class TestQuadraticStructure:
                 assert num == pytest.approx(matrix[i, j], abs=1e-6)
 
         def g(prices):
-            return profits(baseline, scen, prices, regime).pi_r2
+            return profits(baseline, scen, prices).pi_r2
 
         num_r2 = (g(_bump(base, "pb2", h)) - 2.0 * g(base) + g(_bump(base, "pb2", -h))) / h**2
         assert num_r2 == pytest.approx(hessian_r2(baseline, scen, regime).matrix[0, 0], abs=1e-6)

@@ -1,6 +1,8 @@
 """The regime-structure table and the single evaluation path built on it."""
 
 import ast
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from bundlematch import (
 )
 from bundlematch.equilibria import THEOREMS
 from bundlematch.market import STRUCTURES
+from bundlematch.oracle import BestResponses
+from bundlematch.profits import gradient_r1_at, gradient_r2_at, profits_at
 
 from conftest import draw_valid_params
 
@@ -92,57 +96,100 @@ def _prices(rng, scenario, tie):
     return PriceVector(p1, p2, pb1, pb1 if tie else rng.uniform(1.0, 400.0))
 
 
-class TestPresumedRegime:
-    def test_none_equals_the_classified_regime(self):
+def _strictly_in(prices, regime):
+    """Whether prices lie strictly on regime's side of the kink."""
+    r1_eq = prices.r1_bundle_equivalent()
+    return r1_eq != prices.pb2 and Regime.of(r1_eq, prices.pb2) is regime
+
+
+def _tie_neighbourhood(rng, scenario):
+    """(prices, regime they lie in): an exact tie, pb2 one ulp either side
+    of it, and the ties of 0.0 against -0.0 either way round."""
+    tie = _prices(rng, scenario, tie=True)
+    r1_eq = tie.r1_bundle_equivalent()
+    out = [
+        (tie, Regime.R1_HIGH),
+        (dataclasses.replace(tie, pb2=math.nextafter(r1_eq, -math.inf)), Regime.R1_HIGH),
+        (dataclasses.replace(tie, pb2=math.nextafter(r1_eq, math.inf)), Regime.R1_LOW),
+    ]
+    for r1_zero, pb2 in ((0.0, -0.0), (-0.0, 0.0)):
+        # under B=0 the item prices sum to a zero of their own sign
+        pb1 = r1_zero if scenario.bundling == 1 else None
+        out.append((PriceVector(r1_zero, r1_zero, pb1, pb2), Regime.R1_HIGH))
+    return out
+
+
+class TestTieRule:
+    def test_one_evaluator_and_one_tie_rule(self):
+        # Regime.of is the only tie rule: effective_prices classifies with
+        # it, and the oracle's evaluator equals profits() bit for bit, at
+        # random prices and on and beside the kink
         rng = np.random.default_rng(11)
-        for _ in range(300):
+        for _ in range(100):
             params = draw_valid_params(rng)
-            scen = ALL_SCENARIOS[rng.integers(len(ALL_SCENARIOS))]
-            prices = _prices(rng, scen, tie=False)
-            regime = effective_prices(scen, prices).regime
-            assert effective_prices(scen, prices, regime) == effective_prices(scen, prices)
-            assert profits(params, scen, prices, regime) == profits(params, scen, prices)
-            g1 = profit_gradient_r1(params, scen, prices)
-            assert np.array_equal(profit_gradient_r1(params, scen, prices, regime), g1)
-            g2 = profit_gradient_r2(params, scen, prices)
-            assert profit_gradient_r2(params, scen, prices, regime) == g2
+            for scen in ALL_SCENARIOS:
+                responses = BestResponses(params, scen)
+                points = [(_prices(rng, scen, tie=False), None), *_tie_neighbourhood(rng, scen)]
+                for prices, expected in points:
+                    regime = Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
+                    assert regime is effective_prices(scen, prices).regime
+                    assert expected in (None, regime)
+                    got, want = responses._profits(prices), profits(params, scen, prices)
+                    assert (got.pi_r1.hex(), got.pi_r2.hex()) == (
+                        want.pi_r1.hex(), want.pi_r2.hex())
 
     @pytest.mark.parametrize("scen", ALL_SCENARIOS, ids=lambda s: s.label())
     def test_exact_ties_are_r1_high(self, scen):
         rng = np.random.default_rng(12)
+        high, low = structure(scen, Regime.R1_HIGH), structure(scen, Regime.R1_LOW)
         for _ in range(50):
             params = draw_valid_params(rng)
             prices = _prices(rng, scen, tie=True)
             eff = effective_prices(scen, prices)
             assert eff.regime is Regime.R1_HIGH
-            assert effective_prices(scen, prices, Regime.R1_HIGH) == eff
-            assert profits(params, scen, prices, Regime.R1_HIGH) == profits(params, scen, prices)
+            assert high.effective_prices(prices) == eff
+            d = demands(params, prices, eff)
+            assert profits_at(params, high, prices, eff, d) == profits(params, scen, prices)
             with pytest.raises(AmbiguousKinkError):
                 profit_gradient_r1(params, scen, prices)
             with pytest.raises(AmbiguousKinkError):
                 profit_gradient_r2(params, scen, prices)
             # a presumed regime has a gradient on the kink too
-            profit_gradient_r1(params, scen, prices, Regime.R1_LOW)
+            eff_low = low.effective_prices(prices)
+            g1 = gradient_r1_at(params, low, prices, eff_low, demands(params, prices, eff_low))
+            assert all(map(math.isfinite, g1))
 
 
 class TestOneEvaluation:
     def test_candidates_equal_the_public_functions(self):
         # a candidate reads demands, profits and both gradients off one
-        # evaluation of its prices; each must equal the public function
-        # evaluated afresh, bit for bit
+        # evaluation of its prices in the regime it was derived in.  Strictly
+        # inside that regime each must equal the public function evaluated
+        # afresh, bit for bit; elsewhere, the structure-level functions
         rng = np.random.default_rng(17)
         points = [MarketParams.baseline()] + [draw_valid_params(rng) for _ in range(50)]
+        inside = outside = 0
         for params in points:
             for scen in ALL_SCENARIOS:
                 for tid in candidate_theorems(scen):
                     r = THEOREMS[tid](params)
-                    prices, regime = r.prices, r.regime
-                    eff = effective_prices(scen, prices, regime)
-                    assert r.demands == demands(params, prices, eff)
-                    assert r.profits == profits(params, scen, prices, regime)
-                    g1 = profit_gradient_r1(params, scen, prices, regime)
-                    g2 = profit_gradient_r2(params, scen, prices, regime)
+                    prices, s = r.prices, structure(scen, r.regime)
+                    eff = s.effective_prices(prices)
+                    d = demands(params, prices, eff)
+                    if _strictly_in(prices, r.regime):
+                        inside += 1
+                        assert eff == effective_prices(scen, prices)
+                        assert r.profits == profits(params, scen, prices)
+                        g1 = profit_gradient_r1(params, scen, prices)
+                        g2 = profit_gradient_r2(params, scen, prices)
+                    else:
+                        outside += 1
+                        assert r.profits == profits_at(params, s, prices, eff, d)
+                        g1 = np.array(gradient_r1_at(params, s, prices, eff, d))
+                        g2 = gradient_r2_at(params, s, prices.pb2)
+                    assert r.demands == d
                     assert r.foc_residual == max(float(np.max(np.abs(g1))), abs(g2))
+        assert inside and outside
 
 
 class TestQuadratics:
@@ -150,14 +197,18 @@ class TestQuadratics:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_quadratic_reproduces_the_gradient(self, scen, regime):
         rng = np.random.default_rng(13)
-        for _ in range(20):
+        checked = 0
+        while checked < 20:
             params = draw_valid_params(rng)
             prices = _prices(rng, scen, tie=False)
+            if not _strictly_in(prices, regime):
+                continue
+            checked += 1
             s = structure(scen, regime)
             h, g0 = quadratic_r1(params, s, prices.pb2)
             x = np.array(prices.present()[:-1])
-            expected = profit_gradient_r1(params, scen, prices, regime)
+            expected = profit_gradient_r1(params, scen, prices)
             assert h @ x + g0 == pytest.approx(expected, rel=1e-9, abs=1e-9)
             h2, g02 = quadratic_r2(params, s)
-            expected2 = profit_gradient_r2(params, scen, prices, regime)
+            expected2 = profit_gradient_r2(params, scen, prices)
             assert h2 * prices.pb2 + g02 == pytest.approx(expected2, rel=1e-9, abs=1e-9)

@@ -494,6 +494,19 @@ class TestCli:
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section", ["[fixed]", "[panel b]"])
+    def test_sweep_nonfinite_override_exits_1(self, tmp_path, capsys, section, value):
+        # a non-finite override would fail every cell's validation in silence
+        spec_path = tmp_path / "s.cfg"
+        spec_path.write_text(SWEEP_SPEC + f"{section}\nc1 = {value}\n")
+        with pytest.raises(ConfigError, match=f":17: value for 'c1' must be finite, got {value}$"):
+            load_sweep_spec(spec_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_malformed_spec_exits_1(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.cfg"
         spec_path.write_text("[axis1]\nname = lambda_l\n")
