@@ -15,9 +15,8 @@ what does not depend on the rival's price: retailer 2's stationary points
 on construction, retailer 1's plan table (structures, Hessians, concavity
 checks, KKT matrices padded with an identity block to one size and
 stacked) on its first response.  Each response of retailer 1 then makes
-one stacked solve.  Both retailers' candidates are evaluated one way
-(BestResponses._profits): validated, in the regime their prices lie in
-(market.Regime.of), under the structures the object holds for its game.
+one stacked solve.  Both retailers' candidates are evaluated by
+profits.profits, in the regime their prices lie in (market.Regime.of).
 The object remembers every response by the exact bits of its argument, so
 a price seen again in the same game costs a lookup.  find_fixed_point and
 find_fixed_points share one object across all rounds and starts; nothing is
@@ -49,13 +48,11 @@ from .market import (
     Regime,
     RegimeStructure,
     Scenario,
-    demands,
     effective_prices,
     kink_structure,
     structure,
-    validate_prices,
 )
-from .profits import ProfitPair, linear_term_r1, profits_at, quadratic_r1, quadratic_r2
+from .profits import linear_terms_r1, profits, quadratic_r1, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -108,10 +105,9 @@ class BestResponses:
 
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
         self.params, self.scenario = params, scenario
-        self._structures = {regime: structure(scenario, regime) for regime in Regime}
         stationary = []
-        for regime, s in self._structures.items():
-            h, g0 = quadratic_r2(params, s)
+        for regime in Regime:
+            h, g0 = quadratic_r2(params, structure(scenario, regime))
             if h >= 0.0:
                 raise SingularSystemError(
                     f"retailer 2 second derivative for regime {regime.value} is not negative"
@@ -121,14 +117,6 @@ class BestResponses:
         # each response of this game, by the exact bits of its argument
         self._r1_memo: dict[str, tuple[float, float, float | None]] = {}
         self._r2_memo: dict[tuple[str, str, str | None], float] = {}
-
-    def _profits(self, prices: PriceVector) -> ProfitPair:
-        """Both profits at prices, as profits() evaluates them: validated, in
-        the regime the prices lie in."""
-        validate_prices(self.scenario, prices)
-        s = self._structures[Regime.of(prices.r1_bundle_equivalent(), prices.pb2)]
-        eff = s.effective_prices(prices)
-        return profits_at(self.params, s, prices, eff, demands(self.params, prices, eff))
 
     @cached_property
     def _plans_r1(
@@ -141,7 +129,7 @@ class BestResponses:
         both regimes' Hessians are negative definite."""
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
-        structures = (*self._structures.values(), kink_structure(scenario))
+        structures = (*(structure(scenario, regime) for regime in Regime), kink_structure(scenario))
         # the Hessians do not depend on pb2
         hessians = [quadratic_r1(params, s, 0.0)[0] for s in structures]
         for regime, h in zip(Regime, hessians[:2]):
@@ -184,7 +172,7 @@ class BestResponses:
         structures, plans, stack = self._plans_r1
         # the gradient at zero own prices, negated: the part of each plan's
         # right-hand side that moves with pb2
-        rhs = [[-g for g in linear_term_r1(params, s, pb2)] for s in structures]
+        rhs = [[-g for g in terms] for terms in linear_terms_r1(params, structures, pb2)]
         size = stack.shape[1]
         columns = []
         for side, regime, on_face in plans:
@@ -207,7 +195,7 @@ class BestResponses:
                 continue
             if not prices.bundle_within_parts():
                 continue
-            value = self._profits(prices).pi_r1
+            value = profits(params, self.scenario, prices).pi_r1
             if best is None or value > best[0]:
                 best = (value, x)
         assert best is not None  # the kink plans always yield a candidate
@@ -238,7 +226,8 @@ class BestResponses:
                 candidates.append(side(stationary, r1_eq))
         best_value, best_pb2 = -np.inf, r1_eq
         for pb2 in candidates:
-            value = self._profits(PriceVector(p1, p2, pb1, pb2)).pi_r2
+            prices = PriceVector(p1, p2, pb1, pb2)
+            value = profits(self.params, self.scenario, prices).pi_r2
             if value > best_value:
                 best_value, best_pb2 = value, pb2
         response = float(max(best_pb2, 0.0))

@@ -23,7 +23,7 @@ b_l >= lambda_l and theta_l in (0, 1).  The quadratics (quadratic_r1,
 quadratic_r2) take a structure and no scenario.
 
 The profits and the gradients read at an evaluated point, and
-linear_term_r1, are pure Python.  Only the functions that return arrays
+linear_terms_r1, are pure Python.  Only the functions that return arrays
 (profit_gradient_r1, hessian_r1, hessian_r2, quadratic_r1) need numpy, and
 it is imported in the bodies of the functions that build them, so the
 closed forms and the selection run without it.
@@ -44,8 +44,8 @@ from .market import (
     RegimeStructure,
     Scenario,
     demands,
-    effective_prices,
     structure,
+    structure_at,
 )
 
 if TYPE_CHECKING:
@@ -157,8 +157,9 @@ def _evaluate(
 ) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
     """Validate the prices and evaluate them once, in the regime they lie in:
     its structure, the effective prices and the demands."""
-    eff = effective_prices(scenario, prices)
-    return structure(scenario, eff.regime), eff, demands(params, prices, eff)
+    s = structure_at(scenario, prices)
+    eff = s.effective_prices(prices)
+    return s, eff, demands(params, prices, eff)
 
 
 def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
@@ -293,12 +294,18 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     return _report(np.array([[value]]), np.array([value]), params)
 
 
-def linear_term_r1(params: MarketParams, s: RegimeStructure, pb2: float) -> tuple[float, ...]:
-    """Gradient of retailer 1's profit in structure s at zero own prices
-    against a fixed pb2: the only part of its quadratic that moves with pb2."""
-    zero = PriceVector(0.0, 0.0, 0.0 if s.bundling == 1 else None, pb2)
-    eff = s.effective_prices(zero)
-    return gradient_r1_at(params, s, zero, eff, demands(params, zero, eff))
+def linear_terms_r1(
+    params: MarketParams, structures: tuple[RegimeStructure, ...], pb2: float
+) -> list[tuple[float, ...]]:
+    """Gradient of retailer 1's profit at zero own prices against a fixed
+    pb2, in each of structures (one bundling value, one zero price vector):
+    the only part of each quadratic that moves with pb2."""
+    zero = PriceVector(0.0, 0.0, 0.0 if structures[0].bundling == 1 else None, pb2)
+    terms = []
+    for s in structures:
+        eff = s.effective_prices(zero)
+        terms.append(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))
+    return terms
 
 
 def quadratic_r1(
@@ -309,7 +316,7 @@ def quadratic_r1(
     is H x + g0, so the pair pins the first-order system completely."""
     import numpy as np
 
-    return _hessian_r1(params, s)[0], np.array(linear_term_r1(params, s, pb2))
+    return _hessian_r1(params, s)[0], np.array(linear_terms_r1(params, (s,), pb2)[0])
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

@@ -26,8 +26,7 @@ from bundlematch import (
     structure,
 )
 from bundlematch.equilibria import THEOREMS
-from bundlematch.market import STRUCTURES
-from bundlematch.oracle import BestResponses
+from bundlematch.market import STRUCTURES, structure_at
 from bundlematch.profits import gradient_r1_at, gradient_r2_at, profits_at
 
 from conftest import draw_valid_params
@@ -120,21 +119,25 @@ def _tie_neighbourhood(rng, scenario):
 
 
 class TestTieRule:
-    def test_one_evaluator_and_one_tie_rule(self):
-        # Regime.of is the only tie rule: effective_prices classifies with
-        # it, and the oracle's evaluator equals profits() bit for bit, at
-        # random prices and on and beside the kink
+    def test_prices_are_evaluated_in_the_regime_of_the_tie_rule(self):
+        # Regime.of is the only tie rule: structure_at and effective_prices
+        # classify with it, and profits() evaluates under that regime's
+        # structure, bit for bit, at random prices and on and beside the kink
         rng = np.random.default_rng(11)
         for _ in range(100):
             params = draw_valid_params(rng)
             for scen in ALL_SCENARIOS:
-                responses = BestResponses(params, scen)
                 points = [(_prices(rng, scen, tie=False), None), *_tie_neighbourhood(rng, scen)]
                 for prices, expected in points:
                     regime = Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
-                    assert regime is effective_prices(scen, prices).regime
+                    eff = effective_prices(scen, prices)
+                    assert regime is eff.regime
                     assert expected in (None, regime)
-                    got, want = responses._profits(prices), profits(params, scen, prices)
+                    s = structure(scen, regime)
+                    assert structure_at(scen, prices) is s
+                    assert s.effective_prices(prices) == eff
+                    got = profits(params, scen, prices)
+                    want = profits_at(params, s, prices, eff, demands(params, prices, eff))
                     assert (got.pi_r1.hex(), got.pi_r2.hex()) == (
                         want.pi_r1.hex(), want.pi_r2.hex())
 
