@@ -45,7 +45,7 @@ from .market import (
     RegimeStructure,
     Scenario,
     demands,
-    structure,
+    regime_structures,
 )
 from .profits import ProfitPair, gradient_r1_at, gradient_r2_at, profits_at
 
@@ -274,7 +274,5 @@ THEOREMS = {
 
 def candidate_theorems(scenario: Scenario) -> tuple[str, str]:
     """The (high-regime, low-regime) candidate pair for a subgame."""
-    return (
-        structure(scenario, Regime.R1_HIGH).theorem_id,
-        structure(scenario, Regime.R1_LOW).theorem_id,
-    )
+    high, low = regime_structures(scenario)
+    return high.theorem_id, low.theorem_id

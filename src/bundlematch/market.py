@@ -10,9 +10,15 @@ the price-aware segments before demands are evaluated.
 Which segment pays which price, and retailer 1's share of strategic demand,
 is fixed per price-ordering regime of a subgame.  The six possibilities are
 the regime structures in STRUCTURES, one per closed-form candidate T1-T5b;
-structure(scenario, regime) looks a subgame's up, kink_structure(scenario)
-its row for a retailer-1 price exactly on the kink, and every other module
-derives prices, profits and derivatives from them.
+structure(scenario, regime) looks a subgame's up, regime_structures(scenario)
+its pair, kink_structure(scenario) its row for a retailer-1 price exactly on
+the kink, and every other module derives prices, profits and derivatives
+from them.
+
+The records made per evaluation (PriceVector, EffectivePrices,
+DemandProfile, and profits.ProfitPair) are typing.NamedTuples: immutable,
+read by field name, and cheaper to build than frozen dataclasses, whose
+__init__ sets each field through object.__setattr__.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 # the one feasibility tolerance: the slack within which a price ordering,
@@ -179,8 +186,7 @@ class Scenario:
         return f"{one},{two}"
 
 
-@dataclass(frozen=True)
-class PriceVector:
+class PriceVector(NamedTuple):
     """Posted prices: retailer 1's item prices p1, p2, its bundle price pb1
     (None when bundling is off), and retailer 2's bundle price pb2."""
 
@@ -221,8 +227,7 @@ class PriceVector:
         return self.sup_distance(other) / scale
 
 
-@dataclass(frozen=True)
-class EffectivePrices:
+class EffectivePrices(NamedTuple):
     """Bundle prices after PMG resolution.
 
     tilde_pb1 / tilde_pb2 are what loyal price-aware customers actually pay at
@@ -326,6 +331,13 @@ def structure(scenario: Scenario, regime: Regime) -> RegimeStructure:
     return _TABLE[scenario.bundling, scenario.pmg_r1, scenario.pmg_r2, regime is _HIGH]
 
 
+def regime_structures(scenario: Scenario) -> tuple[RegimeStructure, RegimeStructure]:
+    """A subgame's (R1_HIGH, R1_LOW) structures: the regimes of its two
+    closed-form candidates."""
+    b, r1, r2 = scenario.bundling, scenario.pmg_r1, scenario.pmg_r2
+    return _TABLE[b, r1, r2, True], _TABLE[b, r1, r2, False]
+
+
 def kink_structure(scenario: Scenario) -> RegimeStructure:
     """A subgame's structure on the kink, where retailer 1's bundle-equivalent
     price equals pb2: its R1_HIGH row with retailer 1 unmatched and strategic
@@ -334,8 +346,7 @@ def kink_structure(scenario: Scenario) -> RegimeStructure:
     return _KINK_TABLE[scenario.bundling, scenario.pmg_r1, scenario.pmg_r2]
 
 
-@dataclass(frozen=True)
-class DemandProfile:
+class DemandProfile(NamedTuple):
     """The seven segment demands at a price vector.
 
     Values are the raw linear forms and may be negative; nonnegativity is an
@@ -352,18 +363,10 @@ class DemandProfile:
     d_s: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.d_l_i1,
-            self.d_l_i2,
-            self.d_l_ib,
-            self.d_q_ib,
-            self.d_l_jb,
-            self.d_q_jb,
-            self.d_s,
-        )
+        return tuple(self)
 
     def min(self) -> float:
-        return min(self.as_tuple())
+        return min(self)
 
 
 def validate_prices(scenario: Scenario, prices: PriceVector) -> None:

@@ -10,13 +10,19 @@ then found by damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
-A BestResponses object holds one game, (params, scenario), and builds once
-what does not depend on the rival's price: retailer 2's stationary points
-on construction, retailer 1's plan table (structures, Hessians, concavity
-checks, KKT matrices padded with an identity block to one size and
-stacked) on its first response.  Each response of retailer 1 then makes
-one stacked solve.  Both retailers' candidates are evaluated by
-profits.profits, in the regime their prices lie in (market.Regime.of).
+What does not depend on the game is built once per bundling value, at
+import: the plan list and a template of the plans' KKT matrices, each
+padded with an identity block to one size and stacked, holding the
+constraint borders and the padding with zero Hessian blocks.  A
+BestResponses object holds one game, (params, scenario), and builds once
+what does not depend on the rival's price: retailer 2's stationary points,
+each with its side of the kink, on construction, and retailer 1's plan
+stack on its first response, from the game's three Hessians
+(profits.hessian_matrix_r1), one concavity check over both regimes' and
+one indexed assignment into a copy of the template.  Each response of
+retailer 1 then makes one stacked solve.  Both retailers' candidates are
+evaluated by profits.profits, in the regime their prices lie in
+(market.Regime.of).
 The object remembers every response by the exact bits of its argument, so
 a price seen again in the same game costs a lookup.  find_fixed_point and
 find_fixed_points share one object across all rounds and starts; nothing is
@@ -50,9 +56,9 @@ from .market import (
     Scenario,
     effective_prices,
     kink_structure,
-    structure,
+    regime_structures,
 )
-from .profits import linear_terms_r1, profits, quadratic_r1, quadratic_r2
+from .profits import hessian_matrix_r1, linear_terms_r1, profits, quadratic_r2
 
 
 class SingularSystemError(RuntimeError):
@@ -97,6 +103,43 @@ def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
     return kkt
 
 
+def _plan_template(
+    bundled: bool,
+) -> tuple[tuple[tuple[int, Regime | None, bool], ...], np.ndarray, np.ndarray]:
+    """Retailer 1's plans under one bundling value as (side, regime,
+    on_face), where side indexes its structures (R1_HIGH, R1_LOW, kink tie)
+    and regime is None on the kink; each plan's side as an index array; and
+    the plans' KKT matrices with zero Hessian blocks, each padded with an
+    identity block to the largest system size (5 under B=1, 3 under B=0)
+    and stacked in plan order.  The arrays are read-only: every game copies
+    the stack."""
+    n = 3 if bundled else 2
+    kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
+    sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
+    # each side again on the bundle-discount face p1 + p2 = pb1
+    faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
+    plans, matrices = [], []
+    for face in faces:
+        for side, regime, constraints in sides:
+            plans.append((side, regime, bool(face)))
+            matrices.append(_kkt_matrix(np.zeros((n, n)), constraints + face))
+    # the identity block leaves a system's solution exact: its rows and
+    # columns are zero against the system's, and its right-hand side 0
+    size = max(len(m) for m in matrices)
+    stack = np.zeros((len(matrices), size, size))
+    for padded, matrix in zip(stack, matrices):
+        m = len(matrix)
+        padded[:m, :m] = matrix
+        padded[range(m, size), range(m, size)] = 1.0
+    sides_index = np.array([side for side, _, _ in plans])
+    sides_index.flags.writeable = stack.flags.writeable = False
+    return tuple(plans), sides_index, stack
+
+
+# by bundling value: what every game's plan stack shares, built once
+_PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1)}
+
+
 class BestResponses:
     """Both retailers' best responses in one (params, scenario) game, each
     remembered by the exact bits of its argument.  Raises
@@ -106,13 +149,14 @@ class BestResponses:
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
         self.params, self.scenario = params, scenario
         stationary = []
-        for regime in Regime:
-            h, g0 = quadratic_r2(params, structure(scenario, regime))
+        # each regime's stationary point is kept on its side of the kink
+        for s, side in zip(regime_structures(scenario), (min, max)):
+            h, g0 = quadratic_r2(params, s)
             if h >= 0.0:
                 raise SingularSystemError(
-                    f"retailer 2 second derivative for regime {regime.value} is not negative"
+                    f"retailer 2 second derivative for regime {s.regime.value} is not negative"
                 )
-            stationary.append((regime, -g0 / h))
+            stationary.append((s.regime, side, -g0 / h))
         self._stationary_r2 = tuple(stationary)
         # each response of this game, by the exact bits of its argument
         self._r1_memo: dict[str, tuple[float, float, float | None]] = {}
@@ -121,39 +165,26 @@ class BestResponses:
     @cached_property
     def _plans_r1(
         self,
-    ) -> tuple[tuple[RegimeStructure, ...], list[tuple[int, Regime | None, bool]], np.ndarray]:
-        """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie), its plans as
-        (side, regime, on_face), and the plans' KKT matrices stacked in plan
-        order, each padded with an identity block to the largest system
-        size (5 under B=1, 3 under B=0).  Raises SingularSystemError unless
+    ) -> tuple[
+        tuple[RegimeStructure, ...], tuple[tuple[int, Regime | None, bool], ...], np.ndarray
+    ]:
+        """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie), its plans,
+        and the plans' KKT matrices: the bundling value's template with this
+        game's Hessians assigned into it.  Raises SingularSystemError unless
         both regimes' Hessians are negative definite."""
         params, scenario = self.params, self.scenario
-        bundled = scenario.bundling == 1
-        structures = (*(structure(scenario, regime) for regime in Regime), kink_structure(scenario))
+        structures = (*regime_structures(scenario), kink_structure(scenario))
+        plans, sides, template = _PLAN_TEMPLATES[scenario.bundling]
         # the Hessians do not depend on pb2
-        hessians = [quadratic_r1(params, s, 0.0)[0] for s in structures]
-        for regime, h in zip(Regime, hessians[:2]):
-            if not np.all(np.linalg.eigvalsh(h) < 0.0):
+        hessians = np.array([hessian_matrix_r1(params, s) for s in structures])
+        for regime, eigenvalues in zip(Regime, np.linalg.eigvalsh(hessians[:2])):
+            if not np.all(eigenvalues < 0.0):
                 raise SingularSystemError(
                     f"retailer 1 Hessian for regime {regime.value} is not negative definite"
                 )
-        kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
-        sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
-        # each side again on the bundle-discount face p1 + p2 = pb1
-        faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
-        plans, matrices = [], []
-        for face in faces:
-            for side, regime, constraints in sides:
-                plans.append((side, regime, bool(face)))
-                matrices.append(_kkt_matrix(hessians[side], constraints + face))
-        # the identity block leaves a system's solution exact: its rows and
-        # columns are zero against the system's, and its right-hand side 0
-        size = max(len(m) for m in matrices)
-        stack = np.zeros((len(matrices), size, size))
-        for padded, matrix in zip(stack, matrices):
-            n = len(matrix)
-            padded[:n, :n] = matrix
-            padded[range(n, size), range(n, size)] = 1.0
+        n = hessians.shape[1]
+        stack = template.copy()
+        stack[:, :n, :n] = hessians[sides]
         return structures, plans, stack
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
@@ -219,10 +250,8 @@ class BestResponses:
         if key in self._r2_memo:
             return self._r2_memo[key]
         candidates: list[float] = [r1_eq]  # the kink is always a candidate
-        for regime, stationary in self._stationary_r2:
+        for regime, side, stationary in self._stationary_r2:
             if regime.holds(r1_eq, stationary):
-                # kept on the regime's side of the kink
-                side = min if regime is Regime.R1_HIGH else max
                 candidates.append(side(stationary, r1_eq))
         best_value, best_pb2 = -np.inf, r1_eq
         for pb2 in candidates:

@@ -14,17 +14,23 @@ they lie in (market.Regime.of) and then read off that point.  A caller
 holding an evaluated point, such as a closed-form candidate evaluated in the
 regime it was derived in, reads both profits and both gradients from it
 directly: that is the one way to evaluate prices under a presumed regime.
+An evaluation builds its records as tuples (market's EffectivePrices and
+DemandProfile, and ProfitPair here are typing.NamedTuples), so profits()
+costs a few plain tuple constructions beyond its arithmetic.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients below are affine and match the regime's
 first-order-condition system term by term, and the Hessians are constant
 matrices with closed-form eigenvalues, negative definite whenever
-b_l >= lambda_l and theta_l in (0, 1).  The quadratics (quadratic_r1,
-quadratic_r2) take a structure and no scenario.
+b_l >= lambda_l and theta_l in (0, 1).  Retailer 1's Hessian under a
+structure, alone, is hessian_matrix_r1: the oracle builds its plans from it
+and needs no linear term.  The quadratics (quadratic_r1, quadratic_r2) take
+a structure and no scenario.
 
 The profits and the gradients read at an evaluated point, and
 linear_terms_r1, are pure Python.  Only the functions that return arrays
-(profit_gradient_r1, hessian_r1, hessian_r2, quadratic_r1) need numpy, and
+(profit_gradient_r1, hessian_matrix_r1, hessian_r1, hessian_r2,
+quadratic_r1) need numpy, and
 it is imported in the bodies of the functions that build them, so the
 closed forms and the selection run without it.
 """
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .market import (
     DemandProfile,
@@ -57,8 +63,7 @@ class AmbiguousKinkError(ValueError):
     profit is not differentiable."""
 
 
-@dataclass(frozen=True)
-class ProfitPair:
+class ProfitPair(NamedTuple):
     """Both retailers' profits in raw currency (reporting divides by 1000)."""
 
     pi_r1: float
@@ -232,7 +237,7 @@ class HessianReport:
     t2: float
 
 
-def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> HessianReport:
+def _report(matrix: np.ndarray, closed: list[float], params: MarketParams) -> HessianReport:
     import numpy as np
 
     numeric = np.linalg.eigvalsh(matrix)
@@ -247,31 +252,41 @@ def _report(matrix: np.ndarray, closed: np.ndarray, params: MarketParams) -> Hes
     )
 
 
-def _hessian_r1(params: MarketParams, s: RegimeStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Retailer 1's Hessian in structure s and its closed-form eigenvalues."""
+def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> np.ndarray:
+    """Retailer 1's constant Hessian in its own prices under structure s
+    (3x3 under bundling, 2x2 otherwise)."""
     import numpy as np
 
     p = params
     w, _ = s.own_strategic_weights(p.alpha)
-    e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
     if s.bundling == 0:
         diag = -6.0 * p.b_l - 2.0 * w * p.b_s
         off = -(4.0 + 2.0 * p.theta_l) * p.b_l - 2.0 * w * p.b_s
-        e2 = -2.0 * p.b_l * (5.0 + p.theta_l) - 4.0 * w * p.b_s
-        return np.array([[diag, off], [off, diag]]), np.array([e1, e2])
+        return np.array([[diag, off], [off, diag]])
     t1, t2, lam = p.t1, p.t2, p.lambda_l
     if s.r1_matched:
-        m = 2.0 * np.array([[-t1, -t2, lam], [-t2, -t1, lam], [lam, lam, -t1]])
-        root = math.sqrt((p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2)
-        mid = 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l
-        return m, np.array([e1, -mid - root, -mid + root])
+        return 2.0 * np.array([[-t1, -t2, lam], [-t2, -t1, lam], [lam, lam, -t1]])
     corner = -2.0 * t1 - w * p.b_s
-    m = 2.0 * np.array(
+    return 2.0 * np.array(
         [[-t1, -t2, 1.5 * lam], [-t2, -t1, 1.5 * lam], [1.5 * lam, 1.5 * lam, corner]]
     )
+
+
+def _eigenvalues_r1(params: MarketParams, s: RegimeStructure) -> list[float]:
+    """The closed-form eigenvalues of hessian_matrix_r1(params, s)."""
+    p = params
+    w, _ = s.own_strategic_weights(p.alpha)
+    e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
+    if s.bundling == 0:
+        return [e1, -2.0 * p.b_l * (5.0 + p.theta_l) - 4.0 * w * p.b_s]
+    lam = p.lambda_l
+    if s.r1_matched:
+        root = math.sqrt((p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2)
+        mid = 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l
+        return [e1, -mid - root, -mid + root]
     psi = math.sqrt((p.b_l * (1.0 - p.theta_l) + w * p.b_s) ** 2 + 18.0 * lam**2)
     mid = w * p.b_s + p.b_l * p.theta_l + 3.0 * p.b_l + 4.0 * lam
-    return m, np.array([e1, -mid - psi, -mid + psi])
+    return [e1, -mid - psi, -mid + psi]
 
 
 def _hessian_r2(params: MarketParams, s: RegimeStructure) -> float:
@@ -282,8 +297,8 @@ def _hessian_r2(params: MarketParams, s: RegimeStructure) -> float:
 def hessian_r1(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
     """Hessian of retailer 1's profit in its own prices for a fixed regime
     (3x3 under bundling, 2x2 otherwise)."""
-    matrix, closed = _hessian_r1(params, structure(scenario, regime))
-    return _report(matrix, closed, params)
+    s = structure(scenario, regime)
+    return _report(hessian_matrix_r1(params, s), _eigenvalues_r1(params, s), params)
 
 
 def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
@@ -291,7 +306,7 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     import numpy as np
 
     value = _hessian_r2(params, structure(scenario, regime))
-    return _report(np.array([[value]]), np.array([value]), params)
+    return _report(np.array([[value]]), [value], params)
 
 
 def linear_terms_r1(
@@ -316,7 +331,7 @@ def quadratic_r1(
     is H x + g0, so the pair pins the first-order system completely."""
     import numpy as np
 
-    return _hessian_r1(params, s)[0], np.array(linear_terms_r1(params, (s,), pb2)[0])
+    return hessian_matrix_r1(params, s), np.array(linear_terms_r1(params, (s,), pb2)[0])
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

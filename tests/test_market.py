@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from bundlematch import (
+    DemandProfile,
+    EffectivePrices,
     InvalidParameterError,
     InvalidPriceError,
     MarketParams,
     PriceVector,
+    ProfitPair,
     Regime,
     Scenario,
     demands,
@@ -165,6 +168,26 @@ class TestTypes:
         # lower bounds, so finiteness is checked on its own
         with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
             MarketParams.baseline(**{name: value})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            PriceVector(10.0, 20.0, 25.0, 40.0),
+            PriceVector(10.0, 20.0, None, 40.0),
+            EffectivePrices(40.0, 25.0, 25.0, Regime.R1_LOW),
+            DemandProfile(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+            ProfitPair(1.0, 2.0),
+        ],
+        ids=lambda r: type(r).__name__,
+    )
+    def test_records_are_immutable(self, record):
+        before = tuple(record)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+        assert tuple(record) == before
 
     def test_bundle_equivalent_price(self):
         assert PriceVector(10.0, 20.0, 25.0, 40.0).r1_bundle_equivalent() == 25.0

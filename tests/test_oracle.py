@@ -22,8 +22,11 @@ from bundlematch import (
     find_fixed_point,
     find_fixed_points,
     profits,
+    quadratic_r1,
     solve_subgame,
+    structure,
 )
+from bundlematch.market import kink_structure
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
@@ -91,8 +94,8 @@ def _hex(prices):
 
 @pytest.fixture
 def count_quadratics(monkeypatch):
-    """Calls of the oracle's quadratic_r1 and quadratic_r2, by name."""
-    calls = {"quadratic_r1": 0, "quadratic_r2": 0}
+    """Calls of the oracle's hessian_matrix_r1 and quadratic_r2, by name."""
+    calls = {"hessian_matrix_r1": 0, "quadratic_r2": 0}
     for name in calls:
         original = getattr(bundlematch.oracle, name)
 
@@ -190,13 +193,12 @@ class TestBestResponses:
     def test_r1_rejects_a_regime_quadratic_that_is_not_concave(
         self, baseline, label, search, monkeypatch
     ):
-        quadratic = bundlematch.oracle.quadratic_r1
+        hessian = bundlematch.oracle.hessian_matrix_r1
 
         def convex(*args):
-            h, g0 = quadratic(*args)
-            return -h, g0
+            return -hessian(*args)
 
-        monkeypatch.setattr(bundlematch.oracle, "quadratic_r1", convex)
+        monkeypatch.setattr(bundlematch.oracle, "hessian_matrix_r1", convex)
         with pytest.raises(SingularSystemError, match="not negative definite"):
             if search:
                 find_fixed_point(baseline, SCENARIOS[label])
@@ -259,7 +261,7 @@ class TestFixedPoints:
     def test_fixed_point_builds_plans_once(self, baseline, label, monkeypatch):
         # the Hessians, KKT matrices and retailer 2's stationary points depend
         # only on (params, scenario), so one search builds them once
-        calls = {"quadratic_r1": 0, "quadratic_r2": 0}
+        calls = {"hessian_matrix_r1": 0, "quadratic_r2": 0}
         for name in calls:
             original = getattr(bundlematch.oracle, name)
 
@@ -270,16 +272,16 @@ class TestFixedPoints:
             monkeypatch.setattr(bundlematch.oracle, name, counted)
         out = find_fixed_point(baseline, SCENARIOS[label], OracleConfig(damping=0.5))
         assert out.iterations > 2
-        assert calls == {"quadratic_r1": 3, "quadratic_r2": 2}
+        assert calls == {"hessian_matrix_r1": 3, "quadratic_r2": 2}
 
     def test_fixed_points_build_plans_once(self, baseline, count_quadratics):
         # all four starts share one game's plans
         find_fixed_points(baseline, CM_CM)
-        assert count_quadratics == {"quadratic_r1": 3, "quadratic_r2": 2}
+        assert count_quadratics == {"hessian_matrix_r1": 3, "quadratic_r2": 2}
 
     def test_best_response_r2_builds_no_r1_plans(self, baseline, count_quadratics):
         best_response_r2(baseline, CM_CM, PriceVector(99.05, 99.05, 162.05, 0.0))
-        assert count_quadratics == {"quadratic_r1": 0, "quadratic_r2": 2}
+        assert count_quadratics == {"hessian_matrix_r1": 0, "quadratic_r2": 2}
 
     def test_nonconvergence_in_blank_region(self, baseline):
         out = find_fixed_point(baseline.replace(**BLANK), CM_CM)
@@ -453,7 +455,7 @@ class TestPriceErrors:
         params = baseline.replace(a_l_jb=1e308, a_q_jb=1e308)
         scen = SCENARIOS["noCM,noCM"]
         responses = bundlematch.oracle.BestResponses(params, scen)
-        assert [point for _, point in responses._stationary_r2] == [math.inf, math.inf]
+        assert [point for *_, point in responses._stationary_r2] == [math.inf, math.inf]
         with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
             responses.respond_r2(PriceVector(50.0, 50.0, 90.0, 100.0))
         with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
@@ -472,6 +474,37 @@ class TestStackedSolve:
             before = len(count_solves)
             responses.respond_r1(pb2)
             assert len(count_solves) == before + 1
+
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_template_stack_equals_the_per_plan_kkt_matrices_bit_for_bit(self, label):
+        # the stack is a copy of the bundling value's template with the
+        # game's Hessians assigned in; it must equal each plan's KKT matrix
+        # built on its own from quadratic_r1's Hessian and _kkt_matrix and
+        # padded with an identity block, to the bit (signed zeros included)
+        rng = np.random.default_rng(22)
+        scen = SCENARIOS[label]
+        bundled = scen.bundling == 1
+        kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])
+        face = np.array([1.0, 1.0, -1.0])
+        for _ in range(60):
+            params = draw_valid_params(rng)
+            structures, plans, stack = bundlematch.oracle.BestResponses(params, scen)._plans_r1
+            assert structures == (
+                structure(scen, Regime.R1_HIGH), structure(scen, Regime.R1_LOW),
+                kink_structure(scen),
+            )
+            assert [(side, regime) for side, regime, _ in plans] == [
+                (0, Regime.R1_HIGH), (1, Regime.R1_LOW), (2, None)
+            ] * (2 if bundled else 1)
+            assert [on_face for *_, on_face in plans] == [False] * 3 + [True] * (3 * bundled)
+            size = stack.shape[1]
+            for (side, regime, on_face), got in zip(plans, stack):
+                h = quadratic_r1(params, structures[side], 0.0)[0]
+                constraints = ([kink] if regime is None else []) + ([face] if on_face else [])
+                kkt = bundlematch.oracle._kkt_matrix(h, constraints)
+                want = np.eye(size)
+                want[: len(kkt), : len(kkt)] = kkt
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
     def test_padded_stack_solves_as_per_size_systems_bit_for_bit(self, label):

@@ -1,7 +1,6 @@
 """The regime-structure table and the single evaluation path built on it."""
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
 
@@ -108,8 +107,8 @@ def _tie_neighbourhood(rng, scenario):
     r1_eq = tie.r1_bundle_equivalent()
     out = [
         (tie, Regime.R1_HIGH),
-        (dataclasses.replace(tie, pb2=math.nextafter(r1_eq, -math.inf)), Regime.R1_HIGH),
-        (dataclasses.replace(tie, pb2=math.nextafter(r1_eq, math.inf)), Regime.R1_LOW),
+        (tie._replace(pb2=math.nextafter(r1_eq, -math.inf)), Regime.R1_HIGH),
+        (tie._replace(pb2=math.nextafter(r1_eq, math.inf)), Regime.R1_LOW),
     ]
     for r1_zero, pb2 in ((0.0, -0.0), (-0.0, 0.0)):
         # under B=0 the item prices sum to a zero of their own sign
