@@ -7,14 +7,11 @@ b_l, theta_l, ...) and default to the symmetric baseline when omitted.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
 
-from .market import InvalidParameterError, MarketParams
+from .market import PARAM_FIELDS, InvalidParameterError, MarketParams
 from .sweep import AxisSpec, Panel, SweepSpec
-
-PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(MarketParams))
 
 
 class ConfigError(ValueError):

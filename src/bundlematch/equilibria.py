@@ -21,18 +21,18 @@ its prices under its structure alone: the prices are checked finite once,
 their effective prices and demands resolved once, and both profits and both
 gradients taken from that point (profits.profits_at, gradient_r1_at,
 gradient_r2_at).  The feasibility flag at market.FEASIBILITY_TOL is decided
-on first access and cached, as is the condition-set report.  Infeasible
-candidates (ordering violated, a demand negative) are returned with
-feasible=False rather than raised, so the selection layer can map
-non-existence regions; parameters at which a closed form has a vanishing
-denominator or overflows raise DegenerateParamsError.
+at construction, from the same evaluation; the condition-set report is built
+on first access and cached.  Infeasible candidates (ordering violated, a
+demand negative) are returned with feasible=False rather than raised, so the
+selection layer can map non-existence regions; parameters at which a closed
+form has a vanishing denominator or overflows raise DegenerateParamsError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .conditions import ConditionReport, check_condition_set
 from .market import (
@@ -57,12 +57,7 @@ class DegenerateParamsError(ValueError):
     overflow."""
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
-    """One closed-form candidate at one parameter point.  Its feasibility is
-    decided and its condition-set report built lazily, on first access, and
-    both are cached."""
-
+class _Candidate(NamedTuple):
     prices: PriceVector
     demands: DemandProfile
     profits: ProfitPair
@@ -70,26 +65,21 @@ class EquilibriumResult:
     theorem_id: str
     foc_residual: float
     params: MarketParams
+    feasible: bool
+
+
+class EquilibriumResult(_Candidate):
+    """One closed-form candidate at one parameter point: an immutable tuple
+    whose feasibility is decided when it is built (_feasible).  Unlike its
+    fields, the condition-set report is built on first access and cached,
+    which is what the instance dict of this subclass is for."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: EquilibriumResult is immutable")
 
     @cached_property
     def condition_report(self) -> ConditionReport:
         return check_condition_set(STRUCTURES[self.theorem_id].condition_set, self.params)
-
-    @cached_property
-    def feasible(self) -> bool:
-        """Ordering of the presumed regime holds, all demands and prices are
-        nonnegative, and the bundle is not priced above its parts, each
-        within FEASIBILITY_TOL, and the first-order conditions are
-        satisfied."""
-        if not self.regime.holds(self.prices.r1_bundle_equivalent(), self.prices.pb2):
-            return False
-        if self.demands.min() < -FEASIBILITY_TOL:
-            return False
-        if min(self.prices.present()) < -FEASIBILITY_TOL:
-            return False
-        if not self.prices.bundle_within_parts():
-            return False
-        return self.foc_residual <= FOC_RESIDUAL_TOL
 
 
 def _guard_denominator(value: float, description: str) -> float:
@@ -186,12 +176,29 @@ def _largest_magnitude(values: tuple[float, ...]) -> float:
     return largest
 
 
+def _feasible(
+    s: RegimeStructure, prices: PriceVector, d: DemandProfile, foc_residual: float
+) -> bool:
+    """Ordering of the presumed regime holds, all demands and prices are
+    nonnegative, and the bundle is not priced above its parts, each within
+    FEASIBILITY_TOL, and the first-order conditions are satisfied."""
+    if not s.regime.holds(prices.r1_bundle_equivalent(), prices.pb2):
+        return False
+    if d.min() < -FEASIBILITY_TOL:
+        return False
+    if min(prices.present()) < -FEASIBILITY_TOL:
+        return False
+    if not prices.bundle_within_parts():
+        return False
+    return foc_residual <= FOC_RESIDUAL_TOL
+
+
 def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     """The stationary point of one regime structure, with its demands,
-    profits and first-order residual: retailer 2's price from one formula,
-    retailer 1's from the family its structure picks.  Demands, profits and
-    both gradients are read off one evaluation of the prices.  Raises
-    DegenerateParamsError when a price overflows or is NaN."""
+    profits, first-order residual and feasibility: retailer 2's price from
+    one formula, retailer 1's from the family its structure picks.
+    Demands, profits and both gradients are read off one evaluation of the
+    prices.  Raises DegenerateParamsError when a price overflows or is NaN."""
     p, s = params, STRUCTURES[theorem_id]
     rival_level = _r2_level(p, s)
     pb2 = 0.5 * (rival_level + p.total_cost)
@@ -210,14 +217,16 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     eff = s.effective_prices(prices)
     d = demands(p, prices, eff)
     g1 = gradient_r1_at(p, s, prices, eff, d)
+    residual = _largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2)))
     return EquilibriumResult(
         prices=prices,
         demands=d,
         profits=profits_at(p, s, prices, eff, d),
         regime=s.regime,
         theorem_id=theorem_id,
-        foc_residual=_largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2))),
+        foc_residual=residual,
         params=p,
+        feasible=_feasible(s, prices, d, residual),
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -104,10 +105,12 @@ class MarketParams:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            # NaN passes every comparison below as false, +inf every lower bound
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+        values = _field_values(self)
+        # NaN passes every comparison below as false, +inf every lower bound
+        if not all(map(math.isfinite, values)):
+            for name, value in zip(PARAM_FIELDS, values):
+                if not math.isfinite(value):
+                    raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         for name in ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s"):
             if not getattr(self, name) >= 0.0:
                 raise InvalidParameterError(f"demand base {name} must be >= 0")
@@ -135,7 +138,20 @@ class MarketParams:
         return cls(**overrides)
 
     def replace(self, **changes: float) -> "MarketParams":
-        return dataclasses.replace(self, **changes)
+        """A copy with `changes` applied, validated as a new instance is.
+        Each field is set through object.__setattr__, as the frozen __init__
+        does, without dataclasses.replace's field loop and keyword call.
+        Nothing touches an instance __dict__: on CPython 3.11 that makes
+        every later attribute read of the object slower."""
+        if not changes.keys() <= _FIELD_SET:
+            unknown = next(name for name in changes if name not in _FIELD_SET)
+            raise TypeError(f"{type(self).__name__} has no field {unknown!r}")
+        new = object.__new__(type(self))
+        set_field, change = object.__setattr__, changes.get
+        for name, value in zip(PARAM_FIELDS, _field_values(self)):
+            set_field(new, name, change(name, value))
+        new.__post_init__()
+        return new
 
     @property
     def total_cost(self) -> float:
@@ -149,6 +165,12 @@ class MarketParams:
     @property
     def t2(self) -> float:
         return self.b_l * self.theta_l + self.lambda_l
+
+
+# MarketParams' field names in declaration order, and a getter of their values
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(MarketParams))
+_FIELD_SET = frozenset(PARAM_FIELDS)
+_field_values = operator.attrgetter(*PARAM_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,17 @@ The policy comparison solves all five subgames, takes the best bundled
 profit, and reports the profit gain from bundling over no bundling together
 with the PMG pair attaining it.
 
+SubgameSolution and PolicyComparison are typing.NamedTuples, cheaper to
+build than frozen dataclasses: a policy comparison builds five of the one and
+one of the other per parameter point.
+
 Selection needs no numpy.  The oracle, which does, is imported only when a
 subgame is solved with oracle_check=True (see find_fixed_point below).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .equilibria import EquilibriumResult, THEOREMS, candidate_theorems
 from .market import MarketParams, Scenario
@@ -51,8 +54,15 @@ def scenario_key(scenario: Scenario) -> str:
     return f"{one}_{two}"
 
 
-@dataclass(frozen=True)
-class SubgameSolution:
+# (scenario, its key, its (high-regime, low-regime) candidate pair) for the
+# five subgames compare_policies solves, bundled ones in BUNDLED_SCENARIOS
+# order, which its tie-break relies on
+_SUBGAMES = tuple(
+    (s, scenario_key(s), candidate_theorems(s)) for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle())
+)
+
+
+class SubgameSolution(NamedTuple):
     scenario: Scenario
     chosen: EquilibriumResult | None
     candidates: list[EquilibriumResult]
@@ -91,8 +101,7 @@ class SubgameSolution:
         return out
 
 
-@dataclass(frozen=True)
-class PolicyComparison:
+class PolicyComparison(NamedTuple):
     pi_bundle: float | None
     pi_nobundle: float | None
     delta_pi_B: float | None
@@ -105,8 +114,13 @@ class PolicyComparison:
 def _select(candidates: list[EquilibriumResult]) -> EquilibriumResult | None:
     """The feasible candidate maximizing retailer 1's profit, ties to the
     lower theorem id, so the choice is independent of candidate order."""
-    feasible = [r for r in candidates if r.feasible]
-    return min(feasible, key=lambda r: (-r.profits.pi_r1, r.theorem_id), default=None)
+    best = None
+    for r in candidates:
+        if r.feasible and (
+            best is None or (-r.profits.pi_r1, r.theorem_id) < (-best.profits.pi_r1, best.theorem_id)
+        ):
+            best = r
+    return best
 
 
 def solve_subgame(
@@ -144,9 +158,9 @@ def compare_policies(params: MarketParams) -> PolicyComparison:
     """
     results = {tid: theorem(params) for tid, theorem in THEOREMS.items()}
     solutions = {}
-    for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle()):
-        candidates = [results[tid] for tid in candidate_theorems(s)]
-        solutions[scenario_key(s)] = SubgameSolution(s, _select(candidates), candidates)
+    for s, key, (high, low) in _SUBGAMES:
+        candidates = [results[high], results[low]]
+        solutions[key] = SubgameSolution(s, _select(candidates), candidates)
     no_bundle = solutions["no_bundle"]
 
     existence = {key: sol.chosen is not None for key, sol in solutions.items()}

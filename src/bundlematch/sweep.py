@@ -7,7 +7,8 @@ comparison are emitted with exists=0 and empty value fields, never skipped;
 a cell at which a closed form is degenerate stops the sweep with a
 DegenerateParamsError that names the panel and the cell.
 Cells are evaluated serially in grid order, one policy comparison each, so
-files are byte-identical across runs.
+files are byte-identical across runs.  A cell is a typing.NamedTuple, as are
+the selection records it is read from.
 
 Profits in emitted files are reported in thousands of currency; the engine
 itself works in raw currency.
@@ -19,7 +20,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .equilibria import DegenerateParamsError
 from .market import InvalidParameterError, MarketParams, Scenario
@@ -86,8 +87,7 @@ class SweepSpec:
     panels: tuple[Panel, ...] = (Panel(label="default"),)
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     axis1_value: float
     axis2_value: float
     exists: bool
@@ -135,27 +135,28 @@ def build_symmetric_table(params: MarketParams) -> list[dict[str, object]]:
 
 
 def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: float) -> GridCell:
+    v1, v2 = float(v1), float(v2)
     overrides = dict(spec.fixed)
     overrides.update(panel.overrides)
-    overrides[spec.axis1.name] = float(v1)
-    overrides[spec.axis2.name] = float(v2)
+    overrides[spec.axis1.name] = v1
+    overrides[spec.axis2.name] = v2
     try:
         params = base.replace(**overrides)
     except InvalidParameterError:
         # e.g. lambda_l above b_l on part of a sweep range: not an admissible
         # parameter point, recorded as non-existent rather than skipped
-        return GridCell(float(v1), float(v2), exists=False, delta_pi_B=None, best_regime=None)
+        return GridCell(v1, v2, exists=False, delta_pi_B=None, best_regime=None)
     try:
         comparison: PolicyComparison = compare_policies(params)
     except DegenerateParamsError as exc:
         raise DegenerateParamsError(
-            f"panel {panel.label!r} at {spec.axis1.name}={float(v1)!r}, "
-            f"{spec.axis2.name}={float(v2)!r}: {exc}"
+            f"panel {panel.label!r} at {spec.axis1.name}={v1!r}, "
+            f"{spec.axis2.name}={v2!r}: {exc}"
         ) from exc
     exists = comparison.delta_pi_B is not None
     return GridCell(
-        axis1_value=float(v1),
-        axis2_value=float(v2),
+        axis1_value=v1,
+        axis2_value=v2,
         exists=exists,
         delta_pi_B=comparison.delta_pi_B if exists else None,
         best_regime=comparison.best_pmg_regime.label() if exists else None,

@@ -15,9 +15,13 @@ from bundlematch import (
     ProfitPair,
     Regime,
     Scenario,
+    compare_policies,
     demands,
     effective_prices,
+    eq_T1,
+    solve_subgame,
 )
+from bundlematch.sweep import GridCell
 
 CM_CM = Scenario.bundled(True, True)
 NOCM_NOCM = Scenario.bundled(False, False)
@@ -158,8 +162,11 @@ class TestTypes:
         ],
     )
     def test_parameter_invariants_rejected(self, overrides):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError) as built:
             MarketParams.baseline(**overrides)
+        with pytest.raises(InvalidParameterError) as replaced:
+            MarketParams.baseline().replace(**overrides)
+        assert str(replaced.value) == str(built.value)
 
     @pytest.mark.parametrize("name", ["c1", "c2", "a_s", "a_l_i1", "b_l", "b_s", "alpha", "theta_l"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -168,6 +175,17 @@ class TestTypes:
         # lower bounds, so finiteness is checked on its own
         with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
             MarketParams.baseline(**{name: value})
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            MarketParams.baseline().replace(**{name: value})
+
+    def test_replace_is_a_validated_copy(self):
+        base = MarketParams.baseline()
+        copy = base.replace(c1=5.0, theta_l=0.25)
+        made = MarketParams.baseline(c1=5.0, theta_l=0.25)
+        assert copy == made and hash(copy) == hash(made) and repr(copy) == repr(made)
+        assert base == MarketParams.baseline()
+        with pytest.raises(TypeError, match="no field 'bogus'"):
+            base.replace(c1=5.0, bogus=1.0)
 
     @pytest.mark.parametrize(
         "record",
@@ -177,6 +195,10 @@ class TestTypes:
             EffectivePrices(40.0, 25.0, 25.0, Regime.R1_LOW),
             DemandProfile(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
             ProfitPair(1.0, 2.0),
+            eq_T1(MarketParams.baseline()),
+            solve_subgame(MarketParams.baseline(), CM_CM),
+            compare_policies(MarketParams.baseline()),
+            GridCell(0.3, 0.5, True, 4380.0, "CM,noCM"),
         ],
         ids=lambda r: type(r).__name__,
     )

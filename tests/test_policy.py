@@ -1,6 +1,7 @@
 """Equilibrium selection per subgame and the bundling/PMG policy comparison."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bundlematch import (
     eq_T1,
     solve_subgame,
 )
+from bundlematch.market import PARAM_FIELDS
 from bundlematch.sweep import build_symmetric_table
 
 from conftest import draw_valid_params
@@ -276,3 +278,59 @@ class TestItemSwap:
                 assert b.delta_pi_B == pytest.approx(a.delta_pi_B, rel=1e-12)
         # the tie-break is exercised, not only the strict choices
         assert ties > 0
+
+
+# compare_policies to the bit, as recorded before selection records became
+# tuples: every float as float.hex, at the baseline (a profit tie between
+# CM,CM and CM,noCM), a point without any equilibrium, a point where
+# retailer 1 refrains from matching, and 50 draws of draw_valid_params.
+# Rebuild only from a commit whose outputs are known good:
+#   PYTHONPATH=src:tests python -c "import test_policy as t; print(*t.pinned_lines(), sep='\n')"
+COMPARE_EXPECTED = Path(__file__).with_name("compare_policies_expected.txt")
+
+
+def _hex(values) -> str:
+    return " ".join("None" if v is None else float.hex(v) for v in values)
+
+
+def pinned_points() -> list[tuple[str, MarketParams]]:
+    rng = np.random.default_rng(2017)
+    return [
+        ("baseline", MarketParams.baseline()),
+        ("none", MarketParams.baseline(b_l=0.9, b_s=0.1)),
+        ("no-match", MarketParams.baseline(a_s=200.0, b_l=0.1, b_s=0.9, lambda_l=0.05)),
+        *((f"draw{i}", draw_valid_params(rng)) for i in range(50)),
+    ]
+
+
+def pinned_lines() -> list[str]:
+    lines = []
+    for label, params in pinned_points():
+        comp = compare_policies(params)
+        best = comp.best_pmg_regime
+        lines += [
+            f"{label} params {_hex(getattr(params, name) for name in PARAM_FIELDS)}",
+            f"{label} pi_bundle,pi_nobundle,delta_pi_B "
+            f"{_hex((comp.pi_bundle, comp.pi_nobundle, comp.delta_pi_B))}",
+            f"{label} best {best.label() if best is not None else None}; tie {comp.tie_break}",
+        ]
+        candidates = {}
+        for key, sol in comp.solutions.items():
+            lines.append(f"{label} {key} chosen {sol.chosen and sol.chosen.theorem_id}")
+            candidates.update((c.theorem_id, c) for c in sol.candidates)
+        for tid, c in candidates.items():
+            lines += [
+                f"{label} {tid} prices {_hex(c.prices.present())}",
+                f"{label} {tid} demands {_hex(c.demands)}",
+                f"{label} {tid} profits {_hex(c.profits)}",
+                f"{label} {tid} residual {_hex((c.foc_residual,))} feasible {c.feasible}",
+            ]
+    return lines
+
+
+def test_compare_policies_is_pinned_to_the_bit():
+    expected = COMPARE_EXPECTED.read_text().splitlines()
+    actual = pinned_lines()
+    assert len(actual) == len(expected)
+    for want, got in zip(expected, actual):
+        assert got == want

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -547,3 +548,32 @@ def test_verify_stdout_is_pinned(tmp_path, capsys, section):
     for flags in VERIFY_SUBGAMES:
         assert main(["verify", *flags, *config]) == 0
     assert capsys.readouterr().out.splitlines() == _verify_sections()[section]
+
+
+# `bundlematch sweep` files for a two-panel b_l x b_s spec, recorded before
+# the selection records became tuples: its cells have an equilibrium, are
+# inadmissible (lambda_l > b_l) or are admissible without an equilibrium
+SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected")
+SWEEP_EXPECTED_LAMBDA = {"lowlam": 0.05, "baselam": 0.3}
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(SWEEP_EXPECTED / "spec.cfg"), "--out", str(out)]) == 0
+    names = sorted(f"sweep_{label}.csv" for label in SWEEP_EXPECTED_LAMBDA)
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (SWEEP_EXPECTED / name).read_bytes(), name
+
+
+def test_pinned_sweep_has_every_kind_of_cell():
+    kinds = Counter()
+    for label, lambda_l in SWEEP_EXPECTED_LAMBDA.items():
+        with open(SWEEP_EXPECTED / f"sweep_{label}.csv", newline="") as fh:
+            kinds.update(
+                "exists" if row["exists"] == "1"
+                else "inadmissible" if float(row["b_l"]) < lambda_l
+                else "none"
+                for row in csv.DictReader(fh)
+            )
+    assert set(kinds) == {"exists", "inadmissible", "none"}
