@@ -9,9 +9,12 @@ T5b) are only fixed points on part of their stated sufficient-condition
 regions, which the tests surface explicitly rather than hide.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import bundlematch.equilibria
 from bundlematch import (
     MarketParams,
     OracleConfig,
@@ -29,7 +32,7 @@ from bundlematch import (
     find_fixed_point,
     find_fixed_points,
 )
-from bundlematch.equilibria import _guard_denominator, DegenerateParamsError
+from bundlematch.equilibria import _guard_denominator, _largest_magnitude, DegenerateParamsError
 
 from conftest import SET_THEOREM, draw_set_params, draw_valid_params, set_scenario
 
@@ -305,3 +308,19 @@ class TestItemSwap:
                 if a.prices.pb1 is not None:
                     pairs.append((a.prices.pb1, b.prices.pb1))
                 assert all(close(x, y) for x, y in pairs), (tid, pairs)
+
+
+class TestNanResidual:
+    # Python's max keeps a NaN only in first place, so the residual takes
+    # its own maximum, which keeps a NaN from any component
+    def test_nan_in_any_place_is_the_largest_magnitude(self):
+        assert math.isnan(_largest_magnitude((1.0, math.nan)))
+        assert math.isnan(_largest_magnitude((math.nan, 1.0)))
+        assert _largest_magnitude((-3.0, 2.0)) == 3.0
+
+    def test_nan_rival_gradient_makes_a_candidate_infeasible(self, baseline, monkeypatch):
+        assert eq_T1(baseline).feasible
+        monkeypatch.setattr(bundlematch.equilibria, "gradient_r2_at", lambda *args: math.nan)
+        r = eq_T1(baseline)
+        assert math.isnan(r.foc_residual)
+        assert not r.feasible

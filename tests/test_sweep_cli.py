@@ -1,8 +1,11 @@
 """Config parsing, the symmetric-data table, grid sweeps, and the CLI."""
 
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -577,3 +580,80 @@ def test_pinned_sweep_has_every_kind_of_cell():
                 for row in csv.DictReader(fh)
             )
     assert set(kinds) == {"exists", "inadmissible", "none"}
+
+
+# `bundlematch solve` and `table` output at three market configs, recorded
+# before the report row had one home.  Each section holds, in order, `solve`
+# for the five subgames, one `solve --verify oracle`, the `table --json`
+# stdout (the CSV) and the table.json it writes; its header names its
+# overrides of the baseline, as in verify_expected.txt.  Rebuild only from a
+# commit whose outputs are known good:
+#   PYTHONPATH=src:tests python -c "import test_sweep_cli as t; t.write_solve_expected()"
+SOLVE_EXPECTED = Path(__file__).with_name("solve_expected.txt")
+SOLVE_SECTIONS = (
+    "baseline",
+    "lambda_l=0.099,theta_l=0.1,b_s=0.2",
+    "a_l_i1=120,a_s=140,alpha=0.3,c1=4",
+)
+SOLVE_ORACLE_SUBGAME = ["--pmg", "r1=nocm", "r2=cm"]
+
+
+def solve_output(section: str, workdir: Path) -> str:
+    """One section's stdout followed by its table.json, with the config and
+    the table files under workdir."""
+    config = []
+    if section != "baseline":
+        path = workdir / "market.cfg"
+        path.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in section.split(",")))
+        config = ["--config", str(path)]
+    out = workdir / "table"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for flags in VERIFY_SUBGAMES:
+            assert main(["solve", *flags, *config]) in (0, 2)
+        assert main(["solve", "--verify", "oracle", *SOLVE_ORACLE_SUBGAME, *config]) in (0, 2)
+        assert main(["table", "--json", "--out", str(out), *config]) == 0
+    return stdout.getvalue() + (out / "table.json").read_text()
+
+
+def _solve_sections() -> dict[str, list[str]]:
+    """The expected file's sections.  A header is a whole line in brackets,
+    so the JSON's own '[' and ']' lines are content."""
+    sections: dict[str, list[str]] = {}
+    for line in SOLVE_EXPECTED.read_text().splitlines():
+        if re.fullmatch(r"\[.+\]", line):
+            sections[line[1:-1]] = current = []
+        elif not line.startswith("#"):
+            current.append(line)
+    return sections
+
+
+def write_solve_expected() -> None:
+    header = [line for line in SOLVE_EXPECTED.read_text().splitlines() if line.startswith("#")]
+    with tempfile.TemporaryDirectory() as tmp:
+        body = [f"[{s}]\n{solve_output(s, Path(tmp))}" for s in SOLVE_SECTIONS]
+    SOLVE_EXPECTED.write_text("\n".join(header) + "\n" + "".join(body))
+
+
+def test_solve_sections_are_the_recorded_configs():
+    assert tuple(_solve_sections()) == SOLVE_SECTIONS
+
+
+@pytest.mark.parametrize("section", SOLVE_SECTIONS)
+def test_solve_and_table_output_is_pinned(tmp_path, section):
+    assert solve_output(section, tmp_path).splitlines() == _solve_sections()[section]
+
+
+# sweeps whose specs have a [fixed] section, recorded before [fixed] was
+# merged into each panel's overrides at load: in fixed.cfg one panel
+# overrides a fixed key and a bare [panel] keeps it; fixed_default.cfg has
+# no panel section, so its one panel is the implicit default.  Each spec's
+# files live in the directory named after it.
+@pytest.mark.parametrize("spec", ["fixed", "fixed_default"])
+def test_fixed_sweep_csv_bytes_are_pinned(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(SWEEP_EXPECTED / f"{spec}.cfg"), "--out", str(out)]) == 0
+    expected = sorted((SWEEP_EXPECTED / spec).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == [p.name for p in expected]
+    for path in expected:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
