@@ -17,9 +17,11 @@ from pathlib import Path
 from .config import ConfigError, load_market_config, load_sweep_spec
 from .equilibria import DegenerateParamsError
 from .market import InvalidParameterError, MarketParams, Scenario
-from .policy import AGREEMENT_TOL, solve_subgame
+from .policy import AGREEMENT_TOL, SubgameSolution, solve_subgame
 from .sweep import (
+    TABLE_COLUMNS,
     build_symmetric_table,
+    equilibrium_row,
     run_sweep,
     sweep_rows,
     table_rows,
@@ -98,13 +100,13 @@ def _load_params(config: Path | None) -> MarketParams:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    pmg_r1, pmg_r2 = _parse_pmg(args.pmg)
-    if args.bundling == 0:
-        return Scenario.no_bundle()
-    return Scenario.bundled(pmg_r1, pmg_r2)
+    # --pmg is parsed, and rejected when malformed, under --bundling 0 too;
+    # Scenario then drops the flags
+    return Scenario(args.bundling, *_parse_pmg(args.pmg))
 
 
-def _print_solution(scenario: Scenario, solution) -> None:
+def _print_solution(solution: SubgameSolution) -> None:
+    scenario = solution.scenario
     print(f"scenario: {scenario.label()} (bundling={scenario.bundling})")
     if solution.chosen is None:
         print("no feasible equilibrium (all regime candidates rejected)")
@@ -112,23 +114,15 @@ def _print_solution(scenario: Scenario, solution) -> None:
             print(f"  candidate {cand.theorem_id}: infeasible, {cand.condition_report.summary()}")
         return
     r = solution.chosen
-    d = r.demands
+    row = equilibrium_row(r)
+
+    def line(columns: tuple[str, ...]) -> str:
+        return " ".join(f"{name}={row[name]:.6g}" for name in columns)
+
     print(f"selected candidate: {r.theorem_id} (regime {r.regime.value})")
-    print(
-        "prices: "
-        f"p_r1_i1={r.prices.p1:.6g} p_r1_i2={r.prices.p2:.6g} "
-        f"p_r1_b={r.prices.r1_bundle_equivalent():.6g} p_r2_b={r.prices.pb2:.6g}"
-    )
-    print(
-        "demands: "
-        f"d_l_i1={d.d_l_i1:.6g} d_l_i2={d.d_l_i2:.6g} d_l_ib={d.d_l_ib:.6g} "
-        f"d_q_ib={d.d_q_ib:.6g} d_l_jb={d.d_l_jb:.6g} d_q_jb={d.d_q_jb:.6g} d_s={d.d_s:.6g}"
-    )
-    print(
-        "profits (thousands): "
-        f"pi_r1={r.profits.pi_r1 / 1000.0:.6g} pi_r2={r.profits.pi_r2 / 1000.0:.6g} "
-        f"welfare={r.profits.welfare / 1000.0:.6g}"
-    )
+    print(f"prices: {line(TABLE_COLUMNS[1:5])}")
+    print(f"demands: {line(TABLE_COLUMNS[5:12])}")
+    print(f"profits (thousands): {line(TABLE_COLUMNS[12:14])} welfare={row['total_welfare']:.6g}")
     print(f"foc residual: {r.foc_residual:.3g}")
     print(f"conditions: {r.condition_report.summary()}")
     for check in r.condition_report.inequalities:
@@ -140,10 +134,9 @@ def _print_solution(scenario: Scenario, solution) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
-    scenario = _scenario_from_args(args)
     oracle_check = args.verify == "oracle"
-    solution = solve_subgame(params, scenario, oracle_check=oracle_check)
-    _print_solution(scenario, solution)
+    solution = solve_subgame(params, _scenario_from_args(args), oracle_check=oracle_check)
+    _print_solution(solution)
     if oracle_check:
         outcome = solution.oracle
         dev = solution.oracle_deviation
@@ -186,8 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.config)
-    scenario = _scenario_from_args(args)
-    solution = solve_subgame(params, scenario, oracle_check=True)
+    solution = solve_subgame(params, _scenario_from_args(args), oracle_check=True)
     outcome = solution.oracle
     if solution.chosen is None:
         status = "converged" if outcome.converged else "did not converge"

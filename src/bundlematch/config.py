@@ -125,8 +125,10 @@ def _build_axis(
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Read a sweep spec: [axis1] and [axis2] (name/min/max/steps), optional
     [fixed] overrides, and any number of [panel] (labelled panelN) and
-    [panel <label>] override sections.  A panel with no entries is a panel
-    with no overrides; any other section is an error at its header line."""
+    [panel <label>] override sections.  Each panel's overrides are [fixed]
+    updated by its own entries, so a panel's own value wins; with no panel
+    section the one panel, labelled default, carries [fixed].  Any other
+    section is an error at its header line."""
     headers, entries = _parse_lines(path)
     # every section, empty or not, in file order
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -171,7 +173,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
                 raise ConfigError(path, headers[section], message)
             if label in panels:
                 raise ConfigError(path, headers[section], f"another panel is labelled {label!r}")
-            panels[label] = Panel(label=label, overrides=param_overrides(section))
+            panels[label] = Panel(label=label, overrides={**fixed, **param_overrides(section)})
     if not panels:
-        panels = {"default": Panel(label="default", overrides={})}
-    return SweepSpec(axis1=axis1, axis2=axis2, fixed=fixed, panels=tuple(panels.values()))
+        panels = {"default": Panel(label="default", overrides=fixed)}
+    return SweepSpec(axis1=axis1, axis2=axis2, panels=tuple(panels.values()))

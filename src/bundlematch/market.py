@@ -63,12 +63,12 @@ class Regime(Enum):
         bundle-equivalent price r1_eq is >= pb2, so a tie is R1_HIGH."""
         return _HIGH if r1_eq >= pb2 else _LOW
 
-    def holds(self, r1_eq: float, pb2: float, tol: float = FEASIBILITY_TOL) -> bool:
+    def holds(self, r1_eq: float, pb2: float) -> bool:
         """Whether retailer 1's bundle-equivalent price r1_eq lies on this
-        regime's side of pb2, within tol."""
+        regime's side of pb2, within FEASIBILITY_TOL."""
         if self is _HIGH:
-            return r1_eq >= pb2 - tol
-        return r1_eq <= pb2 + tol
+            return r1_eq >= pb2 - FEASIBILITY_TOL
+        return r1_eq <= pb2 + FEASIBILITY_TOL
 
 
 # the members by module name: on CPython 3.11 reading an attribute of an

@@ -20,14 +20,11 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .equilibria import DegenerateParamsError
+from .equilibria import DegenerateParamsError, EquilibriumResult
 from .market import InvalidParameterError, MarketParams, Scenario
 from .policy import PolicyComparison, compare_policies, scenario_key
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TABLE_SCENARIOS = (
     Scenario.bundled(True, True),
@@ -65,12 +62,12 @@ class AxisSpec:
     hi: float
     steps: int
 
-    def values(self) -> np.ndarray:
+    def values(self) -> list[float]:
         # the one numpy use of a sweep, imported here so that the other
         # commands start without numpy
         import numpy as np
 
-        return np.linspace(self.lo, self.hi, self.steps)
+        return np.linspace(self.lo, self.hi, self.steps).tolist()
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ class Panel:
 class SweepSpec:
     axis1: AxisSpec
     axis2: AxisSpec
-    fixed: dict[str, float] = field(default_factory=dict)
     panels: tuple[Panel, ...] = (Panel(label="default"),)
 
 
@@ -95,51 +91,46 @@ class GridCell(NamedTuple):
     best_regime: str | None
 
 
-def build_symmetric_table(params: MarketParams) -> list[dict[str, object]]:
-    """One row per strategy configuration with the selected equilibrium's
-    prices, demands, and profits (profits in thousands).
+def equilibrium_row(r: EquilibriumResult) -> dict[str, float]:
+    """A selected candidate's reported values by TABLE_COLUMNS[1:]: its
+    prices, the seven segment demands, and profits in thousands.
 
-    For the no-bundling row the bundle-price column carries the item-price
-    sum, the bundle-equivalent price a joint purchase pays.
+    The p_r1_b column is retailer 1's bundle-equivalent price, which without
+    bundling is the item-price sum a joint purchase pays.
     """
+    p, d = r.prices, r.demands
+    return {
+        "p_r1_i1": p.p1,
+        "p_r1_i2": p.p2,
+        "p_r1_b": p.r1_bundle_equivalent(),
+        "p_r2_b": p.pb2,
+        "d_l_i1": d.d_l_i1,
+        "d_l_i2": d.d_l_i2,
+        "d_l_ib": d.d_l_ib,
+        "d_q_ib": d.d_q_ib,
+        "d_l_jb": d.d_l_jb,
+        "d_q_jb": d.d_q_jb,
+        "d_s": d.d_s,
+        "pi_r1": r.profits.pi_r1 / 1000.0,
+        "pi_r2": r.profits.pi_r2 / 1000.0,
+        "total_welfare": r.profits.welfare / 1000.0,
+    }
+
+
+def build_symmetric_table(params: MarketParams) -> list[dict[str, object]]:
+    """One row per strategy configuration: its label and the selected
+    equilibrium's equilibrium_row, or None in every column without one."""
     solutions = compare_policies(params).solutions
     rows: list[dict[str, object]] = []
     for scenario in TABLE_SCENARIOS:
-        solution = solutions[scenario_key(scenario)]
-        row: dict[str, object] = {"scenario": scenario.label()}
-        if solution.chosen is None:
-            row.update({name: None for name in TABLE_COLUMNS[1:]})
-        else:
-            r = solution.chosen
-            d = r.demands
-            row.update(
-                {
-                    "p_r1_i1": r.prices.p1,
-                    "p_r1_i2": r.prices.p2,
-                    "p_r1_b": r.prices.r1_bundle_equivalent(),
-                    "p_r2_b": r.prices.pb2,
-                    "d_l_i1": d.d_l_i1,
-                    "d_l_i2": d.d_l_i2,
-                    "d_l_ib": d.d_l_ib,
-                    "d_q_ib": d.d_q_ib,
-                    "d_l_jb": d.d_l_jb,
-                    "d_q_jb": d.d_q_jb,
-                    "d_s": d.d_s,
-                    "pi_r1": r.profits.pi_r1 / 1000.0,
-                    "pi_r2": r.profits.pi_r2 / 1000.0,
-                    "total_welfare": r.profits.welfare / 1000.0,
-                }
-            )
-        rows.append(row)
+        chosen = solutions[scenario_key(scenario)].chosen
+        values = dict.fromkeys(TABLE_COLUMNS[1:]) if chosen is None else equilibrium_row(chosen)
+        rows.append({"scenario": scenario.label(), **values})
     return rows
 
 
 def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: float) -> GridCell:
-    v1, v2 = float(v1), float(v2)
-    overrides = dict(spec.fixed)
-    overrides.update(panel.overrides)
-    overrides[spec.axis1.name] = v1
-    overrides[spec.axis2.name] = v2
+    overrides = {**panel.overrides, spec.axis1.name: v1, spec.axis2.name: v2}
     try:
         params = base.replace(**overrides)
     except InvalidParameterError:

@@ -657,3 +657,28 @@ def test_fixed_sweep_csv_bytes_are_pinned(tmp_path, capsys, spec):
     assert sorted(p.name for p in out.iterdir()) == [p.name for p in expected]
     for path in expected:
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_fixed_is_merged_into_every_panel_at_load():
+    spec = load_sweep_spec(SWEEP_EXPECTED / "fixed.cfg")
+    assert [(p.label, p.overrides) for p in spec.panels] == [
+        ("hilam", {"lambda_l": 0.3, "alpha": 0.3}),
+        ("panel2", {"lambda_l": 0.05, "alpha": 0.3}),
+    ]
+    (default,) = load_sweep_spec(SWEEP_EXPECTED / "fixed_default.cfg").panels
+    assert default.overrides == {"a_s": 140.0, "c1": 4.0}
+
+
+def test_axis_values_are_python_floats_on_the_linspace_grid():
+    import numpy as np
+
+    axis = AxisSpec("b_l", 0.1, 0.9, 7)
+    values = axis.values()
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [float(v).hex() for v in np.linspace(0.1, 0.9, 7)]
+
+
+def test_pmg_is_checked_but_dropped_without_bundling(capsys):
+    assert main(["solve", "--bundling", "0", "--pmg", "r1=sometimes", "r2=cm"]) == 1
+    assert main(["solve", "--bundling", "0", "--pmg", "r1=cm", "r2=cm"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "scenario: NoBundle (bundling=0)"
