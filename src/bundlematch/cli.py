@@ -124,8 +124,9 @@ def _print_solution(solution: SubgameSolution) -> None:
     print(f"demands: {line(TABLE_COLUMNS[5:12])}")
     print(f"profits (thousands): {line(TABLE_COLUMNS[12:14])} welfare={row['total_welfare']:.6g}")
     print(f"foc residual: {r.foc_residual:.3g}")
-    print(f"conditions: {r.condition_report.summary()}")
-    for check in r.condition_report.inequalities:
+    report = r.condition_report
+    print(f"conditions: {report.summary()}")
+    for check in report.inequalities:
         mark = "ok " if check.satisfied else "FAIL"
         print(f"  [{mark}] {check.label}: {check.lhs:.6g} {check.relation} {check.rhs:.6g}")
     for warning in solution.warnings:

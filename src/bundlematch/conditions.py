@@ -10,7 +10,7 @@ The concavity reports (per-regime Hessians) live with the profits in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .market import MarketParams
 
@@ -19,8 +19,7 @@ class UnknownSetError(ValueError):
     """Requested condition set id is not one of A-F."""
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """One inequality: `lhs relation rhs`, with the evaluated sides kept for
     diagnostics."""
 
@@ -31,10 +30,9 @@ class ConditionCheck:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     set_id: str
-    inequalities: list[ConditionCheck] = field(default_factory=list)
+    inequalities: list[ConditionCheck]
 
     @property
     def all_satisfied(self) -> bool:

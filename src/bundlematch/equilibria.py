@@ -15,23 +15,19 @@ one formula in the segments it serves at pb2, and retailer 1's prices come
 from one of three families, no bundle (T5a, T5b), a bundle matched down to
 pb2 (T1), or an unmatched bundle (T2, T3, T4).
 
-Each function returns the regime's unique stationary point together with the
-demands, profits and first-order residual, all read off one evaluation of
-its prices under its structure alone: the prices are checked finite once,
-their effective prices and demands resolved once, and both profits and both
-gradients taken from that point (profits.profits_at, gradient_r1_at,
-gradient_r2_at).  The feasibility flag at market.FEASIBILITY_TOL is decided
-at construction, from the same evaluation; the condition-set report is built
-on first access and cached.  Infeasible candidates (ordering violated, a
-demand negative) are returned with feasible=False rather than raised, so the
-selection layer can map non-existence regions; parameters at which a closed
-form has a vanishing denominator or overflows raise DegenerateParamsError.
+Each function returns the regime's unique stationary point with its
+demands, profits, first-order residual and feasibility at
+market.FEASIBILITY_TOL, all read off one evaluation of its prices under its
+structure (profits.profits_at, gradient_r1_at, gradient_r2_at).  Infeasible
+candidates (ordering violated, a demand negative) are returned with
+feasible=False rather than raised, so the selection layer can map
+non-existence regions; parameters at which a closed form has a vanishing
+denominator or overflows raise DegenerateParamsError.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .conditions import ConditionReport, check_condition_set
@@ -57,7 +53,10 @@ class DegenerateParamsError(ValueError):
     overflow."""
 
 
-class _Candidate(NamedTuple):
+class EquilibriumResult(NamedTuple):
+    """One closed-form candidate at one parameter point, its feasibility
+    decided when it is built (_feasible)."""
+
     prices: PriceVector
     demands: DemandProfile
     profits: ProfitPair
@@ -67,18 +66,10 @@ class _Candidate(NamedTuple):
     params: MarketParams
     feasible: bool
 
-
-class EquilibriumResult(_Candidate):
-    """One closed-form candidate at one parameter point: an immutable tuple
-    whose feasibility is decided when it is built (_feasible).  Unlike its
-    fields, the condition-set report is built on first access and cached,
-    which is what the instance dict of this subclass is for."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot set {name!r}: EquilibriumResult is immutable")
-
-    @cached_property
+    @property
     def condition_report(self) -> ConditionReport:
+        """The theorem's condition set checked at params, built on each
+        access: selection never reads it."""
         return check_condition_set(STRUCTURES[self.theorem_id].condition_set, self.params)
 
 
@@ -184,7 +175,7 @@ def _feasible(
     FEASIBILITY_TOL, and the first-order conditions are satisfied."""
     if not s.regime.holds(prices.r1_bundle_equivalent(), prices.pb2):
         return False
-    if d.min() < -FEASIBILITY_TOL:
+    if min(d) < -FEASIBILITY_TOL:
         return False
     if min(prices.present()) < -FEASIBILITY_TOL:
         return False

@@ -14,11 +14,6 @@ structure(scenario, regime) looks a subgame's up, regime_structures(scenario)
 its pair, kink_structure(scenario) its row for a retailer-1 price exactly on
 the kink, and every other module derives prices, profits and derivatives
 from them.
-
-The records made per evaluation (PriceVector, EffectivePrices,
-DemandProfile, and profits.ProfitPair) are typing.NamedTuples: immutable,
-read by field name, and cheaper to build than frozen dataclasses, whose
-__init__ sets each field through object.__setattr__.
 """
 
 from __future__ import annotations
@@ -260,7 +255,6 @@ class EffectivePrices(NamedTuple):
     tilde_pb1: float
     tilde_pb2: float
     hat_pb: float
-    regime: Regime
 
 
 @dataclass(frozen=True)
@@ -306,7 +300,6 @@ class RegimeStructure:
             tilde_pb1=pb2 if self.r1_matched else r1_eq,
             tilde_pb2=r1_eq if self.r2_matched else pb2,
             hat_pb=r1_eq if self.strategic_at_r1 else pb2,
-            regime=self.regime,
         )
 
 
@@ -383,12 +376,6 @@ class DemandProfile(NamedTuple):
     d_l_jb: float
     d_q_jb: float
     d_s: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(self)
-
-    def min(self) -> float:
-        return min(self)
 
 
 def validate_prices(scenario: Scenario, prices: PriceVector) -> None:

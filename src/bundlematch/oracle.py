@@ -10,23 +10,14 @@ then found by damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
-What does not depend on the game is built once per bundling value, at
-import: the plan list and a template of the plans' KKT matrices, each
-padded with an identity block to one size and stacked, holding the
-constraint borders and the padding with zero Hessian blocks.  A
-BestResponses object holds one game, (params, scenario), and builds once
-what does not depend on the rival's price: retailer 2's stationary points,
-each with its side of the kink, on construction, and retailer 1's plan
-stack on its first response, from the game's three Hessians
-(profits.hessian_matrix_r1), one concavity check over both regimes' and
-one indexed assignment into a copy of the template.  Each response of
-retailer 1 then makes one stacked solve.  Both retailers' candidates are
-evaluated by profits.profits, in the regime their prices lie in
+A BestResponses object holds one game, (params, scenario).  It builds once
+what does not depend on the rival's price, so each response of retailer 1
+makes one stacked solve, and it remembers every response by the exact bits
+of its argument, so a price seen again in the same game costs a lookup.
+find_fixed_point and find_fixed_points share one object across all rounds
+and starts; nothing is remembered across games.  Both retailers' candidates
+are evaluated by profits.profits, in the regime their prices lie in
 (market.Regime.of).
-The object remembers every response by the exact bits of its argument, so
-a price seen again in the same game costs a lookup.  find_fixed_point and
-find_fixed_points share one object across all rounds and starts; nothing is
-remembered across games.
 
 A search stops at its first exactly repeated state, which starts a cycle
 that can never converge, and returns the outcome the full max_iters rounds
@@ -45,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +46,9 @@ from .market import (
     Regime,
     RegimeStructure,
     Scenario,
-    effective_prices,
     kink_structure,
     regime_structures,
+    structure_at,
 )
 from .profits import hessian_matrix_r1, linear_terms_r1, profits, quadratic_r2
 
@@ -81,8 +73,7 @@ class OracleConfig:
             raise ValueError("damping must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
+class OracleOutcome(NamedTuple):
     converged: bool
     prices: PriceVector
     iterations: int
@@ -325,7 +316,7 @@ def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> 
         converged=converged,
         prices=x,
         iterations=iteration if converged else cfg.max_iters,
-        classified_regime=effective_prices(responses.scenario, x).regime,
+        classified_regime=structure_at(responses.scenario, x).regime,
     )
 
 

@@ -14,10 +14,6 @@ The policy comparison solves all five subgames, takes the best bundled
 profit, and reports the profit gain from bundling over no bundling together
 with the PMG pair attaining it.
 
-SubgameSolution and PolicyComparison are typing.NamedTuples, cheaper to
-build than frozen dataclasses: a policy comparison builds five of the one and
-one of the other per parameter point.
-
 Selection needs no numpy.  The oracle, which does, is imported only when a
 subgame is solved with oracle_check=True (see find_fixed_point below).
 """
@@ -82,13 +78,16 @@ class SubgameSolution(NamedTuple):
         oracle that did not converge or disagrees with the chosen one."""
         chosen = self.chosen
         out: list[str] = []
-        if chosen is not None and not chosen.condition_report.all_satisfied:
+        if chosen is None:
+            return out
+        report = chosen.condition_report
+        if not report.all_satisfied:
             out.append(
                 f"conditions-not-verified: {chosen.theorem_id} admitted on feasibility and "
-                f"stationarity alone ({chosen.condition_report.summary()}; the sets are "
+                f"stationarity alone ({report.summary()}; the sets are "
                 "sufficient, not necessary)"
             )
-        if chosen is None or self.oracle is None:
+        if self.oracle is None:
             return out
         dev = self.oracle_deviation
         if not self.oracle.converged:

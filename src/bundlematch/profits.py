@@ -14,9 +14,6 @@ they lie in (market.Regime.of) and then read off that point.  A caller
 holding an evaluated point, such as a closed-form candidate evaluated in the
 regime it was derived in, reads both profits and both gradients from it
 directly: that is the one way to evaluate prices under a presumed regime.
-An evaluation builds its records as tuples (market's EffectivePrices and
-DemandProfile, and ProfitPair here are typing.NamedTuples), so profits()
-costs a few plain tuple constructions beyond its arithmetic.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients below are affine and match the regime's
@@ -30,15 +27,13 @@ a structure and no scenario.
 The profits and the gradients read at an evaluated point, and
 linear_terms_r1, are pure Python.  Only the functions that return arrays
 (profit_gradient_r1, hessian_matrix_r1, hessian_r1, hessian_r2,
-quadratic_r1) need numpy, and
-it is imported in the bodies of the functions that build them, so the
+quadratic_r1) need numpy, and they import it in their bodies, so the
 closed forms and the selection run without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .market import (
@@ -219,8 +214,7 @@ def profit_gradient_r2(params: MarketParams, scenario: Scenario, prices: PriceVe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HessianReport:
+class HessianReport(NamedTuple):
     """Constant Hessian of a retailer's profit within a regime.
 
     `eigenvalues` are the closed-form expressions; `eigenvalues_numeric` come

@@ -7,8 +7,7 @@ comparison are emitted with exists=0 and empty value fields, never skipped;
 a cell at which a closed form is degenerate stops the sweep with a
 DegenerateParamsError that names the panel and the cell.
 Cells are evaluated serially in grid order, one policy comparison each, so
-files are byte-identical across runs.  A cell is a typing.NamedTuple, as are
-the selection records it is read from.
+files are byte-identical across runs.
 
 Profits in emitted files are reported in thousands of currency; the engine
 itself works in raw currency.

@@ -1,8 +1,11 @@
 """Condition sets A-F and per-regime Hessian/eigenvalue reports."""
 
+import math
+
 import numpy as np
 import pytest
 
+import bundlematch.conditions
 from bundlematch import (
     MarketParams,
     Regime,
@@ -74,6 +77,22 @@ class TestConditionSets:
     def test_zero_strategic_base_does_not_error(self, baseline):
         for set_id in "ABCDEF":
             check_condition_set(set_id, baseline.replace(a_s=0.0))
+
+    def test_zero_denominator_keeps_the_numerator_sign(self):
+        div = bundlematch.conditions._div
+        assert div(1.0, 0.0) == math.inf
+        assert div(-1.0, 0.0) == -math.inf
+        assert math.isnan(div(0.0, 0.0))
+
+    def test_zero_over_zero_fails_its_inequality(self, baseline):
+        # a_l_jb + a_q_jb = 0 over 2 a_s = 0: a NaN side satisfies no inequality
+        params = baseline.replace(a_l_jb=0.0, a_q_jb=0.0, a_s=0.0)
+        report = check_condition_set("A", params)
+        line = next(
+            c for c in report.inequalities if c.label == "b_l/b_s >= (a_l_jb + a_q_jb)/(2 a_s)"
+        )
+        assert math.isnan(line.rhs)
+        assert not line.satisfied
 
     def test_sets_a_and_c_mutually_exclusive(self):
         rng = np.random.default_rng(5)

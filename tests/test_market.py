@@ -15,12 +15,16 @@ from bundlematch import (
     ProfitPair,
     Regime,
     Scenario,
+    check_condition_set,
     compare_policies,
     demands,
     effective_prices,
     eq_T1,
+    find_fixed_point,
+    hessian_r1,
     solve_subgame,
 )
+from bundlematch.market import structure_at
 from bundlematch.sweep import GridCell
 
 CM_CM = Scenario.bundled(True, True)
@@ -30,21 +34,24 @@ NO_BUNDLE = Scenario.no_bundle()
 
 class TestEffectivePrices:
     def test_both_pmgs_high_regime(self, baseline):
-        eff = effective_prices(CM_CM, PriceVector(99.05, 99.05, 162.05, 135.0))
+        prices = PriceVector(99.05, 99.05, 162.05, 135.0)
+        eff = effective_prices(CM_CM, prices)
         assert eff.tilde_pb1 == 135.0
         assert eff.tilde_pb2 == 135.0
         assert eff.hat_pb == 135.0
-        assert eff.regime is Regime.R1_HIGH
+        assert structure_at(CM_CM, prices).regime is Regime.R1_HIGH
 
     def test_no_pmg_tie(self, baseline):
-        eff = effective_prices(NOCM_NOCM, PriceVector(80.0, 80.0, 100.0, 100.0))
+        prices = PriceVector(80.0, 80.0, 100.0, 100.0)
+        eff = effective_prices(NOCM_NOCM, prices)
         assert (eff.tilde_pb1, eff.tilde_pb2, eff.hat_pb) == (100.0, 100.0, 100.0)
-        assert eff.regime is Regime.R1_HIGH  # ties are labelled R1_HIGH
+        assert structure_at(NOCM_NOCM, prices).regime is Regime.R1_HIGH  # ties are R1_HIGH
 
     def test_no_bundle_composite_price(self, baseline):
-        eff = effective_prices(NO_BUNDLE, PriceVector(73.18, 73.18, None, 135.0))
+        prices = PriceVector(73.18, 73.18, None, 135.0)
+        eff = effective_prices(NO_BUNDLE, prices)
         assert eff.hat_pb == 135.0
-        assert eff.regime is Regime.R1_HIGH  # 146.36 >= 135
+        assert structure_at(NO_BUNDLE, prices).regime is Regime.R1_HIGH  # 146.36 >= 135
         assert eff.tilde_pb1 == pytest.approx(146.36)
 
     def test_pmg_applies_only_when_rival_cheaper(self, baseline):
@@ -52,7 +59,7 @@ class TestEffectivePrices:
         eff = effective_prices(CM_CM, prices)
         assert eff.tilde_pb1 == 120.0  # own price already lowest
         assert eff.tilde_pb2 == 120.0  # r2 matches down
-        assert eff.regime is Regime.R1_LOW
+        assert structure_at(CM_CM, prices).regime is Regime.R1_LOW
 
     def test_rejects_nonfinite(self, baseline):
         with pytest.raises(InvalidPriceError):
@@ -110,10 +117,10 @@ class TestDemands:
         prices = PriceVector(0.0, 0.0, 0.0, 0.0)
         eff = effective_prices(CM_CM, prices)
         d = demands(baseline, prices, eff)
-        assert d.as_tuple() == (100.0,) * 7
+        assert tuple(d) == (100.0,) * 7
         prices0 = PriceVector(0.0, 0.0, None, 0.0)
         eff0 = effective_prices(NO_BUNDLE, prices0)
-        assert demands(baseline, prices0, eff0).as_tuple() == (100.0,) * 7
+        assert tuple(demands(baseline, prices0, eff0)) == (100.0,) * 7
 
     def test_item_demand_decouples_from_bundle_price_without_gap_term(self, baseline):
         # the d_l_i1 slope in pb1 is exactly lambda_l, so it vanishes with it
@@ -142,6 +149,10 @@ class TestTypes:
         scen = Scenario(bundling=0, pmg_r1=True, pmg_r2=True)
         assert scen.pmg_r1 is False and scen.pmg_r2 is False
         assert scen.label() == "NoBundle"
+
+    def test_bundling_flag_must_be_0_or_1(self):
+        with pytest.raises(InvalidParameterError, match="bundling flag must be 0 or 1"):
+            Scenario(bundling=2)
 
     def test_scenario_labels(self):
         assert Scenario.bundled(True, False).label() == "CM,noCM"
@@ -192,13 +203,17 @@ class TestTypes:
         [
             PriceVector(10.0, 20.0, 25.0, 40.0),
             PriceVector(10.0, 20.0, None, 40.0),
-            EffectivePrices(40.0, 25.0, 25.0, Regime.R1_LOW),
+            EffectivePrices(40.0, 25.0, 25.0),
             DemandProfile(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
             ProfitPair(1.0, 2.0),
             eq_T1(MarketParams.baseline()),
             solve_subgame(MarketParams.baseline(), CM_CM),
             compare_policies(MarketParams.baseline()),
             GridCell(0.3, 0.5, True, 4380.0, "CM,noCM"),
+            find_fixed_point(MarketParams.baseline(), CM_CM),
+            hessian_r1(MarketParams.baseline(), CM_CM, Regime.R1_HIGH),
+            check_condition_set("A", MarketParams.baseline()).inequalities[0],
+            check_condition_set("A", MarketParams.baseline()),
         ],
         ids=lambda r: type(r).__name__,
     )
@@ -209,7 +224,16 @@ class TestTypes:
                 setattr(record, name, 0.0)
         with pytest.raises(AttributeError):
             record.extra = 0.0
+        assert not hasattr(record, "__dict__")
         assert tuple(record) == before
+
+    def test_sup_distance_rejects_different_shapes(self):
+        bundled = PriceVector(10.0, 20.0, 25.0, 40.0)
+        unbundled = PriceVector(10.0, 20.0, None, 40.0)
+        with pytest.raises(InvalidPriceError, match="different shapes"):
+            bundled.sup_distance(unbundled)
+        with pytest.raises(InvalidPriceError, match="different shapes"):
+            unbundled.sup_distance(bundled)
 
     def test_bundle_equivalent_price(self):
         assert PriceVector(10.0, 20.0, 25.0, 40.0).r1_bundle_equivalent() == 25.0

@@ -27,7 +27,7 @@ from bundlematch import (
     solve_subgame,
     structure,
 )
-from bundlematch.market import kink_structure
+from bundlematch.market import kink_structure, structure_at
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
@@ -85,7 +85,7 @@ def _full_loop(params, scenario, cfg):
         )
     else:
         converged, iteration = False, cfg.max_iters
-    regime = bundlematch.oracle.effective_prices(scenario, x).regime
+    regime = structure_at(scenario, x).regime
     return bundlematch.oracle.OracleOutcome(converged, x, iteration, regime)
 
 
@@ -461,6 +461,13 @@ class TestPriceErrors:
             responses.respond_r2(PriceVector(50.0, 50.0, 90.0, 100.0))
         with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
             find_fixed_point(params, scen)
+
+    def test_r2_rejects_an_infinite_r1_bundle_price(self, baseline):
+        # raised before any evaluation, whose InvalidPriceError would say
+        # "prices must be finite, got inf"
+        with pytest.raises(ValueError, match="r1 prices must be finite") as raised:
+            best_response_r2(baseline, CM_CM, PriceVector(50.0, 50.0, math.inf, 100.0))
+        assert type(raised.value) is ValueError
 
     def test_r2_requires_a_bundle_price_under_bundling(self, baseline):
         with pytest.raises(InvalidPriceError, match="pb1 is required"):

@@ -15,7 +15,7 @@ from bundlematch import (
     eq_T1,
     solve_subgame,
 )
-from bundlematch.market import PARAM_FIELDS
+from bundlematch.market import PARAM_FIELDS, STRUCTURES
 from bundlematch.sweep import build_symmetric_table
 
 from conftest import draw_valid_params
@@ -133,7 +133,7 @@ class TestSolveSubgame:
                 prices = sol.chosen.prices
                 if prices.pb1 is not None:
                     assert prices.p1 + prices.p2 >= prices.pb1 - 1e-9
-                assert sol.chosen.demands.min() >= -1e-9
+                assert min(sol.chosen.demands) >= -1e-9
 
 
 class TestComparePolicies:
@@ -202,15 +202,16 @@ class TestComparePolicies:
         result = eq_T1(baseline)
         assert built == []
         assert result.condition_report.set_id == "A"
-        assert result.condition_report is result.condition_report
-        assert built == ["A"]
+        assert result.condition_report.set_id == "A"
+        assert built == ["A", "A"]  # one build per access
         built.clear()
         comp = compare_policies(baseline)
         assert built == []
         warnings = [sol.warnings for sol in comp.solutions.values()]
         assert any(warnings)
-        chosen = {id(sol.chosen): sol.chosen for sol in comp.solutions.values()}
-        assert sorted(built) == sorted(r.condition_report.set_id for r in chosen.values())
+        assert built == [
+            STRUCTURES[sol.chosen.theorem_id].condition_set for sol in comp.solutions.values()
+        ]
 
     def test_matches_per_subgame_selection(self):
         rng = np.random.default_rng(31)
