@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import ConfigError, load_market_config, load_sweep_spec
 from .equilibria import DegenerateParamsError
 from .market import InvalidParameterError, MarketParams, Scenario
-from .policy import AGREEMENT_TOL, SubgameSolution, solve_subgame
+from .policy import SubgameSolution, solve_subgame
 from .sweep import (
     TABLE_COLUMNS,
     build_symmetric_table,
@@ -189,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     dev = solution.oracle_deviation
     if dev is not None:
-        agrees = "agree" if dev <= AGREEMENT_TOL else "DISAGREE"
+        agrees = "agree" if solution.oracle_agrees else "DISAGREE"
         print(
             f"closed form {solution.chosen.theorem_id} and oracle {agrees}: "
             f"max relative deviation {dev:.3e} ({outcome.iterations} iterations)"

@@ -60,11 +60,14 @@ class EquilibriumResult(NamedTuple):
     prices: PriceVector
     demands: DemandProfile
     profits: ProfitPair
-    regime: Regime
     theorem_id: str
     foc_residual: float
     params: MarketParams
     feasible: bool
+
+    @property
+    def regime(self) -> Regime:
+        return STRUCTURES[self.theorem_id].regime
 
     @property
     def condition_report(self) -> ConditionReport:
@@ -213,7 +216,6 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
         prices=prices,
         demands=d,
         profits=profits_at(p, s, prices, eff, d),
-        regime=s.regime,
         theorem_id=theorem_id,
         foc_residual=residual,
         params=p,

@@ -7,12 +7,11 @@ stationary but its sufficient condition set fails, it is admitted with a
 warning, because the condition sets are not necessary.
 
 Warnings are derived on access from the chosen candidate and the optional
-oracle outcome, so selection builds no condition report: a sweep, which
-reads only profits and existence, builds none.
-
-The policy comparison solves all five subgames, takes the best bundled
-profit, and reports the profit gain from bundling over no bundling together
-with the PMG pair attaining it.
+oracle outcome.  The policy comparison keeps the five solved subgames and
+the PMG pair with the best bundled profit, and reads profits, the gain from
+bundling, existence and the tie record off those on access.  So a sweep,
+which reads only the gain and the pair, builds no condition report,
+existence map or tie record.
 
 Selection needs no numpy.  The oracle, which does, is imported only when a
 subgame is solved with oracle_check=True (see find_fixed_point below).
@@ -73,6 +72,12 @@ class SubgameSolution(NamedTuple):
         return self.chosen.prices.relative_distance(self.oracle.prices)
 
     @property
+    def oracle_agrees(self) -> bool:
+        """Within AGREEMENT_TOL of the chosen equilibrium; NaN disagrees."""
+        dev = self.oracle_deviation
+        return dev is not None and dev <= AGREEMENT_TOL
+
+    @property
     def warnings(self) -> list[str]:
         """A chosen candidate admitted without its condition set, then an
         oracle that did not converge or disagrees with the chosen one."""
@@ -89,25 +94,56 @@ class SubgameSolution(NamedTuple):
             )
         if self.oracle is None:
             return out
-        dev = self.oracle_deviation
         if not self.oracle.converged:
             out.append("oracle: best-response iteration did not converge")
-        elif dev > AGREEMENT_TOL:
+        elif not self.oracle_agrees:
             out.append(
                 f"oracle: fixed point deviates from selected equilibrium "
-                f"(relative sup-norm {dev:.2e})"
+                f"(relative sup-norm {self.oracle_deviation:.2e})"
             )
         return out
 
 
 class PolicyComparison(NamedTuple):
-    pi_bundle: float | None
-    pi_nobundle: float | None
-    delta_pi_B: float | None
-    best_pmg_regime: Scenario | None
-    existence: dict[str, bool]
     solutions: dict[str, SubgameSolution]
-    tie_break: str | None = None
+    best_pmg_regime: Scenario | None
+
+    @property
+    def existence(self) -> dict[str, bool]:
+        return {key: sol.chosen is not None for key, sol in self.solutions.items()}
+
+    @property
+    def pi_bundle(self) -> float | None:
+        best = self.best_pmg_regime
+        return None if best is None else self.solutions[scenario_key(best)].chosen.profits.pi_r1
+
+    @property
+    def pi_nobundle(self) -> float | None:
+        chosen = self.solutions["no_bundle"].chosen
+        return None if chosen is None else chosen.profits.pi_r1
+
+    @property
+    def delta_pi_B(self) -> float | None:
+        pi_bundle, pi_nobundle = self.pi_bundle, self.pi_nobundle
+        if pi_bundle is None or pi_nobundle is None:
+            return None
+        return pi_bundle - pi_nobundle
+
+    @property
+    def tie_break(self) -> str | None:
+        """The bundled PMG pairs tied at pi_bundle, when two or more are."""
+        pi_bundle = self.pi_bundle
+        attaining = [
+            sol.scenario
+            for sol in self.solutions.values()
+            if sol.scenario.bundling
+            and sol.chosen is not None
+            and sol.chosen.profits.pi_r1 == pi_bundle
+        ]
+        if len(attaining) < 2:
+            return None
+        tied, best = ", ".join(s.label() for s in attaining), self.best_pmg_regime.label()
+        return f"profit tie among {tied}; selected {best} (fewest PMGs, then lexicographic)"
 
 
 def _select(candidates: list[EquilibriumResult]) -> EquilibriumResult | None:
@@ -150,43 +186,17 @@ def compare_policies(params: MarketParams) -> PolicyComparison:
     """Solve all five subgames and compare bundling against no bundling.
 
     Each closed-form candidate is evaluated once and shared by the subgames
-    that have it.  pi_bundle is the best feasible retailer-1 profit across the
-    four bundled PMG configurations; profit ties between PMG pairs are broken
-    toward fewer PMG commitments, then lexicographically, and the tie is
-    recorded.
+    that have it.  The best PMG pair is the first bundled subgame, in
+    BUNDLED_SCENARIOS order, whose equilibrium gives retailer 1 the most
+    profit: ties go to fewer PMG commitments, then lexicographically.
     """
     results = {tid: theorem(params) for tid, theorem in THEOREMS.items()}
     solutions = {}
+    best_scenario, best_pi = None, None
     for s, key, (high, low) in _SUBGAMES:
         candidates = [results[high], results[low]]
-        solutions[key] = SubgameSolution(s, _select(candidates), candidates)
-    no_bundle = solutions["no_bundle"]
-
-    existence = {key: sol.chosen is not None for key, sol in solutions.items()}
-    # in BUNDLED_SCENARIOS order, which the tie-break relies on
-    bundled = [sol for sol in solutions.values() if sol.scenario.bundling and sol.chosen is not None]
-    pi_bundle = max((sol.chosen.profits.pi_r1 for sol in bundled), default=None)
-    best_scenario = None
-    tie_break = None
-    if pi_bundle is not None:
-        attaining = [sol.scenario for sol in bundled if sol.chosen.profits.pi_r1 == pi_bundle]
-        best_scenario = attaining[0]
-        if len(attaining) > 1:
-            tie_break = (
-                "profit tie among "
-                + ", ".join(s.label() for s in attaining)
-                + f"; selected {best_scenario.label()} (fewest PMGs, then lexicographic)"
-            )
-    pi_nobundle = no_bundle.chosen.profits.pi_r1 if no_bundle.chosen is not None else None
-    delta = None
-    if pi_bundle is not None and pi_nobundle is not None:
-        delta = pi_bundle - pi_nobundle
-    return PolicyComparison(
-        pi_bundle=pi_bundle,
-        pi_nobundle=pi_nobundle,
-        delta_pi_B=delta,
-        best_pmg_regime=best_scenario,
-        existence=existence,
-        solutions=solutions,
-        tie_break=tie_break,
-    )
+        chosen = _select(candidates)
+        solutions[key] = SubgameSolution(s, chosen, candidates)
+        if s.bundling and chosen is not None and (best_pi is None or chosen.profits.pi_r1 > best_pi):
+            best_scenario, best_pi = s, chosen.profits.pi_r1
+    return PolicyComparison(solutions, best_scenario)

@@ -218,32 +218,21 @@ class HessianReport(NamedTuple):
     """Constant Hessian of a retailer's profit within a regime.
 
     `eigenvalues` are the closed-form expressions; `eigenvalues_numeric` come
-    from a symmetric eigensolve of the same matrix.  Both are sorted
-    ascending.  t1 = b_l + lambda_l and t2 = b_l theta_l + lambda_l are the
-    shorthands the closed forms are written in.
+    from a symmetric eigensolve of the same matrix.  Both are sorted ascending.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvalues_numeric: np.ndarray
     negative_definite: bool
-    t1: float
-    t2: float
 
 
-def _report(matrix: np.ndarray, closed: list[float], params: MarketParams) -> HessianReport:
+def _report(matrix: np.ndarray, closed: list[float]) -> HessianReport:
     import numpy as np
 
     numeric = np.linalg.eigvalsh(matrix)
     closed = np.sort(np.asarray(closed, dtype=float))
-    return HessianReport(
-        matrix=matrix,
-        eigenvalues=closed,
-        eigenvalues_numeric=numeric,
-        negative_definite=bool(np.all(numeric < 0.0)),
-        t1=params.t1,
-        t2=params.t2,
-    )
+    return HessianReport(matrix, closed, numeric, bool(np.all(numeric < 0.0)))
 
 
 def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> np.ndarray:
@@ -292,7 +281,7 @@ def hessian_r1(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     """Hessian of retailer 1's profit in its own prices for a fixed regime
     (3x3 under bundling, 2x2 otherwise)."""
     s = structure(scenario, regime)
-    return _report(hessian_matrix_r1(params, s), _eigenvalues_r1(params, s), params)
+    return _report(hessian_matrix_r1(params, s), _eigenvalues_r1(params, s))
 
 
 def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
@@ -300,7 +289,7 @@ def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> Hess
     import numpy as np
 
     value = _hessian_r2(params, structure(scenario, regime))
-    return _report(np.array([[value]]), [value], params)
+    return _report(np.array([[value]]), [value])
 
 
 def linear_terms_r1(

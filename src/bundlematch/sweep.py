@@ -85,9 +85,12 @@ class SweepSpec:
 class GridCell(NamedTuple):
     axis1_value: float
     axis2_value: float
-    exists: bool
     delta_pi_B: float | None  # raw currency; emitted in thousands
     best_regime: str | None
+
+    @property
+    def exists(self) -> bool:
+        return self.delta_pi_B is not None
 
 
 def equilibrium_row(r: EquilibriumResult) -> dict[str, float]:
@@ -135,7 +138,7 @@ def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: floa
     except InvalidParameterError:
         # e.g. lambda_l above b_l on part of a sweep range: not an admissible
         # parameter point, recorded as non-existent rather than skipped
-        return GridCell(v1, v2, exists=False, delta_pi_B=None, best_regime=None)
+        return GridCell(v1, v2, delta_pi_B=None, best_regime=None)
     try:
         comparison: PolicyComparison = compare_policies(params)
     except DegenerateParamsError as exc:
@@ -143,14 +146,9 @@ def _cell(base: MarketParams, spec: SweepSpec, panel: Panel, v1: float, v2: floa
             f"panel {panel.label!r} at {spec.axis1.name}={v1!r}, "
             f"{spec.axis2.name}={v2!r}: {exc}"
         ) from exc
-    exists = comparison.delta_pi_B is not None
-    return GridCell(
-        axis1_value=v1,
-        axis2_value=v2,
-        exists=exists,
-        delta_pi_B=comparison.delta_pi_B if exists else None,
-        best_regime=comparison.best_pmg_regime.label() if exists else None,
-    )
+    delta = comparison.delta_pi_B
+    label = None if delta is None else comparison.best_pmg_regime.label()
+    return GridCell(v1, v2, delta, label)
 
 
 def run_panel(base: MarketParams, spec: SweepSpec, panel: Panel) -> list[GridCell]:

@@ -109,8 +109,8 @@ class TestHessians:
     def test_matched_regime_small_eigenvalue_at_baseline(self, baseline):
         report = hessian_r1(baseline, Scenario.bundled(True, True), Regime.R1_HIGH)
         assert report.eigenvalues[-1] == pytest.approx(-0.4, abs=1e-12)
-        assert report.t1 == pytest.approx(0.7)
-        assert report.t2 == pytest.approx(0.5)
+        assert baseline.t1 == pytest.approx(0.7)
+        assert baseline.t2 == pytest.approx(0.5)
 
     def test_no_bundle_high_regime_eigenvalues_at_baseline(self, baseline):
         report = hessian_r1(baseline, Scenario.no_bundle(), Regime.R1_HIGH)

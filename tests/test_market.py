@@ -209,7 +209,7 @@ class TestTypes:
             eq_T1(MarketParams.baseline()),
             solve_subgame(MarketParams.baseline(), CM_CM),
             compare_policies(MarketParams.baseline()),
-            GridCell(0.3, 0.5, True, 4380.0, "CM,noCM"),
+            GridCell(0.3, 0.5, 4380.0, "CM,noCM"),
             find_fixed_point(MarketParams.baseline(), CM_CM),
             hessian_r1(MarketParams.baseline(), CM_CM, Regime.R1_HIGH),
             check_condition_set("A", MarketParams.baseline()).inequalities[0],

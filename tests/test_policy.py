@@ -10,13 +10,14 @@ import bundlematch.equilibria
 import bundlematch.policy
 from bundlematch import (
     MarketParams,
+    PolicyComparison,
     Scenario,
     compare_policies,
     eq_T1,
     solve_subgame,
 )
 from bundlematch.market import PARAM_FIELDS, STRUCTURES
-from bundlematch.sweep import build_symmetric_table
+from bundlematch.sweep import AxisSpec, SweepSpec, _cell, build_symmetric_table
 
 from conftest import draw_valid_params
 
@@ -180,6 +181,39 @@ class TestComparePolicies:
                 comp = compare_policies(baseline.replace(lambda_l=float(lam), theta_l=float(theta)))
                 if comp.delta_pi_B is not None:
                     assert comp.delta_pi_B > 0.0
+
+    def test_derived_values_follow_the_solutions(self, baseline):
+        # the comparison stores its solutions and the chosen PMG pair only, so
+        # replacing a solution moves every value read off it
+        assert PolicyComparison._fields == ("solutions", "best_pmg_regime")
+        comp = compare_policies(baseline)
+        no_bundle = comp.solutions["no_bundle"]._replace(chosen=None)
+        changed = comp._replace(solutions={**comp.solutions, "no_bundle": no_bundle})
+        assert changed.pi_nobundle is None
+        assert changed.delta_pi_B is None
+        assert changed.existence["no_bundle"] is False
+        assert changed.pi_bundle == comp.pi_bundle
+
+    def test_selection_builds_no_label_a_sweep_does_not_write(self, baseline, monkeypatch):
+        calls = []
+        label = Scenario.label
+
+        def counted(scenario):
+            calls.append(scenario)
+            return label(scenario)
+
+        monkeypatch.setattr(Scenario, "label", counted)
+        comp = compare_policies(baseline)
+        assert calls == []
+        spec = SweepSpec(AxisSpec("lambda_l", 0.3, 0.4, 2), AxisSpec("theta_l", 0.5, 0.6, 2))
+        cell = _cell(baseline, spec, spec.panels[0], 0.3, 0.5)
+        assert calls == [Scenario.bundled(True, False)]  # best_regime, written
+        assert cell.best_regime == "CM,noCM"
+        # the baseline's CM,noCM / CM,CM profit tie, as pinned in
+        # compare_policies_expected.txt
+        assert comp.tie_break == (
+            "profit tie among CM,noCM, CM,CM; selected CM,noCM (fewest PMGs, then lexicographic)"
+        )
 
     def test_each_theorem_is_evaluated_once(self, baseline, theorem_calls):
         compare_policies(baseline)

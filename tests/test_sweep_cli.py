@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import tempfile
 from collections import Counter
@@ -409,6 +410,21 @@ class TestCli:
         fixed_oracle(converged=converged, scale=1.1)
         assert main(["verify", "--pmg", "r1=cm", "r2=cm"]) == 0
         assert capsys.readouterr().out == line + "\n"
+
+    def test_a_nan_deviation_disagrees_in_solve_and_verify(self, capsys, fixed_oracle):
+        # no tolerance comparison holds for NaN: both commands report it as a
+        # disagreement
+        fixed_oracle(converged=True, scale=math.nan)
+        assert main(["solve", "--pmg", "r1=cm", "r2=cm", "--verify", "oracle"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "warning: oracle: fixed point deviates from selected equilibrium "
+            "(relative sup-norm nan)",
+            "oracle: converged in 12 iterations; max relative deviation nan",
+        ]
+        assert main(["verify", "--pmg", "r1=cm", "r2=cm"]) == 0
+        assert capsys.readouterr().out == (
+            "closed form T1 and oracle DISAGREE: max relative deviation nan (12 iterations)\n"
+        )
 
     def test_solve_without_bundling(self, capsys):
         assert main(["solve", "--bundling", "0"]) == 0
