@@ -27,7 +27,13 @@ class ConditionCheck(NamedTuple):
     lhs: float
     rhs: float
     relation: str  # ">=" or "<="
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        """Whether the weak inequality holds exactly; a NaN side fails it."""
+        if self.relation == ">=":
+            return self.lhs >= self.rhs
+        return self.lhs <= self.rhs
 
 
 class ConditionReport(NamedTuple):
@@ -70,10 +76,10 @@ def check_condition_set(set_id: str, params: MarketParams) -> ConditionReport:
     checks: list[ConditionCheck] = []
 
     def ge(label: str, lhs: float, rhs: float) -> None:
-        checks.append(ConditionCheck(label, lhs, rhs, ">=", lhs >= rhs))
+        checks.append(ConditionCheck(label, lhs, rhs, ">="))
 
     def le(label: str, lhs: float, rhs: float) -> None:
-        checks.append(ConditionCheck(label, lhs, rhs, "<=", lhs <= rhs))
+        checks.append(ConditionCheck(label, lhs, rhs, "<="))
 
     if sid == "A":
         ge("a_l_i1 + a_l_i2 >= 4/3 (a_l_jb + a_q_jb)", sum_i, 4.0 / 3.0 * sum_j)

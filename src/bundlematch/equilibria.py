@@ -16,13 +16,19 @@ from one of three families, no bundle (T5a, T5b), a bundle matched down to
 pb2 (T1), or an unmatched bundle (T2, T3, T4).
 
 Each function returns the regime's unique stationary point with its
-demands, profits, first-order residual and feasibility at
-market.FEASIBILITY_TOL, all read off one evaluation of its prices under its
-structure (profits.profits_at, gradient_r1_at, gradient_r2_at).  Infeasible
-candidates (ordering violated, a demand negative) are returned with
+demands, profits and feasibility at market.FEASIBILITY_TOL, read off one
+evaluation of its prices under its structure (profits.profits_at).
+Infeasible candidates (ordering violated, a demand or price negative, the
+bundle above its parts, a profit that overflows) are returned with
 feasible=False rather than raised, so the selection layer can map
 non-existence regions; parameters at which a closed form has a vanishing
-denominator or overflows raise DegenerateParamsError.
+denominator or a price overflows raise DegenerateParamsError.
+
+Stationarity is not checked here.  Each closed form solves its regime's
+first-order system exactly, which tests/test_exact_algebra.py proves in
+rational arithmetic, so a floating-point residual would measure rounding
+only (and, being absolute, would reject candidates at a large enough price
+scale).  EquilibriumResult.foc_residual reports it on access.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ from .market import (
 )
 from .profits import ProfitPair, gradient_r1_at, gradient_r2_at, profits_at
 
-FOC_RESIDUAL_TOL = 1e-8
-
 
 class DegenerateParamsError(ValueError):
     """Parameters make a closed-form denominator vanish or a closed form
@@ -61,13 +65,23 @@ class EquilibriumResult(NamedTuple):
     demands: DemandProfile
     profits: ProfitPair
     theorem_id: str
-    foc_residual: float
     params: MarketParams
     feasible: bool
 
     @property
     def regime(self) -> Regime:
         return STRUCTURES[self.theorem_id].regime
+
+    @property
+    def foc_residual(self) -> float:
+        """The largest |first-order derivative| of either retailer's profit
+        in its own prices, under the theorem's structure at the stored
+        prices and demands: rounding error only, and NaN when any
+        derivative is NaN.  Computed on each access; feasibility does not
+        read it."""
+        p, s, prices = self.params, STRUCTURES[self.theorem_id], self.prices
+        g1 = gradient_r1_at(p, s, prices, s.effective_prices(prices), self.demands)
+        return _largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2)))
 
     @property
     def condition_report(self) -> ConditionReport:
@@ -159,7 +173,7 @@ def _no_bundle_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVecto
 
 def _largest_magnitude(values: tuple[float, ...]) -> float:
     """The largest |value|, or NaN when any value is NaN (Python's max keeps
-    a NaN only in first place), so a NaN gradient fails feasibility."""
+    a NaN only in first place), so a NaN gradient shows in the residual."""
     largest = 0.0
     for v in values:
         a = abs(v)
@@ -170,29 +184,26 @@ def _largest_magnitude(values: tuple[float, ...]) -> float:
     return largest
 
 
-def _feasible(
-    s: RegimeStructure, prices: PriceVector, d: DemandProfile, foc_residual: float
-) -> bool:
+def _feasible(s: RegimeStructure, prices: PriceVector, d: DemandProfile) -> bool:
     """Ordering of the presumed regime holds, all demands and prices are
     nonnegative, and the bundle is not priced above its parts, each within
-    FEASIBILITY_TOL, and the first-order conditions are satisfied."""
+    FEASIBILITY_TOL."""
     if not s.regime.holds(prices.r1_bundle_equivalent(), prices.pb2):
         return False
     if min(d) < -FEASIBILITY_TOL:
         return False
     if min(prices.present()) < -FEASIBILITY_TOL:
         return False
-    if not prices.bundle_within_parts():
-        return False
-    return foc_residual <= FOC_RESIDUAL_TOL
+    return prices.bundle_within_parts()
 
 
 def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     """The stationary point of one regime structure, with its demands,
-    profits, first-order residual and feasibility: retailer 2's price from
-    one formula, retailer 1's from the family its structure picks.
-    Demands, profits and both gradients are read off one evaluation of the
-    prices.  Raises DegenerateParamsError when a price overflows or is NaN."""
+    profits and feasibility: retailer 2's price from one formula, retailer
+    1's from the family its structure picks.  Demands and profits are read
+    off one evaluation of the prices; no gradient is evaluated.  A profit
+    that is not finite makes the candidate infeasible.  Raises
+    DegenerateParamsError when a price overflows or is NaN."""
     p, s = params, STRUCTURES[theorem_id]
     rival_level = _r2_level(p, s)
     pb2 = 0.5 * (rival_level + p.total_cost)
@@ -210,16 +221,16 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     # one evaluation: the prices are well formed by construction and finite
     eff = s.effective_prices(prices)
     d = demands(p, prices, eff)
-    g1 = gradient_r1_at(p, s, prices, eff, d)
-    residual = _largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2)))
+    pi = profits_at(p, s, prices, eff, d)
     return EquilibriumResult(
         prices=prices,
         demands=d,
-        profits=profits_at(p, s, prices, eff, d),
+        profits=pi,
         theorem_id=theorem_id,
-        foc_residual=residual,
         params=p,
-        feasible=_feasible(s, prices, d, residual),
+        feasible=(
+            math.isfinite(pi.pi_r1) and math.isfinite(pi.pi_r2) and _feasible(s, prices, d)
+        ),
     )
 
 

@@ -19,6 +19,7 @@ from bundlematch import (
     MarketParams,
     OracleConfig,
     PriceVector,
+    ProfitPair,
     Regime,
     Scenario,
     best_response_r1,
@@ -318,9 +319,30 @@ class TestNanResidual:
         assert math.isnan(_largest_magnitude((math.nan, 1.0)))
         assert _largest_magnitude((-3.0, 2.0)) == 3.0
 
-    def test_nan_rival_gradient_makes_a_candidate_infeasible(self, baseline, monkeypatch):
-        assert eq_T1(baseline).feasible
+    def test_the_residual_is_reported_and_not_a_feasibility_check(self, baseline, monkeypatch):
+        before = eq_T1(baseline)
         monkeypatch.setattr(bundlematch.equilibria, "gradient_r2_at", lambda *args: math.nan)
+        monkeypatch.setattr(bundlematch.equilibria, "gradient_r1_at", lambda *args: (math.nan,) * 3)
         r = eq_T1(baseline)
+        assert r == before and r.feasible
         assert math.isnan(r.foc_residual)
-        assert not r.feasible
+
+    @pytest.mark.parametrize(
+        "pi, feasible",
+        [
+            ((math.nan, 1.0), False),
+            ((1.0, math.nan), False),
+            ((math.inf, 1.0), False),
+            ((1.0, -math.inf), False),
+            # each profit is checked, not their sum: this welfare overflows
+            ((1e308, 1e308), True),
+        ],
+    )
+    def test_a_candidate_is_infeasible_when_a_profit_is_not_finite(
+        self, baseline, monkeypatch, pi, feasible
+    ):
+        assert eq_T1(baseline).feasible
+        monkeypatch.setattr(
+            bundlematch.equilibria, "profits_at", lambda *args: ProfitPair(*pi)
+        )
+        assert eq_T1(baseline).feasible is feasible

@@ -315,6 +315,38 @@ class TestItemSwap:
         assert ties > 0
 
 
+class TestPriceScale:
+    def test_the_selection_does_not_move_when_bases_and_costs_scale(self):
+        """Scaling every demand base and cost by k scales every candidate's
+        prices and margins by k and its profits by k**2, and leaves each
+        feasibility margin's sign alone, so the theorem chosen in each
+        subgame and the best PMG pair must not move.  An absolute tolerance
+        on a quantity that grows with k breaks this; a first-order residual
+        gate of 1e-8 flipped almost every cell of this grid at k = 1e6."""
+        k = 1e6
+        fields = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s", "c1", "c2")
+
+        def selection(params):
+            comparison = compare_policies(params)
+            chosen = tuple(
+                sol.chosen and sol.chosen.theorem_id for sol in comparison.solutions.values()
+            )
+            return chosen, comparison.best_pmg_regime
+
+        baseline = MarketParams.baseline()
+        scaled_baseline = baseline.replace(**{f: k * getattr(baseline, f) for f in fields})
+        chosen_any = 0
+        for b_s in (0.2, 0.4, 0.6, 0.9):
+            for lambda_l in np.linspace(0.05, 0.4, 18):
+                for theta_l in np.linspace(0.05, 0.95, 18):
+                    slopes = dict(b_s=b_s, lambda_l=float(lambda_l), theta_l=float(theta_l))
+                    at_one = selection(baseline.replace(**slopes))
+                    assert selection(scaled_baseline.replace(**slopes)) == at_one, slopes
+                    chosen_any += any(at_one[0])
+        # the grid exercises the selection, not only empty cells
+        assert chosen_any > 1000
+
+
 # compare_policies to the bit, as recorded before selection records became
 # tuples: every float as float.hex, at the baseline (a profit tie between
 # CM,CM and CM,noCM), a point without any equilibrium, a point where
