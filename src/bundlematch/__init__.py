@@ -71,7 +71,6 @@ __all__ = [
     "InvalidParameterError",
     "InvalidPriceError",
     "MarketParams",
-    "OracleConfig",
     "OracleOutcome",
     "PolicyComparison",
     "PriceVector",
@@ -112,7 +111,6 @@ __all__ = [
 # import the oracle or numpy
 _ORACLE_EXPORTS = frozenset(
     {
-        "OracleConfig",
         "OracleOutcome",
         "SingularSystemError",
         "best_response_r1",

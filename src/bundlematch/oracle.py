@@ -3,10 +3,13 @@
 Within each price-ordering regime a retailer's profit is an exact concave
 quadratic, so best responses are computed by solving the regime's linear
 first-order system and keeping the candidate with the highest actual
-profit.  Retailer 1's candidates come from one plan table for both bundling
-values: the high and low regimes and the kink tie (market.kink_structure),
-each again on the bundle-discount face when it bundles.  Nash candidates are
-then found by damped alternating best response.
+profit.  Concavity is a fact of the algebra, proved once for every regime
+structure and kink row in tests/test_exact_algebra.py, so no Hessian is
+checked here.  Retailer 1's candidates come from one plan table for both
+bundling values: the high and low regimes and the kink tie
+(market.kink_structure), each again on the bundle-discount face when it
+bundles.  Nash candidates are then found by damped alternating best
+response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
@@ -19,9 +22,11 @@ and starts; nothing is remembered across games.  Both retailers' candidates
 are evaluated by profits.profits, in the regime their prices lie in
 (market.Regime.of).
 
-A search stops at its first exactly repeated state, which starts a cycle
-that can never converge, and returns the outcome the full max_iters rounds
-would have returned.
+A search runs at most MAX_ITERS rounds and converges when the best-response
+residual drops below TOL_FP; both are read when a search starts.  It stops
+at its first exactly repeated state, which starts a cycle that can never
+converge, and returns the outcome the full MAX_ITERS rounds would have
+returned.
 
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
@@ -34,7 +39,6 @@ with oracle_check=True (policy.find_fixed_point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -48,36 +52,28 @@ from .market import (
     Scenario,
     kink_structure,
     regime_structures,
-    structure_at,
 )
 from .profits import hessian_matrix_r1, linear_terms_r1, profits, quadratic_r2
 
 
+MAX_ITERS = 500  # rounds of one fixed-point search
+TOL_FP = 1e-8  # sup-norm tolerance on the best-response residual
+
+
 class SingularSystemError(RuntimeError):
-    """A regime's Hessian is not negative definite, so its first-order
-    system does not identify a maximizer."""
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    max_iters: int = 500
-    tol_fp: float = 1e-8  # sup-norm tolerance on the best-response residual
-    damping: float = 1.0  # step fraction toward the best response, in (0, 1]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
-        if not self.tol_fp > 0.0:
-            raise ValueError("tol_fp must be > 0")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+    """numpy found a plan's first-order (KKT) system singular, so it does not
+    identify a maximizer."""
 
 
 class OracleOutcome(NamedTuple):
     converged: bool
     prices: PriceVector
     iterations: int
-    classified_regime: Regime
+
+    @property
+    def classified_regime(self) -> Regime:
+        """The regime the prices lie in (Regime.of)."""
+        return Regime.of(self.prices.r1_bundle_equivalent(), self.prices.pb2)
 
 
 def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
@@ -133,9 +129,7 @@ _PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1
 
 class BestResponses:
     """Both retailers' best responses in one (params, scenario) game, each
-    remembered by the exact bits of its argument.  Raises
-    SingularSystemError unless retailer 2's second derivative is negative in
-    each regime; retailer 1's plans are checked on its first response."""
+    remembered by the exact bits of its argument."""
 
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
         self.params, self.scenario = params, scenario
@@ -143,10 +137,6 @@ class BestResponses:
         # each regime's stationary point is kept on its side of the kink
         for s, side in zip(regime_structures(scenario), (min, max)):
             h, g0 = quadratic_r2(params, s)
-            if h >= 0.0:
-                raise SingularSystemError(
-                    f"retailer 2 second derivative for regime {s.regime.value} is not negative"
-                )
             stationary.append((s.regime, side, -g0 / h))
         self._stationary_r2 = tuple(stationary)
         # each response of this game, by the exact bits of its argument
@@ -161,18 +151,12 @@ class BestResponses:
     ]:
         """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie), its plans,
         and the plans' KKT matrices: the bundling value's template with this
-        game's Hessians assigned into it.  Raises SingularSystemError unless
-        both regimes' Hessians are negative definite."""
+        game's Hessians assigned into it."""
         params, scenario = self.params, self.scenario
         structures = (*regime_structures(scenario), kink_structure(scenario))
         plans, sides, template = _PLAN_TEMPLATES[scenario.bundling]
         # the Hessians do not depend on pb2
         hessians = np.array([hessian_matrix_r1(params, s) for s in structures])
-        for regime, eigenvalues in zip(Regime, np.linalg.eigvalsh(hessians[:2])):
-            if not np.all(eigenvalues < 0.0):
-                raise SingularSystemError(
-                    f"retailer 1 Hessian for regime {regime.value} is not negative definite"
-                )
         n = hessians.shape[1]
         stack = template.copy()
         stack[:, :n, :n] = hessians[sides]
@@ -284,62 +268,59 @@ def _default_start(params: MarketParams, scenario: Scenario) -> PriceVector:
     return PriceVector(params.c1 + 1.0, params.c2 + 1.0, pb1, params.total_cost + 1.0)
 
 
-def _search(responses: BestResponses, start: PriceVector, cfg: OracleConfig) -> OracleOutcome:
-    """Damped alternating best response from start.
+def _search(responses: BestResponses, start: PriceVector, damping: float) -> OracleOutcome:
+    """Alternating best response from start, each step moving the fraction
+    damping of the way to the best response.
 
     A round is a pure function of its state, and every state seen before has
     failed the convergence test, so a repeated state starts an exact cycle
     that never converges.  The search stops there and returns the state the
-    loop would hold after max_iters rounds.
+    loop would hold after MAX_ITERS rounds.
     """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
     x = start
-    delta = cfg.damping
     converged = False
     first_seen: dict[tuple[str, ...], int] = {}  # by exact bits: 0.0 and -0.0 differ
     history: list[PriceVector] = []
-    for iteration in range(cfg.max_iters):
+    for iteration in range(MAX_ITERS):
         mu = first_seen.setdefault(tuple(float(v).hex() for v in x.present()), iteration)
         if mu < iteration:
-            x = history[mu + (cfg.max_iters - mu) % (iteration - mu)]
+            x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
             break
         history.append(x)
         r1_star = responses.respond_r1(x.pb2)
         pb2_star = responses.respond_r2(x)
         star = PriceVector(r1_star[0], r1_star[1], r1_star[2], pb2_star)
-        if star.sup_distance(x) < cfg.tol_fp:
+        if star.sup_distance(x) < TOL_FP:
             converged = True
             break
         x = PriceVector.from_present(
-            [(1.0 - delta) * a + delta * b for a, b in zip(x.present(), star.present())]
+            [(1.0 - damping) * a + damping * b for a, b in zip(x.present(), star.present())]
         )
-    return OracleOutcome(
-        converged=converged,
-        prices=x,
-        iterations=iteration if converged else cfg.max_iters,
-        classified_regime=structure_at(responses.scenario, x).regime,
-    )
+    return OracleOutcome(converged, x, iteration if converged else MAX_ITERS)
 
 
 def find_fixed_point(
-    params: MarketParams, scenario: Scenario, cfg: OracleConfig | None = None
+    params: MarketParams, scenario: Scenario, damping: float = 1.0
 ) -> OracleOutcome:
     """Damped alternating best response until the best-response residual
-    drops below tol_fp.
+    drops below TOL_FP; damping, in (0, 1], is the step fraction toward the
+    best response.
 
     Convergence certifies that both retailers' best responses reproduce the
-    returned prices within tol_fp.  Hitting max_iters (oscillation or
+    returned prices within TOL_FP.  Hitting MAX_ITERS (oscillation or
     divergence) returns converged=False; that outcome marks parameter points
     with no pure-strategy equilibrium found.  An exact cycle (a state
     repeated bit for bit) is detected when it closes; the search then
-    returns the prices the loop would hold after max_iters rounds, and
-    iterations still reports max_iters.
+    returns the prices the loop would hold after MAX_ITERS rounds, and
+    iterations still reports MAX_ITERS.
     """
-    cfg = cfg or OracleConfig()
-    return _search(BestResponses(params, scenario), _default_start(params, scenario), cfg)
+    return _search(BestResponses(params, scenario), _default_start(params, scenario), damping)
 
 
 def find_fixed_points(
-    params: MarketParams, scenario: Scenario, cfg: OracleConfig | None = None
+    params: MarketParams, scenario: Scenario, damping: float = 1.0
 ) -> list[OracleOutcome]:
     """Run the fixed-point search from the four corners of a coarse price box
     and return the distinct outcomes (converged ones deduplicated).
@@ -347,7 +328,6 @@ def find_fixed_points(
     Iterated best response is not guaranteed to reach every fixed point from
     one start, so callers that care about multiplicity get all of them.
     """
-    cfg = cfg or OracleConfig()
     responses = BestResponses(params, scenario)
     lo_r1, hi_r1 = params.total_cost, params.total_cost + _price_span(params)
     lo_r2, hi_r2 = lo_r1, hi_r1
@@ -355,11 +335,11 @@ def find_fixed_points(
     for r1_level, r2_level in ((lo_r1, lo_r2), (lo_r1, hi_r2), (hi_r1, lo_r2), (hi_r1, hi_r2)):
         pb1 = r1_level if scenario.bundling == 1 else None
         start = PriceVector(r1_level / 2.0, r1_level / 2.0, pb1, r2_level)
-        outcome = _search(responses, start, cfg)
+        outcome = _search(responses, start, damping)
         duplicate = any(
             o.converged
             and outcome.converged
-            and o.prices.sup_distance(outcome.prices) < max(1e-6, 10.0 * cfg.tol_fp)
+            and o.prices.sup_distance(outcome.prices) < 1e-6
             for o in outcomes
         )
         if not duplicate:

@@ -19,10 +19,11 @@ Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients below are affine and match the regime's
 first-order-condition system term by term, and the Hessians are constant
 matrices with closed-form eigenvalues, negative definite whenever
-b_l >= lambda_l and theta_l in (0, 1).  Retailer 1's Hessian under a
-structure, alone, is hessian_matrix_r1: the oracle builds its plans from it
-and needs no linear term.  The quadratics (quadratic_r1, quadratic_r2) take
-a structure and no scenario.
+b_l >= lambda_l and theta_l in (0, 1) (proved in exact arithmetic in
+tests/test_exact_algebra.py).  Retailer 1's Hessian under a structure,
+alone, is hessian_matrix_r1: the oracle builds its plans from it and needs
+no linear term.  The quadratics (quadratic_r1, quadratic_r2) take a
+structure and no scenario.
 
 The profits and the gradients read at an evaluated point, and
 linear_terms_r1, are pure Python.  Only the functions that return arrays
@@ -224,15 +225,18 @@ class HessianReport(NamedTuple):
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvalues_numeric: np.ndarray
-    negative_definite: bool
+
+    @property
+    def negative_definite(self) -> bool:
+        """Whether every numeric eigenvalue is negative."""
+        return bool((self.eigenvalues_numeric < 0.0).all())
 
 
 def _report(matrix: np.ndarray, closed: list[float]) -> HessianReport:
     import numpy as np
 
-    numeric = np.linalg.eigvalsh(matrix)
     closed = np.sort(np.asarray(closed, dtype=float))
-    return HessianReport(matrix, closed, numeric, bool(np.all(numeric < 0.0)))
+    return HessianReport(matrix, closed, np.linalg.eigvalsh(matrix))
 
 
 def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> np.ndarray:
@@ -255,21 +259,32 @@ def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> np.ndarray:
     )
 
 
-def _eigenvalues_r1(params: MarketParams, s: RegimeStructure) -> list[float]:
-    """The closed-form eigenvalues of hessian_matrix_r1(params, s)."""
+def _eigenvalue_parts_r1(
+    params: MarketParams, s: RegimeStructure
+) -> tuple[float, float, float | None]:
+    """The rational parts (e1, mid, disc) of the closed-form eigenvalues of
+    hessian_matrix_r1(params, s): they are e1 and -mid under B=0, and e1 and
+    -mid -/+ sqrt(disc) under B=1."""
     p = params
     w, _ = s.own_strategic_weights(p.alpha)
     e1 = -2.0 * p.b_l * (1.0 - p.theta_l)
     if s.bundling == 0:
-        return [e1, -2.0 * p.b_l * (5.0 + p.theta_l) - 4.0 * w * p.b_s]
+        return e1, 2.0 * p.b_l * (5.0 + p.theta_l) + 4.0 * w * p.b_s, None
     lam = p.lambda_l
     if s.r1_matched:
-        root = math.sqrt((p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2)
-        mid = 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l
-        return [e1, -mid - root, -mid + root]
-    psi = math.sqrt((p.b_l * (1.0 - p.theta_l) + w * p.b_s) ** 2 + 18.0 * lam**2)
-    mid = w * p.b_s + p.b_l * p.theta_l + 3.0 * p.b_l + 4.0 * lam
-    return [e1, -mid - psi, -mid + psi]
+        disc = (p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2
+        return e1, 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l, disc
+    disc = (p.b_l * (1.0 - p.theta_l) + w * p.b_s) ** 2 + 18.0 * lam**2
+    return e1, w * p.b_s + p.b_l * p.theta_l + 3.0 * p.b_l + 4.0 * lam, disc
+
+
+def _eigenvalues_r1(params: MarketParams, s: RegimeStructure) -> list[float]:
+    """The closed-form eigenvalues of hessian_matrix_r1(params, s)."""
+    e1, mid, disc = _eigenvalue_parts_r1(params, s)
+    if disc is None:
+        return [e1, -mid]
+    root = math.sqrt(disc)
+    return [e1, -mid - root, -mid + root]
 
 
 def _hessian_r2(params: MarketParams, s: RegimeStructure) -> float:

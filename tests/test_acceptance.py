@@ -17,7 +17,6 @@ import pytest
 
 from bundlematch import (
     MarketParams,
-    OracleConfig,
     Regime,
     Scenario,
     find_fixed_point,
@@ -105,7 +104,7 @@ def test_criterion_3_oracle_equivalence(stratified_draws):
     worst = 0.0
     ok = len(stratified_draws) == 200
     for set_id, params, eq in stratified_draws:
-        out = find_fixed_point(params, set_scenario(set_id), OracleConfig(damping=0.7))
+        out = find_fixed_point(params, set_scenario(set_id), damping=0.7)
         if not out.converged:
             ok = False
             continue

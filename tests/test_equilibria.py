@@ -17,7 +17,6 @@ import pytest
 import bundlematch.equilibria
 from bundlematch import (
     MarketParams,
-    OracleConfig,
     PriceVector,
     ProfitPair,
     Regime,
@@ -205,7 +204,7 @@ class TestOracleCrossValidation:
         for _ in range(50):
             params = draw_set_params(set_id, rng, require_feasible=True)
             eq = EQ[SET_THEOREM[set_id]](params)
-            out = find_fixed_point(params, scen, OracleConfig(damping=0.7))
+            out = find_fixed_point(params, scen, damping=0.7)
             assert out.converged
             assert rel_sup(eq.prices, out.prices) <= 1e-4
 
@@ -219,7 +218,7 @@ class TestOracleCrossValidation:
             if br_fixed_point_gap(params, scen, eq.prices) > 1e-6:
                 refuted += 1  # theorem counterexample: r1 gains by undercutting
                 continue
-            out = find_fixed_point(params, scen, OracleConfig(damping=0.7))
+            out = find_fixed_point(params, scen, damping=0.7)
             assert out.converged
             assert rel_sup(eq.prices, out.prices) <= 1e-4
         assert refuted <= 10, "set E leak grew beyond the documented rate"
@@ -236,7 +235,7 @@ class TestOracleCrossValidation:
             if br_fixed_point_gap(params, scen, eq.prices) > 1e-6:
                 continue  # candidate refuted by a global deviation
             stable += 1
-            outs = find_fixed_points(params, scen, OracleConfig(damping=0.7))
+            outs = find_fixed_points(params, scen, damping=0.7)
             assert any(
                 o.converged and rel_sup(eq.prices, o.prices) <= 1e-4 for o in outs
             )
@@ -260,7 +259,7 @@ class TestOracleCrossValidation:
             checked += 1
             if br_fixed_point_gap(params, scen, eq.prices) > 1e-6:
                 continue
-            outs = find_fixed_points(params, scen, OracleConfig(damping=0.7))
+            outs = find_fixed_points(params, scen, damping=0.7)
             assert any(o.converged and rel_sup(eq.prices, o.prices) <= 1e-4 for o in outs)
             matched += 1
         assert matched >= 15

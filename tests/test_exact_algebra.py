@@ -14,14 +14,19 @@ below hold with no tolerance at all:
   floats;
 - each retailer's constant Hessian (hessian_matrix_r1, _hessian_r2) is the
   difference of its gradient along each own price, under every regime
-  structure and every kink row.
+  structure and every kink row;
+- each of those Hessians is negative definite (Sylvester's criterion), and
+  the closed-form eigenvalues profits reports for retailer 1 are its
+  eigenvalues.  This is why the oracle checks no Hessian before it solves a
+  first-order system: its plans use exactly these matrices.
 
-Only the standard library's fractions module is used.
+Only the standard library is used (fractions, itertools).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,7 +41,13 @@ from bundlematch.market import (
     demands,
     kink_structure,
 )
-from bundlematch.profits import _hessian_r2, gradient_r1_at, gradient_r2_at, hessian_matrix_r1
+from bundlematch.profits import (
+    _eigenvalue_parts_r1,
+    _hessian_r2,
+    gradient_r1_at,
+    gradient_r2_at,
+    hessian_matrix_r1,
+)
 
 from conftest import draw_valid_params
 
@@ -155,3 +166,92 @@ def test_hessians_are_the_differences_of_the_gradients():
             h2 = _hessian_r2(exact, s)
             assert type(h2) is Exact
             assert h2 == gradient_r2_at(exact, s, pb2 + 1) - gradient_r2_at(exact, s, pb2)
+
+
+def _det(rows: list) -> Exact:
+    """The determinant of a small square matrix, by cofactor expansion along
+    its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def _principal_minors(rows: list) -> dict[tuple[int, ...], Exact]:
+    """Every principal minor of a square matrix, by the indices it keeps."""
+    n = len(rows)
+    return {
+        idx: _det([[rows[i][j] for j in idx] for i in idx])
+        for k in range(1, n + 1)
+        for idx in combinations(range(n), k)
+    }
+
+
+def _eigenvalue_symmetric_functions(e1, mid, disc) -> list:
+    """The elementary symmetric functions of the closed-form eigenvalues: e1
+    and -mid under B=0, e1 and -mid -/+ sqrt(disc) under B=1.  The root
+    enters only through its square, so they are rational."""
+    if disc is None:
+        return [e1 - mid, -e1 * mid]
+    pair = mid**2 - disc  # (-mid - root) * (-mid + root)
+    return [e1 - 2 * mid, pair - 2 * mid * e1, e1 * pair]
+
+
+def _concavity_points() -> list[MarketParams]:
+    """Seeded valid draws, and the domain's corners: lambda_l = b_l, alpha at
+    0 and 1, theta_l next to 0 and next to 1."""
+    rng = np.random.default_rng(12)
+    points = [draw_valid_params(rng) for _ in range(200)]
+    for base in (MarketParams.baseline(), *points[:4]):
+        for lambda_l in (base.lambda_l, base.b_l):
+            for alpha in (0.0, 1.0):
+                for theta_l in (1e-12, 1.0 - 1e-12):
+                    points.append(base.replace(lambda_l=lambda_l, alpha=alpha, theta_l=theta_l))
+    return points
+
+
+def test_hessians_are_negative_definite_with_the_closed_form_eigenvalues():
+    """Every Hessian the oracle solves with is negative definite.
+
+    Checked exactly at each point, under every regime structure and kink
+    row: the leading principal minors of -hessian_matrix_r1 are all > 0
+    (Sylvester's criterion), _hessian_r2 is < 0, and the elementary
+    symmetric functions of the closed-form eigenvalues equal those of the
+    matrix, so they are its eigenvalues.
+
+    The closed form proves it on the whole domain, b_l >= lambda_l > 0,
+    theta_l in (0, 1) and strategic weights w in [0, 1].  The linear
+    eigenvalue e1 = -2 b_l (1 - theta_l) is < 0.  Under B=0 the other one,
+    -mid = -2 b_l (5 + theta_l) - 4 w b_s, is < 0.  Under B=1 the other two
+    are -mid -/+ sqrt(disc), both < 0 once mid > 0 and mid**2 > disc.  On a
+    matched row disc = u**2 + 8 lambda**2 with u = b_l theta_l + lambda >= 0,
+    and mid = u + 2 b_l + 2 lambda >= u + 4 lambda, so mid**2 - disc >=
+    8 u lambda + 8 lambda**2 >= 8 lambda**2.  On an unmatched row (every
+    kink row is one) disc = u**2 + 18 lambda**2 with u = b_l (1 - theta_l) +
+    w b_s >= 0, and mid = u + 2 b_l (1 + theta_l) + 4 lambda >= u + 6 lambda,
+    so mid**2 - disc >= 12 u lambda + 18 lambda**2 >= 18 lambda**2.
+    Retailer 2's h = -2 b_l (1 or 2) - 2 w b_s is < 0 since b_l > 0.
+    """
+    for params in _concavity_points():
+        exact = exact_params(params)
+        lam = exact.lambda_l
+        for s in AUDITED_STRUCTURES:
+            minors = _principal_minors(hessian_matrix_r1(exact, s).tolist())
+            assert is_exact(minors.values())
+            orders = range(1, max(map(len, minors)) + 1)
+            # Sylvester's criterion for -H, whose k-th leading minor is
+            # (-1)**k times the Hessian's
+            assert all((-1) ** k * minors[tuple(range(k))] > 0 for k in orders), (s, params)
+            # the sums of the principal minors of each order (trace, ...,
+            # determinant) are the elementary symmetric functions of the
+            # eigenvalues
+            sums = [sum(m for idx, m in minors.items() if len(idx) == k) for k in orders]
+            e1, mid, disc = _eigenvalue_parts_r1(exact, s)
+            assert _eigenvalue_symmetric_functions(e1, mid, disc) == sums, (s, params)
+            # the bounds of the argument above
+            assert e1 < 0 and mid > 0, (s, params)
+            if disc is not None:
+                assert mid**2 - disc >= (8 if s.r1_matched else 18) * lam**2, (s, params)
+            assert _hessian_r2(exact, s) < 0, (s, params)

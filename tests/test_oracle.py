@@ -11,7 +11,6 @@ import bundlematch.oracle
 from bundlematch import (
     InvalidPriceError,
     MarketParams,
-    OracleConfig,
     PriceVector,
     Regime,
     Scenario,
@@ -27,7 +26,7 @@ from bundlematch import (
     solve_subgame,
     structure,
 )
-from bundlematch.market import kink_structure, structure_at
+from bundlematch.market import kink_structure
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
@@ -64,29 +63,28 @@ CYCLING = {"theta_l": 0.8, "b_s": 0.3}
 BLANK = {"b_l": 0.9, "b_s": 0.1, "lambda_l": 0.1, "theta_l": 0.1}
 
 
-def _full_loop(params, scenario, cfg):
+def _full_loop(params, scenario, damping):
     """Reference search: damped alternating best response for up to
-    max_iters rounds, with no cycle check."""
+    MAX_ITERS rounds, with no cycle check."""
     responses = bundlematch.oracle.BestResponses(params, scenario)
     pb1 = params.total_cost + 1.0 if scenario.bundling == 1 else None
     x = PriceVector(params.c1 + 1.0, params.c2 + 1.0, pb1, params.total_cost + 1.0)
-    delta = cfg.damping
-    for iteration in range(cfg.max_iters):
+    max_iters = bundlematch.oracle.MAX_ITERS
+    for iteration in range(max_iters):
         r1_star = responses.respond_r1(x.pb2)
         star = PriceVector(*r1_star, responses.respond_r2(x))
-        if star.sup_distance(x) < cfg.tol_fp:
+        if star.sup_distance(x) < bundlematch.oracle.TOL_FP:
             converged = True
             break
         x = PriceVector(
-            (1.0 - delta) * x.p1 + delta * star.p1,
-            (1.0 - delta) * x.p2 + delta * star.p2,
-            None if pb1 is None else (1.0 - delta) * x.pb1 + delta * star.pb1,
-            (1.0 - delta) * x.pb2 + delta * star.pb2,
+            (1.0 - damping) * x.p1 + damping * star.p1,
+            (1.0 - damping) * x.p2 + damping * star.p2,
+            None if pb1 is None else (1.0 - damping) * x.pb1 + damping * star.pb1,
+            (1.0 - damping) * x.pb2 + damping * star.pb2,
         )
     else:
-        converged, iteration = False, cfg.max_iters
-    regime = structure_at(scenario, x).regime
-    return bundlematch.oracle.OracleOutcome(converged, x, iteration, regime)
+        converged, iteration = False, max_iters
+    return bundlematch.oracle.OracleOutcome(converged, x, iteration)
 
 
 def _hex(prices):
@@ -186,25 +184,16 @@ class TestBestResponses:
                 values.append(profits(params, scen, pv).pi_r1)
             assert max(values) <= best + 1e-6
 
-    @pytest.mark.parametrize(
-        "label,search",
-        [("CM,CM", False), ("NoBundle", False), ("CM,CM", True), ("NoBundle", True)],
-        ids=["CM,CM", "NoBundle", "CM,CM-fixed_point", "NoBundle-fixed_point"],
-    )
-    def test_r1_rejects_a_regime_quadratic_that_is_not_concave(
-        self, baseline, label, search, monkeypatch
-    ):
-        hessian = bundlematch.oracle.hessian_matrix_r1
+    def test_r1_reports_a_singular_system(self, baseline, monkeypatch):
+        # every plan's system is nonsingular on the parameter domain
+        # (test_exact_algebra proves the Hessians negative definite), so the
+        # solve is made to fail
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        def convex(*args):
-            return -hessian(*args)
-
-        monkeypatch.setattr(bundlematch.oracle, "hessian_matrix_r1", convex)
-        with pytest.raises(SingularSystemError, match="not negative definite"):
-            if search:
-                find_fixed_point(baseline, SCENARIOS[label])
-            else:
-                best_response_r1(baseline, SCENARIOS[label], 135.0)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularSystemError, match="Singular matrix"):
+            best_response_r1(baseline, CM_CM, 135.0)
 
     def test_r2_reproduces_golden_price(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 0.0)
@@ -271,7 +260,7 @@ class TestFixedPoints:
                 return _original(*args)
 
             monkeypatch.setattr(bundlematch.oracle, name, counted)
-        out = find_fixed_point(baseline, SCENARIOS[label], OracleConfig(damping=0.5))
+        out = find_fixed_point(baseline, SCENARIOS[label], damping=0.5)
         assert out.iterations > 2
         assert calls == {"hessian_matrix_r1": 3, "quadratic_r2": 2}
 
@@ -287,29 +276,31 @@ class TestFixedPoints:
     def test_nonconvergence_in_blank_region(self, baseline):
         out = find_fixed_point(baseline.replace(**BLANK), CM_CM)
         assert not out.converged
-        assert out.iterations == OracleConfig().max_iters
+        assert out.iterations == bundlematch.oracle.MAX_ITERS == 500
 
     @pytest.mark.parametrize(
-        "cfg",
-        [OracleConfig(), OracleConfig(damping=0.7), OracleConfig(max_iters=37),
-         OracleConfig(max_iters=501)],
+        "damping,max_iters",
+        [(1.0, 500), (0.7, 500), (1.0, 37), (1.0, 501)],
         ids=["default", "damping=0.7", "max_iters=37", "max_iters=501"],
     )
-    def test_cycle_stop_matches_the_full_loop_bit_for_bit(self, baseline, cfg):
+    def test_cycle_stop_matches_the_full_loop_bit_for_bit(
+        self, baseline, damping, max_iters, monkeypatch
+    ):
         # the odd caps land the full loop on either phase of a 2- or 4-cycle
+        monkeypatch.setattr(bundlematch.oracle, "MAX_ITERS", max_iters)
         rng = np.random.default_rng(3)
         points = [baseline, baseline.replace(**CYCLING), baseline.replace(**BLANK)]
         points += [draw_valid_params(rng) for _ in range(10)]
         capped = 0
         for params in points:
             for scen in SCENARIOS.values():
-                out = find_fixed_point(params, scen, cfg)
-                ref = _full_loop(params, scen, cfg)
+                out = find_fixed_point(params, scen, damping)
+                ref = _full_loop(params, scen, damping)
                 assert (out.converged, out.iterations, out.classified_regime) == (
                     ref.converged, ref.iterations, ref.classified_regime)
                 assert _hex(out.prices) == _hex(ref.prices)
                 capped += not ref.converged
-        if cfg.damping == 1.0:
+        if damping == 1.0:
             assert capped  # cycling searches were among those compared
 
     def test_cycling_search_stops_early_but_reports_the_cap(self, baseline, monkeypatch):
@@ -328,19 +319,19 @@ class TestFixedPoints:
         assert calls <= 50
 
     def test_damping_reaches_the_same_fixed_point(self, baseline):
-        heavy = find_fixed_point(baseline, CM_CM, OracleConfig(damping=0.4))
-        light = find_fixed_point(baseline, CM_CM, OracleConfig(damping=1.0))
+        heavy = find_fixed_point(baseline, CM_CM, damping=0.4)
+        light = find_fixed_point(baseline, CM_CM, damping=1.0)
         assert heavy.converged and light.converged
         assert heavy.prices.sup_distance(light.prices) < 1e-5
 
-    def test_converged_point_reproduces_under_best_response(self, baseline):
-        cfg = OracleConfig(tol_fp=1e-10)
-        out = find_fixed_point(baseline, CM_CM, cfg)
+    def test_converged_point_reproduces_under_best_response(self, baseline, monkeypatch):
+        monkeypatch.setattr(bundlematch.oracle, "TOL_FP", 1e-10)
+        out = find_fixed_point(baseline, CM_CM)
         assert out.converged
         r1 = best_response_r1(baseline, CM_CM, out.prices.pb2)
         r2 = best_response_r2(baseline, CM_CM, out.prices)
         star = PriceVector(r1[0], r1[1], r1[2], r2)
-        assert star.sup_distance(out.prices) < cfg.tol_fp
+        assert star.sup_distance(out.prices) < 1e-10
 
     def test_each_response_weakly_improves_profit(self, baseline):
         # the undamped path from unit costs plus 1: both retailers respond to
@@ -368,15 +359,9 @@ class TestFixedPoints:
         assert all(o.converged for o in outs)
         assert len(outs) == 1  # unique equilibrium at the baseline
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            OracleConfig(tol_fp=0.0)
-        with pytest.raises(ValueError):
-            OracleConfig(max_iters=-5)
-        with pytest.raises(ValueError):
-            OracleConfig(max_iters=2.5)
+    def test_config_validation(self, baseline):
+        with pytest.raises(ValueError, match="damping must lie in"):
+            find_fixed_point(baseline, CM_CM, damping=0.0)
 
 
 @pytest.fixture
@@ -542,7 +527,7 @@ class TestStackedSolve:
         assert compared == 60 * (23 if scen.bundling == 1 else 7)
 
 
-# find_fixed_point at its default config to the bit, as recorded before the
+# find_fixed_point at its default settings to the bit, as recorded before the
 # report row and the sweep panels had one home each: converged, iterations,
 # the classified regime and the prices as float.hex, at the baseline and 50
 # draws of draw_valid_params (seed 11), for the five subgames.  Giving the

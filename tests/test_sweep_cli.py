@@ -534,7 +534,9 @@ class TestCli:
 
 
 # `bundlematch verify` stdout for the five subgames at three market configs,
-# recorded before the oracle's responses were remembered and stacked
+# recorded before the oracle's responses were remembered and stacked.
+# Rebuild only from a commit whose outputs are known good:
+#   PYTHONPATH=src:tests python -c "import test_sweep_cli as t; t.write_verify_expected()"
 VERIFY_EXPECTED = Path(__file__).with_name("verify_expected.txt")
 VERIFY_SUBGAMES = (
     ["--pmg", "r1=cm", "r2=cm"],
@@ -557,16 +559,36 @@ def _verify_sections() -> dict[str, list[str]]:
     return sections
 
 
+def _section_config(section: str, workdir: Path) -> list[str]:
+    """The --config flags for a section named by its overrides of the
+    baseline, with the config file written under workdir."""
+    if section == "baseline":
+        return []
+    path = workdir / "market.cfg"
+    path.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in section.split(",")))
+    return ["--config", str(path)]
+
+
+def verify_output(section: str, workdir: Path) -> str:
+    """One section's stdout, with its config file under workdir."""
+    config = _section_config(section, workdir)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for flags in VERIFY_SUBGAMES:
+            assert main(["verify", *flags, *config]) == 0
+    return stdout.getvalue()
+
+
+def write_verify_expected() -> None:
+    header = [line for line in VERIFY_EXPECTED.read_text().splitlines() if line.startswith("#")]
+    with tempfile.TemporaryDirectory() as tmp:
+        body = [f"[{s}]\n{verify_output(s, Path(tmp))}" for s in _verify_sections()]
+    VERIFY_EXPECTED.write_text("\n".join(header) + "\n" + "".join(body))
+
+
 @pytest.mark.parametrize("section", list(_verify_sections()))
-def test_verify_stdout_is_pinned(tmp_path, capsys, section):
-    config = []
-    if section != "baseline":
-        path = tmp_path / "market.cfg"
-        path.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in section.split(",")))
-        config = ["--config", str(path)]
-    for flags in VERIFY_SUBGAMES:
-        assert main(["verify", *flags, *config]) == 0
-    assert capsys.readouterr().out.splitlines() == _verify_sections()[section]
+def test_verify_stdout_is_pinned(tmp_path, section):
+    assert verify_output(section, tmp_path).splitlines() == _verify_sections()[section]
 
 
 # `bundlematch sweep` files for a two-panel b_l x b_s spec, recorded before
@@ -617,11 +639,7 @@ SOLVE_ORACLE_SUBGAME = ["--pmg", "r1=nocm", "r2=cm"]
 def solve_output(section: str, workdir: Path) -> str:
     """One section's stdout followed by its table.json, with the config and
     the table files under workdir."""
-    config = []
-    if section != "baseline":
-        path = workdir / "market.cfg"
-        path.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in section.split(",")))
-        config = ["--config", str(path)]
+    config = _section_config(section, workdir)
     out = workdir / "table"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
