@@ -184,16 +184,25 @@ class TestBestResponses:
                 values.append(profits(params, scen, pv).pi_r1)
             assert max(values) <= best + 1e-6
 
-    def test_r1_reports_a_singular_system(self, baseline, monkeypatch):
+    @pytest.mark.parametrize(
+        "label,search",
+        [("CM,CM", False), ("NoBundle", False), ("CM,CM", True), ("NoBundle", True)],
+        ids=["CM,CM", "NoBundle", "CM,CM-fixed_point", "NoBundle-fixed_point"],
+    )
+    def test_r1_reports_a_singular_system(self, baseline, label, search, monkeypatch):
         # every plan's system is nonsingular on the parameter domain
         # (test_exact_algebra proves the Hessians negative definite), so the
-        # solve is made to fail
+        # solve is made to fail; the error reaches the caller of a single
+        # response and of a whole search alike
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(SingularSystemError, match="Singular matrix"):
-            best_response_r1(baseline, CM_CM, 135.0)
+            if search:
+                find_fixed_point(baseline, SCENARIOS[label])
+            else:
+                best_response_r1(baseline, SCENARIOS[label], 135.0)
 
     def test_r2_reproduces_golden_price(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 0.0)
