@@ -3,10 +3,10 @@ mixed bundling and price-matching guarantees.
 
 The closed forms, the selection and the table run in pure Python, so
 importing the package does not load numpy.  Only the code that builds
-arrays imports it: the best-response oracle (bundlematch.oracle), the
-array-returning helpers in profits (Hessians, quadratics, the gradient
-vector) and a sweep's axis grid.  The oracle's exports below are resolved
-on first access, which imports bundlematch.oracle and with it numpy.
+arrays imports it: the best-response oracle (bundlematch.oracle), a sweep's
+axis grid and, in profits, only hessian_matrix_r1 (retailer 1's Hessian,
+which the oracle solves with).  The oracle's exports below are resolved on
+first access, which imports bundlematch.oracle and with it numpy.
 """
 
 from .conditions import (
@@ -46,28 +46,15 @@ from .policy import (
     compare_policies,
     solve_subgame,
 )
-from .profits import (
-    AmbiguousKinkError,
-    HessianReport,
-    ProfitPair,
-    hessian_r1,
-    hessian_r2,
-    profit_gradient_r1,
-    profit_gradient_r2,
-    profits,
-    quadratic_r1,
-    quadratic_r2,
-)
+from .profits import ProfitPair, profits, quadratic_r2
 
 __all__ = [
-    "AmbiguousKinkError",
     "ConditionCheck",
     "ConditionReport",
     "DegenerateParamsError",
     "DemandProfile",
     "EffectivePrices",
     "EquilibriumResult",
-    "HessianReport",
     "InvalidParameterError",
     "InvalidPriceError",
     "MarketParams",
@@ -96,12 +83,7 @@ __all__ = [
     "eq_T5b",
     "find_fixed_point",
     "find_fixed_points",
-    "hessian_r1",
-    "hessian_r2",
-    "profit_gradient_r1",
-    "profit_gradient_r2",
     "profits",
-    "quadratic_r1",
     "quadratic_r2",
     "solve_subgame",
     "structure",

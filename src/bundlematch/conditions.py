@@ -3,8 +3,8 @@
 Each condition set is a list of parameter inequalities under which exactly one
 price-ordering regime of a subgame admits a valid equilibrium.  The sets are
 sufficient, not necessary: a failing report does not rule an equilibrium out.
-The concavity reports (per-regime Hessians) live with the profits in
-`profits`.
+The per-regime Hessians live with the profits in `profits`; their concavity
+is proved once, in exact arithmetic, by tests/test_exact_algebra.py.
 """
 
 from __future__ import annotations

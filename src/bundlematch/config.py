@@ -114,7 +114,7 @@ def _build_axis(
     try:
         steps = int(kv["steps"][0])
     except ValueError:
-        raise ConfigError(path, kv["steps"][1], f"steps must be an integer") from None
+        raise ConfigError(path, kv["steps"][1], "steps must be an integer") from None
     if steps < 2:
         raise ConfigError(path, kv["steps"][1], "steps must be >= 2")
     if not hi > lo:

@@ -8,28 +8,26 @@ ordering; exact posted-price ties follow the R1_HIGH convention.
 
 Each formula is written once, as a function of an evaluated point: a
 structure, posted prices, their effective prices and the demands there
-(profits_at, gradient_r1_at, gradient_r2_at).  profits and the
-profit_gradient_* functions validate and evaluate the prices in the regime
-they lie in (market.Regime.of) and then read off that point.  A caller
-holding an evaluated point, such as a closed-form candidate evaluated in the
-regime it was derived in, reads both profits and both gradients from it
-directly: that is the one way to evaluate prices under a presumed regime.
+(profits_at, gradient_r1_at, gradient_r2_at).  profits validates and
+evaluates the prices in the regime they lie in (market.Regime.of) and then
+reads off that point.  A caller holding an evaluated point, such as a
+closed-form candidate evaluated in the regime it was derived in, reads both
+profits and both gradients from it directly: that is the one way to evaluate
+prices under a presumed regime.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
-retailer's own prices: the gradients below are affine and match the regime's
-first-order-condition system term by term, and the Hessians are constant
-matrices with closed-form eigenvalues, negative definite whenever
-b_l >= lambda_l and theta_l in (0, 1) (proved in exact arithmetic in
-tests/test_exact_algebra.py).  Retailer 1's Hessian under a structure,
-alone, is hessian_matrix_r1: the oracle builds its plans from it and needs
-no linear term.  The quadratics (quadratic_r1, quadratic_r2) take a
-structure and no scenario.
+retailer's own prices: the gradients are affine and match the regime's
+first-order-condition system term by term, and the Hessians are constant,
+negative definite whenever b_l >= lambda_l and theta_l in (0, 1) (proved in
+exact arithmetic in tests/test_exact_algebra.py).  Retailer 1's Hessian under
+a structure is hessian_matrix_r1, with closed-form eigenvalues
+_eigenvalues_r1; its gradient at zero own prices is linear_terms_r1.
+Retailer 2's quadratic in pb2 is quadratic_r2, its curvature _hessian_r2.
+All of these take a structure and no scenario.
 
-The profits and the gradients read at an evaluated point, and
-linear_terms_r1, are pure Python.  Only the functions that return arrays
-(profit_gradient_r1, hessian_matrix_r1, hessian_r1, hessian_r2,
-quadratic_r1) need numpy, and they import it in their bodies, so the
-closed forms and the selection run without it.
+Everything here is pure Python except hessian_matrix_r1, which returns an
+array and imports numpy in its body, so the closed forms and the selection
+run without numpy.
 """
 
 from __future__ import annotations
@@ -42,21 +40,14 @@ from .market import (
     EffectivePrices,
     MarketParams,
     PriceVector,
-    Regime,
     RegimeStructure,
     Scenario,
     demands,
-    structure,
     structure_at,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class AmbiguousKinkError(ValueError):
-    """Gradient requested exactly at a regime kink, where the piecewise
-    profit is not differentiable."""
 
 
 class ProfitPair(NamedTuple):
@@ -153,90 +144,19 @@ def gradient_r2_at(params: MarketParams, s: RegimeStructure, pb2: float) -> floa
     return g
 
 
-def _evaluate(
-    params: MarketParams, scenario: Scenario, prices: PriceVector
-) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
-    """Validate the prices and evaluate them once, in the regime they lie in:
-    its structure, the effective prices and the demands."""
-    s = structure_at(scenario, prices)
-    eff = s.effective_prices(prices)
-    return s, eff, demands(params, prices, eff)
-
-
 def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
     """Both retailers' profits at posted prices, in the regime (and with it
     the PMG resolution and the strategic split) the prices lie in, so the
-    function is total, including at regime kinks."""
-    s, eff, d = _evaluate(params, scenario, prices)
-    return profits_at(params, s, prices, eff, d)
-
-
-# ---------------------------------------------------------------------------
-# analytic gradients (the per-regime first-order-condition systems)
-# ---------------------------------------------------------------------------
-
-
-def _gradient_point(
-    params: MarketParams, scenario: Scenario, prices: PriceVector
-) -> tuple[RegimeStructure, EffectivePrices, DemandProfile]:
-    """The evaluated point a gradient is read at, which is ambiguous exactly
-    at the kink."""
-    point = _evaluate(params, scenario, prices)
-    r1_eq = prices.r1_bundle_equivalent()
-    if r1_eq == prices.pb2:
-        raise AmbiguousKinkError(
-            "gradient is ambiguous exactly at the regime kink "
-            f"(bundle-equivalent price {r1_eq} equals pb2)"
-        )
-    return point
-
-
-def profit_gradient_r1(
-    params: MarketParams, scenario: Scenario, prices: PriceVector
-) -> np.ndarray:
-    """Analytic gradient of retailer 1's profit w.r.t. its own prices, in the
-    regime the prices lie in.  Raises AmbiguousKinkError exactly at the
-    regime boundary, where the two one-sided systems disagree."""
-    import numpy as np
-
-    s, eff, d = _gradient_point(params, scenario, prices)
-    return np.array(gradient_r1_at(params, s, prices, eff, d))
-
-
-def profit_gradient_r2(params: MarketParams, scenario: Scenario, prices: PriceVector) -> float:
-    """Analytic derivative of retailer 2's profit w.r.t. pb2 (see
-    profit_gradient_r1 for the regime and kink behavior)."""
-    s, _, _ = _gradient_point(params, scenario, prices)
-    return gradient_r2_at(params, s, prices.pb2)
+    function is total, including at regime kinks.  The prices are validated
+    first (market.structure_at)."""
+    s = structure_at(scenario, prices)
+    eff = s.effective_prices(prices)
+    return profits_at(params, s, prices, eff, demands(params, prices, eff))
 
 
 # ---------------------------------------------------------------------------
 # Hessians and the per-regime quadratics
 # ---------------------------------------------------------------------------
-
-
-class HessianReport(NamedTuple):
-    """Constant Hessian of a retailer's profit within a regime.
-
-    `eigenvalues` are the closed-form expressions; `eigenvalues_numeric` come
-    from a symmetric eigensolve of the same matrix.  Both are sorted ascending.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvalues_numeric: np.ndarray
-
-    @property
-    def negative_definite(self) -> bool:
-        """Whether every numeric eigenvalue is negative."""
-        return bool((self.eigenvalues_numeric < 0.0).all())
-
-
-def _report(matrix: np.ndarray, closed: list[float]) -> HessianReport:
-    import numpy as np
-
-    closed = np.sort(np.asarray(closed, dtype=float))
-    return HessianReport(matrix, closed, np.linalg.eigvalsh(matrix))
 
 
 def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> np.ndarray:
@@ -292,21 +212,6 @@ def _hessian_r2(params: MarketParams, s: RegimeStructure) -> float:
     return -2.0 * params.b_l * (1.0 if s.r2_matched else 2.0) - 2.0 * w * params.b_s
 
 
-def hessian_r1(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
-    """Hessian of retailer 1's profit in its own prices for a fixed regime
-    (3x3 under bundling, 2x2 otherwise)."""
-    s = structure(scenario, regime)
-    return _report(hessian_matrix_r1(params, s), _eigenvalues_r1(params, s))
-
-
-def hessian_r2(params: MarketParams, scenario: Scenario, regime: Regime) -> HessianReport:
-    """Retailer 2's scalar second derivative in pb2, wrapped as a 1x1 report."""
-    import numpy as np
-
-    value = _hessian_r2(params, structure(scenario, regime))
-    return _report(np.array([[value]]), [value])
-
-
 def linear_terms_r1(
     params: MarketParams, structures: tuple[RegimeStructure, ...], pb2: float
 ) -> list[tuple[float, ...]]:
@@ -319,17 +224,6 @@ def linear_terms_r1(
         eff = s.effective_prices(zero)
         terms.append(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))
     return terms
-
-
-def quadratic_r1(
-    params: MarketParams, s: RegimeStructure, pb2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Retailer 1's profit in structure s against a fixed pb2 as (H, g0):
-    the constant Hessian and the gradient at zero own prices.  The gradient
-    is H x + g0, so the pair pins the first-order system completely."""
-    import numpy as np
-
-    return hessian_matrix_r1(params, s), np.array(linear_terms_r1(params, (s,), pb2)[0])
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

@@ -20,10 +20,10 @@ from bundlematch import (
     Regime,
     Scenario,
     find_fixed_point,
-    hessian_r1,
-    hessian_r2,
+    structure,
 )
 from bundlematch.cli import main
+from bundlematch.profits import _eigenvalues_r1, _hessian_r2, hessian_matrix_r1
 from bundlematch.policy import compare_policies
 from bundlematch.sweep import AxisSpec, Panel, SweepSpec, build_symmetric_table, run_sweep
 
@@ -130,10 +130,12 @@ def test_criterion_4_stationarity_and_concavity(stratified_draws):
         params = draw_valid_params(rng)
         scen = ALL_SCENARIOS[rng.integers(len(ALL_SCENARIOS))]
         regime = Regime.R1_HIGH if rng.integers(2) else Regime.R1_LOW
-        rep = hessian_r1(params, scen, regime)
-        worst_eig = max(worst_eig, float(np.max(np.abs(rep.eigenvalues - rep.eigenvalues_numeric))))
-        ok &= bool(np.all(rep.eigenvalues_numeric < 0.0))
-        ok &= hessian_r2(params, scen, regime).negative_definite
+        s = structure(scen, regime)
+        numeric = np.linalg.eigvalsh(hessian_matrix_r1(params, s))
+        closed = np.array(sorted(_eigenvalues_r1(params, s)))
+        worst_eig = max(worst_eig, float(np.max(np.abs(closed - numeric))))
+        ok &= bool(np.all(numeric < 0.0))
+        ok &= _hessian_r2(params, s) < 0.0
     ok &= worst_eig <= 1e-9
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0

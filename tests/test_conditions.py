@@ -1,4 +1,6 @@
-"""Condition sets A-F and per-regime Hessian/eigenvalue reports."""
+"""Condition sets A-F, and retailer 1's per-regime Hessian: its closed-form
+eigenvalues against a numeric eigensolve, and its negative definiteness with
+retailer 2's curvature."""
 
 import math
 
@@ -12,9 +14,9 @@ from bundlematch import (
     Scenario,
     UnknownSetError,
     check_condition_set,
-    hessian_r1,
-    hessian_r2,
+    structure,
 )
+from bundlematch.profits import _eigenvalues_r1, _hessian_r2, hessian_matrix_r1
 
 from conftest import draw_valid_params
 
@@ -107,14 +109,14 @@ class TestConditionSets:
 
 class TestHessians:
     def test_matched_regime_small_eigenvalue_at_baseline(self, baseline):
-        report = hessian_r1(baseline, Scenario.bundled(True, True), Regime.R1_HIGH)
-        assert report.eigenvalues[-1] == pytest.approx(-0.4, abs=1e-12)
+        s = structure(Scenario.bundled(True, True), Regime.R1_HIGH)
+        assert sorted(_eigenvalues_r1(baseline, s))[-1] == pytest.approx(-0.4, abs=1e-12)
         assert baseline.t1 == pytest.approx(0.7)
         assert baseline.t2 == pytest.approx(0.5)
 
     def test_no_bundle_high_regime_eigenvalues_at_baseline(self, baseline):
-        report = hessian_r1(baseline, Scenario.no_bundle(), Regime.R1_HIGH)
-        assert sorted(report.eigenvalues) == pytest.approx([-4.4, -0.4], abs=1e-12)
+        s = structure(Scenario.no_bundle(), Regime.R1_HIGH)
+        assert sorted(_eigenvalues_r1(baseline, s)) == pytest.approx([-4.4, -0.4], abs=1e-12)
 
     def test_closed_form_matches_numeric_eigensolve(self):
         rng = np.random.default_rng(6)
@@ -122,8 +124,10 @@ class TestHessians:
             params = draw_valid_params(rng)
             for scen in ALL_SCENARIOS:
                 for regime in (Regime.R1_HIGH, Regime.R1_LOW):
-                    report = hessian_r1(params, scen, regime)
-                    assert np.max(np.abs(report.eigenvalues - report.eigenvalues_numeric)) < 1e-9
+                    s = structure(scen, regime)
+                    numeric = np.linalg.eigvalsh(hessian_matrix_r1(params, s))
+                    closed = np.array(sorted(_eigenvalues_r1(params, s)))
+                    assert np.max(np.abs(closed - numeric)) < 1e-9
 
     def test_always_negative_definite_under_standing_assumptions(self):
         rng = np.random.default_rng(7)
@@ -131,10 +135,12 @@ class TestHessians:
             params = draw_valid_params(rng)
             for scen in ALL_SCENARIOS:
                 for regime in (Regime.R1_HIGH, Regime.R1_LOW):
-                    assert hessian_r1(params, scen, regime).negative_definite
-                    assert hessian_r2(params, scen, regime).negative_definite
+                    s = structure(scen, regime)
+                    assert (np.linalg.eigvalsh(hessian_matrix_r1(params, s)) < 0.0).all()
+                    assert _hessian_r2(params, s) < 0.0
 
     def test_shapes(self, baseline):
-        assert hessian_r1(baseline, Scenario.bundled(False, False), Regime.R1_LOW).matrix.shape == (3, 3)
-        assert hessian_r1(baseline, Scenario.no_bundle(), Regime.R1_LOW).matrix.shape == (2, 2)
-        assert hessian_r2(baseline, Scenario.no_bundle(), Regime.R1_LOW).matrix.shape == (1, 1)
+        bundled = structure(Scenario.bundled(False, False), Regime.R1_LOW)
+        assert hessian_matrix_r1(baseline, bundled).shape == (3, 3)
+        no_bundle = structure(Scenario.no_bundle(), Regime.R1_LOW)
+        assert hessian_matrix_r1(baseline, no_bundle).shape == (2, 2)

@@ -21,7 +21,6 @@ from bundlematch import (
     effective_prices,
     eq_T1,
     find_fixed_point,
-    hessian_r1,
     solve_subgame,
 )
 from bundlematch.market import structure_at
@@ -211,7 +210,6 @@ class TestTypes:
             compare_policies(MarketParams.baseline()),
             GridCell(0.3, 0.5, 4380.0, "CM,noCM"),
             find_fixed_point(MarketParams.baseline(), CM_CM),
-            hessian_r1(MarketParams.baseline(), CM_CM, Regime.R1_HIGH),
             check_condition_set("A", MarketParams.baseline()).inequalities[0],
             check_condition_set("A", MarketParams.baseline()),
         ],

@@ -22,11 +22,11 @@ from bundlematch import (
     find_fixed_point,
     find_fixed_points,
     profits,
-    quadratic_r1,
     solve_subgame,
     structure,
 )
 from bundlematch.market import kink_structure
+from bundlematch.profits import hessian_matrix_r1
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
@@ -481,7 +481,7 @@ class TestStackedSolve:
     def test_template_stack_equals_the_per_plan_kkt_matrices_bit_for_bit(self, label):
         # the stack is a copy of the bundling value's template with the
         # game's Hessians assigned in; it must equal each plan's KKT matrix
-        # built on its own from quadratic_r1's Hessian and _kkt_matrix and
+        # built on its own from hessian_matrix_r1 and _kkt_matrix and
         # padded with an identity block, to the bit (signed zeros included)
         rng = np.random.default_rng(22)
         scen = SCENARIOS[label]
@@ -501,7 +501,7 @@ class TestStackedSolve:
             assert [on_face for *_, on_face in plans] == [False] * 3 + [True] * (3 * bundled)
             size = stack.shape[1]
             for (side, regime, on_face), got in zip(plans, stack):
-                h = quadratic_r1(params, structures[side], 0.0)[0]
+                h = hessian_matrix_r1(params, structures[side])
                 constraints = ([kink] if regime is None else []) + ([face] if on_face else [])
                 kkt = bundlematch.oracle._kkt_matrix(h, constraints)
                 want = np.eye(size)

@@ -1,22 +1,21 @@
-"""Profit evaluation, strategic-demand splitting, and analytic gradients."""
+"""Profit evaluation, strategic-demand splitting, analytic gradients and the
+per-regime curvature."""
 
 import numpy as np
 import pytest
 
 from bundlematch import (
-    AmbiguousKinkError,
     InvalidPriceError,
-    MarketParams,
     PriceVector,
     Regime,
     Scenario,
+    demands,
     eq_T1,
-    hessian_r1,
-    hessian_r2,
-    profit_gradient_r1,
-    profit_gradient_r2,
     profits,
+    structure,
 )
+from bundlematch.market import structure_at
+from bundlematch.profits import _hessian_r2, gradient_r1_at, gradient_r2_at, hessian_matrix_r1
 from conftest import draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
@@ -85,6 +84,15 @@ def reference_profits(params, scenario, prices):
     return pi1, pi2
 
 
+def gradients(params, scenario, prices):
+    """Both retailers' own-price gradients in the regime the prices lie in,
+    read off the one evaluation profits() makes there."""
+    s = structure_at(scenario, prices)
+    eff = s.effective_prices(prices)
+    g1 = gradient_r1_at(params, s, prices, eff, demands(params, prices, eff))
+    return np.array(g1), gradient_r2_at(params, s, prices.pb2)
+
+
 def random_prices(rng, scenario):
     p1, p2 = rng.uniform(1.0, 250.0, size=2)
     pb2 = rng.uniform(1.0, 400.0)
@@ -122,6 +130,17 @@ class TestProfits:
             assert abs(pp.pi_r1 - ref1) / scale < 1e-10
             assert abs(pp.pi_r2 - ref2) / scale < 1e-10
 
+    def test_invalid_prices_raise(self, baseline):
+        bad = [
+            (CM_CM, PriceVector(80.0, float("nan"), 150.0, 135.0)),
+            (CM_CM, PriceVector(80.0, 80.0, 150.0, float("inf"))),
+            (CM_CM, PriceVector(80.0, 80.0, None, 135.0)),
+            (Scenario.no_bundle(), PriceVector(70.0, 70.0, 130.0, 135.0)),
+        ]
+        for scen, prices in bad:
+            with pytest.raises(InvalidPriceError):
+                profits(baseline, scen, prices)
+
 
 class TestGradients:
     def test_stationary_at_closed_form_under_set_a(self):
@@ -130,8 +149,7 @@ class TestGradients:
             params = draw_set_params("A", rng)
             result = eq_T1(params)
             assert result.prices.pb1 > result.prices.pb2  # interior of the regime
-            g1 = profit_gradient_r1(params, CM_CM, result.prices)
-            g2 = profit_gradient_r2(params, CM_CM, result.prices)
+            g1, g2 = gradients(params, CM_CM, result.prices)
             assert np.max(np.abs(g1)) < 1e-8
             assert abs(g2) < 1e-8
 
@@ -146,7 +164,7 @@ class TestGradients:
             if abs(prices.r1_bundle_equivalent() - prices.pb2) < 1.0:
                 continue  # stay clear of the kink so differences see one branch
             checked += 1
-            g1 = profit_gradient_r1(params, scen, prices)
+            g1, g2 = gradients(params, scen, prices)
             coords = ["p1", "p2"] + (["pb1"] if scen.bundling == 1 else [])
             for i, name in enumerate(coords):
                 up = _bump(prices, name, h)
@@ -156,31 +174,13 @@ class TestGradients:
             up = _bump(prices, "pb2", h)
             dn = _bump(prices, "pb2", -h)
             fd2 = (profits(params, scen, up).pi_r2 - profits(params, scen, dn).pi_r2) / (2 * h)
-            assert profit_gradient_r2(params, scen, prices) == pytest.approx(fd2, rel=1e-5, abs=1e-4)
-
-    def test_kink_evaluation_is_an_error(self, baseline):
-        with pytest.raises(AmbiguousKinkError):
-            profit_gradient_r1(baseline, CM_CM, PriceVector(80.0, 80.0, 135.0, 135.0))
-        with pytest.raises(AmbiguousKinkError):
-            profit_gradient_r2(baseline, Scenario.no_bundle(), PriceVector(70.0, 65.0, None, 135.0))
-
-    @pytest.mark.parametrize("gradient", [profit_gradient_r1, profit_gradient_r2])
-    def test_invalid_prices_raise(self, baseline, gradient):
-        bad = [
-            (CM_CM, PriceVector(80.0, float("nan"), 150.0, 135.0)),
-            (CM_CM, PriceVector(80.0, 80.0, 150.0, float("inf"))),
-            (CM_CM, PriceVector(80.0, 80.0, None, 135.0)),
-            (Scenario.no_bundle(), PriceVector(70.0, 70.0, 130.0, 135.0)),
-        ]
-        for scen, prices in bad:
-            with pytest.raises(InvalidPriceError):
-                gradient(baseline, scen, prices)
+            assert g2 == pytest.approx(fd2, rel=1e-5, abs=1e-4)
 
     def test_bundle_gradient_decouples_from_item_prices_without_gap_term(self, baseline):
         params = baseline.replace(lambda_l=1e-9)
         # pb1 > pb2: both points lie in R1_HIGH
-        a = profit_gradient_r1(params, CM_CM, PriceVector(50.0, 60.0, 200.0, 150.0))
-        b = profit_gradient_r1(params, CM_CM, PriceVector(90.0, 30.0, 200.0, 150.0))
+        a, _ = gradients(params, CM_CM, PriceVector(50.0, 60.0, 200.0, 150.0))
+        b, _ = gradients(params, CM_CM, PriceVector(90.0, 30.0, 200.0, 150.0))
         assert abs(a[2] - b[2]) < 1e-6
 
 
@@ -204,7 +204,8 @@ class TestQuadraticStructure:
             else PriceVector(60.0, 62.0, None, pb2)
         )
         coords = ["p1", "p2"] + (["pb1"] if scen.bundling == 1 else [])
-        matrix = hessian_r1(baseline, scen, regime).matrix
+        s = structure(scen, regime)
+        matrix = hessian_matrix_r1(baseline, s)
 
         def f(prices):
             return profits(baseline, scen, prices).pi_r1
@@ -231,10 +232,10 @@ class TestQuadraticStructure:
             return profits(baseline, scen, prices).pi_r2
 
         num_r2 = (g(_bump(base, "pb2", h)) - 2.0 * g(base) + g(_bump(base, "pb2", -h))) / h**2
-        assert num_r2 == pytest.approx(hessian_r2(baseline, scen, regime).matrix[0, 0], abs=1e-6)
+        assert num_r2 == pytest.approx(_hessian_r2(baseline, s), abs=1e-6)
 
     def test_r2_curvature_with_both_pmgs(self, baseline):
         # -4 b_l - 2 (1 - alpha) b_s in the regime where r2 is the cheap side
-        value = hessian_r2(baseline, CM_CM, Regime.R1_HIGH).matrix[0, 0]
+        value = _hessian_r2(baseline, structure(CM_CM, Regime.R1_HIGH))
         expected = -4.0 * baseline.b_l - 2.0 * (1.0 - baseline.alpha) * baseline.b_s
         assert value == pytest.approx(expected, abs=1e-12)
