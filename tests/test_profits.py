@@ -15,7 +15,13 @@ from bundlematch import (
     structure,
 )
 from bundlematch.market import structure_at
-from bundlematch.profits import _hessian_r2, gradient_r1_at, gradient_r2_at, hessian_matrix_r1
+from bundlematch.profits import (
+    _hessian_r2,
+    gradient_r1_at,
+    gradient_r2_at,
+    hessian_matrix_r1,
+    profits_at,
+)
 from conftest import draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
@@ -175,6 +181,41 @@ class TestGradients:
             dn = _bump(prices, "pb2", -h)
             fd2 = (profits(params, scen, up).pi_r2 - profits(params, scen, dn).pi_r2) / (2 * h)
             assert g2 == pytest.approx(fd2, rel=1e-5, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "scen, kink",
+        [
+            (CM_CM, PriceVector(80.0, 80.0, 150.0, 150.0)),
+            (Scenario.no_bundle(), PriceVector(80.0, 70.0, None, 150.0)),
+        ],
+        ids=["CM,CM", "NoBundle"],
+    )
+    def test_kink_gradients_are_one_sided_derivatives(self, baseline, scen, kink):
+        # on a kink each own-price step leaves into one regime; the gradient
+        # of that regime's structure at the kink is the one-sided derivative
+        # of its profit there, so both sides of the kink have a gradient
+        h = 1e-6
+        coords = ["p1", "p2"] + (["pb1"] if scen.bundling == 1 else [])
+        kinked = set()
+        for retailer, names in ((1, coords), (2, ["pb2"])):
+            for i, name in enumerate(names):
+                sides = []
+                for sign in (1.0, -1.0):
+                    stepped = _bump(kink, name, sign * h)
+                    s = structure_at(scen, stepped)
+                    eff = s.effective_prices(kink)
+                    d = demands(baseline, kink, eff)
+                    at_kink = profits_at(baseline, s, kink, eff, d)[retailer - 1]
+                    fd = sign * (profits(baseline, scen, stepped)[retailer - 1] - at_kink) / h
+                    if retailer == 1:
+                        g = gradient_r1_at(baseline, s, kink, eff, d)[i]
+                    else:
+                        g = gradient_r2_at(baseline, s, kink.pb2)
+                    assert g == pytest.approx(fd, rel=1e-5, abs=1e-4)
+                    sides.append(g)
+                if abs(sides[0] - sides[1]) > 1.0:
+                    kinked.add(retailer)
+        assert kinked == {1, 2}  # each retailer's gradient jumps across the kink
 
     def test_bundle_gradient_decouples_from_item_prices_without_gap_term(self, baseline):
         params = baseline.replace(lambda_l=1e-9)
