@@ -125,6 +125,25 @@ RESPONSES_R1 = {
     ("NoBundle", 135.0): ("0x1.24ba2e8ba2e8bp+6", "0x1.24ba2e8ba2e8bp+6", None),
     ("NoBundle", 210.0): ("0x1.1eaaaaaaaaaadp+6", "0x1.1eaaaaaaaaaa8p+6", None),
 }
+# retailer 2's responses at the baseline to the retailer-1 responses above
+# (with that pb2) as float.hex
+RESPONSES_R2 = {
+    ("CM,CM", 60.0): "0x1.0e00000000000p+7",
+    ("CM,CM", 135.0): "0x1.0e00000000000p+7",
+    ("CM,CM", 210.0): "0x1.0e00000000000p+7",
+    ("CM,noCM", 60.0): "0x1.0e00000000000p+7",
+    ("CM,noCM", 135.0): "0x1.0e00000000000p+7",
+    ("CM,noCM", 210.0): "0x1.0e00000000000p+7",
+    ("noCM,CM", 60.0): "0x1.0dfffffffffffp+7",
+    ("noCM,CM", 135.0): "0x1.0dfffffffffffp+7",
+    ("noCM,CM", 210.0): "0x1.0dfffffffffffp+7",
+    ("noCM,noCM", 60.0): "0x1.0dfffffffffffp+7",
+    ("noCM,noCM", 135.0): "0x1.0dfffffffffffp+7",
+    ("noCM,noCM", 210.0): "0x1.0dfffffffffffp+7",
+    ("NoBundle", 60.0): "0x1.0dfffffffffffp+7",
+    ("NoBundle", 135.0): "0x1.0dfffffffffffp+7",
+    ("NoBundle", 210.0): "0x1.0dfffffffffffp+7",
+}
 
 
 class TestBestResponses:
@@ -134,6 +153,14 @@ class TestBestResponses:
         for pb2 in (60.0, 135.0, 210.0):
             got = responses.respond_r1(pb2)
             assert tuple(None if v is None else v.hex() for v in got) == RESPONSES_R1[label, pb2]
+
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_r2_responses_are_pinned_to_the_bit(self, baseline, label):
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        for pb2 in (60.0, 135.0, 210.0):
+            r1 = [None if v is None else float.fromhex(v) for v in RESPONSES_R1[label, pb2]]
+            got = responses.respond_r2(PriceVector(*r1, pb2))
+            assert got.hex() == RESPONSES_R2[label, pb2]
 
     def test_r1_reproduces_closed_form_under_set_a(self):
         rng = np.random.default_rng(15)
@@ -536,9 +563,10 @@ class TestStackedSolve:
         assert compared == 60 * (23 if scen.bundling == 1 else 7)
 
 
-# find_fixed_point at its default settings to the bit, as recorded before the
-# report row and the sweep panels had one home each: converged, iterations,
-# the classified regime and the prices as float.hex, at the baseline and 50
+# find_fixed_point to the bit, as recorded before the report row and the
+# sweep panels had one home each (default damping) and before retailer 1's
+# per-game right-hand sides (damping 0.7): converged, iterations, the
+# classified regime and the prices as float.hex, at the baseline and 50
 # draws of draw_valid_params (seed 11), for the five subgames.  Giving the
 # kink plan the plain R1_HIGH row instead of market._KINK_TABLE's changes
 # the outcome at draw39 (CM,CM and CM,noCM) from capped to converged.  The
@@ -546,17 +574,21 @@ class TestStackedSolve:
 # LAPACK build may differ in the last bit.  Rebuild only from a commit whose
 # outputs are known good:
 #   PYTHONPATH=src:tests python -c "import test_oracle as t; print(*t.oracle_pinned_lines(), sep='\n')"
-ORACLE_EXPECTED = Path(__file__).with_name("oracle_expected.txt")
+# and likewise with oracle_pinned_lines(0.7) for the damped file.
+ORACLE_EXPECTED = {
+    1.0: Path(__file__).with_name("oracle_expected.txt"),
+    0.7: Path(__file__).with_name("oracle_damped_expected.txt"),
+}
 
 
-def oracle_pinned_lines() -> list[str]:
+def oracle_pinned_lines(damping: float = 1.0) -> list[str]:
     rng = np.random.default_rng(11)
     points = [("baseline", MarketParams.baseline())]
     points += [(f"draw{i}", draw_valid_params(rng)) for i in range(50)]
     lines = []
     for label, params in points:
         for name, scenario in SCENARIOS.items():
-            out = find_fixed_point(params, scenario)
+            out = find_fixed_point(params, scenario, damping)
             prices = " ".join(v.hex() for v in out.prices.present())
             lines.append(
                 f"{label} {name} converged {out.converged} iterations {out.iterations} "
@@ -565,9 +597,10 @@ def oracle_pinned_lines() -> list[str]:
     return lines
 
 
-def test_fixed_point_outcomes_are_pinned_to_the_bit():
-    expected = ORACLE_EXPECTED.read_text().splitlines()
-    actual = oracle_pinned_lines()
+@pytest.mark.parametrize("damping", ORACLE_EXPECTED)
+def test_fixed_point_outcomes_are_pinned_to_the_bit(damping):
+    expected = ORACLE_EXPECTED[damping].read_text().splitlines()
+    actual = oracle_pinned_lines(damping)
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         assert got == want
