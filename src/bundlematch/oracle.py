@@ -14,13 +14,25 @@ No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
 A BestResponses object holds one game, (params, scenario).  It builds once
-what does not depend on the rival's price, so each response of retailer 1
-makes one stacked solve, and it remembers every response by the exact bits
-of its argument, so a price seen again in the same game costs a lookup.
-find_fixed_point and find_fixed_points share one object across all rounds
-and starts; nothing is remembered across games.  Both retailers' candidates
-are evaluated by profits.profits, in the regime their prices lie in
-(market.Regime.of).
+per game everything in a response that does not move with the rival's
+price: retailer 2's stationary points, and retailer 1's KKT matrices and
+right-hand sides.  Retailer 1's linear terms read pb2 only on a matched row
+(T1's R1_HIGH row, where its PMG matches pb2), so every other side's terms
+are put into the right-hand sides once.  A response of retailer 1 then
+writes only pb2 into the kink constraint's rows and the matched side's
+terms, and makes one stacked solve over the game's padded matrices.  Every
+response is remembered by the exact bits of its argument, so a price seen
+again in the same game costs a lookup.  find_fixed_point and
+find_fixed_points share one object across all rounds and starts; nothing is
+remembered across games.
+
+Candidates are still evaluated by profits_at, in the regime their prices
+lie in (market.Regime.of).  Retailer 1's are tested against their plan's
+regime from the solved floats, and only those that pass become prices,
+evaluated by profits.profits.  Retailer 2's response validates retailer 1's
+prices once, and evaluates each candidate with profits.profits_under under
+the structure of the regime it lies in; a non-finite candidate raises as
+validation does.
 
 A search runs at most MAX_ITERS rounds and converges when the best-response
 residual drops below TOL_FP; both are read when a search starts.  It stops
@@ -52,8 +64,10 @@ from .market import (
     Scenario,
     kink_structure,
     regime_structures,
+    structure,
+    validate_prices,
 )
-from .profits import hessian_matrix_r1, linear_terms_r1, profits, quadratic_r2
+from .profits import hessian_matrix_r1, linear_terms_r1, profits, profits_under, quadratic_r2
 
 
 MAX_ITERS = 500  # rounds of one fixed-point search
@@ -90,19 +104,19 @@ def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
     return kkt
 
 
-def _plan_template(
-    bundled: bool,
-) -> tuple[tuple[tuple[int, Regime | None, bool], ...], np.ndarray, np.ndarray]:
+_KINK_SIDE = 2  # the kink tie's index among retailer 1's structures
+
+
+def _plan_template(bundled: bool) -> tuple[tuple[tuple[int, Regime | None, bool], ...], np.ndarray]:
     """Retailer 1's plans under one bundling value as (side, regime,
     on_face), where side indexes its structures (R1_HIGH, R1_LOW, kink tie)
-    and regime is None on the kink; each plan's side as an index array; and
-    the plans' KKT matrices with zero Hessian blocks, each padded with an
-    identity block to the largest system size (5 under B=1, 3 under B=0)
-    and stacked in plan order.  The arrays are read-only: every game copies
-    the stack."""
+    and regime is None on the kink, and the plans' KKT matrices with zero
+    Hessian blocks, each padded with an identity block to the largest
+    system size (5 under B=1, 3 under B=0), by (face, side).  The plans run
+    in that order too.  The stack is read-only: every game copies it."""
     n = 3 if bundled else 2
     kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
-    sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (2, None, [kink]))
+    sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (_KINK_SIDE, None, [kink]))
     # each side again on the bundle-discount face p1 + p2 = pb1
     faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
     plans, matrices = [], []
@@ -113,18 +127,46 @@ def _plan_template(
     # the identity block leaves a system's solution exact: its rows and
     # columns are zero against the system's, and its right-hand side 0
     size = max(len(m) for m in matrices)
-    stack = np.zeros((len(matrices), size, size))
-    for padded, matrix in zip(stack, matrices):
+    stack = np.zeros((len(faces), len(sides), size, size))
+    for padded, matrix in zip(stack.reshape(len(matrices), size, size), matrices):
         m = len(matrix)
         padded[:m, :m] = matrix
         padded[range(m, size), range(m, size)] = 1.0
-    sides_index = np.array([side for side, _, _ in plans])
-    sides_index.flags.writeable = stack.flags.writeable = False
-    return tuple(plans), sides_index, stack
+    stack.flags.writeable = False
+    return tuple(plans), stack
 
 
 # by bundling value: what every game's plan stack shares, built once
 _PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1)}
+
+
+def _put_terms(
+    rhs: list[list[float]],
+    params: MarketParams,
+    structures: tuple[RegimeStructure, ...],
+    sides: tuple[int, ...],
+    pb2: float,
+) -> None:
+    """Write the linear terms of retailer 1's given sides at pb2, negated,
+    into the first rows of those sides' right-hand sides."""
+    terms = linear_terms_r1(params, tuple(structures[side] for side in sides), pb2)
+    for side, side_terms in zip(sides, terms):
+        rhs[side][: len(side_terms)] = [-g for g in side_terms]
+
+
+class _PlansR1(NamedTuple):
+    """Retailer 1's plans in one game: everything in its best response that
+    does not move with pb2."""
+
+    structures: tuple[RegimeStructure, ...]  # R1_HIGH, R1_LOW, kink tie
+    plans: tuple[tuple[int, Regime | None, bool], ...]  # (side, regime, on_face)
+    stack: np.ndarray  # the plans' padded KKT matrices, (plans, size, size)
+    # by side, the right-hand side of each of its plans, which the face
+    # does not change (the face constraint's is 0.0, as the padding's);
+    # 0.0 where pb2 enters: the kink constraint's row and a matched side's
+    # linear terms
+    rhs: tuple[list[float], ...]
+    matched: tuple[int, ...]  # the sides whose structure has r1_matched
 
 
 class BestResponses:
@@ -144,69 +186,70 @@ class BestResponses:
         self._r2_memo: dict[tuple[str, str, str | None], float] = {}
 
     @cached_property
-    def _plans_r1(
-        self,
-    ) -> tuple[
-        tuple[RegimeStructure, ...], tuple[tuple[int, Regime | None, bool], ...], np.ndarray
-    ]:
-        """Retailer 1's structures (R1_HIGH, R1_LOW, kink tie), its plans,
-        and the plans' KKT matrices: the bundling value's template with this
-        game's Hessians assigned into it."""
+    def _plans_r1(self) -> _PlansR1:
+        """Retailer 1's plans in this game: the bundling value's template
+        with this game's Hessians assigned into it, and the right-hand sides
+        with the linear terms of every unmatched side, which do not read
+        pb2 (linear_terms_r1)."""
         params, scenario = self.params, self.scenario
         structures = (*regime_structures(scenario), kink_structure(scenario))
-        plans, sides, template = _PLAN_TEMPLATES[scenario.bundling]
-        # the Hessians do not depend on pb2
-        hessians = np.array([hessian_matrix_r1(params, s) for s in structures])
-        n = hessians.shape[1]
+        plans, template = _PLAN_TEMPLATES[scenario.bundling]
+        n = 3 if scenario.bundling == 1 else 2
+        size = template.shape[-1]
         stack = template.copy()
-        stack[:, :n, :n] = hessians[sides]
-        return structures, plans, stack
+        # the Hessians do not depend on pb2
+        stack[:, :, :n, :n] = [hessian_matrix_r1(params, s) for s in structures]
+        matched = tuple(side for side, s in enumerate(structures) if s.r1_matched)
+        unmatched = tuple(side for side, s in enumerate(structures) if not s.r1_matched)
+        rhs = [[0.0] * size for _ in structures]
+        _put_terms(rhs, params, structures, unmatched, 0.0)
+        stack = stack.reshape(len(plans), size, size)
+        return _PlansR1(structures, plans, stack, tuple(rhs), matched)
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
         """Retailer 1's best response to pb2: every plan's first-order system
-        solved exactly in one stacked solve, each candidate evaluated under
-        the structure of the regime its prices lie in, the one with the
-        highest profit kept, then components clamped at zero.  Remembered
-        per pb2, by its exact bits."""
+        solved exactly in one stacked solve, each candidate in its plan's
+        regime evaluated under the structure of the regime its prices lie
+        in, the one with the highest profit kept, then components clamped at
+        zero.  Remembered per pb2, by its exact bits."""
         if not math.isfinite(pb2):
             raise ValueError("pb2 must be finite")
         key = float(pb2).hex()
         if key in self._r1_memo:
             return self._r1_memo[key]
-        params = self.params
-        bundled = self.scenario.bundling == 1
-        structures, plans, stack = self._plans_r1
-        # the gradient at zero own prices, negated: the part of each plan's
-        # right-hand side that moves with pb2
-        rhs = [[-g for g in terms] for terms in linear_terms_r1(params, structures, pb2)]
-        size = stack.shape[1]
-        columns = []
-        for side, regime, on_face in plans:
-            # the constraints' right-hand sides: pb2 on the kink, 0 on the face
-            column = rhs[side] + ([pb2] if regime is None else []) + ([0.0] if on_face else [])
-            columns.append(column + [0.0] * (size - len(column)))
+        params, scenario = self.params, self.scenario
+        bundled = scenario.bundling == 1
+        n = 3 if bundled else 2
+        structures, plans, stack, template, matched = self._plans_r1
+        rhs = [row.copy() for row in template]
+        if matched:
+            _put_terms(rhs, params, structures, matched, pb2)
+        rhs[_KINK_SIDE][n] = pb2  # the kink constraint: r1's price = pb2
+        # every face's plans in side order, as the stack
+        columns = np.array(rhs * (len(plans) // len(rhs)))
         try:
             # (k, n, 1) right-hand sides mean one column per system under
             # numpy 1.x and 2.x alike
-            solved = np.linalg.solve(stack, np.array(columns)[:, :, None])[:, :, 0].tolist()
+            solved = np.linalg.solve(stack, columns[:, :, None])[:, :n, 0].tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
         best: tuple[float, list[float]] | None = None
-        for (side, regime, _), x in zip(plans, solved):
-            x = x[: len(rhs[side])]
+        for (_, regime, _), x in zip(plans, solved):
             if regime is None and bundled:
                 x[2] = pb2  # snap exactly onto the kink
-            prices = PriceVector.from_present((*x, pb2))
-            if regime is not None and not regime.holds(prices.r1_bundle_equivalent(), pb2):
+            # classified from the floats, so only a candidate in its plan's
+            # regime becomes prices
+            if regime is not None and not regime.holds(x[2] if bundled else x[0] + x[1], pb2):
                 continue
+            prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
             if not prices.bundle_within_parts():
                 continue
-            value = profits(params, self.scenario, prices).pi_r1
+            value = profits(params, scenario, prices).pi_r1
             if best is None or value > best[0]:
                 best = (value, x)
         assert best is not None  # the kink plans always yield a candidate
-        x = np.maximum(best[1], 0.0)
-        response = (float(x[0]), float(x[1]), float(x[2]) if bundled else None)
+        x = best[1]
+        response = (max(x[0], 0.0), max(x[1], 0.0), max(x[2], 0.0) if bundled else None)
         self._r1_memo[key] = response
         return response
 
@@ -224,6 +267,9 @@ class BestResponses:
         key = (float(p1).hex(), float(p2).hex(), None if pb1 is None else float(pb1).hex())
         if key in self._r2_memo:
             return self._r2_memo[key]
+        scenario = self.scenario
+        # retailer 1's prices, validated once, as in the kink candidate
+        validate_prices(scenario, PriceVector(p1, p2, pb1, r1_eq))
         candidates: list[float] = [r1_eq]  # the kink is always a candidate
         for regime, side, stationary in self._stationary_r2:
             if regime.holds(r1_eq, stationary):
@@ -231,7 +277,10 @@ class BestResponses:
         best_value, best_pb2 = -np.inf, r1_eq
         for pb2 in candidates:
             prices = PriceVector(p1, p2, pb1, pb2)
-            value = profits(self.params, self.scenario, prices).pi_r2
+            if not math.isfinite(pb2):
+                validate_prices(scenario, prices)  # raises, naming pb2
+            s = structure(scenario, Regime.of(r1_eq, pb2))
+            value = profits_under(self.params, s, prices).pi_r2
             if value > best_value:
                 best_value, best_pb2 = value, pb2
         response = float(max(best_pb2, 0.0))

@@ -10,7 +10,8 @@ Each formula is written once, as a function of an evaluated point: a
 structure, posted prices, their effective prices and the demands there
 (profits_at, gradient_r1_at, gradient_r2_at).  profits validates and
 evaluates the prices in the regime they lie in (market.Regime.of) and then
-reads off that point.  A caller holding an evaluated point, such as a
+reads off that point; profits_under does the same for a caller that has
+validated and classified the prices itself.  A caller holding an evaluated point, such as a
 closed-form candidate evaluated in the regime it was derived in, reads both
 profits and both gradients from it directly: that is the one way to evaluate
 prices under a presumed regime.
@@ -144,14 +145,20 @@ def gradient_r2_at(params: MarketParams, s: RegimeStructure, pb2: float) -> floa
     return g
 
 
+def profits_under(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> ProfitPair:
+    """Both retailers' profits at posted prices that pass
+    market.validate_prices, under the structure s of the regime they lie
+    in: profits, for a caller that has validated and classified them."""
+    eff = s.effective_prices(prices)
+    return profits_at(params, s, prices, eff, demands(params, prices, eff))
+
+
 def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
     """Both retailers' profits at posted prices, in the regime (and with it
     the PMG resolution and the strategic split) the prices lie in, so the
     function is total, including at regime kinks.  The prices are validated
     first (market.structure_at)."""
-    s = structure_at(scenario, prices)
-    eff = s.effective_prices(prices)
-    return profits_at(params, s, prices, eff, demands(params, prices, eff))
+    return profits_under(params, structure_at(scenario, prices), prices)
 
 
 # ---------------------------------------------------------------------------

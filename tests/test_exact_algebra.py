@@ -18,7 +18,10 @@ below hold with no tolerance at all:
 - each of those Hessians is negative definite (Sylvester's criterion), and
   the closed-form eigenvalues profits reports for retailer 1 are its
   eigenvalues.  This is why the oracle checks no Hessian before it solves a
-  first-order system: its plans use exactly these matrices.
+  first-order system: its plans use exactly these matrices;
+- retailer 1's linear terms (linear_terms_r1) have pb2-derivative exactly 0
+  under every structure where retailer 1 is unmatched.  This is why the
+  oracle puts them into its right-hand sides once per game.
 
 Only the standard library is used (fractions, itertools).
 """
@@ -47,6 +50,7 @@ from bundlematch.profits import (
     gradient_r1_at,
     gradient_r2_at,
     hessian_matrix_r1,
+    linear_terms_r1,
 )
 
 from conftest import draw_valid_params
@@ -255,3 +259,20 @@ def test_hessians_are_negative_definite_with_the_closed_form_eigenvalues():
             if disc is not None:
                 assert mid**2 - disc >= (8 if s.r1_matched else 18) * lam**2, (s, params)
             assert _hessian_r2(exact, s) < 0, (s, params)
+
+
+def test_unmatched_linear_terms_have_zero_pb2_derivative():
+    # the terms are affine in pb2 (their second difference is 0), so the
+    # difference over a unit step is the derivative; it is exactly 0 where
+    # retailer 1 is unmatched, and not 0 on a matched row, whose loyal
+    # price-aware buyers pay pb2
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        exact = exact_params(draw_valid_params(rng))
+        pb2 = Exact(rng.uniform(0.0, 300.0))
+        for s in AUDITED_STRUCTURES:
+            at, step, two = (linear_terms_r1(exact, (s,), pb2 + k)[0] for k in range(3))
+            assert is_exact((*at, *step, *two))
+            assert all(c - 2 * b + a == 0 for a, b, c in zip(at, step, two)), s
+            derivative = [b - a for a, b in zip(at, step)]
+            assert all(d == 0 for d in derivative) is not s.r1_matched, (s, derivative)

@@ -25,8 +25,8 @@ from bundlematch import (
     solve_subgame,
     structure,
 )
-from bundlematch.market import kink_structure
-from bundlematch.profits import hessian_matrix_r1
+from bundlematch.market import kink_structure, regime_structures
+from bundlematch.profits import hessian_matrix_r1, linear_terms_r1
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
@@ -418,6 +418,10 @@ def _hex_r1(response):
     return tuple(None if v is None else v.hex() for v in response)
 
 
+def _hex_terms(terms):
+    return [float(g).hex() for g in terms]
+
+
 class TestResponseMemo:
     def test_zero_and_negative_zero_are_computed_separately(self, baseline, count_solves):
         responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
@@ -505,6 +509,51 @@ class TestStackedSolve:
             assert len(count_solves) == before + 1
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_uncached_response_evaluates_only_the_matched_terms(
+        self, baseline, label, monkeypatch
+    ):
+        # the unmatched sides' linear terms are in the per-game right-hand
+        # sides, so a response evaluates only those of a matched side: the
+        # R1_HIGH row when retailer 1 has a PMG
+        evaluated = []
+        linear_terms_r1 = bundlematch.oracle.linear_terms_r1
+
+        def counted(params, structures, pb2):
+            evaluated.append(len(structures))
+            return linear_terms_r1(params, structures, pb2)
+
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        assert responses._plans_r1.matched == ((0,) if SCENARIOS[label].pmg_r1 else ())
+        monkeypatch.setattr(bundlematch.oracle, "linear_terms_r1", counted)
+        for pb2 in (60.0, 135.0, 210.0):
+            before = sum(evaluated)
+            responses.respond_r1(pb2)
+            assert sum(evaluated) - before == (1 if SCENARIOS[label].pmg_r1 else 0)
+
+    def test_unmatched_linear_terms_do_not_read_pb2(self):
+        # the fact the per-game right-hand sides rest on: an unmatched
+        # structure's linear terms at any pb2 are its terms at 0.0, to the
+        # bit; a matched structure's move at every level that does not
+        # round away against the costs
+        rng = np.random.default_rng(24)
+        levels = [-0.0, 1e-300, 135.0, 1e150, *rng.uniform(0.0, 300.0, 6).tolist()]
+        moved = unmatched = 0
+        for _ in range(300):
+            params = draw_valid_params(rng)
+            for scen in SCENARIOS.values():
+                for s in (*regime_structures(scen), kink_structure(scen)):
+                    at_zero = _hex_terms(linear_terms_r1(params, (s,), 0.0)[0])
+                    for pb2 in levels:
+                        terms = _hex_terms(linear_terms_r1(params, (s,), pb2)[0])
+                        if not s.r1_matched:
+                            assert terms == at_zero, (s, pb2, params)
+                        elif abs(pb2) >= 1.0:
+                            moved += terms != at_zero
+                    unmatched += not s.r1_matched
+        assert unmatched == 300 * 13
+        assert moved == 300 * 2 * 8
+
+    @pytest.mark.parametrize("label", list(SCENARIOS))
     def test_template_stack_equals_the_per_plan_kkt_matrices_bit_for_bit(self, label):
         # the stack is a copy of the bundling value's template with the
         # game's Hessians assigned in; it must equal each plan's KKT matrix
@@ -517,7 +566,8 @@ class TestStackedSolve:
         face = np.array([1.0, 1.0, -1.0])
         for _ in range(60):
             params = draw_valid_params(rng)
-            structures, plans, stack = bundlematch.oracle.BestResponses(params, scen)._plans_r1
+            record = bundlematch.oracle.BestResponses(params, scen)._plans_r1
+            structures, plans, stack = record.structures, record.plans, record.stack
             assert structures == (
                 structure(scen, Regime.R1_HIGH), structure(scen, Regime.R1_LOW),
                 kink_structure(scen),
@@ -546,7 +596,8 @@ class TestStackedSolve:
         compared = 0
         for _ in range(60):
             params = draw_valid_params(rng)
-            _, plans, stack = bundlematch.oracle.BestResponses(params, scen)._plans_r1
+            record = bundlematch.oracle.BestResponses(params, scen)._plans_r1
+            plans, stack = record.plans, record.stack
             k, size = stack.shape[:2]
             assert size == (5 if scen.bundling == 1 else 3)
             sizes = [dims + (regime is None) + on_face for _, regime, on_face in plans]
