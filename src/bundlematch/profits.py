@@ -11,10 +11,10 @@ structure, posted prices, their effective prices and the demands there
 (profits_at, gradient_r1_at, gradient_r2_at).  profits validates and
 evaluates the prices in the regime they lie in (market.Regime.of) and then
 reads off that point; profits_under does the same for a caller that has
-validated and classified the prices itself.  A caller holding an evaluated point, such as a
-closed-form candidate evaluated in the regime it was derived in, reads both
-profits and both gradients from it directly: that is the one way to evaluate
-prices under a presumed regime.
+validated and classified the prices itself.  A caller holding an evaluated
+point, such as a closed-form candidate evaluated in the regime it was
+derived in, reads both profits and both gradients from it directly: that is
+the one way to evaluate prices under a presumed regime.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients are affine and match the regime's
@@ -224,7 +224,9 @@ def linear_terms_r1(
 ) -> list[tuple[float, ...]]:
     """Gradient of retailer 1's profit at zero own prices against a fixed
     pb2, in each of structures (one bundling value, one zero price vector):
-    the only part of each quadratic that moves with pb2."""
+    the only part of each quadratic that moves with pb2, and it moves only
+    under a structure with r1_matched (proved exactly in
+    tests/test_exact_algebra.py)."""
     zero = PriceVector(0.0, 0.0, 0.0 if structures[0].bundling == 1 else None, pb2)
     terms = []
     for s in structures:
