@@ -16,7 +16,10 @@ from bundlematch import (
     eq_T1,
     solve_subgame,
 )
+from bundlematch.cli import main
+from bundlematch.equilibria import THEOREMS, DegenerateParamsError
 from bundlematch.market import PARAM_FIELDS, STRUCTURES
+from bundlematch.policy import BUNDLED_SCENARIOS
 from bundlematch.sweep import AxisSpec, SweepSpec, _cell, build_symmetric_table
 
 from conftest import draw_valid_params
@@ -275,10 +278,95 @@ class TestComparePolicies:
                 ]
         assert chosen_any > 100
 
+    def test_candidates_equal_the_single_theorem_functions_to_the_bit(self, baseline):
+        def fields(r):
+            return (
+                _hex(r.prices), _hex(r.demands), _hex(r.profits), r.theorem_id, r.params, r.feasible
+            )
+
+        rng = np.random.default_rng(25)
+        for params in (baseline, *(draw_valid_params(rng) for _ in range(200))):
+            comp = compare_policies(params)
+            for sol in comp.solutions.values():
+                for r in sol.candidates:
+                    assert fields(r) == fields(THEOREMS[r.theorem_id](params))
+
     def test_welfare_is_profit_sum(self, baseline):
         sol = solve_subgame(baseline, CM_CM)
         pp = sol.chosen.profits
         assert pp.welfare == pp.pi_r1 + pp.pi_r2
+
+
+# the DegenerateParamsError each entry point raises first, recorded before
+# the candidates shared their per-point terms: as (compare_policies, then
+# solve_subgame per subgame in SUBGAME_ORDER, None where it succeeds)
+SUBGAME_ORDER = (*BUNDLED_SCENARIOS, Scenario.no_bundle())
+BUNDLE_PRICE = "bundle-price denominator vanishes"
+SKEW = "b_l (1 - theta_l) vanishes"
+R2_SLOPE = "r2 demand slope vanishes"
+FIRST_DEGENERATE_ERROR = {
+    "tiny b_l, lambda_l": (
+        {"b_l": 1e-13, "lambda_l": 1e-13},
+        BUNDLE_PRICE,
+        (BUNDLE_PRICE, BUNDLE_PRICE, BUNDLE_PRICE, BUNDLE_PRICE, SKEW),
+    ),
+    "tiny b_l, lambda_l, alpha 1": (
+        {"b_l": 1e-13, "lambda_l": 1e-13, "alpha": 1.0},
+        R2_SLOPE,
+        (BUNDLE_PRICE, BUNDLE_PRICE, R2_SLOPE, R2_SLOPE, SKEW),
+    ),
+    "a_l_ib 1e308": (
+        {"a_l_ib": 1e308},
+        "T1 closed form is not finite",
+        (*("T2 closed form is not finite",) * 2, *("T1 closed form is not finite",) * 2,
+         "T5a closed form is not finite"),
+    ),
+    "a_s 1e308": (
+        {"a_s": 1e308},
+        "T4 closed form is not finite",
+        ("T4 closed form is not finite", None, "T4 closed form is not finite", None,
+         "T5b closed form is not finite"),
+    ),
+}
+
+
+def _first_error(call) -> str | None:
+    try:
+        call()
+    except DegenerateParamsError as exc:
+        message = str(exc)
+        assert message.startswith("degenerate parameters: ")
+        return message.removeprefix("degenerate parameters: ")
+    return None
+
+
+@pytest.mark.parametrize("point", FIRST_DEGENERATE_ERROR)
+class TestFirstDegenerateError:
+    def test_compare_policies(self, point):
+        overrides, expected, _ = FIRST_DEGENERATE_ERROR[point]
+        params = MarketParams.baseline(**overrides)
+        assert _first_error(lambda: compare_policies(params)) == expected
+
+    def test_each_subgame(self, point):
+        overrides, _, expected = FIRST_DEGENERATE_ERROR[point]
+        params = MarketParams.baseline(**overrides)
+        got = tuple(_first_error(lambda: solve_subgame(params, s)) for s in SUBGAME_ORDER)
+        assert got == expected
+
+    @pytest.mark.parametrize("bundling", ["1", "0"])
+    def test_solve_command(self, point, bundling, tmp_path, capsys):
+        overrides, _, by_subgame = FIRST_DEGENERATE_ERROR[point]
+        path = tmp_path / "m.cfg"
+        path.write_text("".join(f"{name} = {value!r}\n" for name, value in overrides.items()))
+        # solve defaults to noCM,noCM; --bundling 0 is NoBundle
+        expected = by_subgame[0] if bundling == "1" else by_subgame[-1]
+        code = main(["solve", "--config", str(path), "--bundling", bundling])
+        captured = capsys.readouterr()
+        if expected is None:
+            assert code == 0 and captured.err == ""
+        else:
+            assert code == 1
+            assert captured.err == f"error: degenerate parameters: {expected}\n"
 
 
 class TestItemSwap:
