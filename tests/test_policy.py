@@ -369,6 +369,13 @@ class TestFirstDegenerateError:
             assert captured.err == f"error: degenerate parameters: {expected}\n"
 
 
+def test_no_bundle_subgame_reads_no_bundle_price_term():
+    # squaring lambda_l = 1e200 overflows; only the bundle prices square it,
+    # so the no-bundle subgame still solves (with no feasible candidate)
+    params = MarketParams.baseline(b_l=1e200, lambda_l=1e200)
+    assert solve_subgame(params, Scenario.no_bundle()).chosen is None
+
+
 class TestItemSwap:
     def test_the_selection_is_item_swap_covariant(self, baseline):
         """Exchanging the items' demand bases and costs exchanges item prices
