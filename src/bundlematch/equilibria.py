@@ -15,6 +15,18 @@ one formula in the segments it serves at pb2, and retailer 1's prices come
 from one of three families, no bundle (T5a, T5b), a bundle matched down to
 pb2 (T1), or an unmatched bundle (T2, T3, T4).
 
+The candidates of one parameter point share one record of the terms they
+have in common (SharedTerms, built by shared_terms): the total cost, t1,
+the item skew's numerator and denominator, each structure's strategic
+weights, and the bundle families' k and cross.  eq_T evaluates one
+candidate from the record; policy.compare_policies builds it once for its
+six candidates and policy.solve_subgame once for its two, and eq_T1 to
+eq_T5b (THEOREMS) build one for their own candidate.  Each term keeps the
+expression and operand order its candidates computed it with, so no output
+bit moves, and every denominator is guarded where a candidate reads it, so
+the first DegenerateParamsError raised for any parameters does not move
+either.
+
 Each function returns the regime's unique stationary point with its
 demands, profits and feasibility at market.FEASIBILITY_TOL, read off one
 evaluation of its prices under its structure (profits.profits_at).
@@ -33,8 +45,8 @@ scale).  EquilibriumResult.foc_residual reports it on access.
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
+from math import isfinite
+from typing import Collection, NamedTuple
 
 from .conditions import ConditionReport, check_condition_set
 from .market import (
@@ -51,6 +63,11 @@ from .market import (
 )
 from .profits import ProfitPair, gradient_r1_at, gradient_r2_at, profits_at
 
+# A NamedTuple's generated __new__ is a Python call around tuple.__new__,
+# about 0.2 us on CPython 3.11, and every candidate builds its prices and
+# its result: those two are built by tuple.__new__ itself, their fields in
+# declaration order.
+_tuple_new = tuple.__new__
 
 class DegenerateParamsError(ValueError):
     """Parameters make a closed-form denominator vanish or a closed form
@@ -91,84 +108,129 @@ class EquilibriumResult(NamedTuple):
 
 
 def _guard_denominator(value: float, description: str) -> float:
-    if abs(value) < 1e-12:
+    if -1e-12 < value < 1e-12:  # abs(value) < 1e-12, without the call
         raise DegenerateParamsError(f"degenerate parameters: {description} vanishes")
     return value
 
 
-def _item_skew(p: MarketParams) -> float:
-    """Half the gap between the two item prices, driven by the asymmetry of
-    the item demand bases: (a_l_i1 - a_l_i2) / (4 b_l (1 - theta_l))."""
-    return 0.25 * (p.a_l_i1 - p.a_l_i2) / _guard_denominator(
-        p.b_l * (1.0 - p.theta_l), "b_l (1 - theta_l)"
+class SharedTerms(NamedTuple):
+    """The terms the candidates of one parameter point share, unguarded:
+    each denominator is guarded where a candidate reads it."""
+
+    params: MarketParams
+    cost: float  # total_cost
+    t1: float
+    skew_num: float  # the item skew's numerator, 0.25 (a_l_i1 - a_l_i2)
+    skew_den: float  # and its denominator, b_l (1 - theta_l)
+    # own_strategic_weights(alpha) of each theorem's structure, by its id
+    weights: dict[str, tuple[float, float]]
+    # b_l (1 + theta_l) + 2 lambda_l, read by the bundle families
+    k: float | None
+    # b_l (1 + theta_l) lambda_l - lambda_l**2, read by the unmatched one
+    cross: float | None
+
+
+def shared_terms(params: MarketParams, theorem_ids: Collection[str]) -> SharedTerms:
+    """The terms that the candidates of theorem_ids share at params.  The
+    bundle families' terms are None when no candidate bundles: squaring a
+    large lambda_l raises OverflowError, and only a bundle price squares
+    it."""
+    p, alpha = params, params.alpha
+    weights, bundled = {}, False
+    for tid in theorem_ids:
+        s = STRUCTURES[tid]
+        weights[tid] = s.own_strategic_weights(alpha)
+        bundled = bundled or s.bundling
+    k = cross = None
+    if bundled:
+        k = p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l
+        cross = p.b_l * (1.0 + p.theta_l) * p.lambda_l - p.lambda_l**2
+    return SharedTerms(
+        p,
+        p.total_cost,
+        p.t1,
+        0.25 * (p.a_l_i1 - p.a_l_i2),
+        p.b_l * (1.0 - p.theta_l),
+        weights,
+        k,
+        cross,
     )
 
 
-def _r2_level(p: MarketParams, s: RegimeStructure) -> float:
+def _item_skew(t: SharedTerms) -> float:
+    """Half the gap between the two item prices, driven by the asymmetry of
+    the item demand bases: (a_l_i1 - a_l_i2) / (4 b_l (1 - theta_l))."""
+    return t.skew_num / _guard_denominator(t.skew_den, "b_l (1 - theta_l)")
+
+
+def _r2_level(t: SharedTerms, s: RegimeStructure, w2: float) -> float:
     """A2 / B2: the bases of the segments retailer 2 serves at pb2 over
-    their slope; its stationary price lies halfway between this and cost."""
-    _, w2 = s.own_strategic_weights(p.alpha)
+    their slope, w2 its own strategic weight; its stationary price lies
+    halfway between this and cost."""
+    p = t.params
     bases = p.a_l_jb + (0.0 if s.r2_matched else p.a_q_jb) + w2 * p.a_s
     slope = (1.0 if s.r2_matched else 2.0) * p.b_l + w2 * p.b_s
     return bases / _guard_denominator(slope, "r2 demand slope")
 
 
-def _matched_bundle_prices(p: MarketParams, rival_level: float, pb2: float) -> PriceVector:
+def _matched_bundle_prices(t: SharedTerms, rival_level: float, pb2: float) -> PriceVector:
     """Retailer 1's stationary prices when its price-aware segment is
     matched down to pb2: the bundle price inherits retailer 2's demand
     bases through rival_level."""
-    c = p.total_cost
+    p, c = t.params, t.cost
     den_a = _guard_denominator(
-        p.t1 * p.b_l * (1.0 + p.theta_l) + 2.0 * p.b_l * p.lambda_l, "bundle-price denominator"
+        t.t1 * p.b_l * (1.0 + p.theta_l) + 2.0 * p.b_l * p.lambda_l, "bundle-price denominator"
     )
     pb1 = 0.5 * (
-        ((p.a_l_i1 + p.a_l_i2) * p.lambda_l + (p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l) * p.a_l_ib)
-        / den_a
+        ((p.a_l_i1 + p.a_l_i2) * p.lambda_l + t.k * p.a_l_ib) / den_a
         + (rival_level - c) * p.lambda_l**2 / den_a
         + c
     )
-    common = -p.a_l_ib / (4.0 * p.lambda_l) + (2.0 * pb1 - c) * p.t1 / (4.0 * p.lambda_l)
-    skew = _item_skew(p)
-    return PriceVector(skew + common + 0.5 * p.c1, -skew + common + 0.5 * p.c2, pb1, pb2)
+    common = -p.a_l_ib / (4.0 * p.lambda_l) + (2.0 * pb1 - c) * t.t1 / (4.0 * p.lambda_l)
+    skew = _item_skew(t)
+    p1 = skew + common + 0.5 * p.c1
+    p2 = -skew + common + 0.5 * p.c2
+    return _tuple_new(PriceVector, (p1, p2, pb1, pb2))
 
 
-def _unmatched_bundle_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVector:
+def _unmatched_bundle_prices(t: SharedTerms, strat_w: float, pb2: float) -> PriceVector:
     """Retailer 1's stationary prices when its price-aware segment pays pb1,
     serving a `strat_w` share of strategic demand at pb1: item prices carry
     a base-asymmetry skew, lopsided cost terms, and a level tied to pb1."""
-    c = p.total_cost
-    k = p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l
+    p, c, k = t.params, t.cost, t.k
     den = _guard_denominator(
         2.0 * (2.0 * p.b_l + strat_w * p.b_s) * k
         + 4.0 * p.b_l * (1.0 + p.theta_l) * p.lambda_l
         - p.lambda_l**2,
         "bundle-price denominator",
     )
-    cross = p.b_l * (1.0 + p.theta_l) * p.lambda_l - p.lambda_l**2
     captive = p.a_l_ib + p.a_q_ib + strat_w * p.a_s
     pb1 = 0.5 * (
         (3.0 * (p.a_l_i1 + p.a_l_i2) * p.lambda_l + 2.0 * k * captive) / den
-        + c * (1.0 + cross / den)
+        + c * (1.0 + t.cross / den)
     )
-    slope = p.t1 + 0.5 * strat_w * p.b_s
-    skew = _item_skew(p)
+    slope = t.t1 + 0.5 * strat_w * p.b_s
+    skew = _item_skew(t)
     level = -captive / (6.0 * p.lambda_l) + (2.0 * pb1 - c) * slope / (3.0 * p.lambda_l)
     p1 = skew + 5.0 * p.c1 / 12.0 - p.c2 / 12.0 + level
     p2 = -skew - p.c1 / 12.0 + 5.0 * p.c2 / 12.0 + level
-    return PriceVector(p1, p2, pb1, pb2)
+    return _tuple_new(PriceVector, (p1, p2, pb1, pb2))
 
 
-def _no_bundle_prices(p: MarketParams, strat_w: float, pb2: float) -> PriceVector:
+def _no_bundle_prices(t: SharedTerms, strat_w: float, pb2: float) -> PriceVector:
     """Retailer 1's stationary item prices without a bundle, serving a
     `strat_w` share of strategic demand at the item-price sum."""
-    skew = _item_skew(p)
+    p = t.params
+    skew = _item_skew(t)
     level = (
         p.a_l_i1
         + p.a_l_i2
         + 2.0 * (p.a_l_ib + p.a_q_ib)
         + 2.0 * strat_w * p.a_s
     ) / (4.0 * p.b_l * (5.0 + p.theta_l) + 8.0 * strat_w * p.b_s)
-    return PriceVector(skew + 0.5 * p.c1 + level, -skew + 0.5 * p.c2 + level, None, pb2)
+    p1 = skew + 0.5 * p.c1 + level
+    p2 = -skew + 0.5 * p.c2 + level
+    return _tuple_new(PriceVector, (p1, p2, None, pb2))
 
 
 def _largest_magnitude(values: tuple[float, ...]) -> float:
@@ -184,37 +246,39 @@ def _largest_magnitude(values: tuple[float, ...]) -> float:
     return largest
 
 
-def _feasible(s: RegimeStructure, prices: PriceVector, d: DemandProfile) -> bool:
-    """Ordering of the presumed regime holds, all demands and prices are
-    nonnegative, and the bundle is not priced above its parts, each within
-    FEASIBILITY_TOL."""
+def _feasible(s: RegimeStructure, prices: PriceVector, present: tuple, d: DemandProfile) -> bool:
+    """Ordering of the presumed regime holds, all demands and prices (the
+    posted ones, present) are nonnegative, and the bundle is not priced
+    above its parts, each within FEASIBILITY_TOL."""
     if not s.regime.holds(prices.r1_bundle_equivalent(), prices.pb2):
         return False
     if min(d) < -FEASIBILITY_TOL:
         return False
-    if min(prices.present()) < -FEASIBILITY_TOL:
+    if min(present) < -FEASIBILITY_TOL:
         return False
     return prices.bundle_within_parts()
 
 
-def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
-    """The stationary point of one regime structure, with its demands,
-    profits and feasibility: retailer 2's price from one formula, retailer
-    1's from the family its structure picks.  Demands and profits are read
+def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
+    """The candidate of theorem_id, from the terms of a point that
+    shared_terms built for it among others: its structure's stationary
+    point, with demands, profits and feasibility.  Retailer 2's price comes
+    from one formula, retailer 1's from the family its structure picks.  Demands and profits are read
     off one evaluation of the prices; no gradient is evaluated.  A profit
     that is not finite makes the candidate infeasible.  Raises
     DegenerateParamsError when a price overflows or is NaN."""
-    p, s = params, STRUCTURES[theorem_id]
-    rival_level = _r2_level(p, s)
-    pb2 = 0.5 * (rival_level + p.total_cost)
-    strat_w, _ = s.own_strategic_weights(p.alpha)
+    p, s = terms.params, STRUCTURES[theorem_id]
+    strat_w, rival_w = terms.weights[theorem_id]
+    rival_level = _r2_level(terms, s, rival_w)
+    pb2 = 0.5 * (rival_level + terms.cost)
     if not s.bundling:
-        prices = _no_bundle_prices(p, strat_w, pb2)
+        prices = _no_bundle_prices(terms, strat_w, pb2)
     elif s.r1_matched:
-        prices = _matched_bundle_prices(p, rival_level, pb2)
+        prices = _matched_bundle_prices(terms, rival_level, pb2)
     else:
-        prices = _unmatched_bundle_prices(p, strat_w, pb2)
-    if not all(map(math.isfinite, prices.present())):
+        prices = _unmatched_bundle_prices(terms, strat_w, pb2)
+    present = prices.present()
+    if not all(map(isfinite, present)):
         raise DegenerateParamsError(
             f"degenerate parameters: {theorem_id} closed form is not finite"
         )
@@ -222,16 +286,15 @@ def _candidate(params: MarketParams, theorem_id: str) -> EquilibriumResult:
     eff = s.effective_prices(prices)
     d = demands(p, prices, eff)
     pi = profits_at(p, s, prices, eff, d)
-    return EquilibriumResult(
-        prices=prices,
-        demands=d,
-        profits=pi,
-        theorem_id=theorem_id,
-        params=p,
-        feasible=(
-            math.isfinite(pi.pi_r1) and math.isfinite(pi.pi_r2) and _feasible(s, prices, d)
-        ),
+    feasible = (
+        isfinite(pi.pi_r1) and isfinite(pi.pi_r2) and _feasible(s, prices, present, d)
     )
+    return _tuple_new(EquilibriumResult, (prices, d, pi, theorem_id, p, feasible))
+
+
+def _alone(params: MarketParams, theorem_id: str) -> EquilibriumResult:
+    """One theorem's candidate, from terms shared with no other."""
+    return eq_T(shared_terms(params, (theorem_id,)), theorem_id)
 
 
 def eq_T1(params: MarketParams) -> EquilibriumResult:
@@ -241,38 +304,38 @@ def eq_T1(params: MarketParams) -> EquilibriumResult:
     share; retailer 1's bundle price inherits a dependence on retailer 2's
     demand bases through the matched effective price.
     """
-    return _candidate(params, "T1")
+    return _alone(params, "T1")
 
 
 def eq_T2(params: MarketParams) -> EquilibriumResult:
     """Bundling without a PMG at retailer 1, regime pb1 >= pb2.  Retailer 1
     prices on its own demand only; retailer 2 serves all strategic demand."""
-    return _candidate(params, "T2")
+    return _alone(params, "T2")
 
 
 def eq_T3(params: MarketParams) -> EquilibriumResult:
     """Bundling with a PMG at retailer 2, regime pb1 <= pb2.  Retailer 2's
     price-aware and strategic customers are matched down to pb1, so only
     its price-unaware loyal demand prices pb2."""
-    return _candidate(params, "T3")
+    return _alone(params, "T3")
 
 
 def eq_T4(params: MarketParams) -> EquilibriumResult:
     """Bundling without a PMG at retailer 2, regime pb1 <= pb2.  Retailer 1
     is strictly cheapest and captures all strategic demand."""
-    return _candidate(params, "T4")
+    return _alone(params, "T4")
 
 
 def eq_T5a(params: MarketParams) -> EquilibriumResult:
     """No bundling, regime p1 + p2 >= pb2: retailer 2 serves all strategic
     demand."""
-    return _candidate(params, "T5a")
+    return _alone(params, "T5a")
 
 
 def eq_T5b(params: MarketParams) -> EquilibriumResult:
     """No bundling, regime p1 + p2 < pb2: retailer 1's item-price sum is the
     market-low bundle-equivalent price and captures all strategic demand."""
-    return _candidate(params, "T5b")
+    return _alone(params, "T5b")
 
 
 THEOREMS = {

@@ -18,7 +18,8 @@ per game everything in a response that does not move with the rival's
 price: retailer 2's stationary points, and retailer 1's KKT matrices and
 right-hand sides.  Retailer 1's linear terms read pb2 only on a matched row
 (T1's R1_HIGH row, where its PMG matches pb2), so every other side's terms
-are put into the right-hand sides once.  A response of retailer 1 then
+are put into the right-hand sides once, at pb2 = 0.0, where all of them
+read one zero-price demand profile.  A response of retailer 1 then
 writes only pb2 into the kink constraint's rows and the matched side's
 terms, and makes one stacked solve over the game's padded matrices.  Every
 response is remembered by the exact bits of its argument, so a price seen
@@ -67,7 +68,14 @@ from .market import (
     structure,
     validate_prices,
 )
-from .profits import hessian_matrix_r1, linear_terms_r1, profits, profits_under, quadratic_r2
+from .profits import (
+    hessian_matrix_r1,
+    linear_terms_r1,
+    linear_terms_r1_at_zero,
+    profits,
+    profits_under,
+    quadratic_r2,
+)
 
 
 MAX_ITERS = 500  # rounds of one fixed-point search
@@ -141,15 +149,10 @@ _PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1
 
 
 def _put_terms(
-    rhs: list[list[float]],
-    params: MarketParams,
-    structures: tuple[RegimeStructure, ...],
-    sides: tuple[int, ...],
-    pb2: float,
+    rhs: list[list[float]], sides: tuple[int, ...], terms: list[tuple[float, ...]]
 ) -> None:
-    """Write the linear terms of retailer 1's given sides at pb2, negated,
-    into the first rows of those sides' right-hand sides."""
-    terms = linear_terms_r1(params, tuple(structures[side] for side in sides), pb2)
+    """Write the linear terms of retailer 1's given sides, negated, into the
+    first rows of those sides' right-hand sides."""
     for side, side_terms in zip(sides, terms):
         rhs[side][: len(side_terms)] = [-g for g in side_terms]
 
@@ -190,7 +193,8 @@ class BestResponses:
         """Retailer 1's plans in this game: the bundling value's template
         with this game's Hessians assigned into it, and the right-hand sides
         with the linear terms of every unmatched side, which do not read
-        pb2 (linear_terms_r1)."""
+        pb2 (linear_terms_r1), taken at pb2 = 0.0 from one zero-price
+        demand profile (linear_terms_r1_at_zero)."""
         params, scenario = self.params, self.scenario
         structures = (*regime_structures(scenario), kink_structure(scenario))
         plans, template = _PLAN_TEMPLATES[scenario.bundling]
@@ -202,7 +206,8 @@ class BestResponses:
         matched = tuple(side for side, s in enumerate(structures) if s.r1_matched)
         unmatched = tuple(side for side, s in enumerate(structures) if not s.r1_matched)
         rhs = [[0.0] * size for _ in structures]
-        _put_terms(rhs, params, structures, unmatched, 0.0)
+        at_zero = linear_terms_r1_at_zero(params, tuple(structures[side] for side in unmatched))
+        _put_terms(rhs, unmatched, at_zero)
         stack = stack.reshape(len(plans), size, size)
         return _PlansR1(structures, plans, stack, tuple(rhs), matched)
 
@@ -223,7 +228,8 @@ class BestResponses:
         structures, plans, stack, template, matched = self._plans_r1
         rhs = [row.copy() for row in template]
         if matched:
-            _put_terms(rhs, params, structures, matched, pb2)
+            at_pb2 = linear_terms_r1(params, tuple(structures[side] for side in matched), pb2)
+            _put_terms(rhs, matched, at_pb2)
         rhs[_KINK_SIDE][n] = pb2  # the kink constraint: r1's price = pb2
         # every face's plans in side order, as the stack
         columns = np.array(rhs * (len(plans) // len(rhs)))

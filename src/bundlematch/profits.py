@@ -22,7 +22,8 @@ first-order-condition system term by term, and the Hessians are constant,
 negative definite whenever b_l >= lambda_l and theta_l in (0, 1) (proved in
 exact arithmetic in tests/test_exact_algebra.py).  Retailer 1's Hessian under
 a structure is hessian_matrix_r1, with closed-form eigenvalues
-_eigenvalues_r1; its gradient at zero own prices is linear_terms_r1.
+_eigenvalues_r1; its gradient at zero own prices is linear_terms_r1, and
+at pb2 = 0.0 linear_terms_r1_at_zero, from one demand profile.
 Retailer 2's quadratic in pb2 is quadratic_r2, its curvature _hessian_r2.
 All of these take a structure and no scenario.
 
@@ -233,6 +234,18 @@ def linear_terms_r1(
         eff = s.effective_prices(zero)
         terms.append(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))
     return terms
+
+
+def linear_terms_r1_at_zero(
+    params: MarketParams, structures: tuple[RegimeStructure, ...]
+) -> list[tuple[float, ...]]:
+    """linear_terms_r1 at pb2 = 0.0, from one demand profile: with every
+    price 0.0, each structure's effective prices are all 0.0 too, so the
+    structures share the one zero-price profile to the bit."""
+    zero = PriceVector(0.0, 0.0, 0.0 if structures[0].bundling == 1 else None, 0.0)
+    eff = EffectivePrices(0.0, 0.0, 0.0)
+    d = demands(params, zero, eff)
+    return [gradient_r1_at(params, s, zero, eff, d) for s in structures]
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

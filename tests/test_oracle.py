@@ -2,6 +2,7 @@
 non-existence signal."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from bundlematch import (
     structure,
 )
 from bundlematch.market import kink_structure, regime_structures
-from bundlematch.profits import hessian_matrix_r1, linear_terms_r1
+from bundlematch.profits import hessian_matrix_r1, linear_terms_r1, linear_terms_r1_at_zero
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
@@ -529,6 +530,32 @@ class TestStackedSolve:
             before = sum(evaluated)
             responses.respond_r1(pb2)
             assert sum(evaluated) - before == (1 if SCENARIOS[label].pmg_r1 else 0)
+
+    def test_terms_at_zero_equal_linear_terms_at_zero_to_the_bit(self):
+        rng = np.random.default_rng(25)
+        for params in (MarketParams.baseline(), *(draw_valid_params(rng) for _ in range(100))):
+            for scen in SCENARIOS.values():
+                structures = (*regime_structures(scen), kink_structure(scen))
+                shared = linear_terms_r1_at_zero(params, structures)
+                alone = linear_terms_r1(params, structures, 0.0)
+                assert [_hex_terms(t) for t in shared] == [_hex_terms(t) for t in alone]
+
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_game_setup_evaluates_one_zero_price_profile(self, baseline, label, monkeypatch):
+        profiles = []
+        # bundlematch.profits is the package's profits function, so the
+        # module is read off a function it defines
+        profits_module = sys.modules[linear_terms_r1_at_zero.__module__]
+        demands = profits_module.demands
+
+        def counted(params, prices, eff):
+            profiles.append(prices)
+            return demands(params, prices, eff)
+
+        monkeypatch.setattr(profits_module, "demands", counted)
+        bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])._plans_r1
+        assert len(profiles) == 1
+        assert profiles[0].present() == (0.0,) * len(profiles[0].present())
 
     def test_unmatched_linear_terms_do_not_read_pb2(self):
         # the fact the per-game right-hand sides rest on: an unmatched

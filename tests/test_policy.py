@@ -18,7 +18,7 @@ from bundlematch import (
 )
 from bundlematch.cli import main
 from bundlematch.equilibria import THEOREMS, DegenerateParamsError
-from bundlematch.market import PARAM_FIELDS, STRUCTURES
+from bundlematch.market import PARAM_FIELDS, STRUCTURES, RegimeStructure
 from bundlematch.policy import BUNDLED_SCENARIOS
 from bundlematch.sweep import AxisSpec, SweepSpec, _cell, build_symmetric_table
 
@@ -30,20 +30,15 @@ NOCM_CM = Scenario.bundled(False, True)
 
 @pytest.fixture
 def theorem_calls(monkeypatch) -> Counter:
-    """Counts closed-form evaluations made through policy.THEOREMS."""
+    """Counts closed-form evaluations made through policy's eq_T, by theorem."""
     calls = Counter()
+    eq_T = bundlematch.policy.eq_T
 
-    def counted(tid, theorem):
-        def wrapper(params):
-            calls[tid] += 1
-            return theorem(params)
+    def counted(terms, tid):
+        calls[tid] += 1
+        return eq_T(terms, tid)
 
-        return wrapper
-
-    theorems = bundlematch.policy.THEOREMS
-    monkeypatch.setattr(
-        bundlematch.policy, "THEOREMS", {tid: counted(tid, fn) for tid, fn in theorems.items()}
-    )
+    monkeypatch.setattr(bundlematch.policy, "eq_T", counted)
     return calls
 
 
@@ -226,6 +221,39 @@ class TestComparePolicies:
     def test_table_takes_one_selection_pass(self, baseline, theorem_calls):
         build_symmetric_table(baseline)
         assert sum(theorem_calls.values()) == 6
+
+    @pytest.mark.parametrize("entry", ["compare_policies", "solve_subgame"])
+    def test_point_terms_are_computed_once(self, entry, monkeypatch):
+        # the strategic weights, the total cost and the item skew's terms are
+        # computed once per point, in its record; every denominator guard
+        # still runs where each candidate reads its denominator
+        calls = Counter()
+
+        def counted(owner, name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        equilibria = bundlematch.equilibria
+        counted(RegimeStructure, "own_strategic_weights", RegimeStructure.own_strategic_weights)
+        counted(bundlematch.policy, "shared_terms", equilibria.shared_terms)
+        counted(equilibria, "_guard_denominator", equilibria._guard_denominator)
+        total_cost = MarketParams.total_cost.fget
+        monkeypatch.setattr(MarketParams, "total_cost", property(
+            lambda p: calls.update(["total_cost"]) or total_cost(p)
+        ))
+        params = MarketParams.baseline(lambda_l=0.2, theta_l=0.4)
+        if entry == "compare_policies":
+            compare_policies(params)
+            # 6 weights, not 12; the cost once plus once in each candidate's
+            # profits, not 16
+            expected = {"own_strategic_weights": 6, "total_cost": 7, "_guard_denominator": 16}
+        else:
+            solve_subgame(params, CM_CM)  # T1 and T3
+            expected = {"own_strategic_weights": 2, "total_cost": 3, "_guard_denominator": 6}
+        assert calls == Counter(shared_terms=1, **expected)
 
     def test_condition_reports_are_built_on_access(self, baseline, monkeypatch):
         built = []
