@@ -69,6 +69,7 @@ from .profits import ProfitPair, gradient_r1_at, gradient_r2_at, profits_at
 # declaration order.
 _tuple_new = tuple.__new__
 
+
 class DegenerateParamsError(ValueError):
     """Parameters make a closed-form denominator vanish or a closed form
     overflow."""
