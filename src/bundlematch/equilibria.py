@@ -247,7 +247,9 @@ def _largest_magnitude(values: tuple[float, ...]) -> float:
     return largest
 
 
-def _feasible(s: RegimeStructure, prices: PriceVector, present: tuple, d: DemandProfile) -> bool:
+def _feasible(
+    s: RegimeStructure, prices: PriceVector, present: tuple[float, ...], d: DemandProfile
+) -> bool:
     """Ordering of the presumed regime holds, all demands and prices (the
     posted ones, present) are nonnegative, and the bundle is not priced
     above its parts, each within FEASIBILITY_TOL."""
@@ -264,10 +266,11 @@ def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
     """The candidate of theorem_id, from the terms of a point that
     shared_terms built for it among others: its structure's stationary
     point, with demands, profits and feasibility.  Retailer 2's price comes
-    from one formula, retailer 1's from the family its structure picks.  Demands and profits are read
-    off one evaluation of the prices; no gradient is evaluated.  A profit
-    that is not finite makes the candidate infeasible.  Raises
-    DegenerateParamsError when a price overflows or is NaN."""
+    from one formula, retailer 1's from the family its structure picks.
+    Demands and profits are read off one evaluation of the prices; no
+    gradient is evaluated.  A profit that is not finite makes the candidate
+    infeasible.  Raises DegenerateParamsError when a price overflows or is
+    NaN."""
     p, s = terms.params, STRUCTURES[theorem_id]
     strat_w, rival_w = terms.weights[theorem_id]
     rival_level = _r2_level(terms, s, rival_w)
@@ -287,9 +290,7 @@ def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
     eff = s.effective_prices(prices)
     d = demands(p, prices, eff)
     pi = profits_at(p, s, prices, eff, d)
-    feasible = (
-        isfinite(pi.pi_r1) and isfinite(pi.pi_r2) and _feasible(s, prices, present, d)
-    )
+    feasible = isfinite(pi.pi_r1) and isfinite(pi.pi_r2) and _feasible(s, prices, present, d)
     return _tuple_new(EquilibriumResult, (prices, d, pi, theorem_id, p, feasible))
 
 
