@@ -297,9 +297,9 @@ class RegimeStructure:
         r1_eq = prices.r1_bundle_equivalent()
         pb2 = prices.pb2
         return EffectivePrices(
-            tilde_pb1=pb2 if self.r1_matched else r1_eq,
-            tilde_pb2=r1_eq if self.r2_matched else pb2,
-            hat_pb=r1_eq if self.strategic_at_r1 else pb2,
+            pb2 if self.r1_matched else r1_eq,  # tilde_pb1
+            r1_eq if self.r2_matched else pb2,  # tilde_pb2
+            r1_eq if self.strategic_at_r1 else pb2,  # hat_pb
         )
 
 

@@ -7,11 +7,12 @@ stationary but its sufficient condition set fails, it is admitted with a
 warning, because the condition sets are not necessary.
 
 Warnings are derived on access from the chosen candidate and the optional
-oracle outcome.  The policy comparison keeps the five solved subgames and
-the PMG pair with the best bundled profit, and reads profits, the gain from
-bundling, existence and the tie record off those on access.  So a sweep,
-which reads only the gain and the pair, builds no condition report,
-existence map or tie record.
+oracle outcome.  The policy comparison keeps the six closed-form candidates
+and the bundled winner, the feasible T1-T4 candidate with the most
+retailer-1 profit, and reads the subgame solutions, existence, profits, the
+gain from bundling and the best PMG pair off those on access.  So a sweep,
+which reads only the gain and the pair, builds no subgame solution,
+condition report or existence map.
 
 Selection needs no numpy.  The oracle, which does, is imported only when a
 subgame is solved with oracle_check=True (see find_fixed_point below).
@@ -27,16 +28,12 @@ from .market import MarketParams, Scenario
 if TYPE_CHECKING:
     from .oracle import OracleOutcome
 
-# compare_policies builds a solution per subgame by tuple.__new__ itself, its
-# fields in declaration order: a NamedTuple's generated __new__ is a Python
-# call around it, about 0.2 us on CPython 3.11
-_tuple_new = tuple.__new__
-
 # largest relative sup-norm deviation at which the oracle's fixed point
 # agrees with a closed-form equilibrium
 AGREEMENT_TOL = 1e-4
 
-# tie-break preference: no PMG commitments first, then lexicographic on the
+# the order of the bundled subgames, and of the PMG pairs tied at the best
+# bundled profit: no PMG commitments first, then lexicographic on the
 # (pmg_r1, pmg_r2) flags
 BUNDLED_SCENARIOS = (
     Scenario.bundled(False, False),
@@ -55,11 +52,22 @@ def scenario_key(scenario: Scenario) -> str:
 
 
 # (scenario, its key, its (high-regime, low-regime) candidate pair) for the
-# five subgames compare_policies solves, bundled ones in BUNDLED_SCENARIOS
-# order, which its tie-break relies on
+# five subgames of a policy comparison, bundled ones in BUNDLED_SCENARIOS order
 _SUBGAMES = tuple(
     (s, scenario_key(s), candidate_theorems(s)) for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle())
 )
+
+# The PMG pair reported for each bundled winner, in the order ties go.  Only
+# one retailer's PMG acts in a price ordering (T1 and T2 ignore retailer 2's,
+# T3 and T4 retailer 1's), so each candidate solves two subgames; its entry is
+# the first of them in BUNDLED_SCENARIOS order, which makes the pair reported
+# the first that attains the best bundled profit.  CM,CM never is.
+_PMG_PAIR = {
+    "T2": Scenario.bundled(False, False),
+    "T4": Scenario.bundled(False, False),
+    "T3": Scenario.bundled(False, True),
+    "T1": Scenario.bundled(True, False),
+}
 
 
 class SubgameSolution(NamedTuple):
@@ -110,21 +118,35 @@ class SubgameSolution(NamedTuple):
 
 
 class PolicyComparison(NamedTuple):
-    solutions: dict[str, SubgameSolution]
-    best_pmg_regime: Scenario | None
+    candidates: dict[str, EquilibriumResult]  # by theorem id
+    best_bundled: EquilibriumResult | None
+
+    @property
+    def solutions(self) -> dict[str, SubgameSolution]:
+        """Each subgame's solution by scenario_key, built on each access."""
+        solutions = {}
+        for s, key, (high, low) in _SUBGAMES:
+            pair = [self.candidates[high], self.candidates[low]]
+            solutions[key] = SubgameSolution(s, _select(pair), pair)
+        return solutions
 
     @property
     def existence(self) -> dict[str, bool]:
         return {key: sol.chosen is not None for key, sol in self.solutions.items()}
 
     @property
+    def best_pmg_regime(self) -> Scenario | None:
+        best = self.best_bundled
+        return None if best is None else _PMG_PAIR[best.theorem_id]
+
+    @property
     def pi_bundle(self) -> float | None:
-        best = self.best_pmg_regime
-        return None if best is None else self.solutions[scenario_key(best)].chosen.profits.pi_r1
+        best = self.best_bundled
+        return None if best is None else best.profits.pi_r1
 
     @property
     def pi_nobundle(self) -> float | None:
-        chosen = self.solutions["no_bundle"].chosen
+        chosen = _select([self.candidates["T5a"], self.candidates["T5b"]])
         return None if chosen is None else chosen.profits.pi_r1
 
     @property
@@ -133,22 +155,6 @@ class PolicyComparison(NamedTuple):
         if pi_bundle is None or pi_nobundle is None:
             return None
         return pi_bundle - pi_nobundle
-
-    @property
-    def tie_break(self) -> str | None:
-        """The bundled PMG pairs tied at pi_bundle, when two or more are."""
-        pi_bundle = self.pi_bundle
-        attaining = [
-            sol.scenario
-            for sol in self.solutions.values()
-            if sol.scenario.bundling
-            and sol.chosen is not None
-            and sol.chosen.profits.pi_r1 == pi_bundle
-        ]
-        if len(attaining) < 2:
-            return None
-        tied, best = ", ".join(s.label() for s in attaining), self.best_pmg_regime.label()
-        return f"profit tie among {tied}; selected {best} (fewest PMGs, then lexicographic)"
 
 
 def _select(candidates: list[EquilibriumResult]) -> EquilibriumResult | None:
@@ -190,21 +196,14 @@ def find_fixed_point(params: MarketParams, scenario: Scenario) -> OracleOutcome:
 
 
 def compare_policies(params: MarketParams) -> PolicyComparison:
-    """Solve all five subgames and compare bundling against no bundling.
-
-    Each closed-form candidate is evaluated once and shared by the subgames
-    that have it.  The best PMG pair is the first bundled subgame, in
-    BUNDLED_SCENARIOS order, whose equilibrium gives retailer 1 the most
-    profit: ties go to fewer PMG commitments, then lexicographically.
-    """
+    """Evaluate the six closed-form candidates once and pick the bundled
+    winner: the feasible T1-T4 candidate with the most retailer-1 profit,
+    ties to the first in _PMG_PAIR order."""
     terms = shared_terms(params, THEOREMS)
-    results = {tid: eq_T(terms, tid) for tid in THEOREMS}
-    solutions = {}
-    best_scenario, best_pi = None, None
-    for s, key, (high, low) in _SUBGAMES:
-        candidates = [results[high], results[low]]
-        chosen = _select(candidates)
-        solutions[key] = _tuple_new(SubgameSolution, (s, chosen, candidates, None))
-        if s.bundling and chosen is not None and (best_pi is None or chosen.profits.pi_r1 > best_pi):
-            best_scenario, best_pi = s, chosen.profits.pi_r1
-    return PolicyComparison(solutions, best_scenario)
+    candidates = {tid: eq_T(terms, tid) for tid in THEOREMS}
+    best = None
+    for tid in _PMG_PAIR:
+        r = candidates[tid]
+        if r.feasible and (best is None or r.profits.pi_r1 > best.profits.pi_r1):
+            best = r
+    return PolicyComparison(candidates, best)

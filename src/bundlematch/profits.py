@@ -90,7 +90,7 @@ def profits_at(
         joint = prices.p1 + prices.p2 - c
         pi_r1 = m1 * d.d_l_i1 + m2 * d.d_l_i2 + joint * (d.d_l_ib + d.d_q_ib) + share * strategic
     pi_r2 = (prices.pb2 - c) * d.d_l_jb + (eff.tilde_pb2 - c) * d.d_q_jb + (1.0 - share) * strategic
-    return ProfitPair(pi_r1=pi_r1, pi_r2=pi_r2)
+    return ProfitPair(pi_r1, pi_r2)
 
 
 def gradient_r1_at(

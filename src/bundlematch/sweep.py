@@ -86,7 +86,7 @@ class GridCell(NamedTuple):
     axis1_value: float
     axis2_value: float
     delta_pi_B: float | None  # raw currency; emitted in thousands
-    best_regime: str | None
+    best_regime: str | None  # the bundled winner's PMG pair (best_pmg_regime)
 
     @property
     def exists(self) -> bool:

@@ -8,12 +8,18 @@ and by the acceptance suite's stratified draws.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bundlematch.policy
 from bundlematch import MarketParams, OracleOutcome, PriceVector, check_condition_set, eq_T1
+from bundlematch.config import load_sweep_spec
 from bundlematch.market import InvalidParameterError
+from bundlematch.sweep import Panel, SweepSpec
+
+SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected")
 
 GOLDEN_TABLE = {
     # scenario label -> (p1, p2, pb1_or_sum, pb2, d_l_i1, d_l_i2, d_l_ib,
@@ -264,3 +270,30 @@ def draw_valid_params(rng: np.random.Generator) -> MarketParams:
             )
         except InvalidParameterError:
             continue
+
+
+def pinned_sweep_panels() -> list[tuple[SweepSpec, Panel, Path]]:
+    """(spec, panel, pinned CSV) for each panel of the sweep specs pinned in
+    SWEEP_EXPECTED: spec.cfg's files lie beside it, and each other spec's in
+    the directory named after it."""
+    panels = []
+    for name in ("spec", "fixed", "fixed_default"):
+        spec = load_sweep_spec(SWEEP_EXPECTED / f"{name}.cfg")
+        directory = SWEEP_EXPECTED if name == "spec" else SWEEP_EXPECTED / name
+        panels += [(spec, panel, directory / f"sweep_{panel.label}.csv") for panel in spec.panels]
+    return panels
+
+
+def panel_points(spec: SweepSpec, panel: Panel) -> list[tuple[float, float, MarketParams | None]]:
+    """Each cell's axis values and parameter point, None where inadmissible,
+    in CSV order, built from the baseline as `bundlematch sweep` builds them."""
+    points = []
+    for v1 in spec.axis1.values():
+        for v2 in spec.axis2.values():
+            overrides = {**panel.overrides, spec.axis1.name: v1, spec.axis2.name: v2}
+            try:
+                params = MarketParams.baseline().replace(**overrides)
+            except InvalidParameterError:
+                params = None
+            points.append((v1, v2, params))
+    return points

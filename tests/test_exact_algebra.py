@@ -1,10 +1,8 @@
 """The hand-derived algebra, audited in exact rational arithmetic.
 
-The closed forms, demands, profits, gradients and Hessians are written for
-floats, but they are generic over their number type and every literal in
-them is a dyadic rational.  Given parameters whose every field is an
-`Exact` rational, they run unchanged and without rounding, so the audits
-below hold with no tolerance at all:
+The closed forms, demands, profits, gradients and Hessians run unchanged
+and without rounding on parameters whose every field is an `Exact` rational
+(exact_arithmetic.py), so the audits below hold with no tolerance at all:
 
 - every closed form T1-T5b is a stationary point of its regime: both
   retailers' first-order derivatives there are exactly 0.  This is why
@@ -37,7 +35,6 @@ import pytest
 from bundlematch import Scenario
 from bundlematch.equilibria import THEOREMS
 from bundlematch.market import (
-    PARAM_FIELDS,
     STRUCTURES,
     MarketParams,
     PriceVector,
@@ -54,43 +51,7 @@ from bundlematch.profits import (
 )
 
 from conftest import draw_valid_params
-
-
-class Exact(Fraction):
-    """A rational whose arithmetic takes a float operand at its exact value
-    and returns an Exact (Fraction's own turns the result into a float, or
-    into a plain Fraction)."""
-
-
-def _binary(name: str):
-    op = getattr(Fraction, name)
-
-    def exact_op(self, other):
-        return Exact(op(self, Fraction(other) if isinstance(other, float) else other))
-
-    return exact_op
-
-
-def _unary(name: str):
-    op = getattr(Fraction, name)
-    return lambda self: Exact(op(self))
-
-
-for _name in ("add", "sub", "mul", "truediv"):
-    setattr(Exact, f"__{_name}__", _binary(f"__{_name}__"))
-    setattr(Exact, f"__r{_name}__", _binary(f"__r{_name}__"))
-Exact.__pow__ = _binary("__pow__")
-for _name in ("__neg__", "__pos__", "__abs__"):
-    setattr(Exact, _name, _unary(_name))
-
-
-def exact_params(params: MarketParams) -> MarketParams:
-    """The same parameter point with every field the exact rational value of
-    its float, set field by field as the frozen __init__ does."""
-    exact = object.__new__(MarketParams)
-    for name in PARAM_FIELDS:
-        object.__setattr__(exact, name, Exact(getattr(params, name)))
-    return exact
+from exact_arithmetic import Exact, exact_params
 
 
 def is_exact(values) -> bool:

@@ -1,5 +1,6 @@
 """Equilibrium selection per subgame and the bundling/PMG policy comparison."""
 
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -19,13 +20,26 @@ from bundlematch import (
 from bundlematch.cli import main
 from bundlematch.equilibria import THEOREMS, DegenerateParamsError
 from bundlematch.market import PARAM_FIELDS, STRUCTURES, RegimeStructure
-from bundlematch.policy import BUNDLED_SCENARIOS
+from bundlematch.policy import BUNDLED_SCENARIOS, scenario_key
 from bundlematch.sweep import AxisSpec, SweepSpec, _cell, build_symmetric_table
 
-from conftest import draw_valid_params
+from conftest import draw_valid_params, panel_points, pinned_sweep_panels
 
 CM_CM = Scenario.bundled(True, True)
 NOCM_CM = Scenario.bundled(False, True)
+
+
+def attaining_pairs(comp: PolicyComparison) -> list[Scenario]:
+    """The bundled subgames, in BUNDLED_SCENARIOS order, whose chosen
+    equilibrium gives retailer 1 pi_bundle: the reference the bundled
+    winner's PMG pair is checked against."""
+    solutions = comp.solutions
+    return [
+        s
+        for s in BUNDLED_SCENARIOS
+        if (chosen := solutions[scenario_key(s)].chosen) is not None
+        and chosen.profits.pi_r1 == comp.pi_bundle
+    ]
 
 
 @pytest.fixture
@@ -144,10 +158,11 @@ class TestComparePolicies:
         assert comp.best_pmg_regime.pmg_r1 is True
         assert all(comp.existence.values())
 
-    def test_baseline_tie_between_identical_pmg_rows_is_recorded(self, baseline):
+    def test_baseline_tie_between_identical_pmg_rows_goes_to_the_first_pair(self, baseline):
         comp = compare_policies(baseline)
-        assert comp.tie_break is not None
-        assert "CM,noCM" in comp.tie_break and "CM,CM" in comp.tie_break
+        # T1 wins, and it solves both CM,noCM and CM,CM
+        assert comp.best_bundled.theorem_id == "T1"
+        assert attaining_pairs(comp) == [Scenario.bundled(True, False), CM_CM]
         # fewest PMG commitments win the tie
         assert comp.best_pmg_regime == Scenario.bundled(True, False)
 
@@ -180,17 +195,21 @@ class TestComparePolicies:
                 if comp.delta_pi_B is not None:
                     assert comp.delta_pi_B > 0.0
 
-    def test_derived_values_follow_the_solutions(self, baseline):
-        # the comparison stores its solutions and the chosen PMG pair only, so
-        # replacing a solution moves every value read off it
-        assert PolicyComparison._fields == ("solutions", "best_pmg_regime")
+    def test_derived_values_follow_the_candidates(self, baseline):
+        # the comparison stores its candidates and the bundled winner only, so
+        # replacing a candidate moves every value read off it
+        assert PolicyComparison._fields == ("candidates", "best_bundled")
         comp = compare_policies(baseline)
-        no_bundle = comp.solutions["no_bundle"]._replace(chosen=None)
-        changed = comp._replace(solutions={**comp.solutions, "no_bundle": no_bundle})
+        infeasible = {tid: comp.candidates[tid]._replace(feasible=False) for tid in ("T5a", "T5b")}
+        changed = comp._replace(candidates={**comp.candidates, **infeasible})
         assert changed.pi_nobundle is None
         assert changed.delta_pi_B is None
         assert changed.existence["no_bundle"] is False
+        assert changed.solutions["no_bundle"].chosen is None
         assert changed.pi_bundle == comp.pi_bundle
+        t3 = comp._replace(best_bundled=comp.candidates["T3"])
+        assert t3.best_pmg_regime == NOCM_CM
+        assert t3.pi_bundle == comp.candidates["T3"].profits.pi_r1
 
     def test_selection_builds_no_label_a_sweep_does_not_write(self, baseline, monkeypatch):
         calls = []
@@ -202,16 +221,49 @@ class TestComparePolicies:
 
         monkeypatch.setattr(Scenario, "label", counted)
         comp = compare_policies(baseline)
+        assert comp.solutions and comp.existence and comp.delta_pi_B and comp.best_pmg_regime
         assert calls == []
         spec = SweepSpec(AxisSpec("lambda_l", 0.3, 0.4, 2), AxisSpec("theta_l", 0.5, 0.6, 2))
         cell = _cell(baseline, spec, spec.panels[0], 0.3, 0.5)
         assert calls == [Scenario.bundled(True, False)]  # best_regime, written
         assert cell.best_regime == "CM,noCM"
-        # the baseline's CM,noCM / CM,CM profit tie, as pinned in
-        # compare_policies_expected.txt
-        assert comp.tie_break == (
-            "profit tie among CM,noCM, CM,CM; selected CM,noCM (fewest PMGs, then lexicographic)"
-        )
+
+    def test_the_pair_is_the_first_attaining_one_on_every_pinned_sweep_cell(self):
+        # each bundled candidate solves two subgames, so at least two PMG
+        # pairs attain pi_bundle and the winner's table entry is the first
+        winners = Counter()
+        for spec, panel, _ in pinned_sweep_panels():
+            for _, _, params in panel_points(spec, panel):
+                if params is None:
+                    continue
+                comp = compare_policies(params)
+                attaining = attaining_pairs(comp)
+                if comp.best_bundled is None:
+                    assert attaining == [] and comp.best_pmg_regime is None
+                    continue
+                assert len(attaining) >= 2
+                assert attaining[0] == comp.best_pmg_regime != CM_CM
+                winners[comp.best_bundled.theorem_id] += 1
+        assert set(winners) == {"T1", "T2", "T3", "T4"}
+
+    def test_exact_profit_ties_between_candidates_go_to_the_first_pair(self, baseline, monkeypatch):
+        # distinct candidates tie exactly only off the pinned cells, so every
+        # bundled candidate is given one profit here, for each subset feasible
+        eq_T = bundlematch.policy.eq_T
+        for feasible in itertools.product((False, True), repeat=4):
+            alive = dict(zip(("T1", "T2", "T3", "T4"), feasible))
+
+            def tied(terms, tid):
+                r = eq_T(terms, tid)
+                if tid not in alive:
+                    return r
+                return r._replace(profits=r.profits._replace(pi_r1=1.0), feasible=alive[tid])
+
+            monkeypatch.setattr(bundlematch.policy, "eq_T", tied)
+            comp = compare_policies(baseline)
+            attaining = attaining_pairs(comp)
+            assert len(attaining) >= 2 if any(feasible) else attaining == []
+            assert comp.best_pmg_regime == (attaining[0] if attaining else None)
 
     def test_each_theorem_is_evaluated_once(self, baseline, theorem_calls):
         compare_policies(baseline)
@@ -409,33 +461,35 @@ class TestItemSwap:
         """Exchanging the items' demand bases and costs exchanges item prices
         and leaves profits unchanged (test_equilibria.TestItemSwap), so the
         selection must not move: the theorem chosen in each subgame, which
-        subgames have an equilibrium, the best PMG pair, whether a profit
-        tie was broken, and the gain from bundling."""
+        subgames have an equilibrium, the best PMG pair, the bundled winner,
+        and the gain from bundling."""
 
         def selection(comparison):
             chosen = {
                 key: sol.chosen and sol.chosen.theorem_id
                 for key, sol in comparison.solutions.items()
             }
-            tied = comparison.tie_break is not None
-            return chosen, comparison.existence, comparison.best_pmg_regime, tied
+            best = comparison.best_bundled
+            winner = best and best.theorem_id
+            return chosen, comparison.existence, comparison.best_pmg_regime, winner
 
         rng = np.random.default_rng(19)
         points = [baseline] + [draw_valid_params(rng) for _ in range(400)]
-        ties = 0
+        winners = Counter()
         for params in points:
             swapped = params.replace(
                 a_l_i1=params.a_l_i2, a_l_i2=params.a_l_i1, c1=params.c2, c2=params.c1
             )
             a, b = compare_policies(params), compare_policies(swapped)
-            assert selection(a) == selection(b)
-            ties += a.tie_break is not None
+            chosen, existence, pair, winner = selection(a)
+            assert selection(b) == (chosen, existence, pair, winner)
+            winners[winner] += 1
             if a.delta_pi_B is None:
                 assert b.delta_pi_B is None
             else:
                 assert b.delta_pi_B == pytest.approx(a.delta_pi_B, rel=1e-12)
-        # the tie-break is exercised, not only the strict choices
-        assert ties > 0
+        # every family wins somewhere, not only the baseline's T1
+        assert set(winners) >= {"T1", "T2", "T3", "T4"}
 
 
 class TestPriceScale:
@@ -493,6 +547,15 @@ def pinned_points() -> list[tuple[str, MarketParams]]:
     ]
 
 
+def tie_text(comp: PolicyComparison) -> str | None:
+    """The bundled PMG pairs tied at pi_bundle, when two or more are."""
+    attaining = attaining_pairs(comp)
+    if len(attaining) < 2:
+        return None
+    tied, best = ", ".join(s.label() for s in attaining), comp.best_pmg_regime.label()
+    return f"profit tie among {tied}; selected {best} (fewest PMGs, then lexicographic)"
+
+
 def pinned_lines() -> list[str]:
     lines = []
     for label, params in pinned_points():
@@ -502,7 +565,7 @@ def pinned_lines() -> list[str]:
             f"{label} params {_hex(getattr(params, name) for name in PARAM_FIELDS)}",
             f"{label} pi_bundle,pi_nobundle,delta_pi_B "
             f"{_hex((comp.pi_bundle, comp.pi_nobundle, comp.delta_pi_B))}",
-            f"{label} best {best.label() if best is not None else None}; tie {comp.tie_break}",
+            f"{label} best {best.label() if best is not None else None}; tie {tie_text(comp)}",
         ]
         candidates = {}
         for key, sol in comp.solutions.items():

@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,18 @@ from bundlematch.cli import main
 from bundlematch.config import ConfigError, load_market_config, load_sweep_spec
 from bundlematch.sweep import (
     AxisSpec,
+    GridCell,
     Panel,
     SweepSpec,
     build_symmetric_table,
     run_panel,
+    sweep_rows,
+    table_rows,
 )
 from bundlematch.policy import compare_policies
 
-from conftest import GOLDEN_TABLE
+from conftest import GOLDEN_TABLE, SWEEP_EXPECTED, panel_points, pinned_sweep_panels
+from exact_arithmetic import exact_params
 
 TABLE_KEYS = (
     "p_r1_i1", "p_r1_i2", "p_r1_b", "p_r2_b",
@@ -594,7 +599,6 @@ def test_verify_stdout_is_pinned(tmp_path, section):
 # `bundlematch sweep` files for a two-panel b_l x b_s spec, recorded before
 # the selection records became tuples: its cells have an equilibrium, are
 # inadmissible (lambda_l > b_l) or are admissible without an equilibrium
-SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected")
 SWEEP_EXPECTED_LAMBDA = {"lowlam": 0.05, "baselam": 0.3}
 
 
@@ -676,6 +680,33 @@ def test_solve_sections_are_the_recorded_configs():
 @pytest.mark.parametrize("section", SOLVE_SECTIONS)
 def test_solve_and_table_output_is_pinned(tmp_path, section):
     assert solve_output(section, tmp_path).splitlines() == _solve_sections()[section]
+
+
+def test_pinned_sweeps_and_table_hold_in_exact_arithmetic():
+    """Every cell of the pinned sweeps and the baseline table, solved in
+    exact rational arithmetic with each value made a float only to be
+    printed, give the pinned text: the existence verdicts, the bundled
+    winners' PMG pairs and the printed figures are facts of the model, not
+    of rounding."""
+    for spec, panel, path in pinned_sweep_panels():
+        cells = []
+        for v1, v2, params in panel_points(spec, panel):
+            comp = None if params is None else compare_policies(exact_params(params))
+            if comp is None or comp.delta_pi_B is None:
+                cells.append(GridCell(v1, v2, None, None))
+            else:
+                label = comp.best_pmg_regime.label()
+                cells.append(GridCell(v1, v2, float(comp.delta_pi_B), label))
+        with open(path, newline="") as fh:
+            assert sweep_rows(spec, cells) == list(csv.reader(fh)), path.name
+    rows = [
+        {key: float(v) if isinstance(v, Fraction) else v for key, v in row.items()}
+        for row in build_symmetric_table(exact_params(MarketParams.baseline()))
+    ]
+    table = table_rows(rows)
+    lines = _solve_sections()["baseline"]
+    start = lines.index(",".join(table[0]))
+    assert list(csv.reader(lines[start : start + len(table)])) == table
 
 
 # sweeps whose specs have a [fixed] section, recorded before [fixed] was
