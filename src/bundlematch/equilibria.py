@@ -16,16 +16,20 @@ from one of three families, no bundle (T5a, T5b), a bundle matched down to
 pb2 (T1), or an unmatched bundle (T2, T3, T4).
 
 The candidates of one parameter point share one record of the terms they
-have in common (SharedTerms, built by shared_terms): the total cost, t1,
-the item skew's numerator and denominator, each structure's strategic
-weights, and the bundle families' k and cross.  eq_T evaluates one
-candidate from the record; policy.compare_policies builds it once for its
-six candidates and policy.solve_subgame once for its two, and eq_T1 to
-eq_T5b (THEOREMS) build one for their own candidate.  Each term keeps the
-expression and operand order its candidates computed it with, so no output
-bit moves, and every denominator is guarded where a candidate reads it, so
-the first DegenerateParamsError raised for any parameters does not move
-either.
+have in common (SharedTerms, built by shared_terms from the parameters
+alone): the total cost, t1, the item skew's numerator and denominator, and
+the bundle families' k and cross.  eq_T evaluates one candidate from the
+record and its structure's own strategic weights; policy.compare_policies
+builds the record once for its six candidates and policy.solve_subgame once
+for its two, and eq_T1 to eq_T5b (THEOREMS) build one for their own
+candidate.  Every denominator is guarded where a candidate reads it, so the
+first DegenerateParamsError raised for any parameters does not depend on
+which candidates share the record.
+
+Every closed form is plain IEEE arithmetic: a square is a product, x * x,
+parenthesized where it stands so each product keeps its operand order.
+Unlike a float power (libm pow), a product overflows to inf instead of
+raising, and numpy reproduces it to the bit on arrays.
 
 Each function returns the regime's unique stationary point with its
 demands, profits and feasibility at market.FEASIBILITY_TOL, read off one
@@ -46,7 +50,7 @@ scale).  EquilibriumResult.foc_residual reports it on access.
 from __future__ import annotations
 
 from math import isfinite
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 from .conditions import ConditionReport, check_condition_set
 from .market import (
@@ -115,46 +119,31 @@ def _guard_denominator(value: float, description: str) -> float:
 
 
 class SharedTerms(NamedTuple):
-    """The terms the candidates of one parameter point share, unguarded:
-    each denominator is guarded where a candidate reads it."""
+    """The terms the candidates of one parameter point share, from its
+    parameters alone and unguarded: each denominator is guarded where a
+    candidate reads it."""
 
     params: MarketParams
     cost: float  # total_cost
     t1: float
     skew_num: float  # the item skew's numerator, 0.25 (a_l_i1 - a_l_i2)
     skew_den: float  # and its denominator, b_l (1 - theta_l)
-    # own_strategic_weights(alpha) of each theorem's structure, by its id
-    weights: dict[str, tuple[float, float]]
-    # b_l (1 + theta_l) + 2 lambda_l, read by the bundle families
-    k: float | None
-    # b_l (1 + theta_l) lambda_l - lambda_l**2, read by the unmatched one
-    cross: float | None
+    k: float  # b_l (1 + theta_l) + 2 lambda_l, read by the bundle families
+    # b_l (1 + theta_l) lambda_l - lambda_l lambda_l, read by the unmatched one
+    cross: float
 
 
-def shared_terms(params: MarketParams, theorem_ids: Collection[str]) -> SharedTerms:
-    """The terms that the candidates of theorem_ids share at params.  The
-    bundle families' terms are None when no candidate bundles: squaring a
-    large lambda_l raises OverflowError, and only a bundle price squares
-    it."""
-    p, alpha = params, params.alpha
-    weights, bundled = {}, False
-    for tid in theorem_ids:
-        s = STRUCTURES[tid]
-        weights[tid] = s.own_strategic_weights(alpha)
-        bundled = bundled or s.bundling
-    k = cross = None
-    if bundled:
-        k = p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l
-        cross = p.b_l * (1.0 + p.theta_l) * p.lambda_l - p.lambda_l**2
+def shared_terms(params: MarketParams) -> SharedTerms:
+    """The terms that the candidates at params share."""
+    p = params
     return SharedTerms(
         p,
         p.total_cost,
         p.t1,
         0.25 * (p.a_l_i1 - p.a_l_i2),
         p.b_l * (1.0 - p.theta_l),
-        weights,
-        k,
-        cross,
+        p.b_l * (1.0 + p.theta_l) + 2.0 * p.lambda_l,
+        p.b_l * (1.0 + p.theta_l) * p.lambda_l - (p.lambda_l * p.lambda_l),
     )
 
 
@@ -184,7 +173,7 @@ def _matched_bundle_prices(t: SharedTerms, rival_level: float, pb2: float) -> Pr
     )
     pb1 = 0.5 * (
         ((p.a_l_i1 + p.a_l_i2) * p.lambda_l + t.k * p.a_l_ib) / den_a
-        + (rival_level - c) * p.lambda_l**2 / den_a
+        + (rival_level - c) * (p.lambda_l * p.lambda_l) / den_a
         + c
     )
     common = -p.a_l_ib / (4.0 * p.lambda_l) + (2.0 * pb1 - c) * t.t1 / (4.0 * p.lambda_l)
@@ -202,7 +191,7 @@ def _unmatched_bundle_prices(t: SharedTerms, strat_w: float, pb2: float) -> Pric
     den = _guard_denominator(
         2.0 * (2.0 * p.b_l + strat_w * p.b_s) * k
         + 4.0 * p.b_l * (1.0 + p.theta_l) * p.lambda_l
-        - p.lambda_l**2,
+        - (p.lambda_l * p.lambda_l),
         "bundle-price denominator",
     )
     captive = p.a_l_ib + p.a_q_ib + strat_w * p.a_s
@@ -263,8 +252,8 @@ def _feasible(
 
 
 def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
-    """The candidate of theorem_id, from the terms of a point that
-    shared_terms built for it among others: its structure's stationary
+    """The candidate of theorem_id, from the terms shared_terms built for
+    its point and its structure's own strategic weights: the stationary
     point, with demands, profits and feasibility.  Retailer 2's price comes
     from one formula, retailer 1's from the family its structure picks.
     Demands and profits are read off one evaluation of the prices; no
@@ -272,7 +261,7 @@ def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
     infeasible.  Raises DegenerateParamsError when a price overflows or is
     NaN."""
     p, s = terms.params, STRUCTURES[theorem_id]
-    strat_w, rival_w = terms.weights[theorem_id]
+    strat_w, rival_w = s.own_strategic_weights(p.alpha)
     rival_level = _r2_level(terms, s, rival_w)
     pb2 = 0.5 * (rival_level + terms.cost)
     if not s.bundling:
@@ -294,11 +283,6 @@ def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
     return _tuple_new(EquilibriumResult, (prices, d, pi, theorem_id, p, feasible))
 
 
-def _alone(params: MarketParams, theorem_id: str) -> EquilibriumResult:
-    """One theorem's candidate, from terms shared with no other."""
-    return eq_T(shared_terms(params, (theorem_id,)), theorem_id)
-
-
 def eq_T1(params: MarketParams) -> EquilibriumResult:
     """Bundling with a PMG at retailer 1, regime pb1 >= pb2.
 
@@ -306,38 +290,38 @@ def eq_T1(params: MarketParams) -> EquilibriumResult:
     share; retailer 1's bundle price inherits a dependence on retailer 2's
     demand bases through the matched effective price.
     """
-    return _alone(params, "T1")
+    return eq_T(shared_terms(params), "T1")
 
 
 def eq_T2(params: MarketParams) -> EquilibriumResult:
     """Bundling without a PMG at retailer 1, regime pb1 >= pb2.  Retailer 1
     prices on its own demand only; retailer 2 serves all strategic demand."""
-    return _alone(params, "T2")
+    return eq_T(shared_terms(params), "T2")
 
 
 def eq_T3(params: MarketParams) -> EquilibriumResult:
     """Bundling with a PMG at retailer 2, regime pb1 <= pb2.  Retailer 2's
     price-aware and strategic customers are matched down to pb1, so only
     its price-unaware loyal demand prices pb2."""
-    return _alone(params, "T3")
+    return eq_T(shared_terms(params), "T3")
 
 
 def eq_T4(params: MarketParams) -> EquilibriumResult:
     """Bundling without a PMG at retailer 2, regime pb1 <= pb2.  Retailer 1
     is strictly cheapest and captures all strategic demand."""
-    return _alone(params, "T4")
+    return eq_T(shared_terms(params), "T4")
 
 
 def eq_T5a(params: MarketParams) -> EquilibriumResult:
     """No bundling, regime p1 + p2 >= pb2: retailer 2 serves all strategic
     demand."""
-    return _alone(params, "T5a")
+    return eq_T(shared_terms(params), "T5a")
 
 
 def eq_T5b(params: MarketParams) -> EquilibriumResult:
     """No bundling, regime p1 + p2 < pb2: retailer 1's item-price sum is the
     market-low bundle-equivalent price and captures all strategic demand."""
-    return _alone(params, "T5b")
+    return eq_T(shared_terms(params), "T5b")
 
 
 THEOREMS = {

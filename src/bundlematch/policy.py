@@ -180,7 +180,7 @@ def solve_subgame(
     and disagreement is reported as a warning.
     """
     pair = candidate_theorems(scenario)
-    terms = shared_terms(params, pair)
+    terms = shared_terms(params)
     candidates = [eq_T(terms, tid) for tid in pair]
     oracle = find_fixed_point(params, scenario) if oracle_check else None
     return SubgameSolution(scenario, _select(candidates), candidates, oracle)
@@ -199,7 +199,7 @@ def compare_policies(params: MarketParams) -> PolicyComparison:
     """Evaluate the six closed-form candidates once and pick the bundled
     winner: the feasible T1-T4 candidate with the most retailer-1 profit,
     ties to the first in _PMG_PAIR order."""
-    terms = shared_terms(params, THEOREMS)
+    terms = shared_terms(params)
     candidates = {tid: eq_T(terms, tid) for tid in THEOREMS}
     best = None
     for tid in _PMG_PAIR:

@@ -200,9 +200,11 @@ def _eigenvalue_parts_r1(
         return e1, 2.0 * p.b_l * (5.0 + p.theta_l) + 4.0 * w * p.b_s, None
     lam = p.lambda_l
     if s.r1_matched:
-        disc = (p.b_l * p.theta_l + lam) ** 2 + 8.0 * lam**2
+        u = p.b_l * p.theta_l + lam
+        disc = (u * u) + 8.0 * (lam * lam)
         return e1, 2.0 * p.b_l + 3.0 * lam + p.b_l * p.theta_l, disc
-    disc = (p.b_l * (1.0 - p.theta_l) + w * p.b_s) ** 2 + 18.0 * lam**2
+    u = p.b_l * (1.0 - p.theta_l) + w * p.b_s
+    disc = (u * u) + 18.0 * (lam * lam)
     return e1, w * p.b_s + p.b_l * p.theta_l + 3.0 * p.b_l + 4.0 * lam, disc
 
 

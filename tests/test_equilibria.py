@@ -10,6 +10,7 @@ regions, which the tests surface explicitly rather than hide.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from bundlematch import (
     find_fixed_point,
     find_fixed_points,
 )
-from bundlematch.equilibria import _guard_denominator, _largest_magnitude, DegenerateParamsError
+from bundlematch.equilibria import (
+    _guard_denominator,
+    _largest_magnitude,
+    DegenerateParamsError,
+    SharedTerms,
+    shared_terms,
+)
+from bundlematch.market import PARAM_FIELDS
 
 from conftest import SET_THEOREM, draw_set_params, draw_valid_params, set_scenario
 
@@ -345,3 +353,28 @@ class TestNanResidual:
             bundlematch.equilibria, "profits_at", lambda *args: ProfitPair(*pi)
         )
         assert eq_T1(baseline).feasible is feasible
+
+
+def test_shared_terms_on_arrays_equal_the_scalar_record_to_the_bit():
+    # numpy squares an array by multiplication, so a batch evaluation of the
+    # record reproduces the scalar one only where the scalar path squares by
+    # multiplication too; the lambda_l values are those where a float power
+    # (libm pow) rounds differently from x * x, when the platform has any
+    rng = np.random.default_rng(27)
+    draws = rng.uniform(0.0, 1.0, 200_000).tolist()
+    differing = [x for x in draws if x**2 != x * x][:20]
+    lambdas = differing + draws[:20]
+    points = []
+    for lam in lambdas:
+        p = draw_valid_params(rng)
+        points.append(p.replace(lambda_l=lam, b_l=max(p.b_l, lam)))
+    batch = types.SimpleNamespace(
+        **{name: np.array([getattr(p, name) for p in points]) for name in PARAM_FIELDS}
+    )
+    batch.total_cost = MarketParams.total_cost.fget(batch)
+    batch.t1 = MarketParams.t1.fget(batch)
+    arrays = shared_terms(batch)
+    for i, p in enumerate(points):
+        scalar = shared_terms(p)
+        for name in SharedTerms._fields[1:]:
+            assert float(getattr(arrays, name)[i]).hex() == getattr(scalar, name).hex(), (name, i)

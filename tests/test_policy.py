@@ -276,9 +276,10 @@ class TestComparePolicies:
 
     @pytest.mark.parametrize("entry", ["compare_policies", "solve_subgame"])
     def test_point_terms_are_computed_once(self, entry, monkeypatch):
-        # the strategic weights, the total cost and the item skew's terms are
-        # computed once per point, in its record; every denominator guard
-        # still runs where each candidate reads its denominator
+        # the total cost and the item skew's terms are computed once per
+        # point, in its record, and the strategic weights once per candidate,
+        # in eq_T; every denominator guard still runs where each candidate
+        # reads its denominator
         calls = Counter()
 
         def counted(owner, name, fn):
@@ -299,8 +300,8 @@ class TestComparePolicies:
         params = MarketParams.baseline(lambda_l=0.2, theta_l=0.4)
         if entry == "compare_policies":
             compare_policies(params)
-            # 6 weights, not 12; the cost once plus once in each candidate's
-            # profits, not 16
+            # 6 weights, one per candidate; the cost once plus once in each
+            # candidate's profits, not 16
             expected = {"own_strategic_weights": 6, "total_cost": 7, "_guard_denominator": 16}
         else:
             solve_subgame(params, CM_CM)  # T1 and T3
@@ -378,8 +379,10 @@ class TestComparePolicies:
 
 
 # the DegenerateParamsError each entry point raises first, recorded before
-# the candidates shared their per-point terms: as (compare_policies, then
-# solve_subgame per subgame in SUBGAME_ORDER, None where it succeeds)
+# the candidates shared their per-point terms (the 1e200 point since squares
+# are products: a float power raised OverflowError there): as
+# (compare_policies, then solve_subgame per subgame in SUBGAME_ORDER, None
+# where it succeeds)
 SUBGAME_ORDER = (*BUNDLED_SCENARIOS, Scenario.no_bundle())
 BUNDLE_PRICE = "bundle-price denominator vanishes"
 SKEW = "b_l (1 - theta_l) vanishes"
@@ -406,6 +409,11 @@ FIRST_DEGENERATE_ERROR = {
         "T4 closed form is not finite",
         ("T4 closed form is not finite", None, "T4 closed form is not finite", None,
          "T5b closed form is not finite"),
+    ),
+    "b_l, lambda_l 1e200": (
+        {"b_l": 1e200, "lambda_l": 1e200},
+        "T1 closed form is not finite",
+        (*("T2 closed form is not finite",) * 2, *("T1 closed form is not finite",) * 2, None),
     ),
 }
 
@@ -443,15 +451,17 @@ class TestFirstDegenerateError:
         code = main(["solve", "--config", str(path), "--bundling", bundling])
         captured = capsys.readouterr()
         if expected is None:
-            assert code == 0 and captured.err == ""
+            # the subgame solves, with no feasible candidate at these points
+            assert code == 2 and captured.err == ""
         else:
             assert code == 1
             assert captured.err == f"error: degenerate parameters: {expected}\n"
 
 
 def test_no_bundle_subgame_reads_no_bundle_price_term():
-    # squaring lambda_l = 1e200 overflows; only the bundle prices square it,
-    # so the no-bundle subgame still solves (with no feasible candidate)
+    # lambda_l = 1e200 squared overflows to inf, so the bundle prices are not
+    # finite; only they square it, so the no-bundle subgame still solves
+    # (with no feasible candidate)
     params = MarketParams.baseline(b_l=1e200, lambda_l=1e200)
     assert solve_subgame(params, Scenario.no_bundle()).chosen is None
 

@@ -329,6 +329,38 @@ class TestCli:
         if command == "sweep":
             assert "panel 'base' at lambda_l=0.05, theta_l=0.2" in err
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("solve", "degenerate parameters: T2 closed form is not finite"),
+            ("table", "degenerate parameters: T1 closed form is not finite"),
+            ("verify", "degenerate parameters: T2 closed form is not finite"),
+            (
+                "sweep",
+                "panel 'default' at lambda_l=1e+199, theta_l=0.2: "
+                "degenerate parameters: T1 closed form is not finite",
+            ),
+        ],
+    )
+    def test_overflowing_square_exits_1(self, tmp_path, capsys, command, line):
+        # b_l = lambda_l = 1e200 is admissible, but lambda_l squared
+        # overflows to inf, so the bundle prices are not finite
+        path = tmp_path / "m.cfg"
+        if command == "sweep":
+            path.write_text(
+                "[axis1]\nname = lambda_l\nmin = 1e199\nmax = 1e200\nsteps = 2\n"
+                "[axis2]\nname = theta_l\nmin = 0.2\nmax = 0.8\nsteps = 2\n"
+                "[fixed]\nb_l = 1e200\n"
+            )
+            argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+        else:
+            path.write_text("b_l = 1e200\nlambda_l = 1e200\n")
+            argv = [command, "--config", str(path)]
+            if command == "table":
+                argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     @pytest.mark.parametrize("command", ["table", "sweep"])
     def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
         out = tmp_path / "taken"
