@@ -31,14 +31,18 @@ parenthesized where it stands so each product keeps its operand order.
 Unlike a float power (libm pow), a product overflows to inf instead of
 raising, and numpy reproduces it to the bit on arrays.
 
-Each function returns the regime's unique stationary point with its
-demands, profits and feasibility at market.FEASIBILITY_TOL, read off one
-evaluation of its prices under its structure (profits.profits_at).
-Infeasible candidates (ordering violated, a demand or price negative, the
-bundle above its parts, a profit that overflows) are returned with
-feasible=False rather than raised, so the selection layer can map
-non-existence regions; parameters at which a closed form has a vanishing
-denominator or a price overflows raise DegenerateParamsError.
+Each function returns the regime's unique stationary point and its
+feasibility at market.FEASIBILITY_TOL.  The price ordering is decided
+first, and only there: a candidate off its structure's ordering is no
+equilibrium and is returned at once, its demands and profits evaluated only
+when read.  Any other candidate's demands and profits are read off one
+evaluation of its prices under its structure (profits.profits_at), which
+decides the rest of its feasibility.  Infeasible candidates (ordering
+violated, a demand or price negative, the bundle above its parts, a profit
+that overflows) are returned with feasible=False rather than raised, so the
+selection layer can map non-existence regions; parameters at which a closed
+form has a vanishing denominator or a price overflows raise
+DegenerateParamsError, whatever the ordering.
 
 Stationarity is not checked here.  Each closed form solves its regime's
 first-order system exactly, which tests/test_exact_algebra.py proves in
@@ -81,14 +85,28 @@ class DegenerateParamsError(ValueError):
 
 class EquilibriumResult(NamedTuple):
     """One closed-form candidate at one parameter point, its feasibility
-    decided when it is built (_feasible)."""
+    decided when it is built (eq_T).  evaluation is the (demands, profits)
+    pair eq_T evaluated, or None for a candidate off its price ordering,
+    which eq_T rejects unevaluated: demands and profits then evaluate it on
+    each access, with the same calls, so they read the same bits either
+    way."""
 
     prices: PriceVector
-    demands: DemandProfile
-    profits: ProfitPair
     theorem_id: str
     params: MarketParams
     feasible: bool
+    evaluation: tuple[DemandProfile, ProfitPair] | None
+
+    @property
+    def demands(self) -> DemandProfile:
+        return self._pair()[0]
+
+    @property
+    def profits(self) -> ProfitPair:
+        return self._pair()[1]
+
+    def _pair(self) -> tuple[DemandProfile, ProfitPair]:
+        return self.evaluation or _evaluate(self.params, STRUCTURES[self.theorem_id], self.prices)
 
     @property
     def regime(self) -> Regime:
@@ -98,7 +116,8 @@ class EquilibriumResult(NamedTuple):
     def foc_residual(self) -> float:
         """The largest |first-order derivative| of either retailer's profit
         in its own prices, under the theorem's structure at the stored
-        prices and demands: rounding error only, and NaN when any
+        prices and their demands (evaluated on access for a candidate off
+        its price ordering): rounding error only, and NaN when any
         derivative is NaN.  Computed on each access; feasibility does not
         read it."""
         p, s, prices = self.params, STRUCTURES[self.theorem_id], self.prices
@@ -236,14 +255,20 @@ def _largest_magnitude(values: tuple[float, ...]) -> float:
     return largest
 
 
-def _feasible(
-    s: RegimeStructure, prices: PriceVector, present: tuple[float, ...], d: DemandProfile
-) -> bool:
-    """Ordering of the presumed regime holds, all demands and prices (the
-    posted ones, present) are nonnegative, and the bundle is not priced
-    above its parts, each within FEASIBILITY_TOL."""
-    if not s.regime.holds(prices.r1_bundle_equivalent(), prices.pb2):
-        return False
+def _evaluate(
+    p: MarketParams, s: RegimeStructure, prices: PriceVector
+) -> tuple[DemandProfile, ProfitPair]:
+    """Demands and profits at a candidate's prices under its structure: one
+    evaluation, the prices being well formed by construction and finite."""
+    eff = s.effective_prices(prices)
+    d = demands(p, prices, eff)
+    return d, profits_at(p, s, prices, eff, d)
+
+
+def _feasible(prices: PriceVector, present: tuple[float, ...], d: DemandProfile) -> bool:
+    """All demands and prices (the posted ones, present) are nonnegative and
+    the bundle is not priced above its parts, each within FEASIBILITY_TOL.
+    The price ordering is decided before, in eq_T."""
     if min(d) < -FEASIBILITY_TOL:
         return False
     if min(present) < -FEASIBILITY_TOL:
@@ -254,12 +279,14 @@ def _feasible(
 def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
     """The candidate of theorem_id, from the terms shared_terms built for
     its point and its structure's own strategic weights: the stationary
-    point, with demands, profits and feasibility.  Retailer 2's price comes
-    from one formula, retailer 1's from the family its structure picks.
-    Demands and profits are read off one evaluation of the prices; no
-    gradient is evaluated.  A profit that is not finite makes the candidate
-    infeasible.  Raises DegenerateParamsError when a price overflows or is
-    NaN."""
+    point, with its feasibility.  Retailer 2's price comes from one
+    formula, retailer 1's from the family its structure picks.  A candidate
+    off its structure's price ordering is rejected before its demands and
+    profits are evaluated (they are evaluated on access); any other is
+    evaluated once, and is infeasible when a profit is not finite or
+    _feasible fails.  No gradient is evaluated.  Raises
+    DegenerateParamsError when a price overflows or is NaN, whatever the
+    ordering."""
     p, s = terms.params, STRUCTURES[theorem_id]
     strat_w, rival_w = s.own_strategic_weights(p.alpha)
     rival_level = _r2_level(terms, s, rival_w)
@@ -275,12 +302,12 @@ def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
         raise DegenerateParamsError(
             f"degenerate parameters: {theorem_id} closed form is not finite"
         )
-    # one evaluation: the prices are well formed by construction and finite
-    eff = s.effective_prices(prices)
-    d = demands(p, prices, eff)
-    pi = profits_at(p, s, prices, eff, d)
-    feasible = isfinite(pi.pi_r1) and isfinite(pi.pi_r2) and _feasible(s, prices, present, d)
-    return _tuple_new(EquilibriumResult, (prices, d, pi, theorem_id, p, feasible))
+    if not s.regime.holds(prices.r1_bundle_equivalent(), pb2):
+        return _tuple_new(EquilibriumResult, (prices, theorem_id, p, False, None))
+    evaluation = _evaluate(p, s, prices)
+    d, pi = evaluation
+    feasible = isfinite(pi.pi_r1) and isfinite(pi.pi_r2) and _feasible(prices, present, d)
+    return _tuple_new(EquilibriumResult, (prices, theorem_id, p, feasible, evaluation))
 
 
 def eq_T1(params: MarketParams) -> EquilibriumResult:

@@ -38,11 +38,15 @@ from bundlematch.equilibria import (
     _largest_magnitude,
     DegenerateParamsError,
     SharedTerms,
+    THEOREMS,
+    eq_T,
     shared_terms,
 )
-from bundlematch.market import PARAM_FIELDS
+from bundlematch.market import PARAM_FIELDS, STRUCTURES, demands
+from bundlematch.profits import profits_at
 
 from conftest import SET_THEOREM, draw_set_params, draw_valid_params, set_scenario
+from exact_arithmetic import exact_params
 
 EQ = {"T1": eq_T1, "T2": eq_T2, "T3": eq_T3, "T4": eq_T4, "T5a": eq_T5a, "T5b": eq_T5b}
 
@@ -353,6 +357,47 @@ class TestNanResidual:
             bundlematch.equilibria, "profits_at", lambda *args: ProfitPair(*pi)
         )
         assert eq_T1(baseline).feasible is feasible
+
+
+class TestOffOrderingCandidates:
+    """eq_T rejects a candidate off its price ordering before evaluating its
+    demands and profits; they are evaluated on access, and equal a direct
+    evaluation at its prices under its structure."""
+
+    @staticmethod
+    def rejected(params):
+        terms = shared_terms(params)
+        candidates = [eq_T(terms, tid) for tid in THEOREMS]
+        return [r for r in candidates if r.evaluation is None]
+
+    @staticmethod
+    def direct(r):
+        s = STRUCTURES[r.theorem_id]
+        eff = s.effective_prices(r.prices)
+        d = demands(r.params, r.prices, eff)
+        return (*d, *profits_at(r.params, s, r.prices, eff, d))
+
+    def test_on_access_values_equal_a_direct_evaluation_to_the_bit(self, baseline):
+        rng = np.random.default_rng(28)
+        count = 0
+        for params in (baseline, *(draw_valid_params(rng) for _ in range(300))):
+            for r in self.rejected(params):
+                count += 1
+                assert not r.feasible
+                regime = STRUCTURES[r.theorem_id].regime
+                assert not regime.holds(r.prices.r1_bundle_equivalent(), r.prices.pb2)
+                on_access = (*r.demands, *r.profits)
+                assert list(map(float.hex, on_access)) == list(map(float.hex, self.direct(r)))
+        assert count > 600
+
+    def test_on_access_values_equal_a_direct_evaluation_in_exact_arithmetic(self, baseline):
+        rng = np.random.default_rng(28)
+        count = 0
+        for params in (baseline, *(draw_valid_params(rng) for _ in range(20))):
+            for r in self.rejected(exact_params(params)):
+                count += 1
+                assert (*r.demands, *r.profits) == self.direct(r)
+        assert count > 40
 
 
 def test_shared_terms_on_arrays_equal_the_scalar_record_to_the_bit():

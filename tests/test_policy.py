@@ -257,7 +257,8 @@ class TestComparePolicies:
                 r = eq_T(terms, tid)
                 if tid not in alive:
                     return r
-                return r._replace(profits=r.profits._replace(pi_r1=1.0), feasible=alive[tid])
+                tied_profits = r.profits._replace(pi_r1=1.0)
+                return r._replace(evaluation=(r.demands, tied_profits), feasible=alive[tid])
 
             monkeypatch.setattr(bundlematch.policy, "eq_T", tied)
             comp = compare_policies(baseline)
@@ -300,13 +301,54 @@ class TestComparePolicies:
         params = MarketParams.baseline(lambda_l=0.2, theta_l=0.4)
         if entry == "compare_policies":
             compare_policies(params)
-            # 6 weights, one per candidate; the cost once plus once in each
-            # candidate's profits, not 16
-            expected = {"own_strategic_weights": 6, "total_cost": 7, "_guard_denominator": 16}
+            # 6 weights, one per candidate; the cost once in the record plus
+            # once in the profits of each candidate in its price ordering,
+            # T1, T2 and T5a here (T3, T4 and T5b lie off theirs and are not
+            # evaluated): 1 + 3 = 4, not 16
+            expected = {"own_strategic_weights": 6, "total_cost": 4, "_guard_denominator": 16}
         else:
-            solve_subgame(params, CM_CM)  # T1 and T3
-            expected = {"own_strategic_weights": 2, "total_cost": 3, "_guard_denominator": 6}
+            # T1 and T3; T3 lies off its ordering, so 1 + 1 costs
+            solve_subgame(params, CM_CM)
+            expected = {"own_strategic_weights": 2, "total_cost": 2, "_guard_denominator": 6}
         assert calls == Counter(shared_terms=1, **expected)
+
+    @pytest.mark.parametrize(
+        "entry, in_ordering",
+        [("compare_policies", ("T1", "T2", "T5a")), ("solve_subgame", ("T1",))],
+    )
+    def test_only_candidates_in_their_price_ordering_are_evaluated(
+        self, entry, in_ordering, monkeypatch
+    ):
+        # eq_T decides each candidate's price ordering first: a candidate off
+        # it (T3, T4 and T5b here) is rejected before its demands and profits
+        # are evaluated, and selection never reads them
+        equilibria = bundlematch.equilibria
+        demands, profits_at = equilibria.demands, equilibria.profits_at
+        evaluated = []
+
+        def counted_demands(params, prices, eff):
+            evaluated.append(("demands", prices))
+            return demands(params, prices, eff)
+
+        def counted_profits_at(params, s, prices, eff, d):
+            evaluated.append(("profits_at", prices))
+            return profits_at(params, s, prices, eff, d)
+
+        monkeypatch.setattr(equilibria, "demands", counted_demands)
+        monkeypatch.setattr(equilibria, "profits_at", counted_profits_at)
+        params = MarketParams.baseline(lambda_l=0.2, theta_l=0.4)
+        if entry == "compare_policies":
+            candidates = list(compare_policies(params).candidates.values())
+        else:
+            candidates = solve_subgame(params, CM_CM).candidates
+        calls = list(evaluated)
+        kept = [r for r in candidates if r.theorem_id in in_ordering]
+        assert calls == [(name, r.prices) for r in kept for name in ("demands", "profits_at")]
+        for r in candidates:
+            regime, prices = STRUCTURES[r.theorem_id].regime, r.prices
+            holds = regime.holds(prices.r1_bundle_equivalent(), prices.pb2)
+            assert holds == (r.theorem_id in in_ordering) == (r.evaluation is not None)
+            assert holds or not r.feasible
 
     def test_condition_reports_are_built_on_access(self, baseline, monkeypatch):
         built = []

@@ -731,14 +731,47 @@ def test_pinned_sweeps_and_table_hold_in_exact_arithmetic():
                 cells.append(GridCell(v1, v2, float(comp.delta_pi_B), label))
         with open(path, newline="") as fh:
             assert sweep_rows(spec, cells) == list(csv.reader(fh)), path.name
-    rows = [
-        {key: float(v) if isinstance(v, Fraction) else v for key, v in row.items()}
-        for row in build_symmetric_table(exact_params(MarketParams.baseline()))
-    ]
-    table = table_rows(rows)
+    table = _exact_table(MarketParams.baseline())
     lines = _solve_sections()["baseline"]
     start = lines.index(",".join(table[0]))
     assert list(csv.reader(lines[start : start + len(table)])) == table
+
+
+def _exact_table(params: MarketParams) -> list[list[str]]:
+    """The symmetric table at params solved in exact rational arithmetic,
+    each value made a float only to be printed."""
+    rows = [
+        {key: float(v) if isinstance(v, Fraction) else v for key, v in row.items()}
+        for row in build_symmetric_table(exact_params(params))
+    ]
+    return table_rows(rows)
+
+
+# The symmetric table at a point whose subgames select T4 (noCM,noCM and
+# CM,noCM), T3, T1 and T5b, as the float run prints it.  The pinned tables
+# select only T1, T2 and T5a, and the pinned sweeps print only profits,
+# which are stationary in a candidate's own prices, so only this table
+# checks the T3, T4 and T5b prices against the model.
+SELECTS_T3_T4_T5B = {"lambda_l": 0.05, "theta_l": 0.5, "a_s": 60.0}
+SELECTS_T3_T4_T5B_TABLE = """\
+scenario,p_r1_i1,p_r1_i2,p_r1_b,p_r2_b,d_l_i1,d_l_i2,d_l_ib,d_q_ib,d_l_jb,d_q_jb,d_s,pi_r1,pi_r2,total_welfare
+"CM,CM",89.4556,89.4556,139.879,125,44.375,44.375,46,52.6956,50,50,10,18.6242,11.025,29.6492
+"CM,noCM",87.8303,87.8303,119.75,135,44.5063,44.5063,54.8957,54.8957,46,46,12.1001,19.0865,10.58,29.6665
+"noCM,CM",88.5173,88.5173,126.161,135,44.346,44.346,52.0791,52.0791,46,49.5354,9.53542,18.5276,11.0549,29.5825
+"noCM,noCM",87.8303,87.8303,119.75,135,44.5063,44.5063,54.8957,54.8957,46,46,12.1001,19.0865,10.58,29.6665
+NoBundle,65,65,130,135,61,61,48,48,46,46,8,18.15,10.58,28.73
+"""
+
+
+def test_table_selecting_t3_t4_and_t5b_holds_in_exact_arithmetic():
+    params = MarketParams.baseline(**SELECTS_T3_T4_T5B)
+    solutions = compare_policies(params).solutions
+    assert {key: sol.chosen.theorem_id for key, sol in solutions.items()} == {
+        "nocm_nocm": "T4", "nocm_cm": "T3", "cm_nocm": "T4", "cm_cm": "T1", "no_bundle": "T5b"
+    }
+    expected = list(csv.reader(SELECTS_T3_T4_T5B_TABLE.splitlines()))
+    assert table_rows(build_symmetric_table(params)) == expected
+    assert _exact_table(params) == expected
 
 
 # sweeps whose specs have a [fixed] section, recorded before [fixed] was
