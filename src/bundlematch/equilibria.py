@@ -36,13 +36,14 @@ feasibility at market.FEASIBILITY_TOL.  The price ordering is decided
 first, and only there: a candidate off its structure's ordering is no
 equilibrium and is returned at once, its demands and profits evaluated only
 when read.  Any other candidate's demands and profits are read off one
-evaluation of its prices under its structure (profits.profits_at), which
-decides the rest of its feasibility.  Infeasible candidates (ordering
-violated, a demand or price negative, the bundle above its parts, a profit
-that overflows) are returned with feasible=False rather than raised, so the
-selection layer can map non-existence regions; parameters at which a closed
-form has a vanishing denominator or a price overflows raise
-DegenerateParamsError, whatever the ordering.
+evaluation of its prices under its structure (profits.evaluate, the
+evaluation every caller shares), which decides the rest of its feasibility.
+Infeasible candidates (ordering violated, a demand or price negative, the
+bundle above its parts, a profit that overflows) are returned with
+feasible=False rather than raised, so the selection layer can map
+non-existence regions; parameters at which a closed form has a vanishing
+denominator or a price overflows raise DegenerateParamsError, whatever the
+ordering.
 
 Stationarity is not checked here.  Each closed form solves its regime's
 first-order system exactly, which tests/test_exact_algebra.py proves in
@@ -66,10 +67,9 @@ from .market import (
     Regime,
     RegimeStructure,
     Scenario,
-    demands,
     regime_structures,
 )
-from .profits import ProfitPair, gradient_r1_at, gradient_r2_at, profits_at
+from .profits import ProfitPair, evaluate, gradient_r1_at, gradient_r2_at
 
 # A NamedTuple's generated __new__ is a Python call around tuple.__new__,
 # about 0.2 us on CPython 3.11, and every candidate builds its prices and
@@ -106,7 +106,7 @@ class EquilibriumResult(NamedTuple):
         return self._pair()[1]
 
     def _pair(self) -> tuple[DemandProfile, ProfitPair]:
-        return self.evaluation or _evaluate(self.params, STRUCTURES[self.theorem_id], self.prices)
+        return self.evaluation or evaluate(self.params, STRUCTURES[self.theorem_id], self.prices)
 
     @property
     def regime(self) -> Regime:
@@ -255,16 +255,6 @@ def _largest_magnitude(values: tuple[float, ...]) -> float:
     return largest
 
 
-def _evaluate(
-    p: MarketParams, s: RegimeStructure, prices: PriceVector
-) -> tuple[DemandProfile, ProfitPair]:
-    """Demands and profits at a candidate's prices under its structure: one
-    evaluation, the prices being well formed by construction and finite."""
-    eff = s.effective_prices(prices)
-    d = demands(p, prices, eff)
-    return d, profits_at(p, s, prices, eff, d)
-
-
 def _feasible(prices: PriceVector, present: tuple[float, ...], d: DemandProfile) -> bool:
     """All demands and prices (the posted ones, present) are nonnegative and
     the bundle is not priced above its parts, each within FEASIBILITY_TOL.
@@ -304,7 +294,7 @@ def eq_T(terms: SharedTerms, theorem_id: str) -> EquilibriumResult:
         )
     if not s.regime.holds(prices.r1_bundle_equivalent(), pb2):
         return _tuple_new(EquilibriumResult, (prices, theorem_id, p, False, None))
-    evaluation = _evaluate(p, s, prices)
+    evaluation = evaluate(p, s, prices)
     d, pi = evaluation
     feasible = isfinite(pi.pi_r1) and isfinite(pi.pi_r2) and _feasible(prices, present, d)
     return _tuple_new(EquilibriumResult, (prices, theorem_id, p, feasible, evaluation))

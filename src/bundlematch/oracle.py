@@ -18,21 +18,20 @@ per game everything in a response that does not move with the rival's
 price: retailer 2's stationary points, and retailer 1's KKT matrices and
 right-hand sides.  Retailer 1's linear terms read pb2 only on a matched row
 (T1's R1_HIGH row, where its PMG matches pb2), so every other side's terms
-are put into the right-hand sides once, at pb2 = 0.0, where all of them
-read one zero-price demand profile.  A response of retailer 1 then
-writes only pb2 into the kink constraint's rows and the matched side's
-terms, and makes one stacked solve over the game's padded matrices.  Every
-response is remembered by the exact bits of its argument, so a price seen
-again in the same game costs a lookup.  find_fixed_point and
-find_fixed_points share one object across all rounds and starts; nothing is
-remembered across games.
+are put into the right-hand sides once, at pb2 = 0.0.  A response of
+retailer 1 then writes only pb2 into the kink constraint's rows and the
+matched side's terms, and makes one stacked solve over the game's padded
+matrices.  Every response is remembered by the exact bits of its argument,
+so a price seen again in the same game costs a lookup.  find_fixed_point
+and find_fixed_points share one object across all rounds and starts;
+nothing is remembered across games.
 
-Candidates are still evaluated by profits_at, in the regime their prices
-lie in (market.Regime.of).  Retailer 1's are tested against their plan's
-regime from the solved floats, and only those that pass become prices,
-evaluated by profits.profits.  Retailer 2's response validates retailer 1's
-prices once, and evaluates each candidate with profits.profits_under under
-the structure of the regime it lies in; a non-finite candidate raises as
+Candidates are still evaluated in the regime their prices lie in
+(market.Regime.of).  Retailer 1's are tested against their plan's regime
+from the solved floats, and only those that pass become prices, evaluated
+by profits.profits.  Retailer 2's response validates retailer 1's prices
+once, and evaluates each candidate with profits.evaluate under the
+structure of the regime it lies in; a non-finite candidate raises as
 validation does.
 
 A search runs at most MAX_ITERS rounds and converges when the best-response
@@ -68,14 +67,7 @@ from .market import (
     structure,
     validate_prices,
 )
-from .profits import (
-    hessian_matrix_r1,
-    linear_terms_r1,
-    linear_terms_r1_at_zero,
-    profits,
-    profits_under,
-    quadratic_r2,
-)
+from .profits import evaluate, hessian_matrix_r1, linear_terms_r1, profits, quadratic_r2
 
 
 MAX_ITERS = 500  # rounds of one fixed-point search
@@ -193,8 +185,7 @@ class BestResponses:
         """Retailer 1's plans in this game: the bundling value's template
         with this game's Hessians assigned into it, and the right-hand sides
         with the linear terms of every unmatched side, which do not read
-        pb2 (linear_terms_r1), taken at pb2 = 0.0 from one zero-price
-        demand profile (linear_terms_r1_at_zero)."""
+        pb2 (linear_terms_r1), taken at pb2 = 0.0."""
         params, scenario = self.params, self.scenario
         structures = (*regime_structures(scenario), kink_structure(scenario))
         plans, template = _PLAN_TEMPLATES[scenario.bundling]
@@ -206,7 +197,7 @@ class BestResponses:
         matched = tuple(side for side, s in enumerate(structures) if s.r1_matched)
         unmatched = tuple(side for side, s in enumerate(structures) if not s.r1_matched)
         rhs = [[0.0] * size for _ in structures]
-        at_zero = linear_terms_r1_at_zero(params, tuple(structures[side] for side in unmatched))
+        at_zero = linear_terms_r1(params, tuple(structures[side] for side in unmatched), 0.0)
         _put_terms(rhs, unmatched, at_zero)
         stack = stack.reshape(len(plans), size, size)
         return _PlansR1(structures, plans, stack, tuple(rhs), matched)
@@ -286,7 +277,7 @@ class BestResponses:
             if not math.isfinite(pb2):
                 validate_prices(scenario, prices)  # raises, naming pb2
             s = structure(scenario, Regime.of(r1_eq, pb2))
-            value = profits_under(self.params, s, prices).pi_r2
+            value = evaluate(self.params, s, prices)[1].pi_r2
             if value > best_value:
                 best_value, best_pb2 = value, pb2
         response = float(max(best_pb2, 0.0))

@@ -1,8 +1,11 @@
 """Equilibrium selection and strategy comparison.
 
 A subgame (one bundling/PMG configuration) has up to two closed-form
-candidates, one per price ordering.  Feasible candidates are kept and the one
-maximizing retailer 1's profit is selected; when a candidate is feasible and
+candidates, one per price ordering.  One rule (_select) picks a subgame's
+equilibrium and the bundled winner alike: the first feasible candidate with
+the most retailer-1 profit, in the order the caller gives, so that order is
+the tie order.  A subgame's order is (R1_HIGH, R1_LOW), the bundled
+winner's the PMG pairs' (_PMG_PAIR).  When a candidate is feasible and
 stationary but its sufficient condition set fails, it is admitted with a
 warning, because the condition sets are not necessary.
 
@@ -63,10 +66,10 @@ _SUBGAMES = tuple(
 # the first of them in BUNDLED_SCENARIOS order, which makes the pair reported
 # the first that attains the best bundled profit.  CM,CM never is.
 _PMG_PAIR = {
-    "T2": Scenario.bundled(False, False),
-    "T4": Scenario.bundled(False, False),
-    "T3": Scenario.bundled(False, True),
-    "T1": Scenario.bundled(True, False),
+    tid: next(s for s, _, pair in _SUBGAMES if tid in pair)
+    for s, _, pair in _SUBGAMES
+    if s.bundling
+    for tid in pair
 }
 
 
@@ -158,13 +161,12 @@ class PolicyComparison(NamedTuple):
 
 
 def _select(candidates: list[EquilibriumResult]) -> EquilibriumResult | None:
-    """The feasible candidate maximizing retailer 1's profit, ties to the
-    lower theorem id, so the choice is independent of candidate order."""
+    """The first feasible candidate with the most retailer-1 profit,
+    compared by >: a tie, 0.0 against -0.0 too, goes to the candidate the
+    caller lists first."""
     best = None
     for r in candidates:
-        if r.feasible and (
-            best is None or (-r.profits.pi_r1, r.theorem_id) < (-best.profits.pi_r1, best.theorem_id)
-        ):
+        if r.feasible and (best is None or r.profits.pi_r1 > best.profits.pi_r1):
             best = r
     return best
 
@@ -196,14 +198,8 @@ def find_fixed_point(params: MarketParams, scenario: Scenario) -> OracleOutcome:
 
 
 def compare_policies(params: MarketParams) -> PolicyComparison:
-    """Evaluate the six closed-form candidates once and pick the bundled
-    winner: the feasible T1-T4 candidate with the most retailer-1 profit,
-    ties to the first in _PMG_PAIR order."""
+    """Evaluate the six closed-form candidates once and select the bundled
+    winner among T1-T4, in _PMG_PAIR order."""
     terms = shared_terms(params)
     candidates = {tid: eq_T(terms, tid) for tid in THEOREMS}
-    best = None
-    for tid in _PMG_PAIR:
-        r = candidates[tid]
-        if r.feasible and (best is None or r.profits.pi_r1 > best.profits.pi_r1):
-            best = r
-    return PolicyComparison(candidates, best)
+    return PolicyComparison(candidates, _select([candidates[tid] for tid in _PMG_PAIR]))

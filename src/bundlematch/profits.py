@@ -8,13 +8,13 @@ ordering; exact posted-price ties follow the R1_HIGH convention.
 
 Each formula is written once, as a function of an evaluated point: a
 structure, posted prices, their effective prices and the demands there
-(profits_at, gradient_r1_at, gradient_r2_at).  profits validates and
-evaluates the prices in the regime they lie in (market.Regime.of) and then
-reads off that point; profits_under does the same for a caller that has
-validated and classified the prices itself.  A caller holding an evaluated
-point, such as a closed-form candidate evaluated in the regime it was
-derived in, reads both profits and both gradients from it directly: that is
-the one way to evaluate prices under a presumed regime.
+(profits_at, gradient_r1_at, gradient_r2_at).  evaluate is the one
+evaluation of posted prices under a structure, to their demands and both
+profits.  profits validates the prices and evaluates them under the
+structure of the regime they lie in (market.Regime.of); a closed-form
+candidate is evaluated under the structure it was derived in, and each of
+the oracle's retailer-2 candidates under that of the regime it lies in.  A
+caller holding an evaluated point reads both gradients from it directly.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients are affine and match the regime's
@@ -22,8 +22,7 @@ first-order-condition system term by term, and the Hessians are constant,
 negative definite whenever b_l >= lambda_l and theta_l in (0, 1) (proved in
 exact arithmetic in tests/test_exact_algebra.py).  Retailer 1's Hessian under
 a structure is hessian_matrix_r1, with closed-form eigenvalues
-_eigenvalues_r1; its gradient at zero own prices is linear_terms_r1, and
-at pb2 = 0.0 linear_terms_r1_at_zero, from one demand profile.
+_eigenvalues_r1; its gradient at zero own prices is linear_terms_r1.
 Retailer 2's quadratic in pb2 is quadratic_r2, its curvature _hessian_r2.
 All of these take a structure and no scenario.
 
@@ -146,12 +145,15 @@ def gradient_r2_at(params: MarketParams, s: RegimeStructure, pb2: float) -> floa
     return g
 
 
-def profits_under(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> ProfitPair:
-    """Both retailers' profits at posted prices that pass
-    market.validate_prices, under the structure s of the regime they lie
-    in: profits, for a caller that has validated and classified them."""
+def evaluate(
+    params: MarketParams, s: RegimeStructure, prices: PriceVector
+) -> tuple[DemandProfile, ProfitPair]:
+    """The demands and both retailers' profits at posted prices under
+    structure s, from one evaluation of their effective prices.  The prices
+    are not validated here: they must pass market.validate_prices."""
     eff = s.effective_prices(prices)
-    return profits_at(params, s, prices, eff, demands(params, prices, eff))
+    d = demands(params, prices, eff)
+    return d, profits_at(params, s, prices, eff, d)
 
 
 def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
@@ -159,7 +161,7 @@ def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> Pr
     the PMG resolution and the strategic split) the prices lie in, so the
     function is total, including at regime kinks.  The prices are validated
     first (market.structure_at)."""
-    return profits_under(params, structure_at(scenario, prices), prices)
+    return evaluate(params, structure_at(scenario, prices), prices)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +238,6 @@ def linear_terms_r1(
         eff = s.effective_prices(zero)
         terms.append(gradient_r1_at(params, s, zero, eff, demands(params, zero, eff)))
     return terms
-
-
-def linear_terms_r1_at_zero(
-    params: MarketParams, structures: tuple[RegimeStructure, ...]
-) -> list[tuple[float, ...]]:
-    """linear_terms_r1 at pb2 = 0.0, from one demand profile: with every
-    price 0.0, each structure's effective prices are all 0.0 too, so the
-    structures share the one zero-price profile to the bit."""
-    zero = PriceVector(0.0, 0.0, 0.0 if structures[0].bundling == 1 else None, 0.0)
-    eff = EffectivePrices(0.0, 0.0, 0.0)
-    d = demands(params, zero, eff)
-    return [gradient_r1_at(params, s, zero, eff, d) for s in structures]
 
 
 def quadratic_r2(params: MarketParams, s: RegimeStructure) -> tuple[float, float]:

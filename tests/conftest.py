@@ -8,6 +8,7 @@ and by the acceptance suite's stratified draws.
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,10 @@ from bundlematch.market import InvalidParameterError
 from bundlematch.sweep import Panel, SweepSpec
 
 SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected")
+
+# bundlematch.profits is the package's profits function, so the module is
+# imported by name, for tests that patch its globals
+PROFITS_MODULE = importlib.import_module("bundlematch.profits")
 
 GOLDEN_TABLE = {
     # scenario label -> (p1, p2, pb1_or_sum, pb2, d_l_i1, d_l_i2, d_l_ib,

@@ -45,7 +45,13 @@ from bundlematch.equilibria import (
 from bundlematch.market import PARAM_FIELDS, STRUCTURES, demands
 from bundlematch.profits import profits_at
 
-from conftest import SET_THEOREM, draw_set_params, draw_valid_params, set_scenario
+from conftest import (
+    PROFITS_MODULE,
+    SET_THEOREM,
+    draw_set_params,
+    draw_valid_params,
+    set_scenario,
+)
 from exact_arithmetic import exact_params
 
 EQ = {"T1": eq_T1, "T2": eq_T2, "T3": eq_T3, "T4": eq_T4, "T5a": eq_T5a, "T5b": eq_T5b}
@@ -353,9 +359,8 @@ class TestNanResidual:
         self, baseline, monkeypatch, pi, feasible
     ):
         assert eq_T1(baseline).feasible
-        monkeypatch.setattr(
-            bundlematch.equilibria, "profits_at", lambda *args: ProfitPair(*pi)
-        )
+        # the one evaluator, profits.evaluate, reads profits_at in its module
+        monkeypatch.setattr(PROFITS_MODULE, "profits_at", lambda *args: ProfitPair(*pi))
         assert eq_T1(baseline).feasible is feasible
 
 

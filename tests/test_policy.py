@@ -12,7 +12,9 @@ import bundlematch.policy
 from bundlematch import (
     MarketParams,
     PolicyComparison,
+    Regime,
     Scenario,
+    candidate_theorems,
     compare_policies,
     eq_T1,
     solve_subgame,
@@ -20,10 +22,10 @@ from bundlematch import (
 from bundlematch.cli import main
 from bundlematch.equilibria import THEOREMS, DegenerateParamsError
 from bundlematch.market import PARAM_FIELDS, STRUCTURES, RegimeStructure
-from bundlematch.policy import BUNDLED_SCENARIOS, scenario_key
+from bundlematch.policy import _PMG_PAIR, BUNDLED_SCENARIOS, scenario_key
 from bundlematch.sweep import AxisSpec, SweepSpec, _cell, build_symmetric_table
 
-from conftest import draw_valid_params, panel_points, pinned_sweep_panels
+from conftest import PROFITS_MODULE, draw_valid_params, panel_points, pinned_sweep_panels
 
 CM_CM = Scenario.bundled(True, True)
 NOCM_CM = Scenario.bundled(False, True)
@@ -266,6 +268,41 @@ class TestComparePolicies:
             assert len(attaining) >= 2 if any(feasible) else attaining == []
             assert comp.best_pmg_regime == (attaining[0] if attaining else None)
 
+    @pytest.mark.parametrize("high, low", [(1.0, 1.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_exact_profit_ties_inside_a_subgame_go_to_r1_high(
+        self, baseline, monkeypatch, high, low
+    ):
+        # both candidates of every subgame are feasible with one profit (to
+        # ==, the signed zeros included), so each subgame must choose the
+        # candidate listed first, its R1_HIGH one
+        eq_T = bundlematch.policy.eq_T
+
+        def tied(terms, tid):
+            r = eq_T(terms, tid)
+            pi_r1 = high if STRUCTURES[tid].regime is Regime.R1_HIGH else low
+            tied_profits = r.profits._replace(pi_r1=pi_r1)
+            return r._replace(evaluation=(r.demands, tied_profits), feasible=True)
+
+        monkeypatch.setattr(bundlematch.policy, "eq_T", tied)
+        comp = compare_policies(baseline)
+        solutions = comp.solutions
+        for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle()):
+            r1_high = candidate_theorems(s)[0]
+            assert STRUCTURES[r1_high].regime is Regime.R1_HIGH
+            assert solve_subgame(baseline, s).chosen.theorem_id == r1_high
+            assert solutions[scenario_key(s)].chosen.theorem_id == r1_high
+        assert comp.pi_nobundle.hex() == high.hex()  # T5a's, its sign included
+
+    def test_pmg_pairs_are_derived_in_tie_order(self):
+        # each theorem's first bundled subgame, in the order the bundled
+        # winner's ties go
+        assert list(_PMG_PAIR.items()) == [
+            ("T2", Scenario.bundled(False, False)),
+            ("T4", Scenario.bundled(False, False)),
+            ("T3", Scenario.bundled(False, True)),
+            ("T1", Scenario.bundled(True, False)),
+        ]
+
     def test_each_theorem_is_evaluated_once(self, baseline, theorem_calls):
         compare_policies(baseline)
         assert theorem_calls == Counter(dict.fromkeys(bundlematch.equilibria.THEOREMS, 1))
@@ -321,9 +358,9 @@ class TestComparePolicies:
     ):
         # eq_T decides each candidate's price ordering first: a candidate off
         # it (T3, T4 and T5b here) is rejected before its demands and profits
-        # are evaluated, and selection never reads them
-        equilibria = bundlematch.equilibria
-        demands, profits_at = equilibria.demands, equilibria.profits_at
+        # are evaluated, and selection never reads them; the one evaluator,
+        # profits.evaluate, reads both in its module
+        demands, profits_at = PROFITS_MODULE.demands, PROFITS_MODULE.profits_at
         evaluated = []
 
         def counted_demands(params, prices, eff):
@@ -334,8 +371,8 @@ class TestComparePolicies:
             evaluated.append(("profits_at", prices))
             return profits_at(params, s, prices, eff, d)
 
-        monkeypatch.setattr(equilibria, "demands", counted_demands)
-        monkeypatch.setattr(equilibria, "profits_at", counted_profits_at)
+        monkeypatch.setattr(PROFITS_MODULE, "demands", counted_demands)
+        monkeypatch.setattr(PROFITS_MODULE, "profits_at", counted_profits_at)
         params = MarketParams.baseline(lambda_l=0.2, theta_l=0.4)
         if entry == "compare_policies":
             candidates = list(compare_policies(params).candidates.values())
