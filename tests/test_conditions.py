@@ -1,7 +1,6 @@
 """Condition sets A-F, and retailer 1's per-regime Hessian: its closed-form
-eigenvalues at the baseline and its shape.  The eigenvalues are checked
-against a numeric eigensolve, with both Hessians' definiteness, in
-test_acceptance.py (criterion 4) and proved in test_exact_algebra.py."""
+eigenvalues against a numeric eigensolve, and its negative definiteness with
+retailer 2's curvature."""
 
 import math
 
@@ -17,10 +16,17 @@ from bundlematch import (
     check_condition_set,
     structure,
 )
-from bundlematch.profits import _eigenvalues_r1, hessian_matrix_r1
+from bundlematch.profits import _eigenvalues_r1, _hessian_r2, hessian_matrix_r1
 
 from conftest import draw_valid_params
 
+ALL_SCENARIOS = (
+    Scenario.bundled(True, True),
+    Scenario.bundled(True, False),
+    Scenario.bundled(False, True),
+    Scenario.bundled(False, False),
+    Scenario.no_bundle(),
+)
 
 class TestConditionSets:
     def test_set_a_fails_at_symmetric_baseline(self, baseline):
@@ -110,6 +116,27 @@ class TestHessians:
     def test_no_bundle_high_regime_eigenvalues_at_baseline(self, baseline):
         s = structure(Scenario.no_bundle(), Regime.R1_HIGH)
         assert sorted(_eigenvalues_r1(baseline, s)) == pytest.approx([-4.4, -0.4], abs=1e-12)
+
+    def test_closed_form_matches_numeric_eigensolve(self):
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            params = draw_valid_params(rng)
+            for scen in ALL_SCENARIOS:
+                for regime in (Regime.R1_HIGH, Regime.R1_LOW):
+                    s = structure(scen, regime)
+                    numeric = np.linalg.eigvalsh(hessian_matrix_r1(params, s))
+                    closed = np.array(sorted(_eigenvalues_r1(params, s)))
+                    assert np.max(np.abs(closed - numeric)) < 1e-9
+
+    def test_always_negative_definite_under_standing_assumptions(self):
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            params = draw_valid_params(rng)
+            for scen in ALL_SCENARIOS:
+                for regime in (Regime.R1_HIGH, Regime.R1_LOW):
+                    s = structure(scen, regime)
+                    assert (np.linalg.eigvalsh(hessian_matrix_r1(params, s)) < 0.0).all()
+                    assert _hessian_r2(params, s) < 0.0
 
     def test_shapes(self, baseline):
         bundled = structure(Scenario.bundled(False, False), Regime.R1_LOW)

@@ -2,6 +2,7 @@
 non-existence signal."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,26 @@ class TestStackedSolve:
             before = sum(evaluated)
             responses.respond_r1(pb2)
             assert sum(evaluated) - before == (1 if SCENARIOS[label].pmg_r1 else 0)
+
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_game_setup_evaluates_only_zero_price_profiles(self, baseline, label, monkeypatch):
+        # the setup reads each unmatched side's linear terms at pb2 = 0.0,
+        # one demand profile a side, every price of it 0.0
+        profiles = []
+        # bundlematch.profits is the package's profits function, so the
+        # module is read off a function it defines
+        profits_module = sys.modules[linear_terms_r1.__module__]
+        demands = profits_module.demands
+
+        def counted(params, prices, eff):
+            profiles.append(prices)
+            return demands(params, prices, eff)
+
+        monkeypatch.setattr(profits_module, "demands", counted)
+        plans = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])._plans_r1
+        assert len(profiles) == len(plans.structures) - len(plans.matched)
+        for prices in profiles:
+            assert prices.present() == (0.0,) * len(prices.present())
 
     def test_unmatched_linear_terms_do_not_read_pb2(self):
         # the fact the per-game right-hand sides rest on: an unmatched
