@@ -70,6 +70,10 @@ class Regime(Enum):
 # Enum class costs about 200 ns, a module global about 30 ns
 _HIGH, _LOW = Regime.R1_HIGH, Regime.R1_LOW
 
+# builds the records of every evaluation, fields in declaration order: a
+# NamedTuple's __new__ is a Python call around it (about 0.2 us, CPython 3.11)
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -296,11 +300,11 @@ class RegimeStructure:
         prices satisfy."""
         r1_eq = prices.r1_bundle_equivalent()
         pb2 = prices.pb2
-        return EffectivePrices(
+        return _tuple_new(EffectivePrices, (
             pb2 if self.r1_matched else r1_eq,  # tilde_pb1
             r1_eq if self.r2_matched else pb2,  # tilde_pb2
             r1_eq if self.strategic_at_r1 else pb2,  # hat_pb
-        )
+        ))
 
 
 # In R1_HIGH retailer 2 posts the low price, so only retailer 1's PMG can
@@ -435,4 +439,4 @@ def demands(params: MarketParams, prices: PriceVector, eff: EffectivePrices) -> 
     d_l_jb = p.a_l_jb - p.b_l * pb2
     d_q_jb = p.a_q_jb - p.b_l * eff.tilde_pb2
     d_s = p.a_s - p.b_s * eff.hat_pb
-    return DemandProfile(d_l_i1, d_l_i2, d_l_ib, d_q_ib, d_l_jb, d_q_jb, d_s)
+    return _tuple_new(DemandProfile, (d_l_i1, d_l_i2, d_l_ib, d_q_ib, d_l_jb, d_q_jb, d_s))

@@ -15,23 +15,23 @@ makes fixed points an independent cross-check of the closed forms.
 
 A BestResponses object holds one game, (params, scenario).  It builds once
 per game everything in a response that does not move with the rival's
-price: retailer 2's stationary points, and retailer 1's KKT matrices and
-right-hand sides.  Retailer 1's linear terms read pb2 only on a matched row
-(T1's R1_HIGH row, where its PMG matches pb2), so every other side's terms
-are put into the right-hand sides once, at pb2 = 0.0.  A response of
-retailer 1 then writes only pb2 into the kink constraint's rows and the
-matched side's terms, and makes one stacked solve over the game's padded
-matrices.  Every response is remembered by the exact bits of its argument,
-so a price seen again in the same game costs a lookup.  find_fixed_point
-and find_fixed_points share one object across all rounds and starts;
-nothing is remembered across games.
+price: the (R1_HIGH, R1_LOW) structures, retailer 2's stationary points,
+and retailer 1's KKT matrices and right-hand sides, one array of each.
+Retailer 1's linear terms read pb2 only on a matched row (T1's R1_HIGH row,
+where its PMG matches pb2), so every other side's terms are put into the
+right-hand sides once, at pb2 = 0.0; a response copies them, writes only
+pb2 into the kink rows and the matched side's terms, and makes one stacked
+solve.  Every response is remembered by the exact bits of its argument, so
+a price seen again in the same game costs a lookup.  find_fixed_point and
+find_fixed_points share one object across all rounds and starts; nothing
+is remembered across games.
 
-Candidates are still evaluated in the regime their prices lie in
-(market.Regime.of).  Retailer 1's are tested against their plan's regime
-from the solved floats, and only those that pass become prices, evaluated
-by profits.profits.  Retailer 2's response validates retailer 1's prices
-once, and evaluates each candidate with profits.evaluate under the
-structure of the regime it lies in; a non-finite candidate raises as
+Each candidate is evaluated once, by profits.evaluate under the structure
+of the regime its prices lie in (market.Regime.of), taken from the game's
+pair.  Retailer 1's are first tested against their plan's regime from the
+solved floats, and off the bundle-discount face against bundle-within-parts;
+a plan on the face or the kink lies there by construction, so rounding at a
+large price scale cannot reject it.  A non-finite candidate raises as
 validation does.
 
 A search runs at most MAX_ITERS rounds and converges when the best-response
@@ -64,14 +64,18 @@ from .market import (
     Scenario,
     kink_structure,
     regime_structures,
-    structure,
     validate_prices,
 )
-from .profits import evaluate, hessian_matrix_r1, linear_terms_r1, profits, quadratic_r2
+from .profits import evaluate, hessian_matrix_r1, linear_terms_r1, quadratic_r2
 
 
 MAX_ITERS = 500  # rounds of one fixed-point search
 TOL_FP = 1e-8  # sup-norm tolerance on the best-response residual
+
+# a module global reads faster than an Enum class attribute; each candidate
+# reads it, and builds its prices by tuple.__new__, as market's records
+_LOW = Regime.R1_LOW
+_tuple_new = tuple.__new__
 
 
 class SingularSystemError(RuntimeError):
@@ -140,15 +144,6 @@ def _plan_template(bundled: bool) -> tuple[tuple[tuple[int, Regime | None, bool]
 _PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1)}
 
 
-def _put_terms(
-    rhs: list[list[float]], sides: tuple[int, ...], terms: list[tuple[float, ...]]
-) -> None:
-    """Write the linear terms of retailer 1's given sides, negated, into the
-    first rows of those sides' right-hand sides."""
-    for side, side_terms in zip(sides, terms):
-        rhs[side][: len(side_terms)] = [-g for g in side_terms]
-
-
 class _PlansR1(NamedTuple):
     """Retailer 1's plans in one game: everything in its best response that
     does not move with pb2."""
@@ -156,11 +151,11 @@ class _PlansR1(NamedTuple):
     structures: tuple[RegimeStructure, ...]  # R1_HIGH, R1_LOW, kink tie
     plans: tuple[tuple[int, Regime | None, bool], ...]  # (side, regime, on_face)
     stack: np.ndarray  # the plans' padded KKT matrices, (plans, size, size)
-    # by side, the right-hand side of each of its plans, which the face
-    # does not change (the face constraint's is 0.0, as the padding's);
-    # 0.0 where pb2 enters: the kink constraint's row and a matched side's
-    # linear terms
-    rhs: tuple[list[float], ...]
+    # the plans' right-hand sides, (plans, size, 1), as the stack: a side's
+    # linear terms, negated, in each of its plans (the face does not change
+    # them; the face constraint's row is 0.0, as the padding's), and 0.0
+    # where pb2 enters: the kink constraint's row and a matched side's terms
+    rhs: np.ndarray
     matched: tuple[int, ...]  # the sides whose structure has r1_matched
 
 
@@ -170,9 +165,11 @@ class BestResponses:
 
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
         self.params, self.scenario = params, scenario
+        # (R1_HIGH, R1_LOW): indexed by Regime.of(...) is _LOW
+        self._regime_pair = regime_structures(scenario)
         stationary = []
         # each regime's stationary point is kept on its side of the kink
-        for s, side in zip(regime_structures(scenario), (min, max)):
+        for s, side in zip(self._regime_pair, (min, max)):
             h, g0 = quadratic_r2(params, s)
             stationary.append((s.regime, side, -g0 / h))
         self._stationary_r2 = tuple(stationary)
@@ -187,7 +184,7 @@ class BestResponses:
         with the linear terms of every unmatched side, which do not read
         pb2 (linear_terms_r1), taken at pb2 = 0.0."""
         params, scenario = self.params, self.scenario
-        structures = (*regime_structures(scenario), kink_structure(scenario))
+        structures = (*self._regime_pair, kink_structure(scenario))
         plans, template = _PLAN_TEMPLATES[scenario.bundling]
         n = 3 if scenario.bundling == 1 else 2
         size = template.shape[-1]
@@ -196,17 +193,20 @@ class BestResponses:
         stack[:, :, :n, :n] = [hessian_matrix_r1(params, s) for s in structures]
         matched = tuple(side for side, s in enumerate(structures) if s.r1_matched)
         unmatched = tuple(side for side, s in enumerate(structures) if not s.r1_matched)
-        rhs = [[0.0] * size for _ in structures]
+        rhs = np.zeros((len(plans), size, 1))
         at_zero = linear_terms_r1(params, tuple(structures[side] for side in unmatched), 0.0)
-        _put_terms(rhs, unmatched, at_zero)
+        for side, terms in zip(unmatched, at_zero):
+            # the plans run by (face, side): every face's plan of this side
+            rhs[side :: len(structures), : len(terms), 0] = [-g for g in terms]
         stack = stack.reshape(len(plans), size, size)
-        return _PlansR1(structures, plans, stack, tuple(rhs), matched)
+        return _PlansR1(structures, plans, stack, rhs, matched)
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
         """Retailer 1's best response to pb2: every plan's first-order system
         solved exactly in one stacked solve, each candidate in its plan's
-        regime evaluated under the structure of the regime its prices lie
-        in, the one with the highest profit kept, then components clamped at
+        regime (and, off the bundle-discount face, within its parts)
+        evaluated once under the structure of the regime its prices lie in,
+        the one with the highest profit kept, then components clamped at
         zero.  Remembered per pb2, by its exact bits."""
         if not math.isfinite(pb2):
             raise ValueError("pb2 must be finite")
@@ -216,32 +216,41 @@ class BestResponses:
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
         n = 3 if bundled else 2
-        structures, plans, stack, template, matched = self._plans_r1
-        rhs = [row.copy() for row in template]
+        structures, plans, stack, rhs, matched = self._plans_r1
+        sides = len(structures)
+        columns = rhs.copy()
         if matched:
             at_pb2 = linear_terms_r1(params, tuple(structures[side] for side in matched), pb2)
-            _put_terms(rhs, matched, at_pb2)
-        rhs[_KINK_SIDE][n] = pb2  # the kink constraint: r1's price = pb2
-        # every face's plans in side order, as the stack
-        columns = np.array(rhs * (len(plans) // len(rhs)))
+            for side, terms in zip(matched, at_pb2):
+                columns[side::sides, : len(terms), 0] = [-g for g in terms]
+        columns[_KINK_SIDE::sides, n, 0] = pb2  # the kink constraint: r1's price = pb2
         try:
             # (k, n, 1) right-hand sides mean one column per system under
             # numpy 1.x and 2.x alike
-            solved = np.linalg.solve(stack, columns[:, :, None])[:, :n, 0].tolist()
+            solved = np.linalg.solve(stack, columns)[:, :n, 0].tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
         best: tuple[float, list[float]] | None = None
-        for (_, regime, _), x in zip(plans, solved):
-            if regime is None and bundled:
-                x[2] = pb2  # snap exactly onto the kink
+        for (_, regime, on_face), x in zip(plans, solved):
+            if bundled:
+                if regime is None:
+                    x[2] = pb2  # snap exactly onto the kink
+                r1_eq = x[2]
+            else:
+                r1_eq = x[0] + x[1]
             # classified from the floats, so only a candidate in its plan's
             # regime becomes prices
-            if regime is not None and not regime.holds(x[2] if bundled else x[0] + x[1], pb2):
+            if regime is not None and not regime.holds(r1_eq, pb2):
                 continue
-            prices = PriceVector(x[0], x[1], x[2] if bundled else None, pb2)
-            if not prices.bundle_within_parts():
+            prices = _tuple_new(PriceVector, (x[0], x[1], x[2] if bundled else None, pb2))
+            # a face plan lies on the face by construction, as the kink plan
+            # on the kink by its snap, so only a plan off it is tested
+            if not on_face and not prices.bundle_within_parts():
                 continue
-            value = profits(params, scenario, prices).pi_r1
+            if not all(map(math.isfinite, x)):
+                validate_prices(scenario, prices)  # raises, naming the price
+            s = structures[Regime.of(r1_eq, pb2) is _LOW]  # they open with (R1_HIGH, R1_LOW)
+            value = evaluate(params, s, prices)[1].pi_r1
             if best is None or value > best[0]:
                 best = (value, x)
         assert best is not None  # the kink plans always yield a candidate
@@ -264,20 +273,19 @@ class BestResponses:
         key = (float(p1).hex(), float(p2).hex(), None if pb1 is None else float(pb1).hex())
         if key in self._r2_memo:
             return self._r2_memo[key]
-        scenario = self.scenario
+        scenario, pair = self.scenario, self._regime_pair
         # retailer 1's prices, validated once, as in the kink candidate
-        validate_prices(scenario, PriceVector(p1, p2, pb1, r1_eq))
+        validate_prices(scenario, _tuple_new(PriceVector, (p1, p2, pb1, r1_eq)))
         candidates: list[float] = [r1_eq]  # the kink is always a candidate
         for regime, side, stationary in self._stationary_r2:
             if regime.holds(r1_eq, stationary):
                 candidates.append(side(stationary, r1_eq))
         best_value, best_pb2 = -np.inf, r1_eq
         for pb2 in candidates:
-            prices = PriceVector(p1, p2, pb1, pb2)
+            prices = _tuple_new(PriceVector, (p1, p2, pb1, pb2))
             if not math.isfinite(pb2):
                 validate_prices(scenario, prices)  # raises, naming pb2
-            s = structure(scenario, Regime.of(r1_eq, pb2))
-            value = evaluate(self.params, s, prices)[1].pi_r2
+            value = evaluate(self.params, pair[Regime.of(r1_eq, pb2) is _LOW], prices)[1].pi_r2
             if value > best_value:
                 best_value, best_pb2 = value, pb2
         response = float(max(best_pb2, 0.0))
@@ -329,21 +337,25 @@ def _search(responses: BestResponses, start: PriceVector, damping: float) -> Ora
     converged = False
     first_seen: dict[tuple[str, ...], int] = {}  # by exact bits: 0.0 and -0.0 differ
     history: list[PriceVector] = []
+    keep = 1.0 - damping
     for iteration in range(MAX_ITERS):
-        mu = first_seen.setdefault(tuple(float(v).hex() for v in x.present()), iteration)
+        present = x.present()
+        mu = first_seen.setdefault(tuple(float(v).hex() for v in present), iteration)
         if mu < iteration:
             x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
             break
         history.append(x)
-        r1_star = responses.respond_r1(x.pb2)
-        pb2_star = responses.respond_r2(x)
-        star = PriceVector(r1_star[0], r1_star[1], r1_star[2], pb2_star)
-        if star.sup_distance(x) < TOL_FP:
+        p1, p2, pb1 = responses.respond_r1(x.pb2)
+        pb2 = responses.respond_r2(x)
+        # the best response as present() orders it
+        star = (p1, p2, pb2) if pb1 is None else (p1, p2, pb1, pb2)
+        if max(abs(a - b) for a, b in zip(star, present)) < TOL_FP:
             converged = True
             break
-        x = PriceVector.from_present(
-            [(1.0 - damping) * a + damping * b for a, b in zip(x.present(), star.present())]
-        )
+        step = [keep * a + damping * b for a, b in zip(present, star)]
+        if len(step) == 3:
+            step.insert(2, None)
+        x = _tuple_new(PriceVector, step)
     return OracleOutcome(converged, x, iteration if converged else MAX_ITERS)
 
 

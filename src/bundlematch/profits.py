@@ -13,7 +13,7 @@ evaluation of posted prices under a structure, to their demands and both
 profits.  profits validates the prices and evaluates them under the
 structure of the regime they lie in (market.Regime.of); a closed-form
 candidate is evaluated under the structure it was derived in, and each of
-the oracle's retailer-2 candidates under that of the regime it lies in.  A
+the oracle's candidates under that of the regime it lies in.  A
 caller holding an evaluated point reads both gradients from it directly.
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
@@ -49,6 +49,9 @@ from .market import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+# every evaluation builds a ProfitPair, by tuple.__new__ as market's records
+_tuple_new = tuple.__new__
 
 
 class ProfitPair(NamedTuple):
@@ -89,7 +92,7 @@ def profits_at(
         joint = prices.p1 + prices.p2 - c
         pi_r1 = m1 * d.d_l_i1 + m2 * d.d_l_i2 + joint * (d.d_l_ib + d.d_q_ib) + share * strategic
     pi_r2 = (prices.pb2 - c) * d.d_l_jb + (eff.tilde_pb2 - c) * d.d_q_jb + (1.0 - share) * strategic
-    return ProfitPair(pi_r1, pi_r2)
+    return _tuple_new(ProfitPair, (pi_r1, pi_r2))
 
 
 def gradient_r1_at(

@@ -26,7 +26,9 @@ from bundlematch import (
     solve_subgame,
     structure,
 )
-from bundlematch.market import kink_structure, regime_structures
+from bundlematch.cli import main
+from bundlematch.config import load_market_config
+from bundlematch.market import FEASIBILITY_TOL, kink_structure, regime_structures
 from bundlematch.profits import hessian_matrix_r1, linear_terms_r1
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
@@ -498,6 +500,50 @@ class TestPriceErrors:
     def test_r2_requires_a_bundle_price_under_bundling(self, baseline):
         with pytest.raises(InvalidPriceError, match="pb1 is required"):
             best_response_r2(baseline, CM_CM, PriceVector(50.0, 50.0, None, 100.0))
+
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_r1_rejects_a_non_finite_candidate(self, baseline, label):
+        # admissible, but retailer 1's bundle bases overflow its plans to
+        # nan; a face plan is not re-tested against the bundle-within-parts
+        # constraint, whose comparison a nan fails, so it must raise
+        params = baseline.replace(a_l_ib=1e308, a_q_ib=1e308)
+        with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
+            best_response_r1(params, SCENARIOS[label], 135.0)
+
+
+# draw 56 of draw_valid_params (seed 3) with its seven demand bases and two
+# costs times 1e6: the plans on the bundle-discount face p1 + p2 = pb1 miss
+# it by one ulp of prices near 1e8, more than FEASIBILITY_TOL
+SCALED_MARKET = Path(__file__).with_name("scaled_market.cfg")
+SCALED_FIELDS = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s", "c1", "c2")
+
+
+class TestScaledMarket:
+    def test_config_is_the_scaled_draw(self):
+        rng = np.random.default_rng(3)
+        params = [draw_valid_params(rng) for _ in range(57)][56]
+        scaled = params.replace(**{name: getattr(params, name) * 1e6 for name in SCALED_FIELDS})
+        assert load_market_config(SCALED_MARKET) == scaled
+
+    def test_a_face_candidate_off_by_rounding_is_kept(self):
+        # every plan off the face fails its checks at this pb2, so the
+        # response is a face plan, which the tolerance alone would reject
+        params = load_market_config(SCALED_MARKET)
+        pb2 = float.fromhex("0x1.d37b89c6383abp+26")
+        p1, p2, pb1 = best_response_r1(params, SCENARIOS["CM,noCM"], pb2)
+        assert -1e-15 * pb1 < p1 + p2 - pb1 < -FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_every_subgame_is_searched(self, label):
+        params = load_market_config(SCALED_MARKET)
+        for damping in (1.0, 0.7):
+            find_fixed_point(params, SCENARIOS[label], damping)
+
+    def test_verify_reports_the_search(self, capsys):
+        assert main(["verify", "--config", str(SCALED_MARKET), "--pmg", "r1=cm", "r2=nocm"]) == 0
+        assert capsys.readouterr().out == (
+            "closed form: no feasible equilibrium; oracle did not converge after 500 iterations\n"
+        )
 
 
 class TestStackedSolve:
