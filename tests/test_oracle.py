@@ -504,8 +504,7 @@ class TestPriceErrors:
     @pytest.mark.parametrize("label", SCENARIOS)
     def test_r1_rejects_a_non_finite_candidate(self, baseline, label):
         # admissible, but retailer 1's bundle bases overflow its plans to
-        # nan; a face plan is not re-tested against the bundle-within-parts
-        # constraint, whose comparison a nan fails, so it must raise
+        # nan: a nan plan must raise, not be dropped by a failed comparison
         params = baseline.replace(a_l_ib=1e308, a_q_ib=1e308)
         with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
             best_response_r1(params, SCENARIOS[label], 135.0)
