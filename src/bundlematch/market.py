@@ -230,11 +230,6 @@ class PriceVector(NamedTuple):
             return (self.p1, self.p2, self.pb2)
         return (self.p1, self.p2, self.pb1, self.pb2)
 
-    @classmethod
-    def from_present(cls, values: tuple[float, ...] | list[float]) -> "PriceVector":
-        """The inverse of present()."""
-        return cls(*values) if len(values) == 4 else cls(values[0], values[1], None, values[2])
-
     def sup_distance(self, other: "PriceVector") -> float:
         a, b = self.present(), other.present()
         if len(a) != len(b):

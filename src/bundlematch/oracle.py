@@ -88,11 +88,6 @@ class OracleOutcome(NamedTuple):
     prices: PriceVector
     iterations: int
 
-    @property
-    def classified_regime(self) -> Regime:
-        """The regime the prices lie in (Regime.of)."""
-        return Regime.of(self.prices.r1_bundle_equivalent(), self.prices.pb2)
-
 
 def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
     """The bordered KKT matrix maximizing the quadratic with Hessian h

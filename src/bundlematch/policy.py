@@ -12,10 +12,10 @@ warning, because the condition sets are not necessary.
 Warnings are derived on access from the chosen candidate and the optional
 oracle outcome.  The policy comparison keeps the six closed-form candidates
 and the bundled winner, the feasible T1-T4 candidate with the most
-retailer-1 profit, and reads the subgame solutions, existence, profits, the
-gain from bundling and the best PMG pair off those on access.  So a sweep,
-which reads only the gain and the pair, builds no subgame solution,
-condition report or existence map.
+retailer-1 profit, and reads the subgame solutions (keyed by Scenario),
+profits, the gain from bundling and the best PMG pair off those on access.
+So a sweep, which reads only the gain and the pair, builds no subgame
+solution or condition report.
 
 Selection needs no numpy.  The oracle, which does, is imported only when a
 subgame is solved with oracle_check=True (see find_fixed_point below).
@@ -46,19 +46,9 @@ BUNDLED_SCENARIOS = (
 )
 
 
-def scenario_key(scenario: Scenario) -> str:
-    if scenario.bundling == 0:
-        return "no_bundle"
-    one = "cm" if scenario.pmg_r1 else "nocm"
-    two = "cm" if scenario.pmg_r2 else "nocm"
-    return f"{one}_{two}"
-
-
-# (scenario, its key, its (high-regime, low-regime) candidate pair) for the
-# five subgames of a policy comparison, bundled ones in BUNDLED_SCENARIOS order
-_SUBGAMES = tuple(
-    (s, scenario_key(s), candidate_theorems(s)) for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle())
-)
+# (scenario, its (high-regime, low-regime) candidate pair) for the five
+# subgames of a policy comparison, bundled ones in BUNDLED_SCENARIOS order
+_SUBGAMES = tuple((s, candidate_theorems(s)) for s in (*BUNDLED_SCENARIOS, Scenario.no_bundle()))
 
 # The PMG pair reported for each bundled winner, in the order ties go.  Only
 # one retailer's PMG acts in a price ordering (T1 and T2 ignore retailer 2's,
@@ -66,8 +56,8 @@ _SUBGAMES = tuple(
 # the first of them in BUNDLED_SCENARIOS order, which makes the pair reported
 # the first that attains the best bundled profit.  CM,CM never is.
 _PMG_PAIR = {
-    tid: next(s for s, _, pair in _SUBGAMES if tid in pair)
-    for s, _, pair in _SUBGAMES
+    tid: next(s for s, pair in _SUBGAMES if tid in pair)
+    for s, pair in _SUBGAMES
     if s.bundling
     for tid in pair
 }
@@ -125,17 +115,13 @@ class PolicyComparison(NamedTuple):
     best_bundled: EquilibriumResult | None
 
     @property
-    def solutions(self) -> dict[str, SubgameSolution]:
-        """Each subgame's solution by scenario_key, built on each access."""
+    def solutions(self) -> dict[Scenario, SubgameSolution]:
+        """Each subgame's solution by its Scenario, built on each access."""
         solutions = {}
-        for s, key, (high, low) in _SUBGAMES:
+        for s, (high, low) in _SUBGAMES:
             pair = [self.candidates[high], self.candidates[low]]
-            solutions[key] = SubgameSolution(s, _select(pair), pair)
+            solutions[s] = SubgameSolution(s, _select(pair), pair)
         return solutions
-
-    @property
-    def existence(self) -> dict[str, bool]:
-        return {key: sol.chosen is not None for key, sol in self.solutions.items()}
 
     @property
     def best_pmg_regime(self) -> Scenario | None:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .equilibria import DegenerateParamsError, EquilibriumResult
 from .market import InvalidParameterError, MarketParams, Scenario
-from .policy import PolicyComparison, compare_policies, scenario_key
+from .policy import PolicyComparison, compare_policies
 
 TABLE_SCENARIOS = (
     Scenario.bundled(True, True),
@@ -125,7 +125,7 @@ def build_symmetric_table(params: MarketParams) -> list[dict[str, object]]:
     solutions = compare_policies(params).solutions
     rows: list[dict[str, object]] = []
     for scenario in TABLE_SCENARIOS:
-        chosen = solutions[scenario_key(scenario)].chosen
+        chosen = solutions[scenario].chosen
         values = dict.fromkeys(TABLE_COLUMNS[1:]) if chosen is None else equilibrium_row(chosen)
         rows.append({"scenario": scenario.label(), **values})
     return rows

@@ -50,7 +50,7 @@ def fixed_oracle(monkeypatch):
 
     def install(converged: bool, scale: float = 1.0) -> None:
         t1 = eq_T1(MarketParams.baseline())
-        prices = PriceVector.from_present(tuple(scale * v for v in t1.prices.present()))
+        prices = PriceVector(*(scale * v for v in t1.prices))
         outcome = OracleOutcome(converged, prices, 12 if converged else 500)
         monkeypatch.setattr(bundlematch.policy, "find_fixed_point", lambda *args: outcome)
 

@@ -18,14 +18,20 @@ import pytest
 from bundlematch import (
     MarketParams,
     Regime,
-    Scenario,
     find_fixed_point,
     structure,
 )
 from bundlematch.cli import main
 from bundlematch.profits import _eigenvalues_r1, _hessian_r2, hessian_matrix_r1
 from bundlematch.policy import compare_policies
-from bundlematch.sweep import AxisSpec, Panel, SweepSpec, build_symmetric_table, run_sweep
+from bundlematch.sweep import (
+    TABLE_SCENARIOS,
+    AxisSpec,
+    Panel,
+    SweepSpec,
+    build_symmetric_table,
+    run_sweep,
+)
 
 from conftest import GOLDEN_TABLE, SET_THEOREM, draw_set_params, draw_valid_params, set_scenario
 
@@ -35,14 +41,6 @@ TABLE_KEYS = (
     "p_r1_i1", "p_r1_i2", "p_r1_b", "p_r2_b",
     "d_l_i1", "d_l_i2", "d_l_ib", "d_q_ib", "d_l_jb", "d_q_jb", "d_s",
     "pi_r1", "pi_r2", "total_welfare",
-)
-
-ALL_SCENARIOS = (
-    Scenario.bundled(True, True),
-    Scenario.bundled(True, False),
-    Scenario.bundled(False, True),
-    Scenario.bundled(False, False),
-    Scenario.no_bundle(),
 )
 
 
@@ -128,7 +126,7 @@ def test_criterion_4_stationarity_and_concavity(stratified_draws):
     worst_eig = 0.0
     for _ in range(10_000):
         params = draw_valid_params(rng)
-        scen = ALL_SCENARIOS[rng.integers(len(ALL_SCENARIOS))]
+        scen = TABLE_SCENARIOS[rng.integers(len(TABLE_SCENARIOS))]
         regime = Regime.R1_HIGH if rng.integers(2) else Regime.R1_LOW
         s = structure(scen, regime)
         numeric = np.linalg.eigvalsh(hessian_matrix_r1(params, s))

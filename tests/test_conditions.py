@@ -17,16 +17,10 @@ from bundlematch import (
     structure,
 )
 from bundlematch.profits import _eigenvalues_r1, _hessian_r2, hessian_matrix_r1
+from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import draw_valid_params
 
-ALL_SCENARIOS = (
-    Scenario.bundled(True, True),
-    Scenario.bundled(True, False),
-    Scenario.bundled(False, True),
-    Scenario.bundled(False, False),
-    Scenario.no_bundle(),
-)
 
 class TestConditionSets:
     def test_set_a_fails_at_symmetric_baseline(self, baseline):
@@ -121,7 +115,7 @@ class TestHessians:
         rng = np.random.default_rng(6)
         for _ in range(1000):
             params = draw_valid_params(rng)
-            for scen in ALL_SCENARIOS:
+            for scen in TABLE_SCENARIOS:
                 for regime in (Regime.R1_HIGH, Regime.R1_LOW):
                     s = structure(scen, regime)
                     numeric = np.linalg.eigvalsh(hessian_matrix_r1(params, s))
@@ -132,7 +126,7 @@ class TestHessians:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             params = draw_valid_params(rng)
-            for scen in ALL_SCENARIOS:
+            for scen in TABLE_SCENARIOS:
                 for regime in (Regime.R1_HIGH, Regime.R1_LOW):
                     s = structure(scen, regime)
                     assert (np.linalg.eigvalsh(hessian_matrix_r1(params, s)) < 0.0).all()

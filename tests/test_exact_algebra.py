@@ -4,6 +4,9 @@ The closed forms, demands, profits, gradients and Hessians run unchanged
 and without rounding on parameters whose every field is an `Exact` rational
 (exact_arithmetic.py), so the audits below hold with no tolerance at all:
 
+- each retailer's gradient (gradient_r1_at, gradient_r2_at) is the
+  derivative of its profit (profits_at) in each own price, under every
+  regime structure and every kink row, carried by Dual numbers;
 - every closed form T1-T5b is a stationary point of its regime: both
   retailers' first-order derivatives there are exactly 0.  This is why
   equilibria checks no first-order residual when it builds a candidate: in
@@ -32,7 +35,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bundlematch import Scenario
 from bundlematch.equilibria import THEOREMS
 from bundlematch.market import (
     STRUCTURES,
@@ -44,31 +46,27 @@ from bundlematch.market import (
 from bundlematch.profits import (
     _eigenvalue_parts_r1,
     _hessian_r2,
+    evaluate,
     gradient_r1_at,
     gradient_r2_at,
     hessian_matrix_r1,
     linear_terms_r1,
+    profits_at,
 )
+from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import draw_valid_params
-from exact_arithmetic import Exact, exact_params
+from exact_arithmetic import Dual, Exact, exact_params
 
 
 def is_exact(values) -> bool:
     return all(type(v) is Exact for v in values)
 
 
-SCENARIOS = (
-    Scenario.bundled(True, True),
-    Scenario.bundled(True, False),
-    Scenario.bundled(False, True),
-    Scenario.bundled(False, False),
-    Scenario.no_bundle(),
-)
 # the six regime structures and the three distinct kink rows
 AUDITED_STRUCTURES = (
     *STRUCTURES.values(),
-    *dict.fromkeys(kink_structure(scenario) for scenario in SCENARIOS),
+    *dict.fromkeys(kink_structure(scenario) for scenario in TABLE_SCENARIOS),
 )
 
 
@@ -79,6 +77,17 @@ def test_exact_arithmetic_stays_exact():
     assert 0.1 * x == Fraction(0.1) / 3  # 0.1 at its exact binary value
     assert type(-x) is type(abs(x)) is type(x**2) is Exact
     assert (x < 0.5) and (x >= 1e-9)
+
+
+def test_dual_numbers_carry_exact_derivatives():
+    x = Dual(Exact(3), Exact(1))
+    # 2x**2 - x/2 + 1/x - (5 - x), whose derivative is 4x - 1/2 - 1/x**2 + 1
+    y = 2.0 * x * x - x / Exact(2) + 1 / x - (5 - x)
+    assert is_exact((y.value, y.deriv))
+    assert (y.value, y.deriv) == (Fraction(89, 6), Fraction(223, 18))
+    z = -(Exact(2) * x) + (+x)
+    assert (z.value, z.deriv) == (-3, -1)
+    assert (x < 3.5) and (x <= 3) and (x > 0.5) and (x >= Exact(3)) and (4 > x)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -131,6 +140,40 @@ def test_hessians_are_the_differences_of_the_gradients():
             h2 = _hessian_r2(exact, s)
             assert type(h2) is Exact
             assert h2 == gradient_r2_at(exact, s, pb2 + 1) - gradient_r2_at(exact, s, pb2)
+
+
+def _profits_along(exact: MarketParams, s, prices: PriceVector, field: str):
+    """profits_at with the price `field` seeded as a Dual of derivative 1."""
+    seeded = prices._replace(**{field: Dual(getattr(prices, field), Exact(1))})
+    eff = s.effective_prices(seeded)
+    return profits_at(exact, s, seeded, eff, demands(exact, seeded, eff))
+
+
+def test_gradients_are_the_derivatives_of_the_profits():
+    """profits_at is the model, and the closed forms are proved stationary
+    under gradient_r1_at and gradient_r2_at, so an error shared by a
+    gradient and a closed form would pass every other exact test; this ties
+    each gradient to profits_at with no tolerance."""
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(40):
+        exact = exact_params(draw_valid_params(rng))
+        p1, p2, pb1, pb2 = (Exact(rng.uniform(0.0, 300.0)) for _ in range(4))
+        for s in AUDITED_STRUCTURES:
+            prices = PriceVector(p1, p2, pb1 if s.bundling else None, pb2)
+            g1 = _gradient_r1(exact, s, prices)
+            _, values = evaluate(exact, s, prices)
+            for field, g in zip(("p1", "p2", "pb1"), g1):
+                pi_r1 = _profits_along(exact, s, prices, field).pi_r1
+                assert is_exact((pi_r1.value, pi_r1.deriv, g))
+                assert pi_r1.value == values.pi_r1
+                assert pi_r1.deriv == g, (s, field)
+            pi_r2 = _profits_along(exact, s, prices, "pb2").pi_r2
+            assert is_exact((pi_r2.value, pi_r2.deriv))
+            assert pi_r2.value == values.pi_r2
+            assert pi_r2.deriv == gradient_r2_at(exact, s, pb2), s
+            checked += 1
+    assert checked == 40 * len(AUDITED_STRUCTURES) == 360
 
 
 def _det(rows: list) -> Exact:

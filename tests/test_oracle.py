@@ -30,18 +30,19 @@ from bundlematch.cli import main
 from bundlematch.config import load_market_config
 from bundlematch.market import FEASIBILITY_TOL, kink_structure, regime_structures
 from bundlematch.profits import hessian_matrix_r1, linear_terms_r1
+from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
 
-SCENARIOS = {
-    "CM,CM": Scenario.bundled(True, True),
-    "CM,noCM": Scenario.bundled(True, False),
-    "noCM,CM": Scenario.bundled(False, True),
-    "noCM,noCM": Scenario.bundled(False, False),
-    "NoBundle": Scenario.no_bundle(),
-}
+SCENARIOS = {s.label(): s for s in TABLE_SCENARIOS}
+
+
+def regime_of(prices: PriceVector) -> Regime:
+    """The regime the prices lie in."""
+    return Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
+
 
 _rng = np.random.default_rng(0)
 SCAN_POINTS = [MarketParams.baseline()] + [draw_valid_params(_rng) for _ in range(3)]
@@ -284,7 +285,7 @@ class TestFixedPoints:
         assert out.prices.p2 == pytest.approx(expected[1], abs=1e-2)
         assert out.prices.r1_bundle_equivalent() == pytest.approx(expected[2], abs=1e-2)
         assert out.prices.pb2 == pytest.approx(expected[3], abs=1e-2)
-        assert out.classified_regime is Regime.R1_HIGH
+        assert regime_of(out.prices) is Regime.R1_HIGH
 
     @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
     def test_fixed_point_builds_plans_once(self, baseline, label, monkeypatch):
@@ -335,8 +336,8 @@ class TestFixedPoints:
             for scen in SCENARIOS.values():
                 out = find_fixed_point(params, scen, damping)
                 ref = _full_loop(params, scen, damping)
-                assert (out.converged, out.iterations, out.classified_regime) == (
-                    ref.converged, ref.iterations, ref.classified_regime)
+                assert (out.converged, out.iterations, regime_of(out.prices)) == (
+                    ref.converged, ref.iterations, regime_of(ref.prices))
                 assert _hex(out.prices) == _hex(ref.prices)
                 capped += not ref.converged
         if damping == 1.0:
@@ -709,7 +710,7 @@ def oracle_pinned_lines(damping: float = 1.0) -> list[str]:
             prices = " ".join(v.hex() for v in out.prices.present())
             lines.append(
                 f"{label} {name} converged {out.converged} iterations {out.iterations} "
-                f"regime {out.classified_regime.value} prices {prices}"
+                f"regime {regime_of(out.prices).value} prices {prices}"
             )
     return lines
 

@@ -1,6 +1,7 @@
 """Equilibrium selection per subgame and the bundling/PMG policy comparison."""
 
 import itertools
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -21,9 +22,9 @@ from bundlematch import (
 )
 from bundlematch.cli import main
 from bundlematch.equilibria import THEOREMS, DegenerateParamsError
-from bundlematch.market import PARAM_FIELDS, STRUCTURES, RegimeStructure
-from bundlematch.policy import _PMG_PAIR, BUNDLED_SCENARIOS, scenario_key
-from bundlematch.sweep import AxisSpec, SweepSpec, _cell, build_symmetric_table
+from bundlematch.market import PARAM_FIELDS, STRUCTURES, InvalidParameterError, RegimeStructure
+from bundlematch.policy import _PMG_PAIR, BUNDLED_SCENARIOS
+from bundlematch.sweep import TABLE_SCENARIOS, AxisSpec, SweepSpec, _cell, build_symmetric_table
 
 from conftest import PROFITS_MODULE, draw_valid_params, panel_points, pinned_sweep_panels
 
@@ -39,7 +40,7 @@ def attaining_pairs(comp: PolicyComparison) -> list[Scenario]:
     return [
         s
         for s in BUNDLED_SCENARIOS
-        if (chosen := solutions[scenario_key(s)].chosen) is not None
+        if (chosen := solutions[s].chosen) is not None
         and chosen.profits.pi_r1 == comp.pi_bundle
     ]
 
@@ -158,7 +159,7 @@ class TestComparePolicies:
         assert comp.pi_nobundle / 1000.0 == pytest.approx(17.57, abs=0.01)
         assert comp.delta_pi_B / 1000.0 == pytest.approx(4.38, abs=0.02)
         assert comp.best_pmg_regime.pmg_r1 is True
-        assert all(comp.existence.values())
+        assert all(sol.chosen is not None for sol in comp.solutions.values())
 
     def test_baseline_tie_between_identical_pmg_rows_goes_to_the_first_pair(self, baseline):
         comp = compare_policies(baseline)
@@ -186,7 +187,7 @@ class TestComparePolicies:
         assert comp.pi_nobundle is None
         assert comp.delta_pi_B is None
         assert comp.best_pmg_regime is None
-        assert not any(comp.existence.values())
+        assert all(sol.chosen is None for sol in comp.solutions.values())
 
     def test_bundling_dominates_on_a_small_grid(self, baseline):
         # every cell of a coarse complementarity grid where both sides exist
@@ -197,6 +198,15 @@ class TestComparePolicies:
                 if comp.delta_pi_B is not None:
                     assert comp.delta_pi_B > 0.0
 
+    def test_solutions_are_keyed_by_scenario(self, baseline):
+        solutions = compare_policies(baseline).solutions
+        assert list(solutions) == [*BUNDLED_SCENARIOS, Scenario.no_bundle()]
+        # a no-bundling scenario drops its PMG flags, so it is the same key
+        no_bundle = solutions[Scenario(0, True, True)]
+        assert no_bundle is solutions[Scenario.no_bundle()]
+        assert no_bundle.scenario == Scenario.no_bundle()
+        assert no_bundle.chosen.theorem_id in ("T5a", "T5b")
+
     def test_derived_values_follow_the_candidates(self, baseline):
         # the comparison stores its candidates and the bundled winner only, so
         # replacing a candidate moves every value read off it
@@ -206,8 +216,7 @@ class TestComparePolicies:
         changed = comp._replace(candidates={**comp.candidates, **infeasible})
         assert changed.pi_nobundle is None
         assert changed.delta_pi_B is None
-        assert changed.existence["no_bundle"] is False
-        assert changed.solutions["no_bundle"].chosen is None
+        assert changed.solutions[Scenario.no_bundle()].chosen is None
         assert changed.pi_bundle == comp.pi_bundle
         t3 = comp._replace(best_bundled=comp.candidates["T3"])
         assert t3.best_pmg_regime == NOCM_CM
@@ -223,7 +232,7 @@ class TestComparePolicies:
 
         monkeypatch.setattr(Scenario, "label", counted)
         comp = compare_policies(baseline)
-        assert comp.solutions and comp.existence and comp.delta_pi_B and comp.best_pmg_regime
+        assert comp.solutions and comp.delta_pi_B and comp.best_pmg_regime
         assert calls == []
         spec = SweepSpec(AxisSpec("lambda_l", 0.3, 0.4, 2), AxisSpec("theta_l", 0.5, 0.6, 2))
         cell = _cell(baseline, spec, spec.panels[0], 0.3, 0.5)
@@ -290,7 +299,7 @@ class TestComparePolicies:
             r1_high = candidate_theorems(s)[0]
             assert STRUCTURES[r1_high].regime is Regime.R1_HIGH
             assert solve_subgame(baseline, s).chosen.theorem_id == r1_high
-            assert solutions[scenario_key(s)].chosen.theorem_id == r1_high
+            assert solutions[s].chosen.theorem_id == r1_high
         assert comp.pi_nobundle.hex() == high.hex()  # T5a's, its sign included
 
     def test_pmg_pairs_are_derived_in_tie_order(self):
@@ -412,20 +421,13 @@ class TestComparePolicies:
 
     def test_matches_per_subgame_selection(self):
         rng = np.random.default_rng(31)
-        scenarios = {
-            "cm_cm": Scenario.bundled(True, True),
-            "cm_nocm": Scenario.bundled(True, False),
-            "nocm_cm": Scenario.bundled(False, True),
-            "nocm_nocm": Scenario.bundled(False, False),
-            "no_bundle": Scenario.no_bundle(),
-        }
         chosen_any = 0
         for _ in range(250):
             params = draw_valid_params(rng)
             comp = compare_policies(params)
-            assert list(comp.solutions) == ["nocm_nocm", "nocm_cm", "cm_nocm", "cm_cm", "no_bundle"]
-            for key, scenario in scenarios.items():
-                shared, alone = comp.solutions[key], solve_subgame(params, scenario)
+            assert list(comp.solutions) == [*BUNDLED_SCENARIOS, Scenario.no_bundle()]
+            for scenario in TABLE_SCENARIOS:
+                shared, alone = comp.solutions[scenario], solve_subgame(params, scenario)
                 assert shared.scenario == alone.scenario
                 assert (shared.chosen is None) == (alone.chosen is None)
                 if alone.chosen is not None:
@@ -554,13 +556,12 @@ class TestItemSwap:
         and the gain from bundling."""
 
         def selection(comparison):
-            chosen = {
-                key: sol.chosen and sol.chosen.theorem_id
-                for key, sol in comparison.solutions.items()
-            }
+            solutions = comparison.solutions
+            chosen = {s: sol.chosen and sol.chosen.theorem_id for s, sol in solutions.items()}
+            existence = {s: sol.chosen is not None for s, sol in solutions.items()}
             best = comparison.best_bundled
             winner = best and best.theorem_id
-            return chosen, comparison.existence, comparison.best_pmg_regime, winner
+            return chosen, existence, comparison.best_pmg_regime, winner
 
         rng = np.random.default_rng(19)
         points = [baseline] + [draw_valid_params(rng) for _ in range(400)]
@@ -613,6 +614,44 @@ class TestPriceScale:
         assert chosen_any > 1000
 
 
+class TestScaleFuzz:
+    @pytest.mark.parametrize(
+        "seed,decades", [(0, (-8.0, 14.0)), (1, (-300.0, 300.0))], ids=["1e-8..1e14", "1e-300..1e300"]
+    )
+    def test_far_scaled_draws_raise_only_degenerate_params_errors(self, seed, decades):
+        """Both scale symmetries, far from unit scale: every demand base and
+        cost times 10**U(decades), then b_l, b_s and lambda_l times
+        m = 10**U(-4, 4) and the costs divided by m.  Selection and the
+        oracle may raise only DegenerateParamsError, and the oracle's prices
+        are finite.  A draw the parameter check rejects is skipped."""
+        bases = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s")
+        rng = np.random.default_rng(seed)
+        solved = 0
+        for _ in range(100):
+            params = draw_valid_params(rng)
+            k = 10.0 ** rng.uniform(*decades)
+            m = 10.0 ** rng.uniform(-4.0, 4.0)
+            changes = {f: k * getattr(params, f) for f in bases}
+            changes.update({f: k * getattr(params, f) / m for f in ("c1", "c2")})
+            changes.update({f: m * getattr(params, f) for f in ("b_l", "b_s", "lambda_l")})
+            try:
+                scaled = params.replace(**changes)
+            except InvalidParameterError:
+                continue
+            try:
+                compare_policies(scaled)
+            except DegenerateParamsError:
+                pass
+            for scenario in TABLE_SCENARIOS:
+                try:
+                    sol = solve_subgame(scaled, scenario, oracle_check=True)
+                except DegenerateParamsError:
+                    continue
+                assert all(math.isfinite(v) for v in sol.oracle.prices.present()), scaled
+                solved += 1
+        assert solved >= 250
+
+
 # compare_policies to the bit, as recorded before selection records became
 # tuples: every float as float.hex, at the baseline (a profit tie between
 # CM,CM and CM,noCM), a point without any equilibrium, a point where
@@ -657,8 +696,8 @@ def pinned_lines() -> list[str]:
             f"{label} best {best.label() if best is not None else None}; tie {tie_text(comp)}",
         ]
         candidates = {}
-        for key, sol in comp.solutions.items():
-            lines.append(f"{label} {key} chosen {sol.chosen and sol.chosen.theorem_id}")
+        for scenario, sol in comp.solutions.items():
+            lines.append(f"{label} {scenario.label()} chosen {sol.chosen and sol.chosen.theorem_id}")
             candidates.update((c.theorem_id, c) for c in sol.candidates)
         for tid, c in candidates.items():
             lines += [

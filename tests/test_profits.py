@@ -22,17 +22,11 @@ from bundlematch.profits import (
     hessian_matrix_r1,
     profits_at,
 )
+from bundlematch.sweep import TABLE_SCENARIOS
+
 from conftest import draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
-
-ALL_SCENARIOS = (
-    Scenario.bundled(True, True),
-    Scenario.bundled(True, False),
-    Scenario.bundled(False, True),
-    Scenario.bundled(False, False),
-    Scenario.no_bundle(),
-)
 
 
 def reference_profits(params, scenario, prices):
@@ -118,7 +112,7 @@ class TestProfits:
 
     def test_cost_prices_zero_profit(self, baseline):
         c = baseline.total_cost
-        for scen in ALL_SCENARIOS:
+        for scen in TABLE_SCENARIOS:
             pb1 = c if scen.bundling == 1 else None
             pp = profits(baseline, scen, PriceVector(baseline.c1, baseline.c2, pb1, c))
             assert pp.pi_r1 == pytest.approx(0.0, abs=1e-9)
@@ -128,7 +122,7 @@ class TestProfits:
         rng = np.random.default_rng(2)
         for _ in range(500):
             params = draw_valid_params(rng)
-            scen = ALL_SCENARIOS[rng.integers(len(ALL_SCENARIOS))]
+            scen = TABLE_SCENARIOS[rng.integers(len(TABLE_SCENARIOS))]
             prices = random_prices(rng, scen)
             pp = profits(params, scen, prices)
             ref1, ref2 = reference_profits(params, scen, prices)
@@ -165,7 +159,7 @@ class TestGradients:
         checked = 0
         while checked < 100:
             params = draw_valid_params(rng)
-            scen = ALL_SCENARIOS[rng.integers(len(ALL_SCENARIOS))]
+            scen = TABLE_SCENARIOS[rng.integers(len(TABLE_SCENARIOS))]
             prices = random_prices(rng, scen)
             if abs(prices.r1_bundle_equivalent() - prices.pb2) < 1.0:
                 continue  # stay clear of the kink so differences see one branch
@@ -232,7 +226,7 @@ def _bump(prices: PriceVector, name: str, h: float) -> PriceVector:
 
 
 class TestQuadraticStructure:
-    @pytest.mark.parametrize("scen", ALL_SCENARIOS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("scen", TABLE_SCENARIOS, ids=lambda s: s.label())
     @pytest.mark.parametrize("regime", [Regime.R1_HIGH, Regime.R1_LOW])
     def test_hessian_matches_second_differences(self, baseline, scen, regime):
         h = 0.5  # profit is exactly quadratic per regime, so any step works

@@ -12,7 +12,6 @@ from bundlematch import (
     MarketParams,
     PriceVector,
     Regime,
-    Scenario,
     candidate_theorems,
     demands,
     effective_prices,
@@ -29,16 +28,10 @@ from bundlematch.profits import (
     linear_terms_r1,
     profits_at,
 )
+from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import draw_valid_params
 
-ALL_SCENARIOS = (
-    Scenario.bundled(True, True),
-    Scenario.bundled(True, False),
-    Scenario.bundled(False, True),
-    Scenario.bundled(False, False),
-    Scenario.no_bundle(),
-)
 REGIMES = (Regime.R1_HIGH, Regime.R1_LOW)
 
 
@@ -112,11 +105,11 @@ class TestTable:
     def test_six_structures_one_per_theorem(self):
         assert sorted(STRUCTURES) == ["T1", "T2", "T3", "T4", "T5a", "T5b"]
         assert {s.condition_set for s in STRUCTURES.values()} == set("ABCDEF")
-        assert {structure(sc, r) for sc in ALL_SCENARIOS for r in REGIMES} == set(
+        assert {structure(sc, r) for sc in TABLE_SCENARIOS for r in REGIMES} == set(
             STRUCTURES.values()
         )
 
-    @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("scenario", TABLE_SCENARIOS, ids=lambda s: s.label())
     def test_candidates_are_the_structures_matching_regime_and_pmgs(self, scenario):
         high, low = (STRUCTURES[tid] for tid in candidate_theorems(scenario))
         for s, regime in ((high, Regime.R1_HIGH), (low, Regime.R1_LOW)):
@@ -180,7 +173,7 @@ class TestTieRule:
         rng = np.random.default_rng(11)
         for _ in range(100):
             params = draw_valid_params(rng)
-            for scen in ALL_SCENARIOS:
+            for scen in TABLE_SCENARIOS:
                 points = [(_prices(rng, scen, tie=False), None), *_tie_neighbourhood(rng, scen)]
                 for prices, expected in points:
                     regime = Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
@@ -195,7 +188,7 @@ class TestTieRule:
                     assert (got.pi_r1.hex(), got.pi_r2.hex()) == (
                         want.pi_r1.hex(), want.pi_r2.hex())
 
-    @pytest.mark.parametrize("scen", ALL_SCENARIOS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("scen", TABLE_SCENARIOS, ids=lambda s: s.label())
     def test_exact_ties_are_r1_high(self, scen):
         rng = np.random.default_rng(12)
         high, low = structure(scen, Regime.R1_HIGH), structure(scen, Regime.R1_LOW)
@@ -223,7 +216,7 @@ class TestOneEvaluation:
         points = [MarketParams.baseline()] + [draw_valid_params(rng) for _ in range(50)]
         inside = outside = 0
         for params in points:
-            for scen in ALL_SCENARIOS:
+            for scen in TABLE_SCENARIOS:
                 for tid in candidate_theorems(scen):
                     r = THEOREMS[tid](params)
                     prices, s = r.prices, structure(scen, r.regime)
@@ -245,7 +238,7 @@ class TestOneEvaluation:
 
 
 class TestQuadratics:
-    @pytest.mark.parametrize("scen", ALL_SCENARIOS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("scen", TABLE_SCENARIOS, ids=lambda s: s.label())
     @pytest.mark.parametrize("regime", REGIMES)
     def test_quadratic_reproduces_the_gradient(self, scen, regime):
         rng = np.random.default_rng(13)

@@ -766,8 +766,8 @@ NoBundle,65,65,130,135,61,61,48,48,46,46,8,18.15,10.58,28.73
 def test_table_selecting_t3_t4_and_t5b_holds_in_exact_arithmetic():
     params = MarketParams.baseline(**SELECTS_T3_T4_T5B)
     solutions = compare_policies(params).solutions
-    assert {key: sol.chosen.theorem_id for key, sol in solutions.items()} == {
-        "nocm_nocm": "T4", "nocm_cm": "T3", "cm_nocm": "T4", "cm_cm": "T1", "no_bundle": "T5b"
+    assert {s.label(): sol.chosen.theorem_id for s, sol in solutions.items()} == {
+        "noCM,noCM": "T4", "noCM,CM": "T3", "CM,noCM": "T4", "CM,CM": "T1", "NoBundle": "T5b"
     }
     expected = list(csv.reader(SELECTS_T3_T4_T5B_TABLE.splitlines()))
     assert table_rows(build_symmetric_table(params)) == expected
