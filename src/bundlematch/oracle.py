@@ -43,6 +43,13 @@ returned.
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
 
+The stacked solve is _solve, the one solve path.  It calls the gufunc that
+numpy.linalg.solve wraps, numpy.linalg._umath_linalg.solve, under the error
+state the wrapper sets, so a singular system raises SingularSystemError.
+On these small float64 stacks, whose shapes and dtype the module fixes, the
+wrapper's argument checks and conversions take longer than the solve
+itself, and they change no bit of its result.
+
 This module imports numpy at load time; the package loads it only when an
 oracle name is first used (bundlematch.__getattr__) or a subgame is solved
 with oracle_check=True (policy.find_fixed_point).
@@ -51,10 +58,12 @@ with oracle_check=True (policy.find_fixed_point).
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .market import (
     MarketParams,
@@ -81,6 +90,20 @@ _tuple_new = tuple.__new__
 class SingularSystemError(RuntimeError):
     """numpy found a plan's first-order (KKT) system singular, so it does not
     identify a maximizer."""
+
+
+def _raise_singular(err: str, flag: int) -> None:
+    raise SingularSystemError("Singular matrix")
+
+
+def _solve(stack: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each float64 system of stack, (k, n, n), solved against its columns,
+    (k, n, m), by LAPACK's gesv, as numpy.linalg.solve does without its
+    argument checks; a singular system raises SingularSystemError."""
+    with np.errstate(
+        call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _umath_linalg.solve(stack, columns, signature="dd->d")
 
 
 class OracleOutcome(NamedTuple):
@@ -219,12 +242,10 @@ class BestResponses:
             for side, terms in zip(matched, at_pb2):
                 columns[side::sides, : len(terms), 0] = [-g for g in terms]
         columns[_KINK_SIDE::sides, n, 0] = pb2  # the kink constraint: r1's price = pb2
-        try:
-            # (k, n, 1) right-hand sides mean one column per system under
-            # numpy 1.x and 2.x alike
-            solved = np.linalg.solve(stack, columns)[:, :n, 0].tolist()
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
+        # one call of the gufunc (_solve), without numpy.linalg.solve's
+        # argument checks, which cost more than the solve; it reads (k, n, 1)
+        # right-hand sides as one column per system under numpy 1.x and 2.x
+        solved = _solve(stack, columns)[:, :n, 0].tolist()
         best: tuple[float, list[float]] | None = None
         for (_, regime, on_face), x in zip(plans, solved):
             if bundled:
@@ -335,7 +356,7 @@ def _search(responses: BestResponses, start: PriceVector, damping: float) -> Ora
     keep = 1.0 - damping
     for iteration in range(MAX_ITERS):
         present = x.present()
-        mu = first_seen.setdefault(tuple(float(v).hex() for v in present), iteration)
+        mu = first_seen.setdefault(tuple(map(float.hex, present)), iteration)
         if mu < iteration:
             x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
             break
@@ -344,7 +365,7 @@ def _search(responses: BestResponses, start: PriceVector, damping: float) -> Ora
         pb2 = responses.respond_r2(x)
         # the best response as present() orders it
         star = (p1, p2, pb2) if pb1 is None else (p1, p2, pb1, pb2)
-        if max(abs(a - b) for a, b in zip(star, present)) < TOL_FP:
+        if max(map(abs, map(operator.sub, star, present))) < TOL_FP:
             converged = True
             break
         step = [keep * a + damping * b for a, b in zip(present, star)]
@@ -382,7 +403,9 @@ def find_fixed_points(
     one start, so callers that care about multiplicity get all of them.
     """
     responses = BestResponses(params, scenario)
-    lo_r1, hi_r1 = params.total_cost, params.total_cost + _price_span(params)
+    # float, as _search's cycle key hexes each price of the start
+    lo_r1 = float(params.total_cost)
+    hi_r1 = lo_r1 + _price_span(params)
     lo_r2, hi_r2 = lo_r1, hi_r1
     outcomes: list[OracleOutcome] = []
     for r1_level, r2_level in ((lo_r1, lo_r2), (lo_r1, hi_r2), (hi_r1, lo_r2), (hi_r1, hi_r2)):

@@ -62,11 +62,22 @@ class AxisSpec:
     steps: int
 
     def values(self) -> list[float]:
-        # the one numpy use of a sweep, imported here so that the other
-        # commands start without numpy
-        import numpy as np
-
-        return np.linspace(self.lo, self.hi, self.steps).tolist()
+        """The axis grid, to the bit as numpy.linspace(lo, hi, steps), in
+        pure Python so that a sweep starts without numpy."""
+        lo, hi, steps = float(self.lo), float(self.hi), self.steps
+        if steps < 0:
+            raise ValueError(f"Number of samples, {steps}, must be non-negative.")
+        div, delta = steps - 1, hi - lo
+        if div <= 0:
+            return [i * delta + lo for i in range(steps)]
+        step = delta / div
+        if step == 0:
+            # a step that underflows (delta subnormal): linspace divides first
+            grid = [i / div * delta + lo for i in range(steps)]
+        else:
+            grid = [i * step + lo for i in range(steps)]
+        grid[-1] = hi
+        return grid
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ non-existence signal."""
 
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,12 +224,15 @@ class TestBestResponses:
     def test_r1_reports_a_singular_system(self, baseline, label, search, monkeypatch):
         # every plan's system is nonsingular on the parameter domain
         # (test_exact_algebra proves the Hessians negative definite), so the
-        # solve is made to fail; the error reaches the caller of a single
-        # response and of a whole search alike
-        def singular(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
+        # solve is given all-zero systems, which raise through its real
+        # error callback; the error reaches the caller of a single response
+        # and of a whole search alike
+        solve = bundlematch.oracle._solve
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        def singular(stack, columns):
+            return solve(np.zeros_like(stack), columns)
+
+        monkeypatch.setattr(bundlematch.oracle, "_solve", singular)
         with pytest.raises(SingularSystemError, match="Singular matrix"):
             if search:
                 find_fixed_point(baseline, SCENARIOS[label])
@@ -273,6 +277,19 @@ class TestBestResponses:
         )
         p1, p2, pb1 = best_response_r1(params, CM_CM, 0.0)
         assert min(p1, p2, pb1) >= 0.0
+
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_clamp_keeps_the_sign_of_zero(self, label):
+        # in the zero market the best plan's components are signed zeros,
+        # which the clamp max(v, 0.0) passes through unchanged; a clamp
+        # written max(0.0, v) would turn each -0.0 into 0.0
+        params = MarketParams.baseline(
+            a_l_i1=0.0, a_l_i2=0.0, a_l_ib=0.0, a_q_ib=0.0,
+            a_l_jb=0.0, a_q_jb=0.0, a_s=0.0, c1=0.0, c2=0.0,
+        )
+        want = ("0x0.0p+0", "-0x0.0p+0", None) if label == "NoBundle" else ("-0x0.0p+0",) * 3
+        for pb2 in (0.0, -0.0, 1.0):
+            assert _hex_r1(best_response_r1(params, SCENARIOS[label], pb2)) == want
 
 
 class TestFixedPoints:
@@ -406,15 +423,15 @@ class TestFixedPoints:
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """Calls of np.linalg.solve, which the oracle reaches as np.linalg.solve."""
+    """Calls of the oracle's one solve path, bundlematch.oracle._solve."""
     calls = []
-    solve = np.linalg.solve
+    solve = bundlematch.oracle._solve
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(bundlematch.oracle, "_solve", counted)
     return calls
 
 
@@ -679,6 +696,50 @@ class TestStackedSolve:
                 assert not padded[rows, n:].any()
                 compared += own.size
         assert compared == 60 * (23 if scen.bundling == 1 else 7)
+
+
+class TestSolve:
+    def test_equals_numpy_linalg_solve_to_the_bit(self, monkeypatch):
+        # every stack and right-hand sides a response hands the solve, in
+        # every subgame, at pb2 levels from both zeros to the costs times 12
+        solve = bundlematch.oracle._solve
+        calls = []
+
+        def recorded(stack, columns):
+            calls.append((stack, columns))
+            return solve(stack, columns)
+
+        monkeypatch.setattr(bundlematch.oracle, "_solve", recorded)
+        rng = np.random.default_rng(32)
+        points = [MarketParams.baseline(), load_market_config(SCALED_MARKET)]
+        points += [draw_valid_params(rng) for _ in range(60)]
+        for params in points:
+            c = params.total_cost
+            for scen in SCENARIOS.values():
+                responses = bundlematch.oracle.BestResponses(params, scen)
+                for pb2 in (0.0, -0.0, 5e-324, 1.0, c, 4.0 * c, 12.0 * c):
+                    responses.respond_r1(pb2)
+        assert len(calls) == len(points) * len(SCENARIOS) * 7
+        for stack, columns in calls:
+            got, want = solve(stack, columns), np.linalg.solve(stack, columns)
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bundling", [1, 0])
+    def test_a_singular_stack_raises_through_the_error_callback(self, bundling):
+        # the plan template's Hessian blocks are zero, so each of its
+        # systems is singular; the error comes from the solve's error
+        # callback, with no warning, and the error state is restored
+        _, template = bundlematch.oracle._PLAN_TEMPLATES[bundling]
+        stack = template.reshape(-1, *template.shape[-2:])
+        columns = np.ones((*stack.shape[:2], 1))
+        state = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="^Singular matrix$") as raised:
+                bundlematch.oracle._solve(stack, columns)
+        assert type(raised.value) is SingularSystemError
+        assert (np.geterr(), np.geterrcall()) == state
 
 
 # find_fixed_point to the bit, as recorded before the report row and the

@@ -1,5 +1,5 @@
-"""Start-up: the closed-form commands run without numpy, and the package
-resolves the oracle's exports on first access."""
+"""Start-up: the closed-form commands and sweeps run without numpy, and the
+package resolves the oracle's exports on first access."""
 
 import json
 import os
@@ -21,9 +21,9 @@ SOLVE_FLAGS = (
     ["--bundling", "0"],
 )
 
-# runs `solve` in all 5 subgames and `table --json` through cli.main in one
-# interpreter, with numpy importable or not, and prints one JSON line per
-# command: its argv, exit code and stdout
+# runs the argvs it is given (such as `solve` in all 5 subgames and `table
+# --json`) through cli.main in one interpreter, with numpy importable or
+# not, and prints one JSON line per command: its argv, exit code and stdout
 COMMANDS = """
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
@@ -70,6 +70,23 @@ class TestNoNumpy:
         assert outputs["blocked"] == outputs["normal"]
         # the block is real: the oracle cannot load under it
         assert rest == {"normal": [], "blocked": ["verify needs numpy"]}
+
+    def test_sweep_runs_without_numpy(self, tmp_path):
+        # the axis grids are computed in pure Python: with numpy blocked the
+        # pinned spec writes its pinned CSVs, byte for byte
+        pinned = Path(__file__).with_name("sweep_expected")
+        files = {}
+        for mode in ("normal", "blocked"):
+            out = tmp_path / mode
+            argv = ["sweep", "--config", str(pinned / "spec.cfg"), "--out", str(out)]
+            lines = run_python(COMMANDS, mode, json.dumps([argv]), cwd=tmp_path).splitlines()
+            assert json.loads(lines[0])[1] == 0
+            assert lines[1:] == ([] if mode == "normal" else ["verify needs numpy"])
+            files[mode] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert files["blocked"] == files["normal"]
+        assert files["blocked"] == {
+            path.name: path.read_bytes() for path in sorted(pinned.glob("sweep_*.csv"))
+        }
 
     def test_importing_the_cli_loads_no_numpy_and_verify_does(self):
         code = """

@@ -808,6 +808,45 @@ def test_axis_values_are_python_floats_on_the_linspace_grid():
     assert [v.hex() for v in values] == [float(v).hex() for v in np.linspace(0.1, 0.9, 7)]
 
 
+def _linspace_hex(lo, hi, steps):
+    import numpy as np
+
+    return [v.hex() for v in np.linspace(lo, hi, steps).tolist()]
+
+
+def test_axis_values_equal_linspace_on_seeded_triples():
+    # AxisSpec.values replays numpy.linspace's arithmetic in pure Python;
+    # wide, narrow and one-point grids, descending ones and tiny counts
+    import numpy as np
+
+    rng = np.random.default_rng(32)
+    for _ in range(2000):
+        lo, hi = rng.uniform(-1e3, 1e3, 2).tolist()
+        if rng.random() < 0.5:
+            hi = lo + float(rng.uniform(0.0, 1e-9))
+        steps = int(rng.integers(0, 120))
+        got = [v.hex() for v in AxisSpec("b_l", lo, hi, steps).values()]
+        assert got == _linspace_hex(lo, hi, steps), (lo, hi, steps)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,steps",
+    [(0.0, 3 * 5e-324, 7), (-5e-324, 5e-324, 6), (1e-310, 1e-310 + 5e-324, 9)],
+    ids=["zero-to-3-ulps", "across-zero", "one-ulp-span"],
+)
+def test_axis_values_equal_linspace_on_a_subnormal_step(lo, hi, steps):
+    # the step rounds to 0.0, so linspace divides before it scales by delta
+    assert (hi - lo) / (steps - 1) == 0.0
+    assert [v.hex() for v in AxisSpec("b_l", lo, hi, steps).values()] == _linspace_hex(lo, hi, steps)
+
+
+def test_pinned_specs_axes_equal_linspace():
+    for spec, _, _ in pinned_sweep_panels():
+        for axis in (spec.axis1, spec.axis2):
+            got = [v.hex() for v in axis.values()]
+            assert got == _linspace_hex(axis.lo, axis.hi, axis.steps), axis
+
+
 def test_pmg_is_checked_but_dropped_without_bundling(capsys):
     assert main(["solve", "--bundling", "0", "--pmg", "r1=sometimes", "r2=cm"]) == 1
     assert main(["solve", "--bundling", "0", "--pmg", "r1=cm", "r2=cm"]) == 0
