@@ -1,12 +1,11 @@
 """Nash equilibria of a two-retailer complementary-goods pricing game with
 mixed bundling and price-matching guarantees.
 
-The closed forms, the selection and the table run in pure Python, so
-importing the package does not load numpy.  Only the code that builds
-arrays imports it: the best-response oracle (bundlematch.oracle), a sweep's
-axis grid and, in profits, only hessian_matrix_r1 (retailer 1's Hessian,
-which the oracle solves with).  The oracle's exports below are resolved on
-first access, which imports bundlematch.oracle and with it numpy.
+The closed forms, the selection, the table and the sweeps run in pure
+Python, so importing the package does not load numpy.  Only the
+best-response oracle (bundlematch.oracle), which solves stacked arrays,
+imports it.  The oracle's exports below are resolved on first access,
+which imports bundlematch.oracle and with it numpy.
 """
 
 from .conditions import (

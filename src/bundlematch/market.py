@@ -292,7 +292,8 @@ class RegimeStructure:
 
     def effective_prices(self, prices: PriceVector) -> EffectivePrices:
         """Effective prices under this structure, whatever ordering the
-        prices satisfy."""
+        prices satisfy.  profits.profit_r1 and profit_r2 copy the ones each
+        retailer's profit reads."""
         r1_eq = prices.r1_bundle_equivalent()
         pb2 = prices.pb2
         return _tuple_new(EffectivePrices, (
@@ -414,7 +415,9 @@ def demands(params: MarketParams, prices: PriceVector, eff: EffectivePrices) -> 
     `eff` must have been computed from the same prices, in their own regime
     or a presumed one.  Whether a bundle is posted is read off prices.pb1,
     which every public entry ties to the scenario.  Demands are affine in
-    prices; negative values are returned as-is.
+    prices; negative values are returned as-is.  profits.profit_r1 copies
+    retailer 1's five expressions and profit_r2 retailer 2's three, in the
+    same operand order.
     """
     p = params
     p1, p2, pb2 = prices.p1, prices.p2, prices.pb2

@@ -26,13 +26,14 @@ a price seen again in the same game costs a lookup.  find_fixed_point and
 find_fixed_points share one object across all rounds and starts; nothing
 is remembered across games.
 
-Each candidate is evaluated once, by profits.evaluate under the structure
-of the regime its prices lie in (market.Regime.of), taken from the game's
-pair.  Retailer 1's are first tested against their plan's regime from the
-solved floats, and off the bundle-discount face against bundle-within-parts;
-a plan on the face or the kink lies there by construction, so rounding at a
-large price scale cannot reject it.  A non-finite candidate raises as
-validation does.
+Each candidate is scored once, by the responding retailer's own profit
+(profits.profit_r1 or profit_r2, equal to profits.evaluate's to the bit)
+under the structure of the regime its prices lie in (market.Regime.of),
+taken from the game's pair.  Retailer 1's are first tested against their
+plan's regime from the solved floats, and off the bundle-discount face
+against bundle-within-parts; a plan on the face or the kink lies there by
+construction, so rounding at a large price scale cannot reject it.  A
+non-finite candidate raises as validation does.
 
 A search runs at most MAX_ITERS rounds and converges when the best-response
 residual drops below TOL_FP; both are read when a search starts.  It stops
@@ -43,12 +44,14 @@ returned.
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
 
-The stacked solve is _solve, the one solve path.  It calls the gufunc that
-numpy.linalg.solve wraps, numpy.linalg._umath_linalg.solve, under the error
-state the wrapper sets, so a singular system raises SingularSystemError.
-On these small float64 stacks, whose shapes and dtype the module fixes, the
+The stacked solve calls _gesv, the gufunc that numpy.linalg.solve wraps
+(numpy.linalg._umath_linalg.solve), under the error state the wrapper sets
+(_solve_errstate), so a singular system raises SingularSystemError.  On
+these small float64 stacks, whose shapes and dtype the module fixes, the
 wrapper's argument checks and conversions take longer than the solve
-itself, and they change no bit of its result.
+itself, and they change no bit of its result.  Setting the error state
+costs about half as much as the solve, so a search sets it once for all
+its rounds; a response asked for on its own sets it itself.
 
 This module imports numpy at load time; the package loads it only when an
 oracle name is first used (bundlematch.__getattr__) or a subgame is solved
@@ -66,6 +69,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .market import (
+    PARAM_FIELDS,
     MarketParams,
     PriceVector,
     Regime,
@@ -75,7 +79,7 @@ from .market import (
     regime_structures,
     validate_prices,
 )
-from .profits import evaluate, hessian_matrix_r1, linear_terms_r1, quadratic_r2
+from .profits import hessian_matrix_r1, linear_terms_r1, profit_r1, profit_r2, quadratic_r2
 
 
 MAX_ITERS = 500  # rounds of one fixed-point search
@@ -96,14 +100,37 @@ def _raise_singular(err: str, flag: int) -> None:
     raise SingularSystemError("Singular matrix")
 
 
-def _solve(stack: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Each float64 system of stack, (k, n, n), solved against its columns,
-    (k, n, m), by LAPACK's gesv, as numpy.linalg.solve does without its
-    argument checks; a singular system raises SingularSystemError."""
-    with np.errstate(
+def _solve_errstate() -> np.errstate:
+    """The error state numpy.linalg.solve sets around its gufunc: LAPACK
+    flags a singular system as invalid, which raises SingularSystemError
+    through the callback, and no other flag warns.  A new object per
+    entry: an np.errstate cannot be entered twice.  It holds for every
+    numpy operation under it, so the responses it covers score in Python
+    floats: a game takes its parameters as floats (_float_params),
+    respond_r1 takes pb2 as one, and a search starts from those parameters
+    and steps to the solves' .tolist() floats."""
+    return np.errstate(
         call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        return _umath_linalg.solve(stack, columns, signature="dd->d")
+    )
+
+
+# each float64 system of a stack, (k, n, n), solved against its columns,
+# (k, n, m), by LAPACK's gesv: numpy.linalg.solve without its argument
+# checks, to be called under _solve_errstate
+_gesv = _umath_linalg.solve
+
+
+_param_values = operator.attrgetter(*PARAM_FIELDS)
+_FLOAT = {float}
+
+
+def _float_params(params: MarketParams) -> MarketParams:
+    """params with every field a Python float: a numpy-scalar field would
+    carry the model's arithmetic into the search's error state."""
+    values = _param_values(params)
+    if set(map(type, values)) <= _FLOAT:
+        return params
+    return MarketParams(*map(float, values))
 
 
 class OracleOutcome(NamedTuple):
@@ -182,7 +209,8 @@ class BestResponses:
     remembered by the exact bits of its argument."""
 
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
-        self.params, self.scenario = params, scenario
+        self.params, self.scenario = _float_params(params), scenario
+        params = self.params
         # (R1_HIGH, R1_LOW): indexed by Regime.of(...) is _LOW
         self._regime_pair = regime_structures(scenario)
         stationary = []
@@ -223,9 +251,16 @@ class BestResponses:
         """Retailer 1's best response to pb2: every plan's first-order system
         solved exactly in one stacked solve, each candidate in its plan's
         regime (and, off the bundle-discount face, within its parts)
-        evaluated once under the structure of the regime its prices lie in,
-        the one with the highest profit kept, then components clamped at
-        zero.  Remembered per pb2, by its exact bits."""
+        scored once by retailer 1's profit under the structure of the
+        regime its prices lie in, the one with the highest profit kept, then
+        components clamped at zero.  Remembered per pb2, by its exact bits."""
+        with _solve_errstate():
+            # a numpy scalar's arithmetic would meet the error state
+            return self._respond_r1(float(pb2))
+
+    def _respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
+        """respond_r1 under the solve's error state, which the caller sets:
+        respond_r1 for one response, _search once for all its rounds."""
         if not math.isfinite(pb2):
             raise ValueError("pb2 must be finite")
         key = float(pb2).hex()
@@ -242,12 +277,16 @@ class BestResponses:
             for side, terms in zip(matched, at_pb2):
                 columns[side::sides, : len(terms), 0] = [-g for g in terms]
         columns[_KINK_SIDE::sides, n, 0] = pb2  # the kink constraint: r1's price = pb2
-        # one call of the gufunc (_solve), without numpy.linalg.solve's
+        # one call of the gufunc (_gesv), without numpy.linalg.solve's
         # argument checks, which cost more than the solve; it reads (k, n, 1)
-        # right-hand sides as one column per system under numpy 1.x and 2.x
-        solved = _solve(stack, columns)[:, :n, 0].tolist()
+        # right-hand sides as one column per system under numpy 1.x and 2.x.
+        # The solutions are read as one flat list, a plan's first n values
+        # starting every size values
+        solved = _gesv(stack, columns, signature="dd->d").ravel().tolist()
+        size = stack.shape[1]
         best: tuple[float, list[float]] | None = None
-        for (_, regime, on_face), x in zip(plans, solved):
+        for start, (_, regime, on_face) in zip(range(0, len(solved), size), plans):
+            x = solved[start : start + n]
             if bundled:
                 if regime is None:
                     x[2] = pb2  # snap exactly onto the kink
@@ -266,7 +305,7 @@ class BestResponses:
             if not all(map(math.isfinite, x)):
                 validate_prices(scenario, prices)  # raises, naming the price
             s = structures[Regime.of(r1_eq, pb2) is _LOW]  # they open with (R1_HIGH, R1_LOW)
-            value = evaluate(params, s, prices)[1].pi_r1
+            value = profit_r1(params, s, prices)
             if best is None or value > best[0]:
                 best = (value, x)
         assert best is not None  # the kink plans always yield a candidate
@@ -301,7 +340,7 @@ class BestResponses:
             prices = _tuple_new(PriceVector, (p1, p2, pb1, pb2))
             if not math.isfinite(pb2):
                 validate_prices(scenario, prices)  # raises, naming pb2
-            value = evaluate(self.params, pair[Regime.of(r1_eq, pb2) is _LOW], prices)[1].pi_r2
+            value = profit_r2(self.params, pair[Regime.of(r1_eq, pb2) is _LOW], prices)
             if value > best_value:
                 best_value, best_pb2 = value, pb2
         response = float(max(best_pb2, 0.0))
@@ -354,24 +393,26 @@ def _search(responses: BestResponses, start: PriceVector, damping: float) -> Ora
     first_seen: dict[tuple[str, ...], int] = {}  # by exact bits: 0.0 and -0.0 differ
     history: list[PriceVector] = []
     keep = 1.0 - damping
-    for iteration in range(MAX_ITERS):
-        present = x.present()
-        mu = first_seen.setdefault(tuple(map(float.hex, present)), iteration)
-        if mu < iteration:
-            x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
-            break
-        history.append(x)
-        p1, p2, pb1 = responses.respond_r1(x.pb2)
-        pb2 = responses.respond_r2(x)
-        # the best response as present() orders it
-        star = (p1, p2, pb2) if pb1 is None else (p1, p2, pb1, pb2)
-        if max(map(abs, map(operator.sub, star, present))) < TOL_FP:
-            converged = True
-            break
-        step = [keep * a + damping * b for a, b in zip(present, star)]
-        if len(step) == 3:
-            step.insert(2, None)
-        x = _tuple_new(PriceVector, step)
+    # one error state for every solve of the search
+    with _solve_errstate():
+        for iteration in range(MAX_ITERS):
+            present = x.present()
+            mu = first_seen.setdefault(tuple(map(float.hex, present)), iteration)
+            if mu < iteration:
+                x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
+                break
+            history.append(x)
+            p1, p2, pb1 = responses._respond_r1(x.pb2)
+            pb2 = responses.respond_r2(x)
+            # the best response as present() orders it
+            star = (p1, p2, pb2) if pb1 is None else (p1, p2, pb1, pb2)
+            if max(map(abs, map(operator.sub, star, present))) < TOL_FP:
+                converged = True
+                break
+            step = [keep * a + damping * b for a, b in zip(present, star)]
+            if len(step) == 3:
+                step.insert(2, None)
+            x = _tuple_new(PriceVector, step)
     return OracleOutcome(converged, x, iteration if converged else MAX_ITERS)
 
 
@@ -390,7 +431,8 @@ def find_fixed_point(
     returns the prices the loop would hold after MAX_ITERS rounds, and
     iterations still reports MAX_ITERS.
     """
-    return _search(BestResponses(params, scenario), _default_start(params, scenario), damping)
+    responses = BestResponses(params, scenario)
+    return _search(responses, _default_start(responses.params, scenario), damping)
 
 
 def find_fixed_points(
@@ -403,8 +445,8 @@ def find_fixed_points(
     one start, so callers that care about multiplicity get all of them.
     """
     responses = BestResponses(params, scenario)
-    # float, as _search's cycle key hexes each price of the start
-    lo_r1 = float(params.total_cost)
+    params = responses.params
+    lo_r1 = params.total_cost
     hi_r1 = lo_r1 + _price_span(params)
     lo_r2, hi_r2 = lo_r1, hi_r1
     outcomes: list[OracleOutcome] = []

@@ -12,9 +12,20 @@ structure, posted prices, their effective prices and the demands there
 evaluation of posted prices under a structure, to their demands and both
 profits.  profits validates the prices and evaluates them under the
 structure of the regime they lie in (market.Regime.of); a closed-form
-candidate is evaluated under the structure it was derived in, and each of
-the oracle's candidates under that of the regime it lies in.  A
-caller holding an evaluated point reads both gradients from it directly.
+candidate is evaluated under the structure it was derived in.  A caller
+holding an evaluated point reads both gradients from it directly.
+
+The best-response oracle keeps one profit of each candidate, so it scores
+its candidates, under the structure of the regime each lies in, with
+profit_r1 and profit_r2: each retailer's profit alone, from only the
+effective prices and segment demands it reads (retailer 1's five segments,
+retailer 2's three; both share the strategic one).  They copy those
+expressions of RegimeStructure.effective_prices, market.demands and
+profits_at in the same operand order, so each equals evaluate's profit to
+the bit; tests/test_profits.py locks the copies to the originals.  Helpers
+for each retailer's demands and profit, shared with market.demands and
+profits_at, would cost their calls on every evaluation: about 30% of each
+evaluate and 5% of sweep and oracle throughput (CPython 3.11).
 
 Within a fixed price-ordering regime each profit is an exact quadratic in the
 retailer's own prices: the gradients are affine and match the regime's
@@ -26,15 +37,15 @@ _eigenvalues_r1; its gradient at zero own prices is linear_terms_r1.
 Retailer 2's quadratic in pb2 is quadratic_r2, its curvature _hessian_r2.
 All of these take a structure and no scenario.
 
-Everything here is pure Python except hessian_matrix_r1, which returns an
-array and imports numpy in its body, so the closed forms and the selection
-run without numpy.
+Everything here is pure Python: hessian_matrix_r1 returns rows of floats,
+which the oracle assigns into its KKT stack, so the closed forms and the
+selection run without numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .market import (
     DemandProfile,
@@ -46,9 +57,6 @@ from .market import (
     demands,
     structure_at,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # every evaluation builds a ProfitPair, by tuple.__new__ as market's records
 _tuple_new = tuple.__new__
@@ -73,7 +81,8 @@ def profits_at(
     d: DemandProfile,
 ) -> ProfitPair:
     """Both retailers' profits at an evaluated point: posted prices, their
-    effective prices eff and demands d under structure s."""
+    effective prices eff and demands d under structure s.  profit_r1 and
+    profit_r2 copy each retailer's sum, in the same operand order."""
     p = params
     share = s.strategic_share(p.alpha)
     c = p.total_cost
@@ -159,6 +168,69 @@ def evaluate(
     return d, profits_at(params, s, prices, eff, d)
 
 
+def profit_r1(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> float:
+    """Retailer 1's profit at posted prices under structure s, equal to
+    evaluate(params, s, prices)[1].pi_r1 to the bit: only the effective
+    prices and the five segment demands it reads, each written as
+    RegimeStructure.effective_prices, market.demands and profits_at write
+    it.  The prices are not validated here, and must fit s's bundling value."""
+    p = params
+    p1, p2, pb1, pb2 = prices
+    c = p.total_cost
+    share = s.strategic_share(p.alpha)
+    if s.bundling == 1:
+        tilde_pb1 = pb2 if s.r1_matched else pb1
+        hat_pb = pb1 if s.strategic_at_r1 else pb2
+        gap = p.lambda_l * (pb1 - p1 - p2)
+        d_l_i1 = p.a_l_i1 - p.b_l * p1 - p.b_l * p.theta_l * p2 + gap
+        d_l_i2 = p.a_l_i2 - p.b_l * p.theta_l * p1 - p.b_l * p2 + gap
+        d_l_ib = p.a_l_ib - p.b_l * pb1 + p.lambda_l * (p1 + p2 - pb1)
+        d_q_ib = p.a_q_ib - p.b_l * tilde_pb1 + p.lambda_l * (p1 + p2 - tilde_pb1)
+        d_s = p.a_s - p.b_s * hat_pb
+        return (
+            (p1 - p.c1) * d_l_i1
+            + (p2 - p.c2) * d_l_i2
+            + (pb1 - c) * d_l_ib
+            + (tilde_pb1 - c) * d_q_ib
+            + share * ((hat_pb - c) * d_s)
+        )
+    total = p1 + p2
+    hat_pb = total if s.strategic_at_r1 else pb2
+    d_l_i1 = p.a_l_i1 - p.b_l * p1 - p.b_l * p.theta_l * p2
+    d_l_i2 = p.a_l_i2 - p.b_l * p.theta_l * p1 - p.b_l * p2
+    d_l_ib = p.a_l_ib - p.b_l * total
+    d_q_ib = p.a_q_ib - p.b_l * total
+    d_s = p.a_s - p.b_s * hat_pb
+    return (
+        (p1 - p.c1) * d_l_i1
+        + (p2 - p.c2) * d_l_i2
+        + (p1 + p2 - c) * (d_l_ib + d_q_ib)
+        + share * ((hat_pb - c) * d_s)
+    )
+
+
+def profit_r2(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> float:
+    """Retailer 2's profit at posted prices under structure s, equal to
+    evaluate(params, s, prices)[1].pi_r2 to the bit: only the effective
+    prices and the three segment demands it reads, each written as
+    RegimeStructure.effective_prices, market.demands and profits_at write
+    it.  The prices are not validated here."""
+    p = params
+    pb2 = prices.pb2
+    r1_eq = prices.r1_bundle_equivalent()
+    tilde_pb2 = r1_eq if s.r2_matched else pb2
+    hat_pb = r1_eq if s.strategic_at_r1 else pb2
+    c = p.total_cost
+    d_l_jb = p.a_l_jb - p.b_l * pb2
+    d_q_jb = p.a_q_jb - p.b_l * tilde_pb2
+    d_s = p.a_s - p.b_s * hat_pb
+    return (
+        (pb2 - c) * d_l_jb
+        + (tilde_pb2 - c) * d_q_jb
+        + (1.0 - s.strategic_share(p.alpha)) * ((hat_pb - c) * d_s)
+    )
+
+
 def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> ProfitPair:
     """Both retailers' profits at posted prices, in the regime (and with it
     the PMG resolution and the strategic split) the prices lie in, so the
@@ -172,24 +244,23 @@ def profits(params: MarketParams, scenario: Scenario, prices: PriceVector) -> Pr
 # ---------------------------------------------------------------------------
 
 
-def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> np.ndarray:
-    """Retailer 1's constant Hessian in its own prices under structure s
-    (3x3 under bundling, 2x2 otherwise)."""
-    import numpy as np
-
+def hessian_matrix_r1(params: MarketParams, s: RegimeStructure) -> list[list[float]]:
+    """Retailer 1's constant Hessian in its own prices under structure s, as
+    rows (3x3 under bundling, 2x2 otherwise)."""
     p = params
     w, _ = s.own_strategic_weights(p.alpha)
     if s.bundling == 0:
         diag = -6.0 * p.b_l - 2.0 * w * p.b_s
         off = -(4.0 + 2.0 * p.theta_l) * p.b_l - 2.0 * w * p.b_s
-        return np.array([[diag, off], [off, diag]])
-    t1, t2, lam = p.t1, p.t2, p.lambda_l
+        return [[diag, off], [off, diag]]
+    t1 = p.t1
+    h1, h2 = 2.0 * -t1, 2.0 * -p.t2
     if s.r1_matched:
-        return 2.0 * np.array([[-t1, -t2, lam], [-t2, -t1, lam], [lam, lam, -t1]])
-    corner = -2.0 * t1 - w * p.b_s
-    return 2.0 * np.array(
-        [[-t1, -t2, 1.5 * lam], [-t2, -t1, 1.5 * lam], [1.5 * lam, 1.5 * lam, corner]]
-    )
+        lam = 2.0 * p.lambda_l
+        return [[h1, h2, lam], [h2, h1, lam], [lam, lam, h1]]
+    lam = 2.0 * (1.5 * p.lambda_l)
+    corner = 2.0 * (-2.0 * t1 - w * p.b_s)
+    return [[h1, h2, lam], [h2, h1, lam], [lam, lam, corner]]
 
 
 def _eigenvalue_parts_r1(

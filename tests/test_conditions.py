@@ -134,6 +134,6 @@ class TestHessians:
 
     def test_shapes(self, baseline):
         bundled = structure(Scenario.bundled(False, False), Regime.R1_LOW)
-        assert hessian_matrix_r1(baseline, bundled).shape == (3, 3)
+        assert np.shape(hessian_matrix_r1(baseline, bundled)) == (3, 3)
         no_bundle = structure(Scenario.no_bundle(), Regime.R1_LOW)
-        assert hessian_matrix_r1(baseline, no_bundle).shape == (2, 2)
+        assert np.shape(hessian_matrix_r1(baseline, no_bundle)) == (2, 2)

@@ -51,6 +51,8 @@ from bundlematch.profits import (
     gradient_r2_at,
     hessian_matrix_r1,
     linear_terms_r1,
+    profit_r1,
+    profit_r2,
     profits_at,
 )
 from bundlematch.sweep import TABLE_SCENARIOS
@@ -132,11 +134,11 @@ def test_hessians_are_the_differences_of_the_gradients():
             prices = PriceVector(p1, p2, pb1 if s.bundling else None, pb2)
             h = hessian_matrix_r1(exact, s)
             g = _gradient_r1(exact, s, prices)
-            assert h.shape == (len(g), len(g))
+            assert [len(row) for row in h] == [len(g)] * len(g)
             for j in range(len(g)):
                 step = _gradient_r1(exact, s, _own_step(prices, j))
                 column = [b - a for a, b in zip(g, step)]
-                assert is_exact(h[:, j]) and list(h[:, j]) == column, (s, j)
+                assert is_exact(row[j] for row in h) and [row[j] for row in h] == column, (s, j)
             h2 = _hessian_r2(exact, s)
             assert type(h2) is Exact
             assert h2 == gradient_r2_at(exact, s, pb2 + 1) - gradient_r2_at(exact, s, pb2)
@@ -174,6 +176,27 @@ def test_gradients_are_the_derivatives_of_the_profits():
             assert pi_r2.deriv == gradient_r2_at(exact, s, pb2), s
             checked += 1
     assert checked == 40 * len(AUDITED_STRUCTURES) == 360
+
+
+def test_each_scorer_is_its_retailers_profit():
+    """The oracle scores its candidates with profit_r1 and profit_r2, each a
+    copy of one retailer's part of evaluate; in exact arithmetic each copy
+    is that profit, at prices of either sign and at an exact tie."""
+    rng = np.random.default_rng(33)
+    checked = 0
+    for _ in range(40):
+        exact = exact_params(draw_valid_params(rng))
+        p1, p2, pb1, pb2 = (Exact(rng.uniform(-50.0, 300.0)) for _ in range(4))
+        for s in AUDITED_STRUCTURES:
+            tie = pb1 if s.bundling else p1 + p2
+            for rival in (pb2, tie):
+                prices = PriceVector(p1, p2, pb1 if s.bundling else None, rival)
+                _, values = evaluate(exact, s, prices)
+                scores = profit_r1(exact, s, prices), profit_r2(exact, s, prices)
+                assert is_exact(scores)
+                assert scores == tuple(values), (s, prices)
+                checked += 1
+    assert checked == 40 * len(AUDITED_STRUCTURES) * 2 == 720
 
 
 def _det(rows: list) -> Exact:
@@ -246,7 +269,7 @@ def test_hessians_are_negative_definite_with_the_closed_form_eigenvalues():
         exact = exact_params(params)
         lam = exact.lambda_l
         for s in AUDITED_STRUCTURES:
-            minors = _principal_minors(hessian_matrix_r1(exact, s).tolist())
+            minors = _principal_minors(hessian_matrix_r1(exact, s))
             assert is_exact(minors.values())
             orders = range(1, max(map(len, minors)) + 1)
             # Sylvester's criterion for -H, whose k-th leading minor is

@@ -29,7 +29,7 @@ from bundlematch import (
 )
 from bundlematch.cli import main
 from bundlematch.config import load_market_config
-from bundlematch.market import FEASIBILITY_TOL, kink_structure, regime_structures
+from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, kink_structure, regime_structures
 from bundlematch.profits import hessian_matrix_r1, linear_terms_r1
 from bundlematch.sweep import TABLE_SCENARIOS
 
@@ -217,27 +217,45 @@ class TestBestResponses:
             assert max(values) <= best + 1e-6
 
     @pytest.mark.parametrize(
-        "label,search",
-        [("CM,CM", False), ("NoBundle", False), ("CM,CM", True), ("NoBundle", True)],
-        ids=["CM,CM", "NoBundle", "CM,CM-fixed_point", "NoBundle-fixed_point"],
+        "label,entry",
+        [
+            ("CM,CM", "best_response_r1"),
+            ("NoBundle", "best_response_r1"),
+            ("CM,CM", "fixed_point"),
+            ("NoBundle", "fixed_point"),
+            ("CM,CM", "respond_r1"),
+            ("NoBundle", "respond_r1"),
+        ],
+        ids=[
+            "CM,CM", "NoBundle", "CM,CM-fixed_point", "NoBundle-fixed_point",
+            "CM,CM-respond_r1", "NoBundle-respond_r1",
+        ],
     )
-    def test_r1_reports_a_singular_system(self, baseline, label, search, monkeypatch):
+    def test_r1_reports_a_singular_system(self, baseline, label, entry, monkeypatch):
         # every plan's system is nonsingular on the parameter domain
         # (test_exact_algebra proves the Hessians negative definite), so the
-        # solve is given all-zero systems, which raise through its real
-        # error callback; the error reaches the caller of a single response
-        # and of a whole search alike
-        solve = bundlematch.oracle._solve
+        # game is given zero Hessians: every plan's KKT system is then truly
+        # singular, and the gufunc raises through the error callback, with
+        # no warning, whether the response sets the error state itself or a
+        # search set it once; the state is restored after the error
+        def zero(params, s):
+            n = 3 if s.bundling == 1 else 2
+            return [[0.0] * n for _ in range(n)]
 
-        def singular(stack, columns):
-            return solve(np.zeros_like(stack), columns)
-
-        monkeypatch.setattr(bundlematch.oracle, "_solve", singular)
-        with pytest.raises(SingularSystemError, match="Singular matrix"):
-            if search:
-                find_fixed_point(baseline, SCENARIOS[label])
-            else:
-                best_response_r1(baseline, SCENARIOS[label], 135.0)
+        monkeypatch.setattr(bundlematch.oracle, "hessian_matrix_r1", zero)
+        scen = SCENARIOS[label]
+        state = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="^Singular matrix$") as raised:
+                if entry == "fixed_point":
+                    find_fixed_point(baseline, scen)
+                elif entry == "respond_r1":
+                    bundlematch.oracle.BestResponses(baseline, scen).respond_r1(135.0)
+                else:
+                    best_response_r1(baseline, scen, 135.0)
+        assert type(raised.value) is SingularSystemError
+        assert (np.geterr(), np.geterrcall()) == state
 
     def test_r2_reproduces_golden_price(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 0.0)
@@ -362,18 +380,18 @@ class TestFixedPoints:
 
     def test_cycling_search_stops_early_but_reports_the_cap(self, baseline, monkeypatch):
         calls = 0
-        respond_r1 = bundlematch.oracle.BestResponses.respond_r1
+        respond_r1 = bundlematch.oracle.BestResponses._respond_r1
 
         def counted(self, pb2):
             nonlocal calls
             calls += 1
             return respond_r1(self, pb2)
 
-        monkeypatch.setattr(bundlematch.oracle.BestResponses, "respond_r1", counted)
+        monkeypatch.setattr(bundlematch.oracle.BestResponses, "_respond_r1", counted)
         out = find_fixed_point(baseline.replace(**CYCLING), SCENARIOS["noCM,noCM"])
         assert out.iterations == 500
         assert out.converged is False
-        assert calls <= 50
+        assert 0 < calls <= 50
 
     def test_damping_reaches_the_same_fixed_point(self, baseline):
         heavy = find_fixed_point(baseline, CM_CM, damping=0.4)
@@ -423,15 +441,15 @@ class TestFixedPoints:
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """Calls of the oracle's one solve path, bundlematch.oracle._solve."""
+    """Calls of the gufunc every response solves with, bundlematch.oracle._gesv."""
     calls = []
-    solve = bundlematch.oracle._solve
+    gesv = bundlematch.oracle._gesv
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return solve(*args)
+        return gesv(*args, **kwargs)
 
-    monkeypatch.setattr(bundlematch.oracle, "_solve", counted)
+    monkeypatch.setattr(bundlematch.oracle, "_gesv", counted)
     return calls
 
 
@@ -527,6 +545,29 @@ class TestPriceErrors:
         with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
             best_response_r1(params, SCENARIOS[label], 135.0)
 
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_numpy_scalar_params_search_as_floats(self, baseline, label):
+        # the search's error state raises on invalid: numpy-scalar fields
+        # and a numpy-scalar pb2 must not carry the model's arithmetic into
+        # it (at 1e154 a profit overflows to inf - inf)
+        far = baseline.replace(**{
+            name: getattr(baseline, name) * 1e154
+            for name in ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s")
+        })
+        as_numpy = MarketParams(**{name: np.float64(getattr(far, name)) for name in PARAM_FIELDS})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = find_fixed_point(as_numpy, SCENARIOS[label])
+            response = best_response_r1(far, SCENARIOS[label], np.float64(out.prices.pb2))
+            corners = find_fixed_points(as_numpy, SCENARIOS[label])
+        ref = find_fixed_point(far, SCENARIOS[label])
+        assert (out.converged, out.iterations) == (ref.converged, ref.iterations)
+        assert _hex(out.prices) == _hex(ref.prices)
+        assert [_hex(o.prices) for o in corners] == [
+            _hex(o.prices) for o in find_fixed_points(far, SCENARIOS[label])
+        ]
+        assert _hex_r1(response) == _hex_r1(best_response_r1(far, SCENARIOS[label], ref.prices.pb2))
+
 
 # draw 56 of draw_valid_params (seed 3) with its seven demand bases and two
 # costs times 1e6: the plans on the bundle-discount face p1 + p2 = pb1 miss
@@ -571,6 +612,26 @@ class TestStackedSolve:
             before = len(count_solves)
             responses.respond_r1(pb2)
             assert len(count_solves) == before + 1
+
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_a_search_sets_the_error_state_once(self, baseline, label, count_solves, monkeypatch):
+        # a search enters the solve's error state once for all its rounds'
+        # solves; a response asked for on its own enters it once per call
+        entered = []
+        errstate = bundlematch.oracle._solve_errstate
+
+        def counted():
+            entered.append(len(count_solves))
+            return errstate()
+
+        monkeypatch.setattr(bundlematch.oracle, "_solve_errstate", counted)
+        find_fixed_point(baseline, SCENARIOS[label], damping=0.7)
+        assert entered == [0] and len(count_solves) > 1
+        solves = len(count_solves)
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        for pb2 in (60.0, 135.0, 60.0):
+            responses.respond_r1(pb2)
+        assert entered == [0, solves, solves + 1, solves + 2]
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
     def test_uncached_response_evaluates_only_the_matched_terms(
@@ -662,7 +723,7 @@ class TestStackedSolve:
             assert [on_face for *_, on_face in plans] == [False] * 3 + [True] * (3 * bundled)
             size = stack.shape[1]
             for (side, regime, on_face), got in zip(plans, stack):
-                h = hessian_matrix_r1(params, structures[side])
+                h = np.array(hessian_matrix_r1(params, structures[side]))
                 constraints = ([kink] if regime is None else []) + ([face] if on_face else [])
                 kkt = bundlematch.oracle._kkt_matrix(h, constraints)
                 want = np.eye(size)
@@ -700,16 +761,17 @@ class TestStackedSolve:
 
 class TestSolve:
     def test_equals_numpy_linalg_solve_to_the_bit(self, monkeypatch):
-        # every stack and right-hand sides a response hands the solve, in
+        # every stack and right-hand sides a response hands the gufunc, in
         # every subgame, at pb2 levels from both zeros to the costs times 12
-        solve = bundlematch.oracle._solve
+        gesv = bundlematch.oracle._gesv
         calls = []
 
-        def recorded(stack, columns):
-            calls.append((stack, columns))
-            return solve(stack, columns)
+        def recorded(stack, columns, **kwargs):
+            got = gesv(stack, columns, **kwargs)
+            calls.append((stack, columns, got))
+            return got
 
-        monkeypatch.setattr(bundlematch.oracle, "_solve", recorded)
+        monkeypatch.setattr(bundlematch.oracle, "_gesv", recorded)
         rng = np.random.default_rng(32)
         points = [MarketParams.baseline(), load_market_config(SCALED_MARKET)]
         points += [draw_valid_params(rng) for _ in range(60)]
@@ -720,16 +782,17 @@ class TestSolve:
                 for pb2 in (0.0, -0.0, 5e-324, 1.0, c, 4.0 * c, 12.0 * c):
                     responses.respond_r1(pb2)
         assert len(calls) == len(points) * len(SCENARIOS) * 7
-        for stack, columns in calls:
-            got, want = solve(stack, columns), np.linalg.solve(stack, columns)
+        for stack, columns, got in calls:
+            want = np.linalg.solve(stack, columns)
             assert got.shape == want.shape and got.dtype == want.dtype == np.float64
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("bundling", [1, 0])
     def test_a_singular_stack_raises_through_the_error_callback(self, bundling):
         # the plan template's Hessian blocks are zero, so each of its
-        # systems is singular; the error comes from the solve's error
-        # callback, with no warning, and the error state is restored
+        # systems is singular; the error comes from the error callback of
+        # the solve's error state, with no warning, and the state is
+        # restored
         _, template = bundlematch.oracle._PLAN_TEMPLATES[bundling]
         stack = template.reshape(-1, *template.shape[-2:])
         columns = np.ones((*stack.shape[:2], 1))
@@ -737,7 +800,8 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="^Singular matrix$") as raised:
-                bundlematch.oracle._solve(stack, columns)
+                with bundlematch.oracle._solve_errstate():
+                    bundlematch.oracle._gesv(stack, columns, signature="dd->d")
         assert type(raised.value) is SingularSystemError
         assert (np.geterr(), np.geterrcall()) == state
 

@@ -14,12 +14,15 @@ from bundlematch import (
     profits,
     structure,
 )
-from bundlematch.market import structure_at
+from bundlematch.market import STRUCTURES, kink_structure, structure_at
 from bundlematch.profits import (
     _hessian_r2,
+    evaluate,
     gradient_r1_at,
     gradient_r2_at,
     hessian_matrix_r1,
+    profit_r1,
+    profit_r2,
     profits_at,
 )
 from bundlematch.sweep import TABLE_SCENARIOS
@@ -261,7 +264,7 @@ class TestQuadraticStructure:
                         - f(_bump(base, coords[j], h))
                         + f(base)
                     ) / h**2
-                assert num == pytest.approx(matrix[i, j], abs=1e-6)
+                assert num == pytest.approx(matrix[i][j], abs=1e-6)
 
         def g(prices):
             return profits(baseline, scen, prices).pi_r2
@@ -274,3 +277,50 @@ class TestQuadraticStructure:
         value = _hessian_r2(baseline, structure(CM_CM, Regime.R1_HIGH))
         expected = -4.0 * baseline.b_l - 2.0 * (1.0 - baseline.alpha) * baseline.b_s
         assert value == pytest.approx(expected, abs=1e-12)
+
+
+# the six regime structures and the three distinct kink rows
+SCORED_STRUCTURES = (
+    *STRUCTURES.values(),
+    *dict.fromkeys(kink_structure(scenario) for scenario in TABLE_SCENARIOS),
+)
+
+
+def _bits(value: float) -> str:
+    """A float's exact bits; every NaN reads the same."""
+    return "nan" if value != value else value.hex()
+
+
+def _scored_prices(rng, s):
+    """Price vectors for structure s: seeded draws with negative prices,
+    exact ties of retailer 1's bundle-equivalent price with pb2, signed
+    zeros, and prices near 1e200, where the products overflow."""
+    bundled = s.bundling == 1
+    vectors = []
+    for low, high in ((-50.0, 400.0), (-1e200, 1e200)):
+        p1, p2, pb1, pb2 = rng.uniform(low, high, size=4).tolist()
+        vectors.append((p1, p2, pb1, pb2))
+        vectors.append((p1, p2, pb1, pb1 if bundled else p1 + p2))  # the tie
+    vectors += [(0.0, -0.0, -0.0, 0.0), (-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, 0.0, -0.0)]
+    return [PriceVector(p1, p2, pb1 if bundled else None, pb2) for p1, p2, pb1, pb2 in vectors]
+
+
+class TestScorers:
+    def test_each_scorer_equals_evaluates_profit_to_the_bit(self, baseline):
+        # profit_r1 and profit_r2 copy the expressions of the effective
+        # prices, the demands and profits_at; a copy whose operands are
+        # reordered or whose term differs reads other bits here
+        rng = np.random.default_rng(33)
+        points = [baseline] + [draw_valid_params(rng) for _ in range(300)]
+        compared, special = 0, set()
+        for params in points:
+            for s in SCORED_STRUCTURES:
+                for prices in _scored_prices(rng, s):
+                    _, want = evaluate(params, s, prices)
+                    got = (profit_r1(params, s, prices), profit_r2(params, s, prices))
+                    assert list(map(_bits, got)) == list(map(_bits, want)), (s, prices, params)
+                    special.update(v for v in map(_bits, got) if v in ("nan", "inf", "-inf"))
+                    compared += 1
+        assert compared == len(points) * 9 * 7
+        # the overflowing scale is reached: infinite and NaN profits occur
+        assert {"nan", "-inf"} <= special

@@ -102,6 +102,20 @@ print(code, "numpy" in sys.modules)
         assert lines[1].startswith("closed form T2 and oracle agree: ")
 
 
+    def test_retailer_1_hessian_loads_no_numpy(self):
+        # the oracle's Hessians are rows of floats; numpy is blocked, so any
+        # numpy import on the way raises ImportError
+        code = """
+import sys
+sys.modules["numpy"] = None
+from bundlematch.market import STRUCTURES, MarketParams
+from bundlematch.profits import hessian_matrix_r1
+rows = [hessian_matrix_r1(MarketParams.baseline(), s) for s in STRUCTURES.values()]
+print(sorted({len(h) for h in rows}), all(type(v) is float for h in rows for r in h for v in r))
+"""
+        assert run_python(code).splitlines() == ["[2, 3] True"]
+
+
 class TestLazyExports:
     def test_every_export_is_its_defining_modules_object(self):
         for name in bundlematch.__all__:
