@@ -67,6 +67,7 @@ from .market import (
     Regime,
     RegimeStructure,
     Scenario,
+    largest_magnitude,
     regime_structures,
 )
 from .profits import ProfitPair, evaluate, gradient_r1_at, gradient_r2_at
@@ -122,7 +123,7 @@ class EquilibriumResult(NamedTuple):
         read it."""
         p, s, prices = self.params, STRUCTURES[self.theorem_id], self.prices
         g1 = gradient_r1_at(p, s, prices, s.effective_prices(prices), self.demands)
-        return _largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2)))
+        return largest_magnitude((*g1, gradient_r2_at(p, s, prices.pb2)))
 
     @property
     def condition_report(self) -> ConditionReport:
@@ -240,19 +241,6 @@ def _no_bundle_prices(t: SharedTerms, strat_w: float, pb2: float) -> PriceVector
     p1 = skew + 0.5 * p.c1 + level
     p2 = -skew + 0.5 * p.c2 + level
     return _tuple_new(PriceVector, (p1, p2, None, pb2))
-
-
-def _largest_magnitude(values: tuple[float, ...]) -> float:
-    """The largest |value|, or NaN when any value is NaN (Python's max keeps
-    a NaN only in first place), so a NaN gradient shows in the residual."""
-    largest = 0.0
-    for v in values:
-        a = abs(v)
-        if a > largest:
-            largest = a
-        elif a != a:
-            return a
-    return largest
 
 
 def _feasible(prices: PriceVector, present: tuple[float, ...], d: DemandProfile) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -207,6 +208,19 @@ class Scenario:
         return f"{one},{two}"
 
 
+def largest_magnitude(values: Iterable[float]) -> float:
+    """The largest |value|, or NaN when any value is NaN (Python's max keeps
+    a NaN only in first place), so a NaN shows wherever it lies."""
+    largest = 0.0
+    for v in values:
+        a = abs(v)
+        if a > largest:
+            largest = a
+        elif a != a:
+            return a
+    return largest
+
+
 class PriceVector(NamedTuple):
     """Posted prices: retailer 1's item prices p1, p2, its bundle price pb1
     (None when bundling is off), and retailer 2's bundle price pb2."""
@@ -231,15 +245,16 @@ class PriceVector(NamedTuple):
         return (self.p1, self.p2, self.pb1, self.pb2)
 
     def sup_distance(self, other: "PriceVector") -> float:
+        """The largest |difference| of the present prices; NaN when any is."""
         a, b = self.present(), other.present()
         if len(a) != len(b):
             raise InvalidPriceError("cannot compare price vectors of different shapes")
-        return max(abs(x - y) for x, y in zip(a, b))
+        return largest_magnitude(map(operator.sub, a, b))
 
     def relative_distance(self, other: "PriceVector") -> float:
         """Sup-norm distance relative to this vector's largest price (at
-        least 1)."""
-        scale = max(1.0, max(abs(v) for v in self.present()))
+        least 1); NaN when any difference is."""
+        scale = max(1.0, largest_magnitude(self.present()))
         return self.sup_distance(other) / scale
 
 

@@ -21,10 +21,15 @@ Retailer 1's linear terms read pb2 only on a matched row (T1's R1_HIGH row,
 where its PMG matches pb2), so every other side's terms are put into the
 right-hand sides once, at pb2 = 0.0; a response copies them, writes only
 pb2 into the kink rows and the matched side's terms, and makes one stacked
-solve.  Every response is remembered by the exact bits of its argument, so
-a price seen again in the same game costs a lookup.  find_fixed_point and
-find_fixed_points share one object across all rounds and starts; nothing
-is remembered across games.
+solve.  find_fixed_point and find_fixed_points share one object across all
+rounds and starts; nothing is remembered across games.
+
+Retailer 1's responses are remembered by the exact bits of pb2: a lookup
+costs about 0.65 us against a 10-22 us solve, and about a fifth of a
+search's rounds repeat a pb2.  Retailer 2's profit reads retailer 1's
+prices only through r1_eq (PriceVector.r1_bundle_equivalent), so its
+response, the best of three clamped candidates, costs about what a lookup
+keyed on retailer 1's three prices would, and is not remembered.
 
 Each candidate is scored once, by the responding retailer's own profit
 (profits.profit_r1 or profit_r2, equal to profits.evaluate's to the bit)
@@ -84,6 +89,9 @@ from .profits import hessian_matrix_r1, linear_terms_r1, profit_r1, profit_r2, q
 
 MAX_ITERS = 500  # rounds of one fixed-point search
 TOL_FP = 1e-8  # sup-norm tolerance on the best-response residual
+# find_fixed_points reports two converged outcomes as one fixed point when
+# their prices lie within this sup-norm distance
+TOL_DEDUPE = 1e-6
 
 # a module global reads faster than an Enum class attribute; each candidate
 # reads it, and builds its prices by tuple.__new__, as market's records
@@ -205,23 +213,19 @@ class _PlansR1(NamedTuple):
 
 
 class BestResponses:
-    """Both retailers' best responses in one (params, scenario) game, each
-    remembered by the exact bits of its argument."""
+    """Both retailers' best responses in one (params, scenario) game;
+    retailer 1's are remembered by the exact bits of pb2."""
 
     def __init__(self, params: MarketParams, scenario: Scenario) -> None:
         self.params, self.scenario = _float_params(params), scenario
         params = self.params
         # (R1_HIGH, R1_LOW): indexed by Regime.of(...) is _LOW
         self._regime_pair = regime_structures(scenario)
-        stationary = []
-        # each regime's stationary point is kept on its side of the kink
-        for s, side in zip(self._regime_pair, (min, max)):
-            h, g0 = quadratic_r2(params, s)
-            stationary.append((s.regime, side, -g0 / h))
-        self._stationary_r2 = tuple(stationary)
-        # each response of this game, by the exact bits of its argument
+        # retailer 2's stationary point in each of (R1_HIGH, R1_LOW)
+        quadratics = [quadratic_r2(params, s) for s in self._regime_pair]
+        self._stationary_r2 = tuple(-g0 / h for h, g0 in quadratics)
+        # retailer 1's responses in this game, by the exact bits of pb2
         self._r1_memo: dict[str, tuple[float, float, float | None]] = {}
-        self._r2_memo: dict[tuple[str, str, str | None], float] = {}
 
     @cached_property
     def _plans_r1(self) -> _PlansR1:
@@ -263,7 +267,7 @@ class BestResponses:
         respond_r1 for one response, _search once for all its rounds."""
         if not math.isfinite(pb2):
             raise ValueError("pb2 must be finite")
-        key = float(pb2).hex()
+        key = pb2.hex()
         if key in self._r1_memo:
             return self._r1_memo[key]
         params, scenario = self.params, self.scenario
@@ -315,37 +319,30 @@ class BestResponses:
         return response
 
     def respond_r2(self, r1_prices: PriceVector) -> float:
-        """Retailer 2's best response to r1_prices: each regime's stationary
-        point, kept on that regime's side of the kink, and the kink price
-        itself, compared at their realized profits.  Remembered per
-        retailer-1 prices (p1, p2, pb1), by their exact bits; r1_prices.pb2
-        is not read."""
+        """Retailer 2's best response to r1_prices, which its profit reads
+        only through their bundle-equivalent price r1_eq: r1_eq itself (the
+        kink) and each regime's stationary point clamped to that regime's
+        side of it, compared at their realized profits.  r1_prices.pb2 is
+        not read."""
         r1_eq = r1_prices.r1_bundle_equivalent()
         if not math.isfinite(r1_eq):
             raise ValueError("r1 prices must be finite")
         p1, p2, pb1 = r1_prices.p1, r1_prices.p2, r1_prices.pb1
-        # a price that fails validation raises below, so it is never stored
-        key = (float(p1).hex(), float(p2).hex(), None if pb1 is None else float(pb1).hex())
-        if key in self._r2_memo:
-            return self._r2_memo[key]
         scenario, pair = self.scenario, self._regime_pair
-        # retailer 1's prices, validated once, as in the kink candidate
+        # retailer 1's prices, validated once, with the kink candidate as pb2
         validate_prices(scenario, _tuple_new(PriceVector, (p1, p2, pb1, r1_eq)))
-        candidates: list[float] = [r1_eq]  # the kink is always a candidate
-        for regime, side, stationary in self._stationary_r2:
-            if regime.holds(r1_eq, stationary):
-                candidates.append(side(stationary, r1_eq))
-        best_value, best_pb2 = -np.inf, r1_eq
-        for pb2 in candidates:
-            prices = _tuple_new(PriceVector, (p1, p2, pb1, pb2))
+        high, low = self._stationary_r2
+        # a clamped point equal to r1_eq scores r1_eq's bits after it, so the
+        # strict > keeps the kink
+        best_value, best_pb2 = -math.inf, r1_eq
+        for pb2 in (r1_eq, min(high, r1_eq), max(low, r1_eq)):
             if not math.isfinite(pb2):
-                validate_prices(scenario, prices)  # raises, naming pb2
-            value = profit_r2(self.params, pair[Regime.of(r1_eq, pb2) is _LOW], prices)
+                # raises, naming pb2
+                validate_prices(scenario, _tuple_new(PriceVector, (p1, p2, pb1, pb2)))
+            value = profit_r2(self.params, pair[Regime.of(r1_eq, pb2) is _LOW], r1_eq, pb2)
             if value > best_value:
                 best_value, best_pb2 = value, pb2
-        response = float(max(best_pb2, 0.0))
-        self._r2_memo[key] = response
-        return response
+        return float(max(best_pb2, 0.0))
 
 
 def best_response_r1(
@@ -446,18 +443,17 @@ def find_fixed_points(
     """
     responses = BestResponses(params, scenario)
     params = responses.params
-    lo_r1 = params.total_cost
-    hi_r1 = lo_r1 + _price_span(params)
-    lo_r2, hi_r2 = lo_r1, hi_r1
+    lo = params.total_cost
+    hi = lo + _price_span(params)
     outcomes: list[OracleOutcome] = []
-    for r1_level, r2_level in ((lo_r1, lo_r2), (lo_r1, hi_r2), (hi_r1, lo_r2), (hi_r1, hi_r2)):
+    for r1_level, r2_level in ((lo, lo), (lo, hi), (hi, lo), (hi, hi)):
         pb1 = r1_level if scenario.bundling == 1 else None
         start = PriceVector(r1_level / 2.0, r1_level / 2.0, pb1, r2_level)
         outcome = _search(responses, start, damping)
         duplicate = any(
             o.converged
             and outcome.converged
-            and o.prices.sup_distance(outcome.prices) < 1e-6
+            and o.prices.sup_distance(outcome.prices) < TOL_DEDUPE
             for o in outcomes
         )
         if not duplicate:

@@ -209,15 +209,15 @@ def profit_r1(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> 
     )
 
 
-def profit_r2(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> float:
-    """Retailer 2's profit at posted prices under structure s, equal to
-    evaluate(params, s, prices)[1].pi_r2 to the bit: only the effective
+def profit_r2(params: MarketParams, s: RegimeStructure, r1_eq: float, pb2: float) -> float:
+    """Retailer 2's profit at its bundle price pb2 against retailer 1's
+    bundle-equivalent price r1_eq (PriceVector.r1_bundle_equivalent), the
+    only way retailer 1's prices enter it, under structure s: equal to
+    evaluate(params, s, prices)[1].pi_r2 to the bit, from only the effective
     prices and the three segment demands it reads, each written as
     RegimeStructure.effective_prices, market.demands and profits_at write
     it.  The prices are not validated here."""
     p = params
-    pb2 = prices.pb2
-    r1_eq = prices.r1_bundle_equivalent()
     tilde_pb2 = r1_eq if s.r2_matched else pb2
     hat_pb = r1_eq if s.strategic_at_r1 else pb2
     c = p.total_cost

@@ -35,7 +35,6 @@ from bundlematch import (
 )
 from bundlematch.equilibria import (
     _guard_denominator,
-    _largest_magnitude,
     DegenerateParamsError,
     SharedTerms,
     THEOREMS,
@@ -329,13 +328,8 @@ class TestItemSwap:
 
 
 class TestNanResidual:
-    # Python's max keeps a NaN only in first place, so the residual takes
-    # its own maximum, which keeps a NaN from any component
-    def test_nan_in_any_place_is_the_largest_magnitude(self):
-        assert math.isnan(_largest_magnitude((1.0, math.nan)))
-        assert math.isnan(_largest_magnitude((math.nan, 1.0)))
-        assert _largest_magnitude((-3.0, 2.0)) == 3.0
-
+    # the residual is market.largest_magnitude of the gradients, which keeps
+    # a NaN from any component (tests/test_market.py)
     def test_the_residual_is_reported_and_not_a_feasibility_check(self, baseline, monkeypatch):
         before = eq_T1(baseline)
         monkeypatch.setattr(bundlematch.equilibria, "gradient_r2_at", lambda *args: math.nan)

@@ -192,7 +192,10 @@ def test_each_scorer_is_its_retailers_profit():
             for rival in (pb2, tie):
                 prices = PriceVector(p1, p2, pb1 if s.bundling else None, rival)
                 _, values = evaluate(exact, s, prices)
-                scores = profit_r1(exact, s, prices), profit_r2(exact, s, prices)
+                scores = (
+                    profit_r1(exact, s, prices),
+                    profit_r2(exact, s, prices.r1_bundle_equivalent(), prices.pb2),
+                )
                 assert is_exact(scores)
                 assert scores == tuple(values), (s, prices)
                 checked += 1

@@ -23,7 +23,7 @@ from bundlematch import (
     find_fixed_point,
     solve_subgame,
 )
-from bundlematch.market import structure_at
+from bundlematch.market import largest_magnitude, structure_at
 from bundlematch.sweep import GridCell
 
 CM_CM = Scenario.bundled(True, True)
@@ -232,6 +232,42 @@ class TestTypes:
             bundled.sup_distance(unbundled)
         with pytest.raises(InvalidPriceError, match="different shapes"):
             unbundled.sup_distance(bundled)
+
+    # Python's max keeps a NaN only in first place, so every distance and
+    # the equilibria's residual take largest_magnitude, which keeps a NaN
+    # from any place
+    def test_nan_in_any_place_is_the_largest_magnitude(self):
+        assert math.isnan(largest_magnitude((1.0, math.nan)))
+        assert math.isnan(largest_magnitude((math.nan, 1.0)))
+        assert largest_magnitude((-3.0, 2.0)) == 3.0
+        assert largest_magnitude(iter((-0.0, 0.0))).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("bundled", [True, False], ids=["B=1", "B=0"])
+    def test_a_nan_in_any_present_place_is_the_distance(self, bundled):
+        prices = PriceVector(10.0, 20.0, 25.0 if bundled else None, 40.0)
+        fields = ("p1", "p2", "pb1", "pb2") if bundled else ("p1", "p2", "pb2")
+        for field in fields:
+            with_nan = prices._replace(**{field: math.nan})
+            for a, b in ((prices, with_nan), (with_nan, prices)):
+                assert math.isnan(a.sup_distance(b)), field
+                assert math.isnan(a.relative_distance(b)), field
+
+    def test_finite_distances_keep_their_bits(self):
+        # the largest |difference|, as Python's max over them returns it
+        rng = np.random.default_rng(34)
+        for bundled in (True, False):
+            for _ in range(200):
+                p1, p2, pb1, pb2, q1, q2, qb1, qb2 = rng.uniform(-1e3, 1e3, 8).tolist()
+                a = PriceVector(p1, p2, pb1 if bundled else None, pb2)
+                b = PriceVector(q1, q2, qb1 if bundled else None, qb2)
+                pairs = list(zip(a.present(), b.present()))
+                want = max(abs(x - y) for x, y in pairs)
+                scale = max(1.0, max(abs(v) for v in a.present()))
+                assert a.sup_distance(b).hex() == want.hex()
+                assert a.relative_distance(b).hex() == (want / scale).hex()
+        assert PriceVector(0.0, -0.0, None, 1.0).sup_distance(
+            PriceVector(-0.0, 0.0, None, 1.0)
+        ).hex() == "0x0.0p+0"
 
     def test_bundle_equivalent_price(self):
         assert PriceVector(10.0, 20.0, 25.0, 40.0).r1_bundle_equivalent() == 25.0

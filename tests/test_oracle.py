@@ -30,7 +30,7 @@ from bundlematch import (
 from bundlematch.cli import main
 from bundlematch.config import load_market_config
 from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, kink_structure, regime_structures
-from bundlematch.profits import hessian_matrix_r1, linear_terms_r1
+from bundlematch.profits import hessian_matrix_r1, linear_terms_r1, quadratic_r2
 from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
@@ -90,6 +90,11 @@ def _full_loop(params, scenario, damping):
     else:
         converged, iteration = False, max_iters
     return bundlematch.oracle.OracleOutcome(converged, x, iteration)
+
+
+def _bits(value):
+    """A float's exact bits; every NaN reads the same."""
+    return "nan" if value != value else value.hex()
 
 
 def _hex(prices):
@@ -485,15 +490,6 @@ class TestResponseMemo:
             with pytest.raises(ValueError, match="pb2 must be finite"):
                 responses.respond_r1(pb2)
 
-    @pytest.mark.parametrize(
-        "p1,p2", [(float("nan"), 30.0), (30.0, float("inf"))], ids=["nan-p1", "inf-p2"]
-    )
-    def test_r2_validates_every_price_after_a_cached_entry(self, baseline, p1, p2):
-        responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
-        responses.respond_r2(PriceVector(30.0, 30.0, 50.0, 0.0))
-        with pytest.raises(InvalidPriceError, match="prices must be finite"):
-            responses.respond_r2(PriceVector(p1, p2, 50.0, 0.0))
-
     def test_shared_object_matches_fresh_calls_bit_for_bit(self):
         # a seeded pb2 sequence with repeats, as a search revisits prices
         rng = np.random.default_rng(13)
@@ -513,6 +509,85 @@ class TestResponseMemo:
                     )
 
 
+def _filtered_r2(params, scenario, r1_prices):
+    """Retailer 2's response by the rule that screened each stationary point
+    with Regime.holds before clamping it to its side, dropping it when it
+    lay on the other side; scored by evaluate's profit in the regime each
+    candidate lies in."""
+    r1_eq = r1_prices.r1_bundle_equivalent()
+    candidates = [r1_eq]
+    for s, side in zip(regime_structures(scenario), (min, max)):
+        h, g0 = quadratic_r2(params, s)
+        if s.regime.holds(r1_eq, -g0 / h):
+            candidates.append(side(-g0 / h, r1_eq))
+    best_value, best_pb2 = -math.inf, r1_eq
+    for pb2 in candidates:
+        value = profits(params, scenario, r1_prices._replace(pb2=pb2)).pi_r2
+        if value > best_value:
+            best_value, best_pb2 = value, pb2
+    return max(best_pb2, 0.0)
+
+
+def _r1_prices(scenario, r1_eq):
+    """Retailer 1's prices with bundle-equivalent price r1_eq, to the bit."""
+    if scenario.bundling:
+        return PriceVector(30.0, 40.0, r1_eq, 0.0)
+    return PriceVector(r1_eq, 0.0, None, 0.0)
+
+
+class TestR2ReadsOnlyTheBundleEquivalent:
+    def test_equal_r1_eq_gives_equal_bits(self):
+        # retailer 2's demands read retailer 1's prices only through its
+        # bundle-equivalent price, so item prices that keep it to the bit
+        # keep retailer 2's profit and response to the bit
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            params = draw_valid_params(rng)
+            a, b, r1_eq = rng.uniform(0.0, 300.0, 3).tolist()
+            pb2 = rng.uniform(0.0, 300.0)
+            for scen in SCENARIOS.values():
+                if scen.bundling:
+                    pairs = [((a, b, r1_eq), (b, a + 1.0, r1_eq))]
+                else:
+                    # a + b, b + a and (a + b) + 0.0 are one float
+                    pairs = [((a, b, None), (b, a, None)), ((a, b, None), (a + b, 0.0, None))]
+                for left, right in pairs:
+                    x, y = PriceVector(*left, pb2), PriceVector(*right, pb2)
+                    assert x.r1_bundle_equivalent() == y.r1_bundle_equivalent()
+                    assert _bits(profits(params, scen, x).pi_r2) == _bits(
+                        profits(params, scen, y).pi_r2
+                    )
+                    assert best_response_r2(params, scen, x).hex() == (
+                        best_response_r2(params, scen, y).hex()
+                    )
+
+    def test_clamping_every_point_answers_as_the_filtered_rule(self):
+        # at and around each stationary point, on both sides of the
+        # FEASIBILITY_TOL band: a point the filter dropped clamps to r1_eq
+        # itself, which scores r1_eq's bits after it and never wins
+        rng = np.random.default_rng(5)
+        points = [MarketParams.baseline()] + [draw_valid_params(rng) for _ in range(40)]
+        offsets = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1e-8, -1e-8, 1.0, -1.0)
+        compared, dropped = 0, 0
+        for params in points:
+            for scen in SCENARIOS.values():
+                levels = [-0.0]
+                for s in regime_structures(scen):
+                    h, g0 = quadratic_r2(params, s)
+                    levels += [-g0 / h + d for d in offsets]
+                for r1_eq in levels:
+                    r1_prices = _r1_prices(scen, r1_eq)
+                    want = _filtered_r2(params, scen, r1_prices)
+                    assert best_response_r2(params, scen, r1_prices).hex() == want.hex()
+                    compared += 1
+                for s in regime_structures(scen):
+                    h, g0 = quadratic_r2(params, s)
+                    dropped += sum(not s.regime.holds(v, -g0 / h) for v in levels)
+        assert compared == len(points) * 5 * 19
+        # the filter's drops are reached
+        assert dropped > compared // 4
+
+
 class TestPriceErrors:
     def test_infinite_stationary_points_raise(self, baseline):
         # admissible, but retailer 2's demand bases make both of its
@@ -520,11 +595,35 @@ class TestPriceErrors:
         params = baseline.replace(a_l_jb=1e308, a_q_jb=1e308)
         scen = SCENARIOS["noCM,noCM"]
         responses = bundlematch.oracle.BestResponses(params, scen)
-        assert [point for *_, point in responses._stationary_r2] == [math.inf, math.inf]
+        assert responses._stationary_r2 == (math.inf, math.inf)
         with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
             responses.respond_r2(PriceVector(50.0, 50.0, 90.0, 100.0))
         with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
             find_fixed_point(params, scen)
+
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_nan_stationary_points_raise(self, baseline, label):
+        # admissible, but at b_l = 1e308 retailer 2's curvature is -inf and
+        # its slope at zero +inf, so both stationary points are nan; a
+        # clamped nan stays nan and must raise as an infinite point does
+        params = baseline.replace(b_l=1e308)
+        scen = SCENARIOS[label]
+        responses = bundlematch.oracle.BestResponses(params, scen)
+        assert all(map(math.isnan, responses._stationary_r2))
+        pb1 = 90.0 if scen.bundling else None
+        with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
+            responses.respond_r2(PriceVector(50.0, 40.0, pb1, 100.0))
+        with pytest.raises((SingularSystemError, InvalidPriceError)):
+            find_fixed_point(params, scen)
+
+    @pytest.mark.parametrize(
+        "p1,p2", [(float("nan"), 30.0), (30.0, float("inf"))], ids=["nan-p1", "inf-p2"]
+    )
+    def test_r2_validates_every_retailer_1_price(self, baseline, p1, p2):
+        # retailer 2's profit reads r1's prices only through pb1 here, so
+        # p1 and p2 meet the response only in its validation
+        with pytest.raises(InvalidPriceError, match="prices must be finite"):
+            best_response_r2(baseline, CM_CM, PriceVector(p1, p2, 50.0, 0.0))
 
     def test_r2_rejects_an_infinite_r1_bundle_price(self, baseline):
         # raised before any evaluation, whose InvalidPriceError would say

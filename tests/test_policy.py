@@ -12,6 +12,7 @@ import bundlematch.equilibria
 import bundlematch.policy
 from bundlematch import (
     MarketParams,
+    OracleOutcome,
     PolicyComparison,
     Regime,
     Scenario,
@@ -109,6 +110,23 @@ class TestSolveSubgame:
         assert sol.warnings[1:] == [
             "oracle: fixed point deviates from selected equilibrium (relative sup-norm 1.00e-01)"
         ]
+
+    def test_a_nan_oracle_bundle_price_disagrees(self, baseline, monkeypatch, capsys):
+        # a NaN in pb2 alone, the last place, where Python's max over the
+        # differences would drop it and report agreement
+        t1 = eq_T1(baseline)
+        outcome = OracleOutcome(True, t1.prices._replace(pb2=math.nan), 12)
+        monkeypatch.setattr(bundlematch.policy, "find_fixed_point", lambda *args: outcome)
+        sol = solve_subgame(baseline, CM_CM, oracle_check=True)
+        assert math.isnan(sol.oracle_deviation)
+        assert not sol.oracle_agrees
+        assert sol.warnings[1:] == [
+            "oracle: fixed point deviates from selected equilibrium (relative sup-norm nan)"
+        ]
+        assert main(["verify", "--pmg", "r1=cm", "r2=cm"]) == 0
+        assert capsys.readouterr().out == (
+            "closed form T1 and oracle DISAGREE: max relative deviation nan (12 iterations)\n"
+        )
 
     def test_selection_takes_profit_maximal_feasible_candidate(self):
         # a subgame where both regime candidates are feasible at once; the

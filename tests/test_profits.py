@@ -317,7 +317,10 @@ class TestScorers:
             for s in SCORED_STRUCTURES:
                 for prices in _scored_prices(rng, s):
                     _, want = evaluate(params, s, prices)
-                    got = (profit_r1(params, s, prices), profit_r2(params, s, prices))
+                    got = (
+                        profit_r1(params, s, prices),
+                        profit_r2(params, s, prices.r1_bundle_equivalent(), prices.pb2),
+                    )
                     assert list(map(_bits, got)) == list(map(_bits, want)), (s, prices, params)
                     special.update(v for v in map(_bits, got) if v in ("nan", "inf", "-inf"))
                     compared += 1
