@@ -132,8 +132,11 @@ class EquilibriumResult(NamedTuple):
         return check_condition_set(STRUCTURES[self.theorem_id].condition_set, self.params)
 
 
+DENOMINATOR_TOL = 1e-12  # absolute, for now: ROADMAP item 8 plans to make it relative
+
+
 def _guard_denominator(value: float, description: str) -> float:
-    if -1e-12 < value < 1e-12:  # abs(value) < 1e-12, without the call
+    if -DENOMINATOR_TOL < value < DENOMINATOR_TOL:  # abs(value) < ..., without the call
         raise DegenerateParamsError(f"degenerate parameters: {description} vanishes")
     return value
 

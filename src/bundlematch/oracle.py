@@ -38,7 +38,8 @@ taken from the game's pair.  Retailer 1's are first tested against their
 plan's regime from the solved floats, and off the bundle-discount face
 against bundle-within-parts; a plan on the face or the kink lies there by
 construction, so rounding at a large price scale cannot reject it.  A
-non-finite candidate raises as validation does.
+non-finite candidate raises as validation does, before any of these tests
+could drop it.
 
 A search runs at most MAX_ITERS rounds and converges when the best-response
 residual drops below TOL_FP; both are read when a search starts.  It stops
@@ -288,6 +289,10 @@ class BestResponses:
         # starting every size values
         solved = _gesv(stack, columns, signature="dd->d").ravel().tolist()
         size = stack.shape[1]
+        # a NaN fails every screen's comparison, so a plan's prices are
+        # tested for finiteness before its screens; one sum, finite only if
+        # every solved value is, spares that test on a finite stack
+        suspect = not math.isfinite(sum(solved))
         best: tuple[float, list[float]] | None = None
         for start, (_, regime, on_face) in zip(range(0, len(solved), size), plans):
             x = solved[start : start + n]
@@ -297,17 +302,17 @@ class BestResponses:
                 r1_eq = x[2]
             else:
                 r1_eq = x[0] + x[1]
+            prices = _tuple_new(PriceVector, (x[0], x[1], x[2] if bundled else None, pb2))
+            if suspect and not all(map(math.isfinite, x)):
+                validate_prices(scenario, prices)  # raises, naming the price
             # classified from the floats, so only a candidate in its plan's
-            # regime becomes prices
+            # regime is scored
             if regime is not None and not regime.holds(r1_eq, pb2):
                 continue
-            prices = _tuple_new(PriceVector, (x[0], x[1], x[2] if bundled else None, pb2))
             # a face plan lies on the face by construction, as the kink plan
             # on the kink by its snap, so only a plan off it is tested
             if not on_face and not prices.bundle_within_parts():
                 continue
-            if not all(map(math.isfinite, x)):
-                validate_prices(scenario, prices)  # raises, naming the price
             s = structures[Regime.of(r1_eq, pb2) is _LOW]  # they open with (R1_HIGH, R1_LOW)
             value = profit_r1(params, s, prices)
             if best is None or value > best[0]:
@@ -385,6 +390,7 @@ def _search(responses: BestResponses, start: PriceVector, damping: float) -> Ora
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    validate_prices(responses.scenario, start)
     x = start
     converged = False
     first_seen: dict[tuple[str, ...], int] = {}  # by exact bits: 0.0 and -0.0 differ
@@ -439,7 +445,9 @@ def find_fixed_points(
     and return the distinct outcomes (converged ones deduplicated).
 
     Iterated best response is not guaranteed to reach every fixed point from
-    one start, so callers that care about multiplicity get all of them.
+    one start, so callers that care about multiplicity get all of them.  A
+    corner beyond the float range raises InvalidPriceError, as a search
+    validates its start.
     """
     responses = BestResponses(params, scenario)
     params = responses.params

@@ -22,6 +22,18 @@ from bundlematch.sweep import Panel, SweepSpec
 
 SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected")
 
+# every demand base and cost: scaling them all by k scales each price by k
+BASES_AND_COSTS = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s", "c1", "c2")
+
+# the command-line flags of the five subgames, in sweep.TABLE_SCENARIOS order
+SUBGAME_FLAGS = (
+    ["--pmg", "r1=cm", "r2=cm"],
+    ["--pmg", "r1=cm", "r2=nocm"],
+    ["--pmg", "r1=nocm", "r2=cm"],
+    ["--pmg", "r1=nocm", "r2=nocm"],
+    ["--bundling", "0"],
+)
+
 # bundlematch.profits is the package's profits function, so the module is
 # imported by name, for tests that patch its globals
 PROFITS_MODULE = importlib.import_module("bundlematch.profits")

@@ -33,7 +33,7 @@ from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, kink_structure, re
 from bundlematch.profits import hessian_matrix_r1, linear_terms_r1, quadratic_r2
 from bundlematch.sweep import TABLE_SCENARIOS
 
-from conftest import GOLDEN_TABLE, draw_set_params, draw_valid_params
+from conftest import BASES_AND_COSTS, GOLDEN_TABLE, draw_set_params, draw_valid_params
 
 CM_CM = Scenario.bundled(True, True)
 
@@ -644,6 +644,39 @@ class TestPriceErrors:
         with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
             best_response_r1(params, SCENARIOS[label], 135.0)
 
+    def test_r1_raises_on_a_non_finite_plan_that_a_screen_would_drop(self):
+        # draw 77 of draw_valid_params (seed 4) with its bases and costs near
+        # 1e307: a plan solves to item prices (-inf, inf), whose bundle-
+        # equivalent is nan, and every regime and bundle test compares false
+        # with it, so it must raise before them; dropped, it would let the
+        # search converge on prices near the float range's end
+        params = MarketParams(
+            a_l_i1=2.1115152475167684e306, a_l_i2=1.6866438070981707e307,
+            a_l_ib=1.416852843154416e306, a_q_ib=1.3905922054163803e307,
+            a_l_jb=4.1756611791706444e306, a_q_jb=2.2455582819209862e306,
+            a_s=1.578300565058151e307, b_l=0.13724148532756436, b_s=0.0809660447221123,
+            theta_l=0.8366477191463713, lambda_l=0.052780861783823046,
+            c1=2.0576195136893873e306, c2=2.7220088520864384e306, alpha=0.5550528312862302,
+        )
+        for label in ("CM,CM", "CM,noCM"):
+            with pytest.raises(InvalidPriceError, match="prices must be finite, got -inf"):
+                best_response_r1(params, SCENARIOS[label], params.total_cost + 1.0)
+            with pytest.raises(InvalidPriceError, match="prices must be finite, got -inf"):
+                find_fixed_point(params, SCENARIOS[label])
+
+    @pytest.mark.parametrize("label", ["CM,noCM", "NoBundle"])
+    @pytest.mark.parametrize(
+        "overrides", [{"a_s": 1e308}, {"a_q_jb": 1.7e308, "b_l": 0.5, "b_s": 0.5}], ids=["a_s", "a_q_jb"]
+    )
+    def test_multi_start_raises_on_a_start_beyond_the_float_range(self, baseline, overrides, label):
+        # the price box's far corner, base over slope, overflows to inf: the
+        # start is validated, not passed on as a pb2 the caller never gave
+        params = baseline.replace(**overrides)
+        # the one default start is finite, and so is its search's outcome
+        assert all(map(math.isfinite, find_fixed_point(params, SCENARIOS[label]).prices.present()))
+        with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
+            find_fixed_points(params, SCENARIOS[label])
+
     @pytest.mark.parametrize("label", SCENARIOS)
     def test_numpy_scalar_params_search_as_floats(self, baseline, label):
         # the search's error state raises on invalid: numpy-scalar fields
@@ -672,14 +705,13 @@ class TestPriceErrors:
 # costs times 1e6: the plans on the bundle-discount face p1 + p2 = pb1 miss
 # it by one ulp of prices near 1e8, more than FEASIBILITY_TOL
 SCALED_MARKET = Path(__file__).with_name("scaled_market.cfg")
-SCALED_FIELDS = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s", "c1", "c2")
 
 
 class TestScaledMarket:
     def test_config_is_the_scaled_draw(self):
         rng = np.random.default_rng(3)
         params = [draw_valid_params(rng) for _ in range(57)][56]
-        scaled = params.replace(**{name: getattr(params, name) * 1e6 for name in SCALED_FIELDS})
+        scaled = params.replace(**{name: getattr(params, name) * 1e6 for name in BASES_AND_COSTS})
         assert load_market_config(SCALED_MARKET) == scaled
 
     def test_a_face_candidate_off_by_rounding_is_kept(self):

@@ -27,7 +27,13 @@ from bundlematch.market import PARAM_FIELDS, STRUCTURES, InvalidParameterError, 
 from bundlematch.policy import _PMG_PAIR, BUNDLED_SCENARIOS
 from bundlematch.sweep import TABLE_SCENARIOS, AxisSpec, SweepSpec, _cell, build_symmetric_table
 
-from conftest import PROFITS_MODULE, draw_valid_params, panel_points, pinned_sweep_panels
+from conftest import (
+    BASES_AND_COSTS,
+    PROFITS_MODULE,
+    draw_valid_params,
+    panel_points,
+    pinned_sweep_panels,
+)
 
 CM_CM = Scenario.bundled(True, True)
 NOCM_CM = Scenario.bundled(False, True)
@@ -609,7 +615,6 @@ class TestPriceScale:
         on a quantity that grows with k breaks this; a first-order residual
         gate of 1e-8 flipped almost every cell of this grid at k = 1e6."""
         k = 1e6
-        fields = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s", "c1", "c2")
 
         def selection(params):
             comparison = compare_policies(params)
@@ -619,7 +624,7 @@ class TestPriceScale:
             return chosen, comparison.best_pmg_regime
 
         baseline = MarketParams.baseline()
-        scaled_baseline = baseline.replace(**{f: k * getattr(baseline, f) for f in fields})
+        scaled_baseline = baseline.replace(**{f: k * getattr(baseline, f) for f in BASES_AND_COSTS})
         chosen_any = 0
         for b_s in (0.2, 0.4, 0.6, 0.9):
             for lambda_l in np.linspace(0.05, 0.4, 18):
@@ -630,6 +635,26 @@ class TestPriceScale:
                     chosen_any += any(at_one[0])
         # the grid exercises the selection, not only empty cells
         assert chosen_any > 1000
+
+    @pytest.mark.parametrize("k", [1.0, 1e6])
+    @pytest.mark.parametrize(
+        "overrides,chosen",
+        [
+            ({}, ("T1", "T1", "T2", "T2", "T5a")),
+            # low: every subgame but CM,CM leaves the baseline's candidate
+            ({"lambda_l": 0.05, "theta_l": 0.5, "a_s": 60.0}, ("T1", "T4", "T3", "T4", "T5b")),
+        ],
+        ids=["baseline", "low"],
+    )
+    def test_each_subgame_selects_the_same_candidate_at_every_price_scale(self, overrides, chosen, k):
+        """`bundlematch solve` in each subgame, in TABLE_SCENARIOS order, at
+        a point with every demand base and cost times k (the baseline's a_s
+        becomes 100 * 1e6 = 1e8 exactly)."""
+        params = MarketParams.baseline().replace(**overrides)
+        scaled = params.replace(**{f: k * getattr(params, f) for f in BASES_AND_COSTS})
+        solutions = [solve_subgame(scaled, s).chosen for s in TABLE_SCENARIOS]
+        assert None not in solutions
+        assert tuple(r.theorem_id for r in solutions) == chosen
 
 
 class TestScaleFuzz:

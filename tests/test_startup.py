@@ -11,15 +11,9 @@ import pytest
 
 import bundlematch
 
-SRC = Path(bundlematch.__file__).resolve().parent.parent
+from conftest import SUBGAME_FLAGS
 
-SOLVE_FLAGS = (
-    ["--pmg", "r1=cm", "r2=cm"],
-    ["--pmg", "r1=cm", "r2=nocm"],
-    ["--pmg", "r1=nocm", "r2=cm"],
-    ["--pmg", "r1=nocm", "r2=nocm"],
-    ["--bundling", "0"],
-)
+SRC = Path(bundlematch.__file__).resolve().parent.parent
 
 # runs the argvs it is given (such as `solve` in all 5 subgames and `table
 # --json`) through cli.main in one interpreter, with numpy importable or
@@ -59,7 +53,7 @@ class TestNoNumpy:
         outputs, rest = {}, {}
         for mode in ("normal", "blocked"):
             out = tmp_path / mode
-            argvs = [["solve", *flags] for flags in SOLVE_FLAGS]
+            argvs = [["solve", *flags] for flags in SUBGAME_FLAGS]
             argvs.append(["table", "--json", "--out", str(out)])
             lines = run_python(COMMANDS, mode, json.dumps(argvs), cwd=tmp_path).splitlines()
             records = [json.loads(line) for line in lines[: len(argvs)]]

@@ -28,7 +28,7 @@ from bundlematch.sweep import (
 )
 from bundlematch.policy import compare_policies
 
-from conftest import GOLDEN_TABLE, SWEEP_EXPECTED, panel_points, pinned_sweep_panels
+from conftest import GOLDEN_TABLE, SUBGAME_FLAGS, SWEEP_EXPECTED, panel_points, pinned_sweep_panels
 from exact_arithmetic import exact_params
 
 TABLE_KEYS = (
@@ -575,13 +575,6 @@ class TestCli:
 # Rebuild only from a commit whose outputs are known good:
 #   PYTHONPATH=src:tests python -c "import test_sweep_cli as t; t.write_verify_expected()"
 VERIFY_EXPECTED = Path(__file__).with_name("verify_expected.txt")
-VERIFY_SUBGAMES = (
-    ["--pmg", "r1=cm", "r2=cm"],
-    ["--pmg", "r1=cm", "r2=nocm"],
-    ["--pmg", "r1=nocm", "r2=cm"],
-    ["--pmg", "r1=nocm", "r2=nocm"],
-    ["--bundling", "0"],
-)
 
 
 def _verify_sections() -> dict[str, list[str]]:
@@ -611,7 +604,7 @@ def verify_output(section: str, workdir: Path) -> str:
     config = _section_config(section, workdir)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        for flags in VERIFY_SUBGAMES:
+        for flags in SUBGAME_FLAGS:
             assert main(["verify", *flags, *config]) == 0
     return stdout.getvalue()
 
@@ -679,7 +672,7 @@ def solve_output(section: str, workdir: Path) -> str:
     out = workdir / "table"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        for flags in VERIFY_SUBGAMES:
+        for flags in SUBGAME_FLAGS:
             assert main(["solve", *flags, *config]) in (0, 2)
         assert main(["solve", "--verify", "oracle", *SOLVE_ORACLE_SUBGAME, *config]) in (0, 2)
         assert main(["table", "--json", "--out", str(out), *config]) == 0
