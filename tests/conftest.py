@@ -15,12 +15,28 @@ import numpy as np
 import pytest
 
 import bundlematch.policy
-from bundlematch import MarketParams, OracleOutcome, PriceVector, check_condition_set, eq_T1
+from bundlematch import (
+    MarketParams,
+    OracleOutcome,
+    PolicyComparison,
+    PriceVector,
+    Regime,
+    Scenario,
+    check_condition_set,
+    eq_T1,
+)
 from bundlematch.config import load_sweep_spec
 from bundlematch.market import InvalidParameterError
+from bundlematch.policy import BUNDLED_SCENARIOS
 from bundlematch.sweep import Panel, SweepSpec
 
 SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected")
+# each pinned sweep spec by the directory of the CSVs it writes, one per panel
+PINNED_SWEEPS = {
+    SWEEP_EXPECTED: SWEEP_EXPECTED / "spec.cfg",
+    SWEEP_EXPECTED / "fixed": SWEEP_EXPECTED / "fixed.cfg",
+    SWEEP_EXPECTED / "fixed_default": SWEEP_EXPECTED / "fixed_default.cfg",
+}
 
 # every demand base and cost: scaling them all by k scales each price by k
 BASES_AND_COSTS = ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s", "c1", "c2")
@@ -218,8 +234,6 @@ SET_THEOREM = {"A": "T1", "B": "T2", "C": "T3", "D": "T4", "E": "T5a", "F": "T5b
 
 
 def set_scenario(set_id: str):
-    from bundlematch import Scenario
-
     return {
         "A": Scenario.bundled(True, True),
         "B": Scenario.bundled(False, True),
@@ -290,13 +304,10 @@ def draw_valid_params(rng: np.random.Generator) -> MarketParams:
 
 
 def pinned_sweep_panels() -> list[tuple[SweepSpec, Panel, Path]]:
-    """(spec, panel, pinned CSV) for each panel of the sweep specs pinned in
-    SWEEP_EXPECTED: spec.cfg's files lie beside it, and each other spec's in
-    the directory named after it."""
+    """(spec, panel, pinned CSV) for each panel of the PINNED_SWEEPS specs."""
     panels = []
-    for name in ("spec", "fixed", "fixed_default"):
-        spec = load_sweep_spec(SWEEP_EXPECTED / f"{name}.cfg")
-        directory = SWEEP_EXPECTED if name == "spec" else SWEEP_EXPECTED / name
+    for directory, config in PINNED_SWEEPS.items():
+        spec = load_sweep_spec(config)
         panels += [(spec, panel, directory / f"sweep_{panel.label}.csv") for panel in spec.panels]
     return panels
 
@@ -314,3 +325,26 @@ def panel_points(spec: SweepSpec, panel: Panel) -> list[tuple[float, float, Mark
                 params = None
             points.append((v1, v2, params))
     return points
+
+
+def hex_text(values) -> str:
+    """The values as float.hex, "None" for a missing one, space-separated."""
+    return " ".join("None" if v is None else float.hex(v) for v in values)
+
+
+def regime_of(prices: PriceVector) -> Regime:
+    """The regime the prices lie in."""
+    return Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
+
+
+def attaining_pairs(comp: PolicyComparison) -> list[Scenario]:
+    """The bundled subgames, in BUNDLED_SCENARIOS order, whose chosen
+    equilibrium gives retailer 1 pi_bundle: the reference the bundled
+    winner's PMG pair is checked against."""
+    solutions = comp.solutions
+    return [
+        s
+        for s in BUNDLED_SCENARIOS
+        if (chosen := solutions[s].chosen) is not None
+        and chosen.profits.pi_r1 == comp.pi_bundle
+    ]

@@ -33,16 +33,11 @@ from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, kink_structure, re
 from bundlematch.profits import hessian_matrix_r1, linear_terms_r1, quadratic_r2
 from bundlematch.sweep import TABLE_SCENARIOS
 
-from conftest import BASES_AND_COSTS, GOLDEN_TABLE, draw_set_params, draw_valid_params
+from conftest import BASES_AND_COSTS, GOLDEN_TABLE, draw_set_params, draw_valid_params, regime_of
 
 CM_CM = Scenario.bundled(True, True)
 
 SCENARIOS = {s.label(): s for s in TABLE_SCENARIOS}
-
-
-def regime_of(prices: PriceVector) -> Regime:
-    """The regime the prices lie in."""
-    return Regime.of(prices.r1_bundle_equivalent(), prices.pb2)
 
 
 _rng = np.random.default_rng(0)
@@ -116,62 +111,7 @@ def count_quadratics(monkeypatch):
     return calls
 
 
-# retailer 1's responses at the baseline as float.hex, pinned so that any
-# change in how the plans are solved shows up to the last bit
-RESPONSES_R1 = {
-    ("CM,CM", 60.0): ("0x1.5c7c1f07c1f08p+6", "0x1.5c7c1f07c1f08p+6", "0x1.2fa2e8ba2e8bap+7"),
-    ("CM,CM", 135.0): ("0x1.8c364d9364d93p+6", "0x1.8c364d9364d94p+6", "0x1.441745d1745d2p+7"),
-    ("CM,CM", 210.0): ("0x1.772e77f93dad4p+6", "0x1.772e77f93dad4p+6", "0x1.160511be1958cp+7"),
-    ("CM,noCM", 60.0): ("0x1.5c7c1f07c1f08p+6", "0x1.5c7c1f07c1f08p+6", "0x1.2fa2e8ba2e8bap+7"),
-    ("CM,noCM", 135.0): ("0x1.8c364d9364d93p+6", "0x1.8c364d9364d94p+6", "0x1.441745d1745d2p+7"),
-    ("CM,noCM", 210.0): ("0x1.765be5be5be5bp+6", "0x1.765be5be5be5dp+6", "0x1.14ec4ec4ec4edp+7"),
-    ("noCM,CM", 60.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
-    ("noCM,CM", 135.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
-    ("noCM,CM", 210.0): ("0x1.772e77f93dad4p+6", "0x1.772e77f93dad4p+6", "0x1.160511be1958cp+7"),
-    ("noCM,noCM", 60.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
-    ("noCM,noCM", 135.0): ("0x1.7850505050504p+6", "0x1.7850505050504p+6", "0x1.1787878787878p+7"),
-    ("noCM,noCM", 210.0): ("0x1.765be5be5be5bp+6", "0x1.765be5be5be5dp+6", "0x1.14ec4ec4ec4edp+7"),
-    ("NoBundle", 60.0): ("0x1.24ba2e8ba2e8bp+6", "0x1.24ba2e8ba2e8bp+6", None),
-    ("NoBundle", 135.0): ("0x1.24ba2e8ba2e8bp+6", "0x1.24ba2e8ba2e8bp+6", None),
-    ("NoBundle", 210.0): ("0x1.1eaaaaaaaaaadp+6", "0x1.1eaaaaaaaaaa8p+6", None),
-}
-# retailer 2's responses at the baseline to the retailer-1 responses above
-# (with that pb2) as float.hex
-RESPONSES_R2 = {
-    ("CM,CM", 60.0): "0x1.0e00000000000p+7",
-    ("CM,CM", 135.0): "0x1.0e00000000000p+7",
-    ("CM,CM", 210.0): "0x1.0e00000000000p+7",
-    ("CM,noCM", 60.0): "0x1.0e00000000000p+7",
-    ("CM,noCM", 135.0): "0x1.0e00000000000p+7",
-    ("CM,noCM", 210.0): "0x1.0e00000000000p+7",
-    ("noCM,CM", 60.0): "0x1.0dfffffffffffp+7",
-    ("noCM,CM", 135.0): "0x1.0dfffffffffffp+7",
-    ("noCM,CM", 210.0): "0x1.0dfffffffffffp+7",
-    ("noCM,noCM", 60.0): "0x1.0dfffffffffffp+7",
-    ("noCM,noCM", 135.0): "0x1.0dfffffffffffp+7",
-    ("noCM,noCM", 210.0): "0x1.0dfffffffffffp+7",
-    ("NoBundle", 60.0): "0x1.0dfffffffffffp+7",
-    ("NoBundle", 135.0): "0x1.0dfffffffffffp+7",
-    ("NoBundle", 210.0): "0x1.0dfffffffffffp+7",
-}
-
-
 class TestBestResponses:
-    @pytest.mark.parametrize("label", SCENARIOS)
-    def test_r1_responses_are_pinned_to_the_bit(self, baseline, label):
-        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
-        for pb2 in (60.0, 135.0, 210.0):
-            got = responses.respond_r1(pb2)
-            assert tuple(None if v is None else v.hex() for v in got) == RESPONSES_R1[label, pb2]
-
-    @pytest.mark.parametrize("label", SCENARIOS)
-    def test_r2_responses_are_pinned_to_the_bit(self, baseline, label):
-        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
-        for pb2 in (60.0, 135.0, 210.0):
-            r1 = [None if v is None else float.fromhex(v) for v in RESPONSES_R1[label, pb2]]
-            got = responses.respond_r2(PriceVector(*r1, pb2))
-            assert got.hex() == RESPONSES_R2[label, pb2]
-
     def test_r1_reproduces_closed_form_under_set_a(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
@@ -935,53 +875,3 @@ class TestSolve:
                     bundlematch.oracle._gesv(stack, columns, signature="dd->d")
         assert type(raised.value) is SingularSystemError
         assert (np.geterr(), np.geterrcall()) == state
-
-
-# find_fixed_point to the bit, as recorded before the report row and the
-# sweep panels had one home each (default damping) and before retailer 1's
-# per-game right-hand sides (damping 0.7): converged, iterations, the
-# classified regime and the prices as float.hex, at the baseline and 50
-# draws of draw_valid_params (seed 11), for the five subgames.  Giving the
-# kink plan the plain R1_HIGH row instead of market._KINK_TABLE's changes
-# the outcome at draw39 (CM,CM and CM,noCM) from capped to converged.  The
-# pins assume the LAPACK results of numpy's bundled OpenBLAS; another
-# LAPACK build may differ in the last bit.  Rebuild only from a commit whose
-# outputs are known good:
-#   PYTHONPATH=src:tests python -c "import test_oracle as t; print(*t.oracle_pinned_lines(), sep='\n')"
-# and likewise with oracle_pinned_lines(0.7) for the damped file.
-ORACLE_EXPECTED = {
-    1.0: Path(__file__).with_name("oracle_expected.txt"),
-    0.7: Path(__file__).with_name("oracle_damped_expected.txt"),
-}
-
-
-def oracle_pinned_lines(damping: float = 1.0) -> list[str]:
-    rng = np.random.default_rng(11)
-    points = [("baseline", MarketParams.baseline())]
-    points += [(f"draw{i}", draw_valid_params(rng)) for i in range(50)]
-    lines = []
-    for label, params in points:
-        for name, scenario in SCENARIOS.items():
-            out = find_fixed_point(params, scenario, damping)
-            prices = " ".join(v.hex() for v in out.prices.present())
-            lines.append(
-                f"{label} {name} converged {out.converged} iterations {out.iterations} "
-                f"regime {regime_of(out.prices).value} prices {prices}"
-            )
-    return lines
-
-
-def _assert_pinned(damping: float) -> None:
-    expected = ORACLE_EXPECTED[damping].read_text().splitlines()
-    actual = oracle_pinned_lines(damping)
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
-
-
-def test_fixed_point_outcomes_are_pinned_to_the_bit():
-    _assert_pinned(1.0)
-
-
-def test_damped_fixed_point_outcomes_are_pinned_to_the_bit():
-    _assert_pinned(0.7)

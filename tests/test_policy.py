@@ -3,7 +3,6 @@
 import itertools
 import math
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,33 +22,22 @@ from bundlematch import (
 )
 from bundlematch.cli import main
 from bundlematch.equilibria import THEOREMS, DegenerateParamsError
-from bundlematch.market import PARAM_FIELDS, STRUCTURES, InvalidParameterError, RegimeStructure
+from bundlematch.market import STRUCTURES, InvalidParameterError, RegimeStructure
 from bundlematch.policy import _PMG_PAIR, BUNDLED_SCENARIOS
 from bundlematch.sweep import TABLE_SCENARIOS, AxisSpec, SweepSpec, _cell, build_symmetric_table
 
 from conftest import (
     BASES_AND_COSTS,
     PROFITS_MODULE,
+    attaining_pairs,
     draw_valid_params,
+    hex_text,
     panel_points,
     pinned_sweep_panels,
 )
 
 CM_CM = Scenario.bundled(True, True)
 NOCM_CM = Scenario.bundled(False, True)
-
-
-def attaining_pairs(comp: PolicyComparison) -> list[Scenario]:
-    """The bundled subgames, in BUNDLED_SCENARIOS order, whose chosen
-    equilibrium gives retailer 1 pi_bundle: the reference the bundled
-    winner's PMG pair is checked against."""
-    solutions = comp.solutions
-    return [
-        s
-        for s in BUNDLED_SCENARIOS
-        if (chosen := solutions[s].chosen) is not None
-        and chosen.profits.pi_r1 == comp.pi_bundle
-    ]
 
 
 @pytest.fixture
@@ -467,7 +455,8 @@ class TestComparePolicies:
     def test_candidates_equal_the_single_theorem_functions_to_the_bit(self, baseline):
         def fields(r):
             return (
-                _hex(r.prices), _hex(r.demands), _hex(r.profits), r.theorem_id, r.params, r.feasible
+                hex_text(r.prices), hex_text(r.demands), hex_text(r.profits),
+                r.theorem_id, r.params, r.feasible,
             )
 
         rng = np.random.default_rng(25)
@@ -693,68 +682,3 @@ class TestScaleFuzz:
                 assert all(math.isfinite(v) for v in sol.oracle.prices.present()), scaled
                 solved += 1
         assert solved >= 250
-
-
-# compare_policies to the bit, as recorded before selection records became
-# tuples: every float as float.hex, at the baseline (a profit tie between
-# CM,CM and CM,noCM), a point without any equilibrium, a point where
-# retailer 1 refrains from matching, and 50 draws of draw_valid_params.
-# Rebuild only from a commit whose outputs are known good:
-#   PYTHONPATH=src:tests python -c "import test_policy as t; print(*t.pinned_lines(), sep='\n')"
-COMPARE_EXPECTED = Path(__file__).with_name("compare_policies_expected.txt")
-
-
-def _hex(values) -> str:
-    return " ".join("None" if v is None else float.hex(v) for v in values)
-
-
-def pinned_points() -> list[tuple[str, MarketParams]]:
-    rng = np.random.default_rng(2017)
-    return [
-        ("baseline", MarketParams.baseline()),
-        ("none", MarketParams.baseline(b_l=0.9, b_s=0.1)),
-        ("no-match", MarketParams.baseline(a_s=200.0, b_l=0.1, b_s=0.9, lambda_l=0.05)),
-        *((f"draw{i}", draw_valid_params(rng)) for i in range(50)),
-    ]
-
-
-def tie_text(comp: PolicyComparison) -> str | None:
-    """The bundled PMG pairs tied at pi_bundle, when two or more are."""
-    attaining = attaining_pairs(comp)
-    if len(attaining) < 2:
-        return None
-    tied, best = ", ".join(s.label() for s in attaining), comp.best_pmg_regime.label()
-    return f"profit tie among {tied}; selected {best} (fewest PMGs, then lexicographic)"
-
-
-def pinned_lines() -> list[str]:
-    lines = []
-    for label, params in pinned_points():
-        comp = compare_policies(params)
-        best = comp.best_pmg_regime
-        lines += [
-            f"{label} params {_hex(getattr(params, name) for name in PARAM_FIELDS)}",
-            f"{label} pi_bundle,pi_nobundle,delta_pi_B "
-            f"{_hex((comp.pi_bundle, comp.pi_nobundle, comp.delta_pi_B))}",
-            f"{label} best {best.label() if best is not None else None}; tie {tie_text(comp)}",
-        ]
-        candidates = {}
-        for scenario, sol in comp.solutions.items():
-            lines.append(f"{label} {scenario.label()} chosen {sol.chosen and sol.chosen.theorem_id}")
-            candidates.update((c.theorem_id, c) for c in sol.candidates)
-        for tid, c in candidates.items():
-            lines += [
-                f"{label} {tid} prices {_hex(c.prices.present())}",
-                f"{label} {tid} demands {_hex(c.demands)}",
-                f"{label} {tid} profits {_hex(c.profits)}",
-                f"{label} {tid} residual {_hex((c.foc_residual,))} feasible {c.feasible}",
-            ]
-    return lines
-
-
-def test_compare_policies_is_pinned_to_the_bit():
-    expected = COMPARE_EXPECTED.read_text().splitlines()
-    actual = pinned_lines()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want

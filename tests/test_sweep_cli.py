@@ -1,15 +1,11 @@
 """Config parsing, the symmetric-data table, grid sweeps, and the CLI."""
 
-import contextlib
 import csv
-import io
 import json
 import math
 import re
-import tempfile
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +24,7 @@ from bundlematch.sweep import (
 )
 from bundlematch.policy import compare_policies
 
-from conftest import GOLDEN_TABLE, SUBGAME_FLAGS, SWEEP_EXPECTED, panel_points, pinned_sweep_panels
+from conftest import GOLDEN_TABLE, SWEEP_EXPECTED, panel_points, pinned_sweep_panels
 from exact_arithmetic import exact_params
 
 TABLE_KEYS = (
@@ -570,70 +566,9 @@ class TestCli:
         assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) == 1
 
 
-# `bundlematch verify` stdout for the five subgames at three market configs,
-# recorded before the oracle's responses were remembered and stacked.
-# Rebuild only from a commit whose outputs are known good:
-#   PYTHONPATH=src:tests python -c "import test_sweep_cli as t; t.write_verify_expected()"
-VERIFY_EXPECTED = Path(__file__).with_name("verify_expected.txt")
-
-
-def _verify_sections() -> dict[str, list[str]]:
-    """The expected file's sections: [overrides] header, then one line per
-    subgame."""
-    sections: dict[str, list[str]] = {}
-    for line in VERIFY_EXPECTED.read_text().splitlines():
-        if line.startswith("["):
-            sections[line[1:-1]] = current = []
-        elif not line.startswith("#"):
-            current.append(line)
-    return sections
-
-
-def _section_config(section: str, workdir: Path) -> list[str]:
-    """The --config flags for a section named by its overrides of the
-    baseline, with the config file written under workdir."""
-    if section == "baseline":
-        return []
-    path = workdir / "market.cfg"
-    path.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in section.split(",")))
-    return ["--config", str(path)]
-
-
-def verify_output(section: str, workdir: Path) -> str:
-    """One section's stdout, with its config file under workdir."""
-    config = _section_config(section, workdir)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        for flags in SUBGAME_FLAGS:
-            assert main(["verify", *flags, *config]) == 0
-    return stdout.getvalue()
-
-
-def write_verify_expected() -> None:
-    header = [line for line in VERIFY_EXPECTED.read_text().splitlines() if line.startswith("#")]
-    with tempfile.TemporaryDirectory() as tmp:
-        body = [f"[{s}]\n{verify_output(s, Path(tmp))}" for s in _verify_sections()]
-    VERIFY_EXPECTED.write_text("\n".join(header) + "\n" + "".join(body))
-
-
-@pytest.mark.parametrize("section", list(_verify_sections()))
-def test_verify_stdout_is_pinned(tmp_path, section):
-    assert verify_output(section, tmp_path).splitlines() == _verify_sections()[section]
-
-
-# `bundlematch sweep` files for a two-panel b_l x b_s spec, recorded before
-# the selection records became tuples: its cells have an equilibrium, are
+# the pinned two-panel b_l x b_s sweep: its cells have an equilibrium, are
 # inadmissible (lambda_l > b_l) or are admissible without an equilibrium
 SWEEP_EXPECTED_LAMBDA = {"lowlam": 0.05, "baselam": 0.3}
-
-
-def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(SWEEP_EXPECTED / "spec.cfg"), "--out", str(out)]) == 0
-    names = sorted(f"sweep_{label}.csv" for label in SWEEP_EXPECTED_LAMBDA)
-    assert sorted(p.name for p in out.iterdir()) == names
-    for name in names:
-        assert (out / name).read_bytes() == (SWEEP_EXPECTED / name).read_bytes(), name
 
 
 def test_pinned_sweep_has_every_kind_of_cell():
@@ -649,70 +584,12 @@ def test_pinned_sweep_has_every_kind_of_cell():
     assert set(kinds) == {"exists", "inadmissible", "none"}
 
 
-# `bundlematch solve` and `table` output at three market configs, recorded
-# before the report row had one home.  Each section holds, in order, `solve`
-# for the five subgames, one `solve --verify oracle`, the `table --json`
-# stdout (the CSV) and the table.json it writes; its header names its
-# overrides of the baseline, as in verify_expected.txt.  Rebuild only from a
-# commit whose outputs are known good:
-#   PYTHONPATH=src:tests python -c "import test_sweep_cli as t; t.write_solve_expected()"
-SOLVE_EXPECTED = Path(__file__).with_name("solve_expected.txt")
-SOLVE_SECTIONS = (
-    "baseline",
-    "lambda_l=0.099,theta_l=0.1,b_s=0.2",
-    "a_l_i1=120,a_s=140,alpha=0.3,c1=4",
-)
-SOLVE_ORACLE_SUBGAME = ["--pmg", "r1=nocm", "r2=cm"]
-
-
-def solve_output(section: str, workdir: Path) -> str:
-    """One section's stdout followed by its table.json, with the config and
-    the table files under workdir."""
-    config = _section_config(section, workdir)
-    out = workdir / "table"
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        for flags in SUBGAME_FLAGS:
-            assert main(["solve", *flags, *config]) in (0, 2)
-        assert main(["solve", "--verify", "oracle", *SOLVE_ORACLE_SUBGAME, *config]) in (0, 2)
-        assert main(["table", "--json", "--out", str(out), *config]) == 0
-    return stdout.getvalue() + (out / "table.json").read_text()
-
-
-def _solve_sections() -> dict[str, list[str]]:
-    """The expected file's sections.  A header is a whole line in brackets,
-    so the JSON's own '[' and ']' lines are content."""
-    sections: dict[str, list[str]] = {}
-    for line in SOLVE_EXPECTED.read_text().splitlines():
-        if re.fullmatch(r"\[.+\]", line):
-            sections[line[1:-1]] = current = []
-        elif not line.startswith("#"):
-            current.append(line)
-    return sections
-
-
-def write_solve_expected() -> None:
-    header = [line for line in SOLVE_EXPECTED.read_text().splitlines() if line.startswith("#")]
-    with tempfile.TemporaryDirectory() as tmp:
-        body = [f"[{s}]\n{solve_output(s, Path(tmp))}" for s in SOLVE_SECTIONS]
-    SOLVE_EXPECTED.write_text("\n".join(header) + "\n" + "".join(body))
-
-
-def test_solve_sections_are_the_recorded_configs():
-    assert tuple(_solve_sections()) == SOLVE_SECTIONS
-
-
-@pytest.mark.parametrize("section", SOLVE_SECTIONS)
-def test_solve_and_table_output_is_pinned(tmp_path, section):
-    assert solve_output(section, tmp_path).splitlines() == _solve_sections()[section]
-
-
 def test_pinned_sweeps_and_table_hold_in_exact_arithmetic():
     """Every cell of the pinned sweeps and the baseline table, solved in
     exact rational arithmetic with each value made a float only to be
-    printed, give the pinned text: the existence verdicts, the bundled
-    winners' PMG pairs and the printed figures are facts of the model, not
-    of rounding."""
+    printed, give the float run's text, which the sweep CSVs and
+    solve_expected.txt pin: the existence verdicts, the bundled winners' PMG
+    pairs and the printed figures are facts of the model, not of rounding."""
     for spec, panel, path in pinned_sweep_panels():
         cells = []
         for v1, v2, params in panel_points(spec, panel):
@@ -724,10 +601,8 @@ def test_pinned_sweeps_and_table_hold_in_exact_arithmetic():
                 cells.append(GridCell(v1, v2, float(comp.delta_pi_B), label))
         with open(path, newline="") as fh:
             assert sweep_rows(spec, cells) == list(csv.reader(fh)), path.name
-    table = _exact_table(MarketParams.baseline())
-    lines = _solve_sections()["baseline"]
-    start = lines.index(",".join(table[0]))
-    assert list(csv.reader(lines[start : start + len(table)])) == table
+    baseline = MarketParams.baseline()
+    assert table_rows(build_symmetric_table(baseline)) == _exact_table(baseline)
 
 
 def _exact_table(params: MarketParams) -> list[list[str]]:
@@ -740,20 +615,12 @@ def _exact_table(params: MarketParams) -> list[list[str]]:
     return table_rows(rows)
 
 
-# The symmetric table at a point whose subgames select T4 (noCM,noCM and
-# CM,noCM), T3, T1 and T5b, as the float run prints it.  The pinned tables
-# select only T1, T2 and T5a, and the pinned sweeps print only profits,
-# which are stationary in a candidate's own prices, so only this table
-# checks the T3, T4 and T5b prices against the model.
+# A point whose subgames select T4 (noCM,noCM and CM,noCM), T3, T1 and T5b.
+# The pinned tables select only T1, T2 and T5a, and the pinned sweeps print
+# only profits, which are stationary in a candidate's own prices, so only
+# this table checks the T3, T4 and T5b prices against the model;
+# table_expected.txt pins its float run.
 SELECTS_T3_T4_T5B = {"lambda_l": 0.05, "theta_l": 0.5, "a_s": 60.0}
-SELECTS_T3_T4_T5B_TABLE = """\
-scenario,p_r1_i1,p_r1_i2,p_r1_b,p_r2_b,d_l_i1,d_l_i2,d_l_ib,d_q_ib,d_l_jb,d_q_jb,d_s,pi_r1,pi_r2,total_welfare
-"CM,CM",89.4556,89.4556,139.879,125,44.375,44.375,46,52.6956,50,50,10,18.6242,11.025,29.6492
-"CM,noCM",87.8303,87.8303,119.75,135,44.5063,44.5063,54.8957,54.8957,46,46,12.1001,19.0865,10.58,29.6665
-"noCM,CM",88.5173,88.5173,126.161,135,44.346,44.346,52.0791,52.0791,46,49.5354,9.53542,18.5276,11.0549,29.5825
-"noCM,noCM",87.8303,87.8303,119.75,135,44.5063,44.5063,54.8957,54.8957,46,46,12.1001,19.0865,10.58,29.6665
-NoBundle,65,65,130,135,61,61,48,48,46,46,8,18.15,10.58,28.73
-"""
 
 
 def test_table_selecting_t3_t4_and_t5b_holds_in_exact_arithmetic():
@@ -762,24 +629,7 @@ def test_table_selecting_t3_t4_and_t5b_holds_in_exact_arithmetic():
     assert {s.label(): sol.chosen.theorem_id for s, sol in solutions.items()} == {
         "noCM,noCM": "T4", "noCM,CM": "T3", "CM,noCM": "T4", "CM,CM": "T1", "NoBundle": "T5b"
     }
-    expected = list(csv.reader(SELECTS_T3_T4_T5B_TABLE.splitlines()))
-    assert table_rows(build_symmetric_table(params)) == expected
-    assert _exact_table(params) == expected
-
-
-# sweeps whose specs have a [fixed] section, recorded before [fixed] was
-# merged into each panel's overrides at load: in fixed.cfg one panel
-# overrides a fixed key and a bare [panel] keeps it; fixed_default.cfg has
-# no panel section, so its one panel is the implicit default.  Each spec's
-# files live in the directory named after it.
-@pytest.mark.parametrize("spec", ["fixed", "fixed_default"])
-def test_fixed_sweep_csv_bytes_are_pinned(tmp_path, capsys, spec):
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(SWEEP_EXPECTED / f"{spec}.cfg"), "--out", str(out)]) == 0
-    expected = sorted((SWEEP_EXPECTED / spec).iterdir())
-    assert sorted(p.name for p in out.iterdir()) == [p.name for p in expected]
-    for path in expected:
-        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    assert table_rows(build_symmetric_table(params)) == _exact_table(params)
 
 
 def test_fixed_is_merged_into_every_panel_at_load():
