@@ -35,6 +35,7 @@ from .market import (
     Regime,
     RegimeStructure,
     Scenario,
+    SingularSystemError,
     demands,
     effective_prices,
     structure,
@@ -93,7 +94,6 @@ __all__ = [
 _ORACLE_EXPORTS = frozenset(
     {
         "OracleOutcome",
-        "SingularSystemError",
         "best_response_r1",
         "best_response_r2",
         "find_fixed_point",

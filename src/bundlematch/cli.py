@@ -4,8 +4,9 @@ parameter sweeps, or cross-check against the best-response oracle.
 Feasibility is judged at market.FEASIBILITY_TOL; no command sets a
 tolerance.  Exit codes: 0 success, 1 input error (usage errors too, such as
 an unknown flag or a repeated --pmg retailer key, parameters at which a
-closed form is degenerate, and an --out that cannot be written), 2 no
-equilibrium (solve only).
+closed form is degenerate or the oracle's search overflows or meets a
+singular system, and an --out that cannot be written), 2 no equilibrium
+(solve only).
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from pathlib import Path
 
 from .config import ConfigError, load_market_config, load_sweep_spec
 from .equilibria import DegenerateParamsError
-from .market import InvalidParameterError, MarketParams, Scenario
+from .market import (
+    InvalidParameterError,
+    InvalidPriceError,
+    MarketParams,
+    Scenario,
+    SingularSystemError,
+)
 from .policy import SubgameSolution, solve_subgame
 from .sweep import (
     TABLE_COLUMNS,
@@ -216,7 +223,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidParameterError, DegenerateParamsError, OSError) as exc:
+    except (
+        ConfigError,
+        InvalidParameterError,
+        DegenerateParamsError,
+        InvalidPriceError,
+        SingularSystemError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

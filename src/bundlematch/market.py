@@ -8,12 +8,12 @@ at the bundle level: they replace posted bundle prices by effective prices for
 the price-aware segments before demands are evaluated.
 
 Which segment pays which price, and retailer 1's share of strategic demand,
-is fixed per price-ordering regime of a subgame.  The six possibilities are
-the regime structures in STRUCTURES, one per closed-form candidate T1-T5b;
-structure(scenario, regime) looks a subgame's up, regime_structures(scenario)
-its pair, kink_structure(scenario) its row for a retailer-1 price exactly on
-the kink, and every other module derives prices, profits and derivatives
-from them.
+follow from one rule: a PMG acts only for the retailer posting the higher
+price, so a regime structure is its price ordering plus whether that
+retailer matches (RegimeStructure).  The six structures in STRUCTURES are
+one per closed-form candidate T1-T5b; structure(scenario, regime) looks a
+subgame's up, regime_structures(scenario) its pair, and every other module
+derives prices, profits and derivatives from them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import dataclasses
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,6 +39,11 @@ class InvalidParameterError(ValueError):
 
 class InvalidPriceError(ValueError):
     """A price vector is malformed for the given scenario."""
+
+
+class SingularSystemError(RuntimeError):
+    """A best response's first-order (KKT) system is singular, so it does not
+    identify a maximizer (raised by the oracle's stacked solve)."""
 
 
 class Regime(Enum):
@@ -277,24 +282,35 @@ class RegimeStructure:
 
     Each of the six structures is the regime a closed-form candidate T1-T5b
     is derived in.  "r1's price" is retailer 1's bundle-equivalent price.
-    r1_share is retailer 1's share of strategic demand as a rule: "0", "1",
-    or "alpha" for the split parameter.
+    matched says whether the retailer posting the higher price has a PMG:
+    only that retailer's PMG can act, and it makes its loyal price-aware
+    buyers pay the rival's lower price.  Strategic buyers pay the lower
+    price.  The three flags below follow from regime and matched.  They are
+    set once here, not read as properties, because every effective price
+    and every scored candidate reads them (README.md, record rule).
     """
 
     theorem_id: str
     condition_set: str
     bundling: int
     regime: Regime
-    r1_matched: bool  # retailer 1's loyal price-aware buyers pay pb2
-    r2_matched: bool  # retailer 2's loyal price-aware buyers pay r1's price
-    strategic_at_r1: bool  # strategic buyers pay r1's price, else pb2
-    r1_share: str
+    matched: bool
+    r1_matched: bool = field(init=False)  # retailer 1's loyal price-aware buyers pay pb2
+    r2_matched: bool = field(init=False)  # retailer 2's loyal price-aware buyers pay r1's price
+    strategic_at_r1: bool = field(init=False)  # strategic buyers pay r1's price, else pb2
+
+    def __post_init__(self) -> None:
+        low = self.regime is _LOW
+        object.__setattr__(self, "r1_matched", self.matched and not low)
+        object.__setattr__(self, "r2_matched", self.matched and low)
+        object.__setattr__(self, "strategic_at_r1", low)
 
     def strategic_share(self, alpha: float) -> float:
-        """Retailer 1's share of strategic demand."""
-        if self.r1_share == "alpha":
+        """Retailer 1's share of strategic demand: the split alpha when the
+        dearer retailer matches, else all of it to the cheaper one."""
+        if self.matched:
             return alpha
-        return 1.0 if self.r1_share == "1" else 0.0
+        return 1.0 if self.strategic_at_r1 else 0.0
 
     def own_strategic_weights(self, alpha: float) -> tuple[float, float]:
         """Weight of strategic demand in each retailer's own-price derivative,
@@ -324,18 +340,18 @@ class RegimeStructure:
 # takes the whole strategic segment.  An exact tie is R1_HIGH and takes its
 # split: splitting alpha at ties retailer 1 reaches only by posting (not
 # matching) would create kinks where retailer 2's best response fails to
-# exist (it would undercut rather than concede its strategic sales).  A
-# retailer-1 price exactly on the kink (r1's price = pb2) is unmatched and
-# keeps R1_HIGH's strategic share, which buys at r1's price (_KINK_TABLE).
+# exist (it would undercut rather than concede its strategic sales).  At a
+# tie every segment pays the one posted price, so every structure gives
+# the same effective prices there.
 STRUCTURES: dict[str, RegimeStructure] = {
     s.theorem_id: s
     for s in (
-        RegimeStructure("T1", "A", 1, _HIGH, True, False, False, "alpha"),
-        RegimeStructure("T2", "B", 1, _HIGH, False, False, False, "0"),
-        RegimeStructure("T3", "C", 1, _LOW, False, True, True, "alpha"),
-        RegimeStructure("T4", "D", 1, _LOW, False, False, True, "1"),
-        RegimeStructure("T5a", "E", 0, _HIGH, False, False, False, "0"),
-        RegimeStructure("T5b", "F", 0, _LOW, False, False, True, "1"),
+        RegimeStructure("T1", "A", 1, _HIGH, True),
+        RegimeStructure("T2", "B", 1, _HIGH, False),
+        RegimeStructure("T3", "C", 1, _LOW, True),
+        RegimeStructure("T4", "D", 1, _LOW, False),
+        RegimeStructure("T5a", "E", 0, _HIGH, False),
+        RegimeStructure("T5b", "F", 0, _LOW, False),
     )
 }
 
@@ -348,12 +364,6 @@ _TABLE: dict[tuple[int, bool, bool, bool], RegimeStructure] = {
     **{(1, r1, r2, True): STRUCTURES["T1" if r1 else "T2"] for r1 in _BOTH for r2 in _BOTH},
     **{(1, r1, r2, False): STRUCTURES["T3" if r2 else "T4"] for r1 in _BOTH for r2 in _BOTH},
 }
-# keyed by (bundling, pmg_r1, pmg_r2)
-_KINK_TABLE: dict[tuple[int, bool, bool], RegimeStructure] = {
-    key[:3]: dataclasses.replace(s, r1_matched=False, strategic_at_r1=True)
-    for key, s in _TABLE.items() if key[3]
-}
-
 
 def structure(scenario: Scenario, regime: Regime) -> RegimeStructure:
     """The regime structure of a subgame: the one place the PMG flags meet a
@@ -366,14 +376,6 @@ def regime_structures(scenario: Scenario) -> tuple[RegimeStructure, RegimeStruct
     closed-form candidates."""
     b, r1, r2 = scenario.bundling, scenario.pmg_r1, scenario.pmg_r2
     return _TABLE[b, r1, r2, True], _TABLE[b, r1, r2, False]
-
-
-def kink_structure(scenario: Scenario) -> RegimeStructure:
-    """A subgame's structure on the kink, where retailer 1's bundle-equivalent
-    price equals pb2: its R1_HIGH row with retailer 1 unmatched and strategic
-    buyers paying its price.  The theorem_id and condition_set are the R1_HIGH
-    row's; nothing reads them."""
-    return _KINK_TABLE[scenario.bundling, scenario.pmg_r1, scenario.pmg_r2]
 
 
 class DemandProfile(NamedTuple):

@@ -4,12 +4,14 @@ Within each price-ordering regime a retailer's profit is an exact concave
 quadratic, so best responses are computed by solving the regime's linear
 first-order system and keeping the candidate with the highest actual
 profit.  Concavity is a fact of the algebra, proved once for every regime
-structure and kink row in tests/test_exact_algebra.py, so no Hessian is
-checked here.  Retailer 1's candidates come from one plan table for both
-bundling values: the high and low regimes and the kink tie
-(market.kink_structure), each again on the bundle-discount face when it
-bundles.  Nash candidates are then found by damped alternating best
-response.
+structure in tests/test_exact_algebra.py, so no Hessian is checked here.
+Retailer 1's candidates come from one plan table for both bundling values:
+the high and low regimes and the kink tie, each again on the
+bundle-discount face when it bundles.  A kink plan maximizes under the
+R1_HIGH structure with retailer 1's bundle-equivalent price held at pb2:
+on the kink every structure charges every segment pb2, so any of them
+gives the same profit there and the same constrained maximizer.  Nash
+candidates are then found by damped alternating best response.
 No closed-form equilibrium expression is used anywhere in this module, which
 makes fixed points an independent cross-check of the closed forms.
 
@@ -17,12 +19,12 @@ A BestResponses object holds one game, (params, scenario).  It builds once
 per game everything in a response that does not move with the rival's
 price: the (R1_HIGH, R1_LOW) structures, retailer 2's stationary points,
 and retailer 1's KKT matrices and right-hand sides, one array of each.
-Retailer 1's linear terms read pb2 only on a matched row (T1's R1_HIGH row,
-where its PMG matches pb2), so every other side's terms are put into the
-right-hand sides once, at pb2 = 0.0; a response copies them, writes only
-pb2 into the kink rows and the matched side's terms, and makes one stacked
-solve.  find_fixed_point and find_fixed_points share one object across all
-rounds and starts; nothing is remembered across games.
+Retailer 1's linear terms read pb2 only where it is matched (T1's R1_HIGH
+structure, where its PMG matches pb2), so every plan's terms are put into
+the right-hand sides once, at pb2 = 0.0; a response copies them, writes
+pb2 into the kink constraints and, under T1, the R1_HIGH plans' terms, and
+makes one stacked solve.  find_fixed_point and find_fixed_points share one
+object across all rounds and starts; nothing is remembered across games.
 
 Retailer 1's responses are remembered by the exact bits of pb2: a lookup
 costs about 0.65 us against a 10-22 us solve, and about a fifth of a
@@ -79,9 +81,8 @@ from .market import (
     MarketParams,
     PriceVector,
     Regime,
-    RegimeStructure,
     Scenario,
-    kink_structure,
+    SingularSystemError,
     regime_structures,
     validate_prices,
 )
@@ -98,11 +99,6 @@ TOL_DEDUPE = 1e-6
 # reads it, and builds its prices by tuple.__new__, as market's records
 _LOW = Regime.R1_LOW
 _tuple_new = tuple.__new__
-
-
-class SingularSystemError(RuntimeError):
-    """numpy found a plan's first-order (KKT) system singular, so it does not
-    identify a maximizer."""
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -162,25 +158,22 @@ def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
     return kkt
 
 
-_KINK_SIDE = 2  # the kink tie's index among retailer 1's structures
-
-
-def _plan_template(bundled: bool) -> tuple[tuple[tuple[int, Regime | None, bool], ...], np.ndarray]:
-    """Retailer 1's plans under one bundling value as (side, regime,
-    on_face), where side indexes its structures (R1_HIGH, R1_LOW, kink tie)
-    and regime is None on the kink, and the plans' KKT matrices with zero
-    Hessian blocks, each padded with an identity block to the largest
-    system size (5 under B=1, 3 under B=0), by (face, side).  The plans run
-    in that order too.  The stack is read-only: every game copies it."""
+def _plan_template(bundled: bool) -> tuple[tuple[tuple[Regime | None, bool], ...], np.ndarray]:
+    """Retailer 1's plans under one bundling value as (regime, on_face),
+    regime None on the kink, and the plans' KKT matrices with zero Hessian
+    blocks, each padded with an identity block to the largest system size
+    (5 under B=1, 3 under B=0), shaped (face, side, size, size) with sides
+    (R1_HIGH, R1_LOW, kink).  The plans run in that order too.  The stack is
+    read-only: every game copies it."""
     n = 3 if bundled else 2
     kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
-    sides = ((0, Regime.R1_HIGH, []), (1, Regime.R1_LOW, []), (_KINK_SIDE, None, [kink]))
+    sides = ((Regime.R1_HIGH, []), (Regime.R1_LOW, []), (None, [kink]))
     # each side again on the bundle-discount face p1 + p2 = pb1
     faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
     plans, matrices = [], []
     for face in faces:
-        for side, regime, constraints in sides:
-            plans.append((side, regime, bool(face)))
+        for regime, constraints in sides:
+            plans.append((regime, bool(face)))
             matrices.append(_kkt_matrix(np.zeros((n, n)), constraints + face))
     # the identity block leaves a system's solution exact: its rows and
     # columns are zero against the system's, and its right-hand side 0
@@ -197,20 +190,24 @@ def _plan_template(bundled: bool) -> tuple[tuple[tuple[int, Regime | None, bool]
 # by bundling value: what every game's plan stack shares, built once
 _PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1)}
 
+# places on the stacks' side axis: the kink plans', and, as a slice, which
+# numpy indexes without a copy, those maximized under the R1_HIGH
+# structure: its interior and the kink
+_KINK_SIDE = 2
+_HIGH_SIDES = slice(0, 3, 2)
+
 
 class _PlansR1(NamedTuple):
     """Retailer 1's plans in one game: everything in its best response that
     does not move with pb2."""
 
-    structures: tuple[RegimeStructure, ...]  # R1_HIGH, R1_LOW, kink tie
-    plans: tuple[tuple[int, Regime | None, bool], ...]  # (side, regime, on_face)
-    stack: np.ndarray  # the plans' padded KKT matrices, (plans, size, size)
-    # the plans' right-hand sides, (plans, size, 1), as the stack: a side's
-    # linear terms, negated, in each of its plans (the face does not change
-    # them; the face constraint's row is 0.0, as the padding's), and 0.0
-    # where pb2 enters: the kink constraint's row and a matched side's terms
+    plans: tuple[tuple[Regime | None, bool], ...]  # (regime, on_face)
+    stack: np.ndarray  # the plans' padded KKT matrices, (face, side, size, size)
+    # the plans' right-hand sides, (face, side, size, 1), as the stack: a
+    # plan's linear terms at pb2 = 0.0, negated (the face does not change
+    # them; the face constraint's row is 0.0, as the padding's), and 0.0 in
+    # the kink constraint's row, where pb2 enters
     rhs: np.ndarray
-    matched: tuple[int, ...]  # the sides whose structure has r1_matched
 
 
 class BestResponses:
@@ -232,25 +229,19 @@ class BestResponses:
     def _plans_r1(self) -> _PlansR1:
         """Retailer 1's plans in this game: the bundling value's template
         with this game's Hessians assigned into it, and the right-hand sides
-        with the linear terms of every unmatched side, which do not read
-        pb2 (linear_terms_r1), taken at pb2 = 0.0."""
+        with the linear terms (linear_terms_r1) taken at pb2 = 0.0, which
+        only the matched R1_HIGH structure's move away from."""
         params, scenario = self.params, self.scenario
-        structures = (*self._regime_pair, kink_structure(scenario))
+        high, low = self._regime_pair
         plans, template = _PLAN_TEMPLATES[scenario.bundling]
         n = 3 if scenario.bundling == 1 else 2
-        size = template.shape[-1]
         stack = template.copy()
-        # the Hessians do not depend on pb2
-        stack[:, :, :n, :n] = [hessian_matrix_r1(params, s) for s in structures]
-        matched = tuple(side for side, s in enumerate(structures) if s.r1_matched)
-        unmatched = tuple(side for side, s in enumerate(structures) if not s.r1_matched)
-        rhs = np.zeros((len(plans), size, 1))
-        at_zero = linear_terms_r1(params, tuple(structures[side] for side in unmatched), 0.0)
-        for side, terms in zip(unmatched, at_zero):
-            # the plans run by (face, side): every face's plan of this side
-            rhs[side :: len(structures), : len(terms), 0] = [-g for g in terms]
-        stack = stack.reshape(len(plans), size, size)
-        return _PlansR1(structures, plans, stack, rhs, matched)
+        # the Hessians do not depend on pb2; each side's, on either face
+        stack[:, :, :n, :n] = [hessian_matrix_r1(params, s) for s in (high, low, high)]
+        high_terms, low_terms = linear_terms_r1(params, (high, low), 0.0)
+        rhs = np.zeros((*template.shape[:-1], 1))
+        rhs[:, :, :n, 0] = [[-g for g in terms] for terms in (high_terms, low_terms, high_terms)]
+        return _PlansR1(plans, stack, rhs)
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
         """Retailer 1's best response to pb2: every plan's first-order system
@@ -274,27 +265,26 @@ class BestResponses:
         params, scenario = self.params, self.scenario
         bundled = scenario.bundling == 1
         n = 3 if bundled else 2
-        structures, plans, stack, rhs, matched = self._plans_r1
-        sides = len(structures)
+        plans, stack, rhs = self._plans_r1
+        pair = self._regime_pair
         columns = rhs.copy()
-        if matched:
-            at_pb2 = linear_terms_r1(params, tuple(structures[side] for side in matched), pb2)
-            for side, terms in zip(matched, at_pb2):
-                columns[side::sides, : len(terms), 0] = [-g for g in terms]
-        columns[_KINK_SIDE::sides, n, 0] = pb2  # the kink constraint: r1's price = pb2
+        if pair[0].r1_matched:  # T1: the R1_HIGH plans' terms read pb2
+            (terms,) = linear_terms_r1(params, pair[:1], pb2)
+            columns[:, _HIGH_SIDES, :n, 0] = [-g for g in terms]
+        columns[:, _KINK_SIDE, n, 0] = pb2  # the kink constraint: r1's price = pb2
         # one call of the gufunc (_gesv), without numpy.linalg.solve's
-        # argument checks, which cost more than the solve; it reads (k, n, 1)
+        # argument checks, which cost more than the solve; it reads (..., n, 1)
         # right-hand sides as one column per system under numpy 1.x and 2.x.
         # The solutions are read as one flat list, a plan's first n values
-        # starting every size values
+        # starting every size values, in plan order
         solved = _gesv(stack, columns, signature="dd->d").ravel().tolist()
-        size = stack.shape[1]
+        size = stack.shape[-1]
         # a NaN fails every screen's comparison, so a plan's prices are
         # tested for finiteness before its screens; one sum, finite only if
         # every solved value is, spares that test on a finite stack
         suspect = not math.isfinite(sum(solved))
         best: tuple[float, list[float]] | None = None
-        for start, (_, regime, on_face) in zip(range(0, len(solved), size), plans):
+        for start, (regime, on_face) in zip(range(0, len(solved), size), plans):
             x = solved[start : start + n]
             if bundled:
                 if regime is None:
@@ -313,7 +303,7 @@ class BestResponses:
             # on the kink by its snap, so only a plan off it is tested
             if not on_face and not prices.bundle_within_parts():
                 continue
-            s = structures[Regime.of(r1_eq, pb2) is _LOW]  # they open with (R1_HIGH, R1_LOW)
+            s = pair[Regime.of(r1_eq, pb2) is _LOW]
             value = profit_r1(params, s, prices)
             if best is None or value > best[0]:
                 best = (value, x)

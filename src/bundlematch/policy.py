@@ -6,16 +6,16 @@ equilibrium and the bundled winner alike: the first feasible candidate with
 the most retailer-1 profit, in the order the caller gives, so that order is
 the tie order.  A subgame's order is (R1_HIGH, R1_LOW), the bundled
 winner's the PMG pairs' (_PMG_PAIR).  When a candidate is feasible and
-stationary but its sufficient condition set fails, it is admitted with a
-warning, because the condition sets are not necessary.
+stationary but its sufficient condition set fails, it is admitted, because
+the condition sets are not necessary; its condition report says which fail.
 
-Warnings are derived on access from the chosen candidate and the optional
-oracle outcome.  The policy comparison keeps the six closed-form candidates
-and the bundled winner, the feasible T1-T4 candidate with the most
-retailer-1 profit, and reads the subgame solutions (keyed by Scenario),
-profits, the gain from bundling and the best PMG pair off those on access.
-So a sweep, which reads only the gain and the pair, builds no subgame
-solution or condition report.
+Warnings are derived on access from the optional oracle outcome.  The
+policy comparison keeps the six closed-form candidates and the bundled
+winner, the feasible T1-T4 candidate with the most retailer-1 profit, and
+reads the subgame solutions (keyed by Scenario), profits, the gain from
+bundling and the best PMG pair off those on access.  So a sweep, which
+reads only the gain and the pair, builds no subgame solution or condition
+report.
 
 Selection needs no numpy.  The oracle, which does, is imported only when a
 subgame is solved with oracle_check=True (see find_fixed_point below).
@@ -85,29 +85,19 @@ class SubgameSolution(NamedTuple):
 
     @property
     def warnings(self) -> list[str]:
-        """A chosen candidate admitted without its condition set, then an
-        oracle that did not converge or disagrees with the chosen one."""
-        chosen = self.chosen
-        out: list[str] = []
-        if chosen is None:
-            return out
-        report = chosen.condition_report
-        if not report.all_satisfied:
-            out.append(
-                f"conditions-not-verified: {chosen.theorem_id} admitted on feasibility and "
-                f"stationarity alone ({report.summary()}; the sets are "
-                "sufficient, not necessary)"
-            )
-        if self.oracle is None:
-            return out
+        """An oracle that did not converge or disagrees with the chosen
+        candidate.  A chosen candidate's condition report says itself which
+        of its sufficient conditions fail."""
+        if self.chosen is None or self.oracle is None:
+            return []
         if not self.oracle.converged:
-            out.append("oracle: best-response iteration did not converge")
-        elif not self.oracle_agrees:
-            out.append(
+            return ["oracle: best-response iteration did not converge"]
+        if not self.oracle_agrees:
+            return [
                 f"oracle: fixed point deviates from selected equilibrium "
                 f"(relative sup-norm {self.oracle_deviation:.2e})"
-            )
-        return out
+            ]
+        return []
 
 
 class PolicyComparison(NamedTuple):

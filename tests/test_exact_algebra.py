@@ -6,7 +6,7 @@ and without rounding on parameters whose every field is an `Exact` rational
 
 - each retailer's gradient (gradient_r1_at, gradient_r2_at) is the
   derivative of its profit (profits_at) in each own price, under every
-  regime structure and every kink row, carried by Dual numbers;
+  regime structure, carried by Dual numbers;
 - every closed form T1-T5b is a stationary point of its regime: both
   retailers' first-order derivatives there are exactly 0.  This is why
   equilibria checks no first-order residual when it builds a candidate: in
@@ -15,7 +15,7 @@ and without rounding on parameters whose every field is an `Exact` rational
   floats;
 - each retailer's constant Hessian (hessian_matrix_r1, _hessian_r2) is the
   difference of its gradient along each own price, under every regime
-  structure and every kink row;
+  structure;
 - each of those Hessians is negative definite (Sylvester's criterion), and
   the closed-form eigenvalues profits reports for retailer 1 are its
   eigenvalues.  This is why the oracle checks no Hessian before it solves a
@@ -41,7 +41,6 @@ from bundlematch.market import (
     MarketParams,
     PriceVector,
     demands,
-    kink_structure,
 )
 from bundlematch.profits import (
     _eigenvalue_parts_r1,
@@ -55,7 +54,6 @@ from bundlematch.profits import (
     profit_r2,
     profits_at,
 )
-from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import draw_valid_params
 from exact_arithmetic import Dual, Exact, exact_params
@@ -63,13 +61,6 @@ from exact_arithmetic import Dual, Exact, exact_params
 
 def is_exact(values) -> bool:
     return all(type(v) is Exact for v in values)
-
-
-# the six regime structures and the three distinct kink rows
-AUDITED_STRUCTURES = (
-    *STRUCTURES.values(),
-    *dict.fromkeys(kink_structure(scenario) for scenario in TABLE_SCENARIOS),
-)
 
 
 def test_exact_arithmetic_stays_exact():
@@ -130,7 +121,7 @@ def test_hessians_are_the_differences_of_the_gradients():
         exact = exact_params(draw_valid_params(rng))
         # an arbitrary point, away from any closed form and off its regime
         p1, p2, pb1, pb2 = (Exact(rng.uniform(0.0, 300.0)) for _ in range(4))
-        for s in AUDITED_STRUCTURES:
+        for s in STRUCTURES.values():
             prices = PriceVector(p1, p2, pb1 if s.bundling else None, pb2)
             h = hessian_matrix_r1(exact, s)
             g = _gradient_r1(exact, s, prices)
@@ -161,7 +152,7 @@ def test_gradients_are_the_derivatives_of_the_profits():
     for _ in range(40):
         exact = exact_params(draw_valid_params(rng))
         p1, p2, pb1, pb2 = (Exact(rng.uniform(0.0, 300.0)) for _ in range(4))
-        for s in AUDITED_STRUCTURES:
+        for s in STRUCTURES.values():
             prices = PriceVector(p1, p2, pb1 if s.bundling else None, pb2)
             g1 = _gradient_r1(exact, s, prices)
             _, values = evaluate(exact, s, prices)
@@ -175,7 +166,7 @@ def test_gradients_are_the_derivatives_of_the_profits():
             assert pi_r2.value == values.pi_r2
             assert pi_r2.deriv == gradient_r2_at(exact, s, pb2), s
             checked += 1
-    assert checked == 40 * len(AUDITED_STRUCTURES) == 360
+    assert checked == 40 * len(STRUCTURES) == 240
 
 
 def test_each_scorer_is_its_retailers_profit():
@@ -187,7 +178,7 @@ def test_each_scorer_is_its_retailers_profit():
     for _ in range(40):
         exact = exact_params(draw_valid_params(rng))
         p1, p2, pb1, pb2 = (Exact(rng.uniform(-50.0, 300.0)) for _ in range(4))
-        for s in AUDITED_STRUCTURES:
+        for s in STRUCTURES.values():
             tie = pb1 if s.bundling else p1 + p2
             for rival in (pb2, tie):
                 prices = PriceVector(p1, p2, pb1 if s.bundling else None, rival)
@@ -199,7 +190,7 @@ def test_each_scorer_is_its_retailers_profit():
                 assert is_exact(scores)
                 assert scores == tuple(values), (s, prices)
                 checked += 1
-    assert checked == 40 * len(AUDITED_STRUCTURES) * 2 == 720
+    assert checked == 40 * len(STRUCTURES) * 2 == 480
 
 
 def _det(rows: list) -> Exact:
@@ -249,8 +240,8 @@ def _concavity_points() -> list[MarketParams]:
 def test_hessians_are_negative_definite_with_the_closed_form_eigenvalues():
     """Every Hessian the oracle solves with is negative definite.
 
-    Checked exactly at each point, under every regime structure and kink
-    row: the leading principal minors of -hessian_matrix_r1 are all > 0
+    Checked exactly at each point, under every regime structure: the
+    leading principal minors of -hessian_matrix_r1 are all > 0
     (Sylvester's criterion), _hessian_r2 is < 0, and the elementary
     symmetric functions of the closed-form eigenvalues equal those of the
     matrix, so they are its eigenvalues.
@@ -262,16 +253,16 @@ def test_hessians_are_negative_definite_with_the_closed_form_eigenvalues():
     are -mid -/+ sqrt(disc), both < 0 once mid > 0 and mid**2 > disc.  On a
     matched row disc = u**2 + 8 lambda**2 with u = b_l theta_l + lambda >= 0,
     and mid = u + 2 b_l + 2 lambda >= u + 4 lambda, so mid**2 - disc >=
-    8 u lambda + 8 lambda**2 >= 8 lambda**2.  On an unmatched row (every
-    kink row is one) disc = u**2 + 18 lambda**2 with u = b_l (1 - theta_l) +
-    w b_s >= 0, and mid = u + 2 b_l (1 + theta_l) + 4 lambda >= u + 6 lambda,
-    so mid**2 - disc >= 12 u lambda + 18 lambda**2 >= 18 lambda**2.
+    8 u lambda + 8 lambda**2 >= 8 lambda**2.  On an unmatched row
+    disc = u**2 + 18 lambda**2 with u = b_l (1 - theta_l) + w b_s >= 0, and
+    mid = u + 2 b_l (1 + theta_l) + 4 lambda >= u + 6 lambda, so
+    mid**2 - disc >= 12 u lambda + 18 lambda**2 >= 18 lambda**2.
     Retailer 2's h = -2 b_l (1 or 2) - 2 w b_s is < 0 since b_l > 0.
     """
     for params in _concavity_points():
         exact = exact_params(params)
         lam = exact.lambda_l
-        for s in AUDITED_STRUCTURES:
+        for s in STRUCTURES.values():
             minors = _principal_minors(hessian_matrix_r1(exact, s))
             assert is_exact(minors.values())
             orders = range(1, max(map(len, minors)) + 1)
@@ -300,7 +291,7 @@ def test_unmatched_linear_terms_have_zero_pb2_derivative():
     for _ in range(40):
         exact = exact_params(draw_valid_params(rng))
         pb2 = Exact(rng.uniform(0.0, 300.0))
-        for s in AUDITED_STRUCTURES:
+        for s in STRUCTURES.values():
             at, step, two = (linear_terms_r1(exact, (s,), pb2 + k)[0] for k in range(3))
             assert is_exact((*at, *step, *two))
             assert all(c - 2 * b + a == 0 for a, b, c in zip(at, step, two)), s

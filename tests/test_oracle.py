@@ -25,11 +25,10 @@ from bundlematch import (
     find_fixed_points,
     profits,
     solve_subgame,
-    structure,
 )
 from bundlematch.cli import main
 from bundlematch.config import load_market_config
-from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, kink_structure, regime_structures
+from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, STRUCTURES, regime_structures
 from bundlematch.profits import hessian_matrix_r1, linear_terms_r1, quadratic_r2
 from bundlematch.sweep import TABLE_SCENARIOS
 
@@ -708,9 +707,9 @@ class TestStackedSolve:
     def test_uncached_response_evaluates_only_the_matched_terms(
         self, baseline, label, monkeypatch
     ):
-        # the unmatched sides' linear terms are in the per-game right-hand
-        # sides, so a response evaluates only those of a matched side: the
-        # R1_HIGH row when retailer 1 has a PMG
+        # unmatched linear terms are in the per-game right-hand sides, so a
+        # response evaluates only the R1_HIGH structure's, for its interior
+        # and kink plans, when retailer 1 has a PMG
         evaluated = []
         linear_terms_r1 = bundlematch.oracle.linear_terms_r1
 
@@ -719,7 +718,7 @@ class TestStackedSolve:
             return linear_terms_r1(params, structures, pb2)
 
         responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
-        assert responses._plans_r1.matched == ((0,) if SCENARIOS[label].pmg_r1 else ())
+        responses._plans_r1  # the game's setup, before the count
         monkeypatch.setattr(bundlematch.oracle, "linear_terms_r1", counted)
         for pb2 in (60.0, 135.0, 210.0):
             before = sum(evaluated)
@@ -728,8 +727,8 @@ class TestStackedSolve:
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
     def test_game_setup_evaluates_only_zero_price_profiles(self, baseline, label, monkeypatch):
-        # the setup reads each unmatched side's linear terms at pb2 = 0.0,
-        # one demand profile a side, every price of it 0.0
+        # the setup reads each regime structure's linear terms at pb2 = 0.0,
+        # one demand profile a structure, every price of it 0.0
         profiles = []
         # bundlematch.profits is the package's profits function, so the
         # module is read off a function it defines
@@ -741,10 +740,32 @@ class TestStackedSolve:
             return demands(params, prices, eff)
 
         monkeypatch.setattr(profits_module, "demands", counted)
-        plans = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])._plans_r1
-        assert len(profiles) == len(plans.structures) - len(plans.matched)
+        bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])._plans_r1
+        assert len(profiles) == 2
         for prices in profiles:
             assert prices.present() == (0.0,) * len(prices.present())
+
+    @pytest.mark.parametrize("label", list(SCENARIOS))
+    def test_a_search_reads_only_the_subgames_two_structures(self, baseline, label, monkeypatch):
+        # the kink plans maximize under the R1_HIGH structure, so retailer
+        # 1's Hessians, linear terms and scorer see only rows of the table,
+        # and only the subgame's (R1_HIGH, R1_LOW) pair
+        seen = {}
+        for name in ("hessian_matrix_r1", "linear_terms_r1", "profit_r1"):
+            original = getattr(bundlematch.oracle, name)
+
+            def recorded(params, s, *rest, _original=original, _name=name):
+                seen.setdefault(_name, []).extend(s if isinstance(s, tuple) else (s,))
+                return _original(params, s, *rest)
+
+            monkeypatch.setattr(bundlematch.oracle, name, recorded)
+        scen = SCENARIOS[label]
+        find_fixed_point(baseline, scen)
+        rows, pair = list(STRUCTURES.values()), regime_structures(scen)
+        assert sorted(seen) == ["hessian_matrix_r1", "linear_terms_r1", "profit_r1"]
+        for name, structures in seen.items():
+            assert all(any(s is row for row in rows) for s in structures), name
+            assert all(any(s is row for row in pair) for s in structures), name
 
     def test_unmatched_linear_terms_do_not_read_pb2(self):
         # the fact the per-game right-hand sides rest on: an unmatched
@@ -757,7 +778,7 @@ class TestStackedSolve:
         for _ in range(300):
             params = draw_valid_params(rng)
             for scen in SCENARIOS.values():
-                for s in (*regime_structures(scen), kink_structure(scen)):
+                for s in regime_structures(scen):
                     at_zero = _hex_terms(linear_terms_r1(params, (s,), 0.0)[0])
                     for pb2 in levels:
                         terms = _hex_terms(linear_terms_r1(params, (s,), pb2)[0])
@@ -766,7 +787,7 @@ class TestStackedSolve:
                         elif abs(pb2) >= 1.0:
                             moved += terms != at_zero
                     unmatched += not s.r1_matched
-        assert unmatched == 300 * 13
+        assert unmatched == 300 * 8
         assert moved == 300 * 2 * 8
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
@@ -774,27 +795,26 @@ class TestStackedSolve:
         # the stack is a copy of the bundling value's template with the
         # game's Hessians assigned in; it must equal each plan's KKT matrix
         # built on its own from hessian_matrix_r1 and _kkt_matrix and
-        # padded with an identity block, to the bit (signed zeros included)
+        # padded with an identity block, to the bit (signed zeros included).
+        # A kink plan maximizes under the R1_HIGH structure
         rng = np.random.default_rng(22)
         scen = SCENARIOS[label]
         bundled = scen.bundling == 1
         kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])
         face = np.array([1.0, 1.0, -1.0])
+        high, low = regime_structures(scen)
         for _ in range(60):
             params = draw_valid_params(rng)
             record = bundlematch.oracle.BestResponses(params, scen)._plans_r1
-            structures, plans, stack = record.structures, record.plans, record.stack
-            assert structures == (
-                structure(scen, Regime.R1_HIGH), structure(scen, Regime.R1_LOW),
-                kink_structure(scen),
+            plans, stack = record.plans, record.stack
+            assert stack.shape[:2] == (1 + bundled, 3)
+            assert [regime for regime, _ in plans] == [Regime.R1_HIGH, Regime.R1_LOW, None] * (
+                1 + bundled
             )
-            assert [(side, regime) for side, regime, _ in plans] == [
-                (0, Regime.R1_HIGH), (1, Regime.R1_LOW), (2, None)
-            ] * (2 if bundled else 1)
-            assert [on_face for *_, on_face in plans] == [False] * 3 + [True] * (3 * bundled)
-            size = stack.shape[1]
-            for (side, regime, on_face), got in zip(plans, stack):
-                h = np.array(hessian_matrix_r1(params, structures[side]))
+            assert [on_face for _, on_face in plans] == [False] * 3 + [True] * (3 * bundled)
+            size = stack.shape[-1]
+            for (regime, on_face), got in zip(plans, stack.reshape(-1, size, size)):
+                h = np.array(hessian_matrix_r1(params, low if regime is Regime.R1_LOW else high))
                 constraints = ([kink] if regime is None else []) + ([face] if on_face else [])
                 kkt = bundlematch.oracle._kkt_matrix(h, constraints)
                 want = np.eye(size)
@@ -813,10 +833,11 @@ class TestStackedSolve:
         for _ in range(60):
             params = draw_valid_params(rng)
             record = bundlematch.oracle.BestResponses(params, scen)._plans_r1
-            plans, stack = record.plans, record.stack
-            k, size = stack.shape[:2]
+            plans, size = record.plans, record.stack.shape[-1]
+            stack = record.stack.reshape(-1, size, size)
+            k = len(stack)
             assert size == (5 if scen.bundling == 1 else 3)
-            sizes = [dims + (regime is None) + on_face for _, regime, on_face in plans]
+            sizes = [dims + (regime is None) + on_face for regime, on_face in plans]
             rhs = rng.uniform(-300.0, 300.0, (k, size))
             for row, n in enumerate(sizes):
                 rhs[row, n:] = 0.0

@@ -210,9 +210,9 @@ def text(lines: list[str]) -> bytes:
 # each pin file and the function that makes its bytes; the comment above an
 # entry says when the pin was recorded
 PINS = {
-    # before the report row and the sweep panels had one home each
+    # both oracle pins when retailer 1's kink plans moved from their own
+    # structure to the R1_HIGH one
     TESTS / "oracle_expected.txt": lambda: text(oracle_lines(1.0)),
-    # before retailer 1's per-game right-hand sides
     TESTS / "oracle_damped_expected.txt": lambda: text(oracle_lines(0.7)),
     # retailer 1's with the single evaluation of each closed-form candidate,
     # retailer 2's with the damped oracle pin
@@ -221,7 +221,7 @@ PINS = {
     TESTS / "compare_policies_expected.txt": lambda: text(compare_policies_lines()),
     # before the oracle's responses were remembered and stacked
     TESTS / "verify_expected.txt": partial(sectioned, VERIFY_HEADER, VERIFY_SECTIONS, run_verify),
-    # before the report row had one home
+    # when solve stopped warning on a failed sufficient condition set
     TESTS / "solve_expected.txt": partial(sectioned, SOLVE_HEADER, SOLVE_SECTIONS, run_solve),
     # moved from test_sweep_cli.py, where it was written inline
     TESTS / "table_expected.txt": partial(sectioned, TABLE_HEADER, TABLE_SECTIONS, run_table),
@@ -341,6 +341,22 @@ def write_pins() -> None:
         new = make()
         print(f"{path.relative_to(TESTS.parent).as_posix()}: {summary(old, new)}")
         path.write_bytes(new)
+
+
+def test_write_pins_rewrites_each_pin_and_prints_what_moved(tmp_path, monkeypatch, capsys):
+    pin = tmp_path / "tests" / "one_expected.txt"
+    pin.parent.mkdir()
+    pin.write_bytes(b"CM,CM converged False iterations 500\n")
+    new = b"CM,CM converged True iterations 12\n"
+    monkeypatch.setitem(globals(), "TESTS", pin.parent)
+    monkeypatch.setitem(globals(), "PINS", {pin: lambda: new})
+    write_pins()
+    assert pin.read_bytes() == new
+    assert capsys.readouterr().out.splitlines() == [
+        f"tests/one_expected.txt: {VERDICT}",
+        "- CM,CM converged False iterations 500",
+        "+ CM,CM converged True iterations 12",
+    ]
 
 
 if __name__ == "__main__":

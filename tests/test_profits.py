@@ -14,7 +14,7 @@ from bundlematch import (
     profits,
     structure,
 )
-from bundlematch.market import STRUCTURES, kink_structure, structure_at
+from bundlematch.market import STRUCTURES, structure_at
 from bundlematch.profits import (
     _hessian_r2,
     evaluate,
@@ -279,13 +279,6 @@ class TestQuadraticStructure:
         assert value == pytest.approx(expected, abs=1e-12)
 
 
-# the six regime structures and the three distinct kink rows
-SCORED_STRUCTURES = (
-    *STRUCTURES.values(),
-    *dict.fromkeys(kink_structure(scenario) for scenario in TABLE_SCENARIOS),
-)
-
-
 def _bits(value: float) -> str:
     """A float's exact bits; every NaN reads the same."""
     return "nan" if value != value else value.hex()
@@ -314,7 +307,7 @@ class TestScorers:
         points = [baseline] + [draw_valid_params(rng) for _ in range(300)]
         compared, special = 0, set()
         for params in points:
-            for s in SCORED_STRUCTURES:
+            for s in STRUCTURES.values():
                 for prices in _scored_prices(rng, s):
                     _, want = evaluate(params, s, prices)
                     got = (
@@ -324,6 +317,6 @@ class TestScorers:
                     assert list(map(_bits, got)) == list(map(_bits, want)), (s, prices, params)
                     special.update(v for v in map(_bits, got) if v in ("nan", "inf", "-inf"))
                     compared += 1
-        assert compared == len(points) * 9 * 7
+        assert compared == len(points) * 6 * 7
         # the overflowing scale is reached: infinite and NaN profits occur
         assert {"nan", "-inf"} <= special

@@ -1,6 +1,7 @@
 """The regime-structure table and the single evaluation path built on it."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from bundlematch import (
     MarketParams,
     PriceVector,
     Regime,
+    RegimeStructure,
     candidate_theorems,
     demands,
     effective_prices,
@@ -20,7 +22,7 @@ from bundlematch import (
     structure,
 )
 from bundlematch.equilibria import THEOREMS
-from bundlematch.market import STRUCTURES, structure_at
+from bundlematch.market import STRUCTURES, regime_structures, structure_at
 from bundlematch.profits import (
     gradient_r1_at,
     gradient_r2_at,
@@ -120,6 +122,46 @@ class TestTable:
         assert (high.r1_matched, high.r2_matched) == (scenario.pmg_r1, False)
         assert (low.r1_matched, low.r2_matched) == (False, scenario.pmg_r2)
         assert not high.strategic_at_r1 and low.strategic_at_r1
+
+    def test_each_row_sets_five_values_and_derives_its_flags(self):
+        # only the dearer retailer's PMG can act: it charges that retailer's
+        # loyal price-aware buyers the rival's lower price, and strategic
+        # buyers pay the lower price
+        settable = [f.name for f in dataclasses.fields(RegimeStructure) if f.init]
+        assert settable == ["theorem_id", "condition_set", "bundling", "regime", "matched"]
+        for s in STRUCTURES.values():
+            low = s.regime is Regime.R1_LOW
+            assert s.r1_matched == (s.matched and not low), s
+            assert s.r2_matched == (s.matched and low), s
+            assert s.strategic_at_r1 == low, s
+        assert [tid for tid, s in STRUCTURES.items() if s.matched] == ["T1", "T3"]
+
+    def test_replace_cannot_set_a_derived_flag(self):
+        t2 = STRUCTURES["T2"]
+        for name in ("r1_matched", "r2_matched", "strategic_at_r1"):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(t2, **{name: True})
+        # a replaced settable value derives the flags again
+        t1 = dataclasses.replace(t2, theorem_id="T1", condition_set="A", matched=True)
+        assert t1 == STRUCTURES["T1"] and t1.r1_matched
+
+    @pytest.mark.parametrize("scenario", TABLE_SCENARIOS, ids=lambda s: s.label())
+    def test_at_a_tie_every_structure_charges_every_segment_the_rivals_price(self, scenario):
+        # what lets the oracle's kink plans maximize under the R1_HIGH
+        # structure: with retailer 1's bundle-equivalent price equal to pb2,
+        # both of a subgame's structures resolve to (pb2, pb2, pb2), with pb1
+        # on the bundle-discount face (p1 + p2 == pb1) and off it
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            p1, p2 = rng.uniform(1.0, 250.0, size=2).tolist()
+            if scenario.bundling:
+                tied = [PriceVector(p1, p2, pb1, pb1) for pb1 in (p1 + p2, 0.8 * (p1 + p2))]
+            else:
+                tied = [PriceVector(p1, p2, None, p1 + p2)]
+            for prices in tied:
+                pb2 = prices.pb2
+                for s in regime_structures(scenario):
+                    assert s.effective_prices(prices) == (pb2, pb2, pb2), (s, prices)
 
     def test_strategic_share_rules(self):
         shares = {tid: s.strategic_share(0.3) for tid, s in STRUCTURES.items()}

@@ -357,6 +357,24 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
 
+    @pytest.mark.parametrize(
+        "command", [["verify"], ["solve", "--verify", "oracle"]], ids=["verify", "solve"]
+    )
+    @pytest.mark.parametrize(
+        "line", ["a_l_i1 = 1e308", "b_s = 1e300"], ids=["overflow", "singular"]
+    )
+    def test_oracle_errors_exit_1(self, tmp_path, capsys, command, line):
+        # both configs are admissible and the NoBundle closed forms are
+        # finite, but the oracle's search overflows to an infinite price, or
+        # meets a first-order system that is singular only after rounding
+        # (at b_s = 1e300 its entries all round to -2e300); either is one
+        # error line, not a traceback
+        path = tmp_path / "m.cfg"
+        path.write_text(f"{line}\n")
+        assert main([*command, "--bundling", "0", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command", ["table", "sweep"])
     def test_unwritable_out_exits_1(self, tmp_path, capsys, command):
         out = tmp_path / "taken"
