@@ -1,11 +1,8 @@
 """Nash equilibria of a two-retailer complementary-goods pricing game with
 mixed bundling and price-matching guarantees.
 
-The closed forms, the selection, the table and the sweeps run in pure
-Python, so importing the package does not load numpy.  Only the
-best-response oracle (bundlematch.oracle), which solves stacked arrays,
-imports it.  The oracle's exports below are resolved on first access,
-which imports bundlematch.oracle and with it numpy.
+Everything runs in pure Python: the closed forms, the selection, the
+table, the sweeps and the best-response oracle.
 """
 
 from .conditions import (
@@ -35,10 +32,16 @@ from .market import (
     Regime,
     RegimeStructure,
     Scenario,
-    SingularSystemError,
     demands,
     effective_prices,
     structure,
+)
+from .oracle import (
+    OracleOutcome,
+    best_response_r1,
+    best_response_r2,
+    find_fixed_point,
+    find_fixed_points,
 )
 from .policy import (
     PolicyComparison,
@@ -65,7 +68,6 @@ __all__ = [
     "Regime",
     "RegimeStructure",
     "Scenario",
-    "SingularSystemError",
     "SubgameSolution",
     "UnknownSetError",
     "best_response_r1",
@@ -88,27 +90,3 @@ __all__ = [
     "solve_subgame",
     "structure",
 ]
-
-# resolved on first access (PEP 562), so that importing the package does not
-# import the oracle or numpy
-_ORACLE_EXPORTS = frozenset(
-    {
-        "OracleOutcome",
-        "best_response_r1",
-        "best_response_r2",
-        "find_fixed_point",
-        "find_fixed_points",
-    }
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _ORACLE_EXPORTS:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -4,9 +4,9 @@ parameter sweeps, or cross-check against the best-response oracle.
 Feasibility is judged at market.FEASIBILITY_TOL; no command sets a
 tolerance.  Exit codes: 0 success, 1 input error (usage errors too, such as
 an unknown flag or a repeated --pmg retailer key, parameters at which a
-closed form is degenerate or the oracle's search overflows or meets a
-singular system, and an --out that cannot be written), 2 no equilibrium
-(solve only).
+closed form or a curvature of retailer 1's best response is degenerate or
+the oracle's search overflows, and an --out that cannot be written), 2 no
+equilibrium (solve only).
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_market_config, load_sweep_spec
 from .equilibria import DegenerateParamsError
-from .market import (
-    InvalidParameterError,
-    InvalidPriceError,
-    MarketParams,
-    Scenario,
-    SingularSystemError,
-)
+from .market import InvalidParameterError, InvalidPriceError, MarketParams, Scenario
 from .policy import SubgameSolution, solve_subgame
 from .sweep import (
     TABLE_COLUMNS,
@@ -228,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         InvalidParameterError,
         DegenerateParamsError,
         InvalidPriceError,
-        SingularSystemError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

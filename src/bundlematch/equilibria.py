@@ -29,7 +29,8 @@ which candidates share the record.
 Every closed form is plain IEEE arithmetic: a square is a product, x * x,
 parenthesized where it stands so each product keeps its operand order.
 Unlike a float power (libm pow), a product overflows to inf instead of
-raising, and numpy reproduces it to the bit on arrays.
+raising, and an array library's elementwise product reproduces it to the
+bit.
 
 Each function returns the regime's unique stationary point and its
 feasibility at market.FEASIBILITY_TOL.  The price ordering is decided
@@ -80,8 +81,9 @@ _tuple_new = tuple.__new__
 
 
 class DegenerateParamsError(ValueError):
-    """Parameters make a closed-form denominator vanish or a closed form
-    overflow."""
+    """Parameters make a closed-form denominator vanish, a closed form
+    overflow, or a curvature of retailer 1's best response lose its sign
+    to rounding."""
 
 
 class EquilibriumResult(NamedTuple):

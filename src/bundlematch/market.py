@@ -41,11 +41,6 @@ class InvalidPriceError(ValueError):
     """A price vector is malformed for the given scenario."""
 
 
-class SingularSystemError(RuntimeError):
-    """A best response's first-order (KKT) system is singular, so it does not
-    identify a maximizer (raised by the oracle's stacked solve)."""
-
-
 class Regime(Enum):
     """Active price ordering.
 

@@ -1,33 +1,44 @@
 """Independent equilibrium oracle: best responses and fixed-point iteration.
 
 Within each price-ordering regime a retailer's profit is an exact concave
-quadratic, so best responses are computed by solving the regime's linear
-first-order system and keeping the candidate with the highest actual
-profit.  Concavity is a fact of the algebra, proved once for every regime
-structure in tests/test_exact_algebra.py, so no Hessian is checked here.
-Retailer 1's candidates come from one plan table for both bundling values:
-the high and low regimes and the kink tie, each again on the
-bundle-discount face when it bundles.  A kink plan maximizes under the
-R1_HIGH structure with retailer 1's bundle-equivalent price held at pb2:
-on the kink every structure charges every segment pb2, so any of them
-gives the same profit there and the same constrained maximizer.  Nash
-candidates are then found by damped alternating best response.
-No closed-form equilibrium expression is used anywhere in this module, which
-makes fixed points an independent cross-check of the closed forms.
+quadratic, so a best response is the best of a few closed-form maximizers,
+each kept only where its prices lie.  Concavity is a fact of the algebra,
+proved once for every regime structure in tests/test_exact_algebra.py, so
+no Hessian is checked here.  Nash candidates are then found by damped
+alternating best response.  No closed-form equilibrium expression is used
+anywhere in this module, which makes fixed points an independent
+cross-check of the closed forms.
+
+Retailer 1's two items are mirror images in its loyal demands (own slope
+b_l, cross slope b_l theta_l, the same lambda_l bundle-gap term), so
+(1, -1, 0) is an eigenvector of its Hessian under every structure, and the
+difference of its linear terms along it does not move with pb2.  While both
+item prices are free, p1 - p2 is one constant of the parameters
+(item_difference), and retailer 1 chooses only u = p1 + p2 and pb1.  Its
+plans (_PLANS) are the high and low regimes' interiors and the kink tie,
+each again on the bundle-discount face p1 + p2 = pb1 when it bundles;
+plan_r1 solves each in closed form.  A kink plan maximizes under the
+R1_HIGH structure with retailer 1's bundle-equivalent price held at pb2: on
+the kink every structure charges every segment pb2, so any of them gives
+the same profit there and the same constrained maximizer.  A plan whose item-price difference puts an item
+price below zero has one variant with that item at exactly 0.0 and the
+other prices re-optimized.  Every denominator is a curvature of the concave
+profit along a plan's free directions (reduce_r1), negative on the whole
+parameter domain; where rounding at an extreme scale loses its sign,
+DegenerateParamsError is raised.
 
 A BestResponses object holds one game, (params, scenario).  It builds once
 per game everything in a response that does not move with the rival's
 price: the (R1_HIGH, R1_LOW) structures, retailer 2's stationary points,
-and retailer 1's KKT matrices and right-hand sides, one array of each.
+and, at retailer 1's first response, its item-price difference, its
+curvatures under each structure and its linear terms at pb2 = 0.0.
 Retailer 1's linear terms read pb2 only where it is matched (T1's R1_HIGH
-structure, where its PMG matches pb2), so every plan's terms are put into
-the right-hand sides once, at pb2 = 0.0; a response copies them, writes
-pb2 into the kink constraints and, under T1, the R1_HIGH plans' terms, and
-makes one stacked solve.  find_fixed_point and find_fixed_points share one
-object across all rounds and starts; nothing is remembered across games.
+structure, where its PMG matches pb2), so a response evaluates only those.
+find_fixed_point and find_fixed_points share one object across all rounds
+and starts; nothing is remembered across games.
 
 Retailer 1's responses are remembered by the exact bits of pb2: a lookup
-costs about 0.65 us against a 10-22 us solve, and about a fifth of a
+costs about 0.6-1.1 us against a 10-20 us response, and about a fifth of a
 search's rounds repeat a pb2.  Retailer 2's profit reads retailer 1's
 prices only through r1_eq (PriceVector.r1_bundle_equivalent), so its
 response, the best of three clamped candidates, costs about what a lookup
@@ -36,12 +47,14 @@ keyed on retailer 1's three prices would, and is not remembered.
 Each candidate is scored once, by the responding retailer's own profit
 (profits.profit_r1 or profit_r2, equal to profits.evaluate's to the bit)
 under the structure of the regime its prices lie in (market.Regime.of),
-taken from the game's pair.  Retailer 1's are first tested against their
-plan's regime from the solved floats, and off the bundle-discount face
-against bundle-within-parts; a plan on the face or the kink lies there by
-construction, so rounding at a large price scale cannot reject it.  A
-non-finite candidate raises as validation does, before any of these tests
-could drop it.
+taken from the game's pair.  Retailer 1's are first screened for
+nonnegative prices, against their plan's regime from the solved floats, and
+off the bundle-discount face against bundle-within-parts; a plan on the
+face or the kink lies there by construction, so rounding at a large price
+scale cannot reject it.  The kink plans always leave a candidate: at
+pb2 >= 0 the kink on the face (under B=0 the kink), or its variant, has
+nonnegative prices.  A non-finite candidate raises as validation does,
+before any of these tests could drop it.
 
 A search runs at most MAX_ITERS rounds and converges when the best-response
 residual drops below TOL_FP; both are read when a search starts.  It stops
@@ -51,19 +64,6 @@ returned.
 
 Non-convergence is data, not an error: it is the signal used to map regions
 where no pure-strategy equilibrium exists.
-
-The stacked solve calls _gesv, the gufunc that numpy.linalg.solve wraps
-(numpy.linalg._umath_linalg.solve), under the error state the wrapper sets
-(_solve_errstate), so a singular system raises SingularSystemError.  On
-these small float64 stacks, whose shapes and dtype the module fixes, the
-wrapper's argument checks and conversions take longer than the solve
-itself, and they change no bit of its result.  Setting the error state
-costs about half as much as the solve, so a search sets it once for all
-its rounds; a response asked for on its own sets it itself.
-
-This module imports numpy at load time; the package loads it only when an
-oracle name is first used (bundlematch.__getattr__) or a subgame is solved
-with oracle_check=True (policy.find_fixed_point).
 """
 
 from __future__ import annotations
@@ -73,16 +73,14 @@ import operator
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-from numpy.linalg import _umath_linalg
-
+from .equilibria import DegenerateParamsError
 from .market import (
     PARAM_FIELDS,
     MarketParams,
     PriceVector,
     Regime,
+    RegimeStructure,
     Scenario,
-    SingularSystemError,
     regime_structures,
     validate_prices,
 )
@@ -100,38 +98,15 @@ TOL_DEDUPE = 1e-6
 _LOW = Regime.R1_LOW
 _tuple_new = tuple.__new__
 
-
-def _raise_singular(err: str, flag: int) -> None:
-    raise SingularSystemError("Singular matrix")
-
-
-def _solve_errstate() -> np.errstate:
-    """The error state numpy.linalg.solve sets around its gufunc: LAPACK
-    flags a singular system as invalid, which raises SingularSystemError
-    through the callback, and no other flag warns.  A new object per
-    entry: an np.errstate cannot be entered twice.  It holds for every
-    numpy operation under it, so the responses it covers score in Python
-    floats: a game takes its parameters as floats (_float_params),
-    respond_r1 takes pb2 as one, and a search starts from those parameters
-    and steps to the solves' .tolist() floats."""
-    return np.errstate(
-        call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
-    )
-
-
-# each float64 system of a stack, (k, n, n), solved against its columns,
-# (k, n, m), by LAPACK's gesv: numpy.linalg.solve without its argument
-# checks, to be called under _solve_errstate
-_gesv = _umath_linalg.solve
-
-
 _param_values = operator.attrgetter(*PARAM_FIELDS)
 _FLOAT = {float}
 
 
 def _float_params(params: MarketParams) -> MarketParams:
-    """params with every field a Python float: a numpy-scalar field would
-    carry the model's arithmetic into the search's error state."""
+    """params with every field a Python float.  A field of a float subclass
+    with its own arithmetic, such as an array library's float64 scalar,
+    would carry that arithmetic into the search, and it warns on an
+    overflow that float arithmetic takes to inf silently."""
     values = _param_values(params)
     if set(map(type, values)) <= _FLOAT:
         return params
@@ -144,70 +119,115 @@ class OracleOutcome(NamedTuple):
     iterations: int
 
 
-def _kkt_matrix(h: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
-    """The bordered KKT matrix maximizing the quadratic with Hessian h
-    subject to equality constraints a.x = b (h itself when unconstrained)."""
-    if not constraints:
-        return h
-    n, m = h.shape[0], len(constraints)
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = h
-    for i, a in enumerate(constraints):
-        kkt[:n, n + i] = -a
-        kkt[n + i, :n] = a
-    return kkt
+def _negative(curvature: float) -> float:
+    """curvature, once it is < 0: a curvature of retailer 1's profit, which
+    is negative on the whole parameter domain and can lose its sign only by
+    rounding at an extreme scale."""
+    if not curvature < 0.0:
+        raise DegenerateParamsError(
+            "degenerate parameters: a curvature of retailer 1's profit is not negative"
+        )
+    return curvature
 
 
-def _plan_template(bundled: bool) -> tuple[tuple[tuple[Regime | None, bool], ...], np.ndarray]:
-    """Retailer 1's plans under one bundling value as (regime, on_face),
-    regime None on the kink, and the plans' KKT matrices with zero Hessian
-    blocks, each padded with an identity block to the largest system size
-    (5 under B=1, 3 under B=0), shaped (face, side, size, size) with sides
-    (R1_HIGH, R1_LOW, kink).  The plans run in that order too.  The stack is
-    read-only: every game copies it."""
-    n = 3 if bundled else 2
-    kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])  # r1's price = pb2
-    sides = ((Regime.R1_HIGH, []), (Regime.R1_LOW, []), (None, [kink]))
-    # each side again on the bundle-discount face p1 + p2 = pb1
-    faces = ([], [np.array([1.0, 1.0, -1.0])]) if bundled else ([],)
-    plans, matrices = [], []
-    for face in faces:
-        for regime, constraints in sides:
-            plans.append((regime, bool(face)))
-            matrices.append(_kkt_matrix(np.zeros((n, n)), constraints + face))
-    # the identity block leaves a system's solution exact: its rows and
-    # columns are zero against the system's, and its right-hand side 0
-    size = max(len(m) for m in matrices)
-    stack = np.zeros((len(faces), len(sides), size, size))
-    for padded, matrix in zip(stack.reshape(len(matrices), size, size), matrices):
-        m = len(matrix)
-        padded[:m, :m] = matrix
-        padded[range(m, size), range(m, size)] = 1.0
-    stack.flags.writeable = False
-    return tuple(plans), stack
+def item_difference(params: MarketParams) -> float:
+    """p1 - p2 wherever retailer 1 maximizes with both item prices free:
+    (a_l_i1 - a_l_i2) / (2 b_l (1 - theta_l)) + (c1 - c2) / 2.  Along
+    (1, -1, 0) every retailer-1 Hessian has the eigenvalue
+    -2 b_l (1 - theta_l), and the linear terms the difference
+    (a_l_i1 - a_l_i2) + b_l (1 - theta_l) (c1 - c2).  Read from the
+    parameters, not from the Hessian's entries, whose difference can round
+    to 0."""
+    p = params
+    eigenvalue = _negative(-2.0 * p.b_l * (1.0 - p.theta_l))
+    return (p.a_l_i2 - p.a_l_i1) / eigenvalue + (p.c1 - p.c2) / 2.0
 
 
-# by bundling value: what every game's plan stack shares, built once
-_PLAN_TEMPLATES = {bundling: _plan_template(bundling == 1) for bundling in (0, 1)}
+def reduce_r1(params: MarketParams, s: RegimeStructure) -> tuple:
+    """Retailer 1's Hessian under structure s (hessian_matrix_r1), reduced
+    to its plans' denominators, each guarded negative.
 
-# places on the stacks' side axis: the kink plans', and, as a slice, which
-# numpy indexes without a copy, those maximized under the R1_HIGH
-# structure: its interior and the kink
-_KINK_SIDE = 2
-_HIGH_SIDES = slice(0, 3, 2)
+    x is what the items' level moves: u = p1 + p2 with p1 - p2 held, whose
+    curvature is the mean of a row's two item entries, or one item's price
+    with the other held at 0.0, whose curvature is its diagonal entry.
+    Under B=0 each x has one curvature.  Under B=1, with l the curvature
+    across x and pb1 and c along pb1, each x has three: along x alone (the
+    kink, pb1 held), with pb1 at its best (x's curvature less l * l / c,
+    the interior) and with pb1 moving with x (x's curvature plus 2 l + c,
+    the face); they are returned as ((u's three, the item's three),
+    (l, c, l / c))."""
+    h = hessian_matrix_r1(params, s)
+    if s.bundling == 0:
+        (diag, off), _ = h
+        return ((_negative(0.5 * diag + 0.5 * off),), (_negative(diag),)), None
+    (h1, h2, l), _, (_, _, c) = h
+    r = l / _negative(c)
+    return tuple(
+        (_negative(a), _negative(a - r * l), _negative(a + 2.0 * l + c))
+        for a in (0.5 * h1 + 0.5 * h2, h1)
+    ), (l, c, r)
+
+
+def _maximize(curvatures, coupling, k, g3, pb2, on_kink, on_face):
+    """(x, pb1) maximizing retailer 1's profit on one plan, x as in
+    reduce_r1 with the linear term k (B=0: pb1 None); g3 is pb1's linear
+    term.  The interior is solved by elimination through r = l / c, which
+    keeps every product of two curvatures out of it."""
+    if coupling is None:
+        return (pb2 if on_kink else -k / curvatures[0]), None
+    along, interior, face = curvatures
+    l, c, r = coupling
+    if on_kink:
+        return (pb2, pb2) if on_face else (-(k + l * pb2) / along, pb2)
+    if on_face:
+        x = -(k + g3) / face
+        return x, x
+    x = -(k - r * g3) / interior
+    return x, -(g3 + l * x) / c
+
+
+def plan_r1(reduced: tuple, terms: tuple, v: float, pb2: float, on_kink: bool, on_face: bool):
+    """Retailer 1's candidates on one plan against pb2, as (p1, p2, pb1)
+    rows: the maximizer with p1 - p2 = v (item_difference), and, when v
+    puts an item price below 0.0, one more with that item at exactly 0.0,
+    the other item and pb1 re-optimized.  reduced is reduce_r1's and terms
+    linear_terms_r1's, under the plan's structure.  No call in it needs a
+    float, so it runs on exact rationals too."""
+    curvatures, coupling = reduced
+    g1, g2 = terms[0], terms[1]
+    g3 = None if coupling is None else terms[2]
+    u, pb1 = _maximize(curvatures[0], coupling, 0.5 * g1 + 0.5 * g2, g3, pb2, on_kink, on_face)
+    p1, p2 = 0.5 * u + 0.5 * v, 0.5 * u - 0.5 * v
+    rows = [(p1, p2, pb1)]
+    if v > 0.0 and p2 < 0.0:
+        x, pb1 = _maximize(curvatures[1], coupling, g1, g3, pb2, on_kink, on_face)
+        rows.append((x, 0.0, pb1))
+    elif v < 0.0 and p1 < 0.0:
+        x, pb1 = _maximize(curvatures[1], coupling, g2, g3, pb2, on_kink, on_face)
+        rows.append((0.0, x, pb1))
+    return rows
+
+
+# retailer 1's plans by bundling value, scored in this order (a tie goes
+# to the first): (structure, on_kink, on_face), the structure's index in
+# the game's (R1_HIGH, R1_LOW) pair; a kink plan maximizes under R1_HIGH
+_PLANS = {
+    0: ((0, False, False), (1, False, False), (0, True, False)),
+    1: (
+        (0, False, False), (1, False, False), (0, True, False),
+        (0, False, True), (1, False, True), (0, True, True),
+    ),
+}
 
 
 class _PlansR1(NamedTuple):
     """Retailer 1's plans in one game: everything in its best response that
-    does not move with pb2."""
+    does not move with pb2, each per structure of the (R1_HIGH, R1_LOW)
+    pair."""
 
-    plans: tuple[tuple[Regime | None, bool], ...]  # (regime, on_face)
-    stack: np.ndarray  # the plans' padded KKT matrices, (face, side, size, size)
-    # the plans' right-hand sides, (face, side, size, 1), as the stack: a
-    # plan's linear terms at pb2 = 0.0, negated (the face does not change
-    # them; the face constraint's row is 0.0, as the padding's), and 0.0 in
-    # the kink constraint's row, where pb2 enters
-    rhs: np.ndarray
+    v: float  # item_difference
+    reduced: tuple  # reduce_r1's
+    terms: tuple  # linear_terms_r1's at pb2 = 0.0
 
 
 class BestResponses:
@@ -227,91 +247,59 @@ class BestResponses:
 
     @cached_property
     def _plans_r1(self) -> _PlansR1:
-        """Retailer 1's plans in this game: the bundling value's template
-        with this game's Hessians assigned into it, and the right-hand sides
-        with the linear terms (linear_terms_r1) taken at pb2 = 0.0, which
-        only the matched R1_HIGH structure's move away from."""
-        params, scenario = self.params, self.scenario
-        high, low = self._regime_pair
-        plans, template = _PLAN_TEMPLATES[scenario.bundling]
-        n = 3 if scenario.bundling == 1 else 2
-        stack = template.copy()
-        # the Hessians do not depend on pb2; each side's, on either face
-        stack[:, :, :n, :n] = [hessian_matrix_r1(params, s) for s in (high, low, high)]
-        high_terms, low_terms = linear_terms_r1(params, (high, low), 0.0)
-        rhs = np.zeros((*template.shape[:-1], 1))
-        rhs[:, :, :n, 0] = [[-g for g in terms] for terms in (high_terms, low_terms, high_terms)]
-        return _PlansR1(plans, stack, rhs)
+        """Retailer 1's plans in this game, with the linear terms taken at
+        pb2 = 0.0, which only the matched R1_HIGH structure's move away
+        from."""
+        params, pair = self.params, self._regime_pair
+        return _PlansR1(
+            item_difference(params),
+            tuple(reduce_r1(params, s) for s in pair),
+            tuple(linear_terms_r1(params, pair, 0.0)),
+        )
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
-        """Retailer 1's best response to pb2: every plan's first-order system
-        solved exactly in one stacked solve, each candidate in its plan's
-        regime (and, off the bundle-discount face, within its parts)
-        scored once by retailer 1's profit under the structure of the
-        regime its prices lie in, the one with the highest profit kept, then
-        components clamped at zero.  Remembered per pb2, by its exact bits."""
-        with _solve_errstate():
-            # a numpy scalar's arithmetic would meet the error state
-            return self._respond_r1(float(pb2))
-
-    def _respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
-        """respond_r1 under the solve's error state, which the caller sets:
-        respond_r1 for one response, _search once for all its rounds."""
-        if not math.isfinite(pb2):
-            raise ValueError("pb2 must be finite")
+        """Retailer 1's best response to pb2, which must be finite and >= 0:
+        every plan solved in closed form (plan_r1), each candidate with
+        nonnegative prices in its plan's regime (and, off the
+        bundle-discount face, within its parts) scored once by retailer 1's
+        profit under the structure of the regime its prices lie in, the one
+        with the highest profit kept.  Remembered per pb2, by its exact
+        bits."""
+        pb2 = float(pb2)  # a float subclass's arithmetic may warn, see _float_params
+        if not 0.0 <= pb2 < math.inf:
+            raise ValueError("pb2 must be finite and >= 0")
         key = pb2.hex()
         if key in self._r1_memo:
             return self._r1_memo[key]
-        params, scenario = self.params, self.scenario
-        bundled = scenario.bundling == 1
-        n = 3 if bundled else 2
-        plans, stack, rhs = self._plans_r1
-        pair = self._regime_pair
-        columns = rhs.copy()
-        if pair[0].r1_matched:  # T1: the R1_HIGH plans' terms read pb2
-            (terms,) = linear_terms_r1(params, pair[:1], pb2)
-            columns[:, _HIGH_SIDES, :n, 0] = [-g for g in terms]
-        columns[:, _KINK_SIDE, n, 0] = pb2  # the kink constraint: r1's price = pb2
-        # one call of the gufunc (_gesv), without numpy.linalg.solve's
-        # argument checks, which cost more than the solve; it reads (..., n, 1)
-        # right-hand sides as one column per system under numpy 1.x and 2.x.
-        # The solutions are read as one flat list, a plan's first n values
-        # starting every size values, in plan order
-        solved = _gesv(stack, columns, signature="dd->d").ravel().tolist()
-        size = stack.shape[-1]
-        # a NaN fails every screen's comparison, so a plan's prices are
-        # tested for finiteness before its screens; one sum, finite only if
-        # every solved value is, spares that test on a finite stack
-        suspect = not math.isfinite(sum(solved))
-        best: tuple[float, list[float]] | None = None
-        for start, (regime, on_face) in zip(range(0, len(solved), size), plans):
-            x = solved[start : start + n]
-            if bundled:
-                if regime is None:
-                    x[2] = pb2  # snap exactly onto the kink
-                r1_eq = x[2]
-            else:
-                r1_eq = x[0] + x[1]
-            prices = _tuple_new(PriceVector, (x[0], x[1], x[2] if bundled else None, pb2))
-            if suspect and not all(map(math.isfinite, x)):
-                validate_prices(scenario, prices)  # raises, naming the price
-            # classified from the floats, so only a candidate in its plan's
-            # regime is scored
-            if regime is not None and not regime.holds(r1_eq, pb2):
-                continue
-            # a face plan lies on the face by construction, as the kink plan
-            # on the kink by its snap, so only a plan off it is tested
-            if not on_face and not prices.bundle_within_parts():
-                continue
-            s = pair[Regime.of(r1_eq, pb2) is _LOW]
-            value = profit_r1(params, s, prices)
-            if best is None or value > best[0]:
-                best = (value, x)
+        params, scenario, pair = self.params, self.scenario, self._regime_pair
+        v, reduced, terms = self._plans_r1
+        if pair[0].r1_matched:  # T1: the R1_HIGH structure's terms read pb2
+            terms = (linear_terms_r1(params, pair[:1], pb2)[0], terms[1])
+        best_value, best = -math.inf, None
+        for side, on_kink, on_face in _PLANS[scenario.bundling]:
+            for row in plan_r1(reduced[side], terms[side], v, pb2, on_kink, on_face):
+                p1, p2, pb1 = row
+                r1_eq = p1 + p2 if pb1 is None else pb1
+                prices = _tuple_new(PriceVector, (p1, p2, pb1, pb2))
+                # a NaN fails every screen's comparison, so the prices are
+                # tested for finiteness first: the sum is finite only if
+                # every price is
+                if not math.isfinite(p1 + p2 + r1_eq):
+                    validate_prices(scenario, prices)  # raises, naming the price
+                if p1 < 0.0 or p2 < 0.0 or r1_eq < 0.0:
+                    continue
+                # classified from the floats, so only a candidate in its
+                # plan's regime is scored
+                if not on_kink and not pair[side].regime.holds(r1_eq, pb2):
+                    continue
+                if not on_face and not prices.bundle_within_parts():
+                    continue
+                value = profit_r1(params, pair[Regime.of(r1_eq, pb2) is _LOW], prices)
+                if best is None or value > best_value:
+                    best_value, best = value, row
         assert best is not None  # the kink plans always yield a candidate
-        x = best[1]
-        response = (max(x[0], 0.0), max(x[1], 0.0), max(x[2], 0.0) if bundled else None)
-        self._r1_memo[key] = response
-        return response
+        self._r1_memo[key] = best
+        return best
 
     def respond_r2(self, r1_prices: PriceVector) -> float:
         """Retailer 2's best response to r1_prices, which its profit reads
@@ -343,14 +331,13 @@ class BestResponses:
 def best_response_r1(
     params: MarketParams, scenario: Scenario, pb2: float
 ) -> tuple[float, float, float | None]:
-    """Retailer 1's profit-maximizing prices against a fixed pb2.
+    """Retailer 1's profit-maximizing prices against a fixed pb2 >= 0.
 
-    Solves the first-order system of each ordering regime exactly, adds the
-    kink (bundle-equivalent price equal to pb2) and, when bundling, the
-    bundle-discount boundary candidates, and returns the candidate with the
-    highest realized profit.  Components are then clamped at zero; where
-    the best candidate has a negative component the other prices are not
-    re-optimized, so the clamped prices need not be a best response.
+    Maximizes in closed form on each ordering regime's interior, the kink
+    (bundle-equivalent price equal to pb2) and, when bundling, the
+    bundle-discount face, each with an item price at zero where the item
+    symmetry would push it below, and returns the candidate with
+    nonnegative prices and the highest realized profit.
     """
     return BestResponses(params, scenario).respond_r1(pb2)
 
@@ -386,26 +373,24 @@ def _search(responses: BestResponses, start: PriceVector, damping: float) -> Ora
     first_seen: dict[tuple[str, ...], int] = {}  # by exact bits: 0.0 and -0.0 differ
     history: list[PriceVector] = []
     keep = 1.0 - damping
-    # one error state for every solve of the search
-    with _solve_errstate():
-        for iteration in range(MAX_ITERS):
-            present = x.present()
-            mu = first_seen.setdefault(tuple(map(float.hex, present)), iteration)
-            if mu < iteration:
-                x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
-                break
-            history.append(x)
-            p1, p2, pb1 = responses._respond_r1(x.pb2)
-            pb2 = responses.respond_r2(x)
-            # the best response as present() orders it
-            star = (p1, p2, pb2) if pb1 is None else (p1, p2, pb1, pb2)
-            if max(map(abs, map(operator.sub, star, present))) < TOL_FP:
-                converged = True
-                break
-            step = [keep * a + damping * b for a, b in zip(present, star)]
-            if len(step) == 3:
-                step.insert(2, None)
-            x = _tuple_new(PriceVector, step)
+    for iteration in range(MAX_ITERS):
+        present = x.present()
+        mu = first_seen.setdefault(tuple(map(float.hex, present)), iteration)
+        if mu < iteration:
+            x = history[mu + (MAX_ITERS - mu) % (iteration - mu)]
+            break
+        history.append(x)
+        p1, p2, pb1 = responses.respond_r1(x.pb2)
+        pb2 = responses.respond_r2(x)
+        # the best response as present() orders it
+        star = (p1, p2, pb2) if pb1 is None else (p1, p2, pb1, pb2)
+        if max(map(abs, map(operator.sub, star, present))) < TOL_FP:
+            converged = True
+            break
+        step = [keep * a + damping * b for a, b in zip(present, star)]
+        if len(step) == 3:
+            step.insert(2, None)
+        x = _tuple_new(PriceVector, step)
     return OracleOutcome(converged, x, iteration if converged else MAX_ITERS)
 
 

@@ -16,20 +16,15 @@ reads the subgame solutions (keyed by Scenario), profits, the gain from
 bundling and the best PMG pair off those on access.  So a sweep, which
 reads only the gain and the pair, builds no subgame solution or condition
 report.
-
-Selection needs no numpy.  The oracle, which does, is imported only when a
-subgame is solved with oracle_check=True (see find_fixed_point below).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .equilibria import EquilibriumResult, THEOREMS, candidate_theorems, eq_T, shared_terms
 from .market import MarketParams, Scenario
-
-if TYPE_CHECKING:
-    from .oracle import OracleOutcome
+from .oracle import OracleOutcome, find_fixed_point
 
 # largest relative sup-norm deviation at which the oracle's fixed point
 # agrees with a closed-form equilibrium
@@ -162,15 +157,6 @@ def solve_subgame(
     candidates = [eq_T(terms, tid) for tid in pair]
     oracle = find_fixed_point(params, scenario) if oracle_check else None
     return SubgameSolution(scenario, _select(candidates), candidates, oracle)
-
-
-def find_fixed_point(params: MarketParams, scenario: Scenario) -> OracleOutcome:
-    """The oracle check of solve_subgame: oracle.find_fixed_point at the
-    default settings, imported on the first check, so that selection alone
-    never loads the oracle or numpy."""
-    from . import oracle
-
-    return oracle.find_fixed_point(params, scenario)
 
 
 def compare_policies(params: MarketParams) -> PolicyComparison:

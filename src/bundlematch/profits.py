@@ -37,9 +37,9 @@ _eigenvalues_r1; its gradient at zero own prices is linear_terms_r1.
 Retailer 2's quadratic in pb2 is quadratic_r2, its curvature _hessian_r2.
 All of these take a structure and no scenario.
 
-Everything here is pure Python: hessian_matrix_r1 returns rows of floats,
-which the oracle assigns into its KKT stack, so the closed forms and the
-selection run without numpy.
+Everything here is pure Python and generic over the number type:
+hessian_matrix_r1 returns rows of the parameters' numbers, which the oracle
+reduces to its plans' curvatures (oracle.reduce_r1).
 """
 
 from __future__ import annotations

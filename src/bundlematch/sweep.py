@@ -62,8 +62,8 @@ class AxisSpec:
     steps: int
 
     def values(self) -> list[float]:
-        """The axis grid, to the bit as numpy.linspace(lo, hi, steps), in
-        pure Python so that a sweep starts without numpy."""
+        """The axis grid, to the bit as an array library's linspace(lo, hi,
+        steps) computes it, in pure Python."""
         lo, hi, steps = float(self.lo), float(self.hi), self.steps
         if steps < 0:
             raise ValueError(f"Number of samples, {steps}, must be non-negative.")

@@ -19,10 +19,14 @@ and without rounding on parameters whose every field is an `Exact` rational
 - each of those Hessians is negative definite (Sylvester's criterion), and
   the closed-form eigenvalues profits reports for retailer 1 are its
   eigenvalues.  This is why the oracle checks no Hessian before it solves a
-  first-order system: its plans use exactly these matrices;
+  plan: its plans' curvatures are read from exactly these matrices;
 - retailer 1's linear terms (linear_terms_r1) have pb2-derivative exactly 0
   under every structure where retailer 1 is unmatched.  This is why the
-  oracle puts them into its right-hand sides once per game.
+  oracle takes them once per game;
+- each of retailer 1's plans (oracle.plan_r1), and its variant with an item
+  price at zero, holds its equalities, has zero derivative along every
+  direction they leave free, and keeps p1 - p2 at the closed-form item
+  difference while both item prices are free.
 
 Only the standard library is used (fractions, itertools).
 """
@@ -30,7 +34,7 @@ Only the standard library is used (fractions, itertools).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -54,6 +58,7 @@ from bundlematch.profits import (
     profit_r2,
     profits_at,
 )
+from bundlematch.oracle import item_difference, plan_r1, reduce_r1
 
 from conftest import draw_valid_params
 from exact_arithmetic import Dual, Exact, exact_params
@@ -297,3 +302,77 @@ def test_unmatched_linear_terms_have_zero_pb2_derivative():
             assert all(c - 2 * b + a == 0 for a, b, c in zip(at, step, two)), s
             derivative = [b - a for a, b in zip(at, step)]
             assert all(d == 0 for d in derivative) is not s.r1_matched, (s, derivative)
+
+
+def _free_directions(n: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The nonzero vectors in {-1, 0, 1}**n that every constraint row
+    annihilates: for the plans' rows (the kink, the face, an item's bound)
+    they span the directions the plan leaves free."""
+    return [
+        d
+        for d in product((-1, 0, 1), repeat=n)
+        if any(d) and all(sum(a * b for a, b in zip(row, d)) == 0 for row in constraints)
+    ]
+
+
+def test_reduced_plans_are_exact_constrained_maximizers():
+    """Every plan of retailer 1, and its variant with an item price at zero,
+    holds its equalities and has zero derivative along every direction they
+    leave free: with the Hessian negative definite, it is the maximizer on
+    its face.  While both item prices are free, p1 - p2 is the closed form
+    (a_l_i1 - a_l_i2) / (2 b_l (1 - theta_l)) + (c1 - c2) / 2.  Each draw is
+    taken again with either item's bases cut to a tenth, so that the item
+    difference puts an item price below zero on most plans."""
+    rng = np.random.default_rng(38)
+    points = []
+    for _ in range(20):
+        params = draw_valid_params(rng)
+        points += [
+            params,
+            params.replace(a_l_i1=0.1 * params.a_l_i1),
+            params.replace(a_l_i2=0.1 * params.a_l_i2),
+        ]
+    reached = set()
+    for params in points:
+        exact = exact_params(params)
+        p = exact
+        v = item_difference(exact)
+        assert type(v) is Exact
+        assert v == (p.a_l_i1 - p.a_l_i2) / (2 * p.b_l * (1 - p.theta_l)) + (p.c1 - p.c2) / 2
+        for s in STRUCTURES.values():
+            n = 3 if s.bundling else 2
+            reduced = reduce_r1(exact, s)
+            for pb2 in (Exact(0), Exact(rng.uniform(0.0, 300.0))):
+                terms = linear_terms_r1(exact, (s,), pb2)[0]
+                for on_kink, on_face in product((False, True), (False, True)[: 1 + s.bundling]):
+                    rows = plan_r1(reduced, terms, v, pb2, on_kink, on_face)
+                    for index, (p1, p2, pb1) in enumerate(rows):
+                        prices = PriceVector(p1, p2, pb1, pb2)
+                        constraints = []
+                        if on_kink:
+                            constraints.append((0, 0, 1) if n == 3 else (1, 1))
+                            assert prices.r1_bundle_equivalent() == pb2
+                        if on_face:
+                            constraints.append((1, 1, -1))
+                            assert p1 + p2 == pb1
+                        # the variant holds the item the difference pushes down
+                        bound = None if index == 0 else int(v > 0)
+                        if bound is None:
+                            assert p1 - p2 == v
+                        else:
+                            assert (p1, p2)[bound] == 0.0
+                            constraints.append(tuple(int(i == bound) for i in range(n)))
+                        free = [x for i, x in enumerate((p1, p2, pb1)[:n]) if i != bound]
+                        assert is_exact(free), (s, on_kink, on_face, bound)
+                        g = _gradient_r1(exact, s, prices)
+                        for d in _free_directions(n, constraints):
+                            assert sum(a * b for a, b in zip(g, d)) == 0, (s, on_kink, on_face, d)
+                        reached.add((s.bundling, on_kink, on_face, bound))
+    # every plan and both variants of each are proved
+    assert reached == {
+        (b, k, f, bound)
+        for b in (0, 1)
+        for k in (False, True)
+        for f in (False, True)[: 1 + b]
+        for bound in (None, 0, 1)
+    }

@@ -11,12 +11,12 @@ import pytest
 
 import bundlematch.oracle
 from bundlematch import (
+    DegenerateParamsError,
     InvalidPriceError,
     MarketParams,
     PriceVector,
     Regime,
     Scenario,
-    SingularSystemError,
     best_response_r1,
     best_response_r2,
     eq_T1,
@@ -29,7 +29,7 @@ from bundlematch import (
 from bundlematch.cli import main
 from bundlematch.config import load_market_config
 from bundlematch.market import FEASIBILITY_TOL, PARAM_FIELDS, STRUCTURES, regime_structures
-from bundlematch.profits import hessian_matrix_r1, linear_terms_r1, quadratic_r2
+from bundlematch.profits import linear_terms_r1, quadratic_r2
 from bundlematch.sweep import TABLE_SCENARIOS
 
 from conftest import BASES_AND_COSTS, GOLDEN_TABLE, draw_set_params, draw_valid_params, regime_of
@@ -41,16 +41,14 @@ SCENARIOS = {s.label(): s for s in TABLE_SCENARIOS}
 
 _rng = np.random.default_rng(0)
 SCAN_POINTS = [MarketParams.baseline()] + [draw_valid_params(_rng) for _ in range(3)]
-# Inputs where the scan beats retailer 1's response: open defects of the
-# oracle.  At points 1 and 2 an item price's unconstrained optimum is
-# negative, and the response clamps it to zero instead of re-optimizing the
-# other prices with it held there.  In UNDERCUT, pricing just below pb2 earns
-# the R1_LOW strategic share; that supremum is not attained (an exact tie is
-# R1_HIGH), so the response misses it.
-CLAMPED_POINTS = (1, 2)
+# Inputs where the scan beats retailer 1's response, an open defect of the
+# oracle: pricing just below pb2 earns the R1_LOW strategic share; that
+# supremum is not attained (an exact tie is R1_HIGH), so the response
+# misses it.
 UNDERCUT = {
     (0, "noCM,noCM", "eq"),
     (0, "noCM,CM", "eq"),
+    (1, "CM,noCM", "kink"),
     (3, "noCM,noCM", "kink"),
     (3, "noCM,CM", "kink"),
 }
@@ -134,12 +132,11 @@ class TestBestResponses:
     @pytest.mark.parametrize("point", range(len(SCAN_POINTS)))
     def test_coordinate_scans_find_no_improvement(self, point, label, level, request):
         # profit along each coordinate near the response is a concave section;
-        # a fine scan must not beat the returned maximizer beyond tolerance.
-        # pb2 is the high-regime candidate's ("eq"), or on the kink of its
-        # retailer-1 price ("kink")
-        if point in CLAMPED_POINTS:
-            request.applymarker(pytest.mark.xfail(strict=True, reason="response clamped at zero"))
-        elif (point, label, level) in UNDERCUT:
+        # a fine scan of the model's price space (nonnegative prices, the
+        # bundle within its parts) must not beat the returned maximizer
+        # beyond tolerance.  pb2 is the high-regime candidate's ("eq"), or on
+        # the kink of its retailer-1 price ("kink")
+        if (point, label, level) in UNDERCUT:
             request.applymarker(pytest.mark.xfail(strict=True, reason="undercut below the kink"))
         params, scen = SCAN_POINTS[point], SCENARIOS[label]
         candidate = solve_subgame(params, scen).candidates[0].prices
@@ -154,6 +151,8 @@ class TestBestResponses:
             for delta in offsets:
                 trial = [response[0], response[1], response[2]]
                 trial[i] = trial[i] + delta
+                if trial[i] < 0.0:
+                    continue  # prices are nonnegative
                 if scen.bundling == 1 and trial[0] + trial[1] < trial[2]:
                     continue  # bundle may not exceed the sum of its parts
                 pv = PriceVector(trial[0], trial[1], trial[2], pb2)
@@ -175,31 +174,28 @@ class TestBestResponses:
             "CM,CM-respond_r1", "NoBundle-respond_r1",
         ],
     )
-    def test_r1_reports_a_singular_system(self, baseline, label, entry, monkeypatch):
-        # every plan's system is nonsingular on the parameter domain
+    def test_r1_reports_a_degenerate_plan(self, baseline, label, entry, monkeypatch):
+        # every plan's curvature is negative on the parameter domain
         # (test_exact_algebra proves the Hessians negative definite), so the
-        # game is given zero Hessians: every plan's KKT system is then truly
-        # singular, and the gufunc raises through the error callback, with
-        # no warning, whether the response sets the error state itself or a
-        # search set it once; the state is restored after the error
+        # game is given zero Hessians: every plan's curvature is then 0, and
+        # the guard raises, with no warning, whether a response is asked for
+        # on its own or within a search
         def zero(params, s):
             n = 3 if s.bundling == 1 else 2
             return [[0.0] * n for _ in range(n)]
 
         monkeypatch.setattr(bundlematch.oracle, "hessian_matrix_r1", zero)
         scen = SCENARIOS[label]
-        state = np.geterr(), np.geterrcall()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularSystemError, match="^Singular matrix$") as raised:
+            with pytest.raises(DegenerateParamsError, match="is not negative$") as raised:
                 if entry == "fixed_point":
                     find_fixed_point(baseline, scen)
                 elif entry == "respond_r1":
                     bundlematch.oracle.BestResponses(baseline, scen).respond_r1(135.0)
                 else:
                     best_response_r1(baseline, scen, 135.0)
-        assert type(raised.value) is SingularSystemError
-        assert (np.geterr(), np.geterrcall()) == state
+        assert type(raised.value) is DegenerateParamsError
 
     def test_r2_reproduces_golden_price(self, baseline):
         prices = PriceVector(99.05, 99.05, 162.05, 0.0)
@@ -232,26 +228,15 @@ class TestBestResponses:
         zero_cost = params.replace(c1=0.0, c2=0.0)
         assert best_response_r2(zero_cost, CM_CM, r1_prices) >= 0.0
 
-    def test_responses_clamped_nonnegative(self):
-        params = MarketParams.baseline(
-            a_l_i1=0.0, a_l_i2=0.0, a_l_ib=0.0, a_q_ib=0.0,
-            a_l_jb=0.0, a_q_jb=0.0, a_s=0.0, c1=0.0, c2=0.0,
-        )
-        p1, p2, pb1 = best_response_r1(params, CM_CM, 0.0)
-        assert min(p1, p2, pb1) >= 0.0
-
     @pytest.mark.parametrize("label", SCENARIOS)
-    def test_clamp_keeps_the_sign_of_zero(self, label):
-        # in the zero market the best plan's components are signed zeros,
-        # which the clamp max(v, 0.0) passes through unchanged; a clamp
-        # written max(0.0, v) would turn each -0.0 into 0.0
+    def test_responses_are_nonnegative_in_the_zero_market(self, label):
         params = MarketParams.baseline(
             a_l_i1=0.0, a_l_i2=0.0, a_l_ib=0.0, a_q_ib=0.0,
             a_l_jb=0.0, a_q_jb=0.0, a_s=0.0, c1=0.0, c2=0.0,
         )
-        want = ("0x0.0p+0", "-0x0.0p+0", None) if label == "NoBundle" else ("-0x0.0p+0",) * 3
         for pb2 in (0.0, -0.0, 1.0):
-            assert _hex_r1(best_response_r1(params, SCENARIOS[label], pb2)) == want
+            response = best_response_r1(params, SCENARIOS[label], pb2)
+            assert min(v for v in response if v is not None) >= 0.0
 
 
 class TestFixedPoints:
@@ -268,8 +253,9 @@ class TestFixedPoints:
 
     @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
     def test_fixed_point_builds_plans_once(self, baseline, label, monkeypatch):
-        # the Hessians, KKT matrices and retailer 2's stationary points depend
-        # only on (params, scenario), so one search builds them once
+        # the Hessians, retailer 1's curvatures and retailer 2's stationary
+        # points depend only on (params, scenario), so one search builds
+        # them once
         calls = {"hessian_matrix_r1": 0, "quadratic_r2": 0}
         for name in calls:
             original = getattr(bundlematch.oracle, name)
@@ -281,12 +267,12 @@ class TestFixedPoints:
             monkeypatch.setattr(bundlematch.oracle, name, counted)
         out = find_fixed_point(baseline, SCENARIOS[label], damping=0.5)
         assert out.iterations > 2
-        assert calls == {"hessian_matrix_r1": 3, "quadratic_r2": 2}
+        assert calls == {"hessian_matrix_r1": 2, "quadratic_r2": 2}
 
     def test_fixed_points_build_plans_once(self, baseline, count_quadratics):
         # all four starts share one game's plans
         find_fixed_points(baseline, CM_CM)
-        assert count_quadratics == {"hessian_matrix_r1": 3, "quadratic_r2": 2}
+        assert count_quadratics == {"hessian_matrix_r1": 2, "quadratic_r2": 2}
 
     def test_best_response_r2_builds_no_r1_plans(self, baseline, count_quadratics):
         best_response_r2(baseline, CM_CM, PriceVector(99.05, 99.05, 162.05, 0.0))
@@ -324,14 +310,14 @@ class TestFixedPoints:
 
     def test_cycling_search_stops_early_but_reports_the_cap(self, baseline, monkeypatch):
         calls = 0
-        respond_r1 = bundlematch.oracle.BestResponses._respond_r1
+        respond_r1 = bundlematch.oracle.BestResponses.respond_r1
 
         def counted(self, pb2):
             nonlocal calls
             calls += 1
             return respond_r1(self, pb2)
 
-        monkeypatch.setattr(bundlematch.oracle.BestResponses, "_respond_r1", counted)
+        monkeypatch.setattr(bundlematch.oracle.BestResponses, "respond_r1", counted)
         out = find_fixed_point(baseline.replace(**CYCLING), SCENARIOS["noCM,noCM"])
         assert out.iterations == 500
         assert out.converged is False
@@ -385,16 +371,21 @@ class TestFixedPoints:
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """Calls of the gufunc every response solves with, bundlematch.oracle._gesv."""
+    """The pb2 of each call of bundlematch.oracle.plan_r1, which solves one
+    of retailer 1's plans."""
     calls = []
-    gesv = bundlematch.oracle._gesv
+    plan_r1 = bundlematch.oracle.plan_r1
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return gesv(*args, **kwargs)
+    def counted(reduced, terms, v, pb2, on_kink, on_face):
+        calls.append(pb2)
+        return plan_r1(reduced, terms, v, pb2, on_kink, on_face)
 
-    monkeypatch.setattr(bundlematch.oracle, "_gesv", counted)
+    monkeypatch.setattr(bundlematch.oracle, "plan_r1", counted)
     return calls
+
+
+def _plan_count(scenario):
+    return len(bundlematch.oracle._PLANS[scenario.bundling])
 
 
 def _hex_r1(response):
@@ -410,7 +401,7 @@ class TestResponseMemo:
         responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
         at_zero = responses.respond_r1(0.0)
         at_negative_zero = responses.respond_r1(-0.0)
-        assert len(count_solves) == 2
+        assert [v.hex() for v in count_solves] == ["0x0.0p+0"] * 6 + ["-0x0.0p+0"] * 6
         assert _hex_r1(at_zero) == _hex_r1(best_response_r1(baseline, CM_CM, 0.0))
         assert _hex_r1(at_negative_zero) == _hex_r1(best_response_r1(baseline, CM_CM, -0.0))
 
@@ -418,16 +409,20 @@ class TestResponseMemo:
     def test_repeated_pb2_makes_no_second_solve(self, baseline, label, count_solves):
         responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
         first = responses.respond_r1(135.0)
-        assert len(count_solves) == 1
+        assert len(count_solves) == _plan_count(SCENARIOS[label])
         assert responses.respond_r1(135.0) == first
-        assert len(count_solves) == 1
+        assert len(count_solves) == _plan_count(SCENARIOS[label])
 
-    def test_r1_checks_finiteness_before_the_lookup(self, baseline):
-        responses = bundlematch.oracle.BestResponses(baseline, CM_CM)
+    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
+    def test_r1_checks_pb2_before_the_lookup(self, baseline, label):
+        # no plan is feasible below pb2 = 0: the kink on the face would
+        # price the bundle below zero
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
         responses.respond_r1(135.0)
-        for pb2 in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="pb2 must be finite"):
+        for pb2 in (float("nan"), float("inf"), -math.inf, -1.0, -5e-324):
+            with pytest.raises(ValueError, match=r"^pb2 must be finite and >= 0$"):
                 responses.respond_r1(pb2)
+        assert responses.respond_r1(-0.0) == responses.respond_r1(0.0)
 
     def test_shared_object_matches_fresh_calls_bit_for_bit(self):
         # a seeded pb2 sequence with repeats, as a search revisits prices
@@ -446,6 +441,40 @@ class TestResponseMemo:
                     assert shared.respond_r2(r1_prices).hex() == (
                         best_response_r2(params, scen, r1_prices).hex()
                     )
+
+
+def _item_swapped(params):
+    """The game with its two items exchanged: their loyal bases and costs."""
+    return params.replace(a_l_i1=params.a_l_i2, a_l_i2=params.a_l_i1, c1=params.c2, c2=params.c1)
+
+
+class TestItemSwap:
+    def test_r1_responds_with_the_items_swapped(self):
+        # the swapped game's item-price difference is the game's negated, to
+        # the bit, and its linear terms are the game's exchanged, up to the
+        # order their sums are rounded in
+        rng = np.random.default_rng(19)
+        points = [MarketParams.baseline()] + [draw_valid_params(rng) for _ in range(60)]
+        compared = 0
+        for params in points:
+            levels = [0.0, *rng.uniform(0.0, 300.0, 19).tolist()]
+            for scen in SCENARIOS.values():
+                game = bundlematch.oracle.BestResponses(params, scen)
+                mirror = bundlematch.oracle.BestResponses(_item_swapped(params), scen)
+                for pb2 in levels:
+                    p1, p2, pb1 = game.respond_r1(pb2)
+                    q1, q2, qb1 = mirror.respond_r1(pb2)
+                    want, got = PriceVector(p1, p2, pb1, pb2), PriceVector(q2, q1, qb1, pb2)
+                    assert want.relative_distance(got) <= 1e-12, (params, scen.label(), pb2)
+                    compared += 1
+        assert compared == 61 * 5 * 20
+
+    @pytest.mark.parametrize("label", SCENARIOS)
+    def test_baseline_items_are_priced_equal_to_the_bit(self, baseline, label):
+        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
+        for pb2 in (0.0, 60.0, 135.0, 210.0):
+            p1, p2, _ = responses.respond_r1(pb2)
+            assert p1.hex() == p2.hex(), pb2
 
 
 def _filtered_r2(params, scenario, r1_prices):
@@ -552,7 +581,7 @@ class TestPriceErrors:
         pb1 = 90.0 if scen.bundling else None
         with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
             responses.respond_r2(PriceVector(50.0, 40.0, pb1, 100.0))
-        with pytest.raises((SingularSystemError, InvalidPriceError)):
+        with pytest.raises((DegenerateParamsError, InvalidPriceError)):
             find_fixed_point(params, scen)
 
     @pytest.mark.parametrize(
@@ -578,9 +607,10 @@ class TestPriceErrors:
     @pytest.mark.parametrize("label", SCENARIOS)
     def test_r1_rejects_a_non_finite_candidate(self, baseline, label):
         # admissible, but retailer 1's bundle bases overflow its plans to
-        # nan: a nan plan must raise, not be dropped by a failed comparison
+        # inf: an infinite plan must raise, not be dropped by a screen (the
+        # R1_LOW plans fail theirs)
         params = baseline.replace(a_l_ib=1e308, a_q_ib=1e308)
-        with pytest.raises(InvalidPriceError, match="prices must be finite, got nan"):
+        with pytest.raises(InvalidPriceError, match="prices must be finite, got inf"):
             best_response_r1(params, SCENARIOS[label], 135.0)
 
     def test_r1_raises_on_a_non_finite_plan_that_a_screen_would_drop(self):
@@ -618,9 +648,10 @@ class TestPriceErrors:
 
     @pytest.mark.parametrize("label", SCENARIOS)
     def test_numpy_scalar_params_search_as_floats(self, baseline, label):
-        # the search's error state raises on invalid: numpy-scalar fields
-        # and a numpy-scalar pb2 must not carry the model's arithmetic into
-        # it (at 1e154 a profit overflows to inf - inf)
+        # numpy-scalar arithmetic warns on an overflow that float arithmetic
+        # takes silently (at 1e154 a profit overflows to inf - inf), and a
+        # warning is an error here: numpy-scalar fields and a numpy-scalar
+        # pb2 must search as the floats they hold
         far = baseline.replace(**{
             name: getattr(baseline, name) * 1e154
             for name in ("a_l_i1", "a_l_i2", "a_l_ib", "a_q_ib", "a_l_jb", "a_q_jb", "a_s")
@@ -654,10 +685,14 @@ class TestScaledMarket:
         assert load_market_config(SCALED_MARKET) == scaled
 
     def test_a_face_candidate_off_by_rounding_is_kept(self):
-        # every plan off the face fails its checks at this pb2, so the
-        # response is a face plan, which the tolerance alone would reject
-        params = load_market_config(SCALED_MARKET)
-        pb2 = float.fromhex("0x1.d37b89c6383abp+26")
+        # draw 13 of draw_valid_params (seed 3) scaled as the config is:
+        # at this pb2 the response is a face plan whose item prices sum
+        # below pb1 by one ulp of prices near 5e8, which the tolerance alone
+        # would reject (no plan off the face can miss it by that much)
+        rng = np.random.default_rng(3)
+        params = [draw_valid_params(rng) for _ in range(14)][13]
+        params = params.replace(**{name: getattr(params, name) * 1e6 for name in BASES_AND_COSTS})
+        pb2 = float.fromhex("0x1.1f719168177abp+26")
         p1, p2, pb1 = best_response_r1(params, SCENARIOS["CM,noCM"], pb2)
         assert -1e-15 * pb1 < p1 + p2 - pb1 < -FEASIBILITY_TOL
 
@@ -674,42 +709,22 @@ class TestScaledMarket:
         )
 
 
-class TestStackedSolve:
+class TestPlans:
     @pytest.mark.parametrize("label", list(SCENARIOS))
-    def test_uncached_response_makes_one_solve(self, baseline, label, count_solves):
+    def test_uncached_response_solves_each_plan_once(self, baseline, label, count_solves):
         responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
         for pb2 in (60.0, 135.0, 210.0):
             before = len(count_solves)
             responses.respond_r1(pb2)
-            assert len(count_solves) == before + 1
-
-    @pytest.mark.parametrize("label", list(SCENARIOS))
-    def test_a_search_sets_the_error_state_once(self, baseline, label, count_solves, monkeypatch):
-        # a search enters the solve's error state once for all its rounds'
-        # solves; a response asked for on its own enters it once per call
-        entered = []
-        errstate = bundlematch.oracle._solve_errstate
-
-        def counted():
-            entered.append(len(count_solves))
-            return errstate()
-
-        monkeypatch.setattr(bundlematch.oracle, "_solve_errstate", counted)
-        find_fixed_point(baseline, SCENARIOS[label], damping=0.7)
-        assert entered == [0] and len(count_solves) > 1
-        solves = len(count_solves)
-        responses = bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])
-        for pb2 in (60.0, 135.0, 60.0):
-            responses.respond_r1(pb2)
-        assert entered == [0, solves, solves + 1, solves + 2]
+            assert count_solves[before:] == [pb2] * _plan_count(SCENARIOS[label])
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
     def test_uncached_response_evaluates_only_the_matched_terms(
         self, baseline, label, monkeypatch
     ):
-        # unmatched linear terms are in the per-game right-hand sides, so a
-        # response evaluates only the R1_HIGH structure's, for its interior
-        # and kink plans, when retailer 1 has a PMG
+        # unmatched linear terms are taken once per game, so a response
+        # evaluates only the R1_HIGH structure's, for its interior and kink
+        # plans, when retailer 1 has a PMG
         evaluated = []
         linear_terms_r1 = bundlematch.oracle.linear_terms_r1
 
@@ -768,7 +783,7 @@ class TestStackedSolve:
             assert all(any(s is row for row in pair) for s in structures), name
 
     def test_unmatched_linear_terms_do_not_read_pb2(self):
-        # the fact the per-game right-hand sides rest on: an unmatched
+        # the fact the per-game linear terms rest on: an unmatched
         # structure's linear terms at any pb2 are its terms at 0.0, to the
         # bit; a matched structure's move at every level that does not
         # round away against the costs
@@ -789,110 +804,3 @@ class TestStackedSolve:
                     unmatched += not s.r1_matched
         assert unmatched == 300 * 8
         assert moved == 300 * 2 * 8
-
-    @pytest.mark.parametrize("label", list(SCENARIOS))
-    def test_template_stack_equals_the_per_plan_kkt_matrices_bit_for_bit(self, label):
-        # the stack is a copy of the bundling value's template with the
-        # game's Hessians assigned in; it must equal each plan's KKT matrix
-        # built on its own from hessian_matrix_r1 and _kkt_matrix and
-        # padded with an identity block, to the bit (signed zeros included).
-        # A kink plan maximizes under the R1_HIGH structure
-        rng = np.random.default_rng(22)
-        scen = SCENARIOS[label]
-        bundled = scen.bundling == 1
-        kink = np.array([0.0, 0.0, 1.0] if bundled else [1.0, 1.0])
-        face = np.array([1.0, 1.0, -1.0])
-        high, low = regime_structures(scen)
-        for _ in range(60):
-            params = draw_valid_params(rng)
-            record = bundlematch.oracle.BestResponses(params, scen)._plans_r1
-            plans, stack = record.plans, record.stack
-            assert stack.shape[:2] == (1 + bundled, 3)
-            assert [regime for regime, _ in plans] == [Regime.R1_HIGH, Regime.R1_LOW, None] * (
-                1 + bundled
-            )
-            assert [on_face for _, on_face in plans] == [False] * 3 + [True] * (3 * bundled)
-            size = stack.shape[-1]
-            for (regime, on_face), got in zip(plans, stack.reshape(-1, size, size)):
-                h = np.array(hessian_matrix_r1(params, low if regime is Regime.R1_LOW else high))
-                constraints = ([kink] if regime is None else []) + ([face] if on_face else [])
-                kkt = bundlematch.oracle._kkt_matrix(h, constraints)
-                want = np.eye(size)
-                want[: len(kkt), : len(kkt)] = kkt
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("label", ["CM,CM", "NoBundle"])
-    def test_padded_stack_solves_as_per_size_systems_bit_for_bit(self, label):
-        # each plan's system padded with an identity block to the largest
-        # size must solve to the same bits as the systems stacked by their
-        # own size; a LAPACK build where the padding is inexact fails here
-        rng = np.random.default_rng(21)
-        scen = SCENARIOS[label]
-        dims = 3 if scen.bundling == 1 else 2
-        compared = 0
-        for _ in range(60):
-            params = draw_valid_params(rng)
-            record = bundlematch.oracle.BestResponses(params, scen)._plans_r1
-            plans, size = record.plans, record.stack.shape[-1]
-            stack = record.stack.reshape(-1, size, size)
-            k = len(stack)
-            assert size == (5 if scen.bundling == 1 else 3)
-            sizes = [dims + (regime is None) + on_face for regime, on_face in plans]
-            rhs = rng.uniform(-300.0, 300.0, (k, size))
-            for row, n in enumerate(sizes):
-                rhs[row, n:] = 0.0
-            padded = np.linalg.solve(stack, rhs[:, :, None])[:, :, 0]
-            for n in set(sizes):
-                rows = [row for row, m in enumerate(sizes) if m == n]
-                own = np.linalg.solve(stack[rows, :n, :n], rhs[rows, :n, None])[:, :, 0]
-                assert np.array_equal(own.view(np.int64), padded[rows, :n].view(np.int64))
-                assert not padded[rows, n:].any()
-                compared += own.size
-        assert compared == 60 * (23 if scen.bundling == 1 else 7)
-
-
-class TestSolve:
-    def test_equals_numpy_linalg_solve_to_the_bit(self, monkeypatch):
-        # every stack and right-hand sides a response hands the gufunc, in
-        # every subgame, at pb2 levels from both zeros to the costs times 12
-        gesv = bundlematch.oracle._gesv
-        calls = []
-
-        def recorded(stack, columns, **kwargs):
-            got = gesv(stack, columns, **kwargs)
-            calls.append((stack, columns, got))
-            return got
-
-        monkeypatch.setattr(bundlematch.oracle, "_gesv", recorded)
-        rng = np.random.default_rng(32)
-        points = [MarketParams.baseline(), load_market_config(SCALED_MARKET)]
-        points += [draw_valid_params(rng) for _ in range(60)]
-        for params in points:
-            c = params.total_cost
-            for scen in SCENARIOS.values():
-                responses = bundlematch.oracle.BestResponses(params, scen)
-                for pb2 in (0.0, -0.0, 5e-324, 1.0, c, 4.0 * c, 12.0 * c):
-                    responses.respond_r1(pb2)
-        assert len(calls) == len(points) * len(SCENARIOS) * 7
-        for stack, columns, got in calls:
-            want = np.linalg.solve(stack, columns)
-            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("bundling", [1, 0])
-    def test_a_singular_stack_raises_through_the_error_callback(self, bundling):
-        # the plan template's Hessian blocks are zero, so each of its
-        # systems is singular; the error comes from the error callback of
-        # the solve's error state, with no warning, and the state is
-        # restored
-        _, template = bundlematch.oracle._PLAN_TEMPLATES[bundling]
-        stack = template.reshape(-1, *template.shape[-2:])
-        columns = np.ones((*stack.shape[:2], 1))
-        state = np.geterr(), np.geterrcall()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularSystemError, match="^Singular matrix$") as raised:
-                with bundlematch.oracle._solve_errstate():
-                    bundlematch.oracle._gesv(stack, columns, signature="dd->d")
-        assert type(raised.value) is SingularSystemError
-        assert (np.geterr(), np.geterrcall()) == state

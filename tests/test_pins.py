@@ -3,9 +3,9 @@
 test_pin_holds compares each pin file whole with its generator's bytes and,
 where they differ, prints what moved.  From a commit whose outputs are known
 good, `PYTHONPATH=src python tests/test_pins.py` rewrites every pin and
-prints the same summary per file; README.md says how to read it.  The oracle
-pins assume the LAPACK results of numpy's bundled OpenBLAS; another LAPACK
-build may differ in the last bit.
+prints the same summary per file; README.md says how to read it.  Every
+pinned output is plain IEEE float arithmetic in Python, so it does not
+depend on a linear-algebra build.
 """
 
 import contextlib
@@ -210,18 +210,15 @@ def text(lines: list[str]) -> bytes:
 # each pin file and the function that makes its bytes; the comment above an
 # entry says when the pin was recorded
 PINS = {
-    # both oracle pins when retailer 1's kink plans moved from their own
-    # structure to the R1_HIGH one
+    # these three when retailer 1's plans were solved in closed form over its
+    # item split, with an item price held at zero where the split breaks it
     TESTS / "oracle_expected.txt": lambda: text(oracle_lines(1.0)),
     TESTS / "oracle_damped_expected.txt": lambda: text(oracle_lines(0.7)),
-    # retailer 1's with the single evaluation of each closed-form candidate,
-    # retailer 2's with the damped oracle pin
     TESTS / "responses_expected.txt": lambda: text(response_lines()),
     # before the selection records became tuples
     TESTS / "compare_policies_expected.txt": lambda: text(compare_policies_lines()),
-    # before the oracle's responses were remembered and stacked
+    # both with the oracle pins above: only printed deviations moved
     TESTS / "verify_expected.txt": partial(sectioned, VERIFY_HEADER, VERIFY_SECTIONS, run_verify),
-    # when solve stopped warning on a failed sufficient condition set
     TESTS / "solve_expected.txt": partial(sectioned, SOLVE_HEADER, SOLVE_SECTIONS, run_solve),
     # moved from test_sweep_cli.py, where it was written inline
     TESTS / "table_expected.txt": partial(sectioned, TABLE_HEADER, TABLE_SECTIONS, run_table),

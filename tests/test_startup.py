@@ -1,13 +1,11 @@
-"""Start-up: the closed-form commands and sweeps run without numpy, and the
-package resolves the oracle's exports on first access."""
+"""Start-up: every command, the oracle's included, runs without numpy, and
+the package exports each name of its defining module."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 import bundlematch
 
@@ -17,7 +15,8 @@ SRC = Path(bundlematch.__file__).resolve().parent.parent
 
 # runs the argvs it is given (such as `solve` in all 5 subgames and `table
 # --json`) through cli.main in one interpreter, with numpy importable or
-# not, and prints one JSON line per command: its argv, exit code and stdout
+# not, and prints one JSON line per command: its argv, exit code and stdout;
+# then whether numpy was loaded and whether it can be
 COMMANDS = """
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
@@ -28,12 +27,20 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     print(json.dumps([argv, code, out.getvalue()]))
-if sys.argv[1] == "blocked":
-    try:
-        main(["verify"])
-    except ImportError:
-        print("verify needs numpy")
+print("numpy loaded", sys.modules.get("numpy") is not None)
+try:
+    import numpy
+    print("numpy importable")
+except ImportError:
+    print("numpy blocked")
 """
+
+# the two trailing lines of COMMANDS in each mode: no command loads numpy,
+# and the block is real
+TRAILER = {
+    "normal": ["numpy loaded False", "numpy importable"],
+    "blocked": ["numpy loaded False", "numpy blocked"],
+}
 
 
 def run_python(code: str, *args: str, cwd: Path | None = None) -> str:
@@ -49,11 +56,13 @@ def run_python(code: str, *args: str, cwd: Path | None = None) -> str:
 
 
 class TestNoNumpy:
-    def test_solve_and_table_run_without_numpy(self, tmp_path):
+    def test_solve_verify_and_table_run_without_numpy(self, tmp_path):
         outputs, rest = {}, {}
         for mode in ("normal", "blocked"):
             out = tmp_path / mode
             argvs = [["solve", *flags] for flags in SUBGAME_FLAGS]
+            argvs += [["verify", *flags] for flags in SUBGAME_FLAGS]
+            argvs.append(["solve", "--verify", "oracle"])
             argvs.append(["table", "--json", "--out", str(out)])
             lines = run_python(COMMANDS, mode, json.dumps(argvs), cwd=tmp_path).splitlines()
             records = [json.loads(line) for line in lines[: len(argvs)]]
@@ -62,8 +71,7 @@ class TestNoNumpy:
             outputs[mode] = ([stdout for _, _, stdout in records], files)
             rest[mode] = lines[len(argvs) :]
         assert outputs["blocked"] == outputs["normal"]
-        # the block is real: the oracle cannot load under it
-        assert rest == {"normal": [], "blocked": ["verify needs numpy"]}
+        assert rest == TRAILER
 
     def test_sweep_runs_without_numpy(self, tmp_path):
         # the axis grids are computed in pure Python: with numpy blocked the
@@ -75,14 +83,14 @@ class TestNoNumpy:
             argv = ["sweep", "--config", str(pinned / "spec.cfg"), "--out", str(out)]
             lines = run_python(COMMANDS, mode, json.dumps([argv]), cwd=tmp_path).splitlines()
             assert json.loads(lines[0])[1] == 0
-            assert lines[1:] == ([] if mode == "normal" else ["verify needs numpy"])
+            assert lines[1:] == TRAILER[mode]
             files[mode] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
         assert files["blocked"] == files["normal"]
         assert files["blocked"] == {
             path.name: path.read_bytes() for path in sorted(pinned.glob("sweep_*.csv"))
         }
 
-    def test_importing_the_cli_loads_no_numpy_and_verify_does(self):
+    def test_importing_the_cli_and_verifying_load_no_numpy(self):
         code = """
 import sys
 import bundlematch.cli
@@ -91,10 +99,9 @@ code = bundlematch.cli.main(["verify"])
 print(code, "numpy" in sys.modules)
 """
         lines = run_python(code).splitlines()
-        assert lines[0] == "False False"
-        assert lines[-1] == "0 True"
+        assert lines[0] == "False True"
+        assert lines[-1] == "0 False"
         assert lines[1].startswith("closed form T2 and oracle agree: ")
-
 
     def test_retailer_1_hessian_loads_no_numpy(self):
         # the oracle's Hessians are rows of floats; numpy is blocked, so any
@@ -110,18 +117,11 @@ print(sorted({len(h) for h in rows}), all(type(v) is float for h in rows for r i
         assert run_python(code).splitlines() == ["[2, 3] True"]
 
 
-class TestLazyExports:
+class TestExports:
     def test_every_export_is_its_defining_modules_object(self):
         for name in bundlematch.__all__:
             obj = getattr(bundlematch, name)
             assert getattr(sys.modules[obj.__module__], name) is obj, name
-
-    def test_dir_lists_every_export(self):
-        assert set(bundlematch.__all__) <= set(dir(bundlematch))
-
-    def test_an_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            bundlematch.no_such_name
 
     def test_star_import_in_a_fresh_interpreter(self):
         code = """
@@ -133,4 +133,4 @@ exec("from bundlematch import *", namespace)
 print(sorted(name for name in bundlematch.__all__ if name not in namespace))
 print(all(namespace[name] is getattr(bundlematch, name) for name in bundlematch.__all__))
 """
-        assert run_python(code).splitlines() == ["False False", "[]", "True"]
+        assert run_python(code).splitlines() == ["False True", "[]", "True"]
