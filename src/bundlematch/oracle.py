@@ -31,9 +31,14 @@ A BestResponses object holds one game, (params, scenario).  It builds once
 per game everything in a response that does not move with the rival's
 price: the (R1_HIGH, R1_LOW) structures, retailer 2's stationary points,
 and, at retailer 1's first response, its item-price difference, its
-curvatures under each structure and its linear terms at pb2 = 0.0.
-Retailer 1's linear terms read pb2 only where it is matched (T1's R1_HIGH
-structure, where its PMG matches pb2), so a response evaluates only those.
+curvatures under each structure and its linear terms at pb2 = c, the
+total cost c1 + c2.  Retailer 1's linear terms read pb2 only where it is
+matched (T1's R1_HIGH structure, where its loyal price-aware buyers pay
+pb2), and there only through one addend of each item term,
+(pb2 - c) * lambda_l, the last of gradient_r1_at's sums.  At pb2 = c that
+addend is exactly 0.0, so the game's terms hold the sums before it, and a
+response adds its own addend, the same last floating-point operation: no
+response evaluates a demand profile.
 find_fixed_point and find_fixed_points share one object across all rounds
 and starts; nothing is remembered across games.
 
@@ -42,7 +47,9 @@ costs about 0.6-1.1 us against a 10-20 us response, and about a fifth of a
 search's rounds repeat a pb2.  Retailer 2's profit reads retailer 1's
 prices only through r1_eq (PriceVector.r1_bundle_equivalent), so its
 response, the best of three clamped candidates, costs about what a lookup
-keyed on retailer 1's three prices would, and is not remembered.
+keyed on retailer 1's three prices would, and is not remembered.  A
+stationary point clamped to r1_eq is the kink again, under the same
+structure, so each distinct price is scored once.
 
 Each candidate is scored once, by the responding retailer's own profit
 (profits.profit_r1 or profit_r2, equal to profits.evaluate's to the bit)
@@ -94,8 +101,9 @@ TOL_FP = 1e-8  # sup-norm tolerance on the best-response residual
 TOL_DEDUPE = 1e-6
 
 # a module global reads faster than an Enum class attribute; each candidate
-# reads it, and builds its prices by tuple.__new__, as market's records
+# reads them, and builds its prices by tuple.__new__, as market's records
 _LOW = Regime.R1_LOW
+_regime_of = Regime.of
 _tuple_new = tuple.__new__
 
 _param_values = operator.attrgetter(*PARAM_FIELDS)
@@ -227,7 +235,7 @@ class _PlansR1(NamedTuple):
 
     v: float  # item_difference
     reduced: tuple  # reduce_r1's
-    terms: tuple  # linear_terms_r1's at pb2 = 0.0
+    terms: tuple  # linear_terms_r1's at pb2 = total_cost
 
 
 class BestResponses:
@@ -248,13 +256,13 @@ class BestResponses:
     @cached_property
     def _plans_r1(self) -> _PlansR1:
         """Retailer 1's plans in this game, with the linear terms taken at
-        pb2 = 0.0, which only the matched R1_HIGH structure's move away
-        from."""
+        pb2 = total_cost, where the matched R1_HIGH structure's pb2 addend
+        (pb2 - c) * lambda_l is exactly 0.0; no other term reads pb2."""
         params, pair = self.params, self._regime_pair
         return _PlansR1(
             item_difference(params),
             tuple(reduce_r1(params, s) for s in pair),
-            tuple(linear_terms_r1(params, pair, 0.0)),
+            tuple(linear_terms_r1(params, pair, params.total_cost)),
         )
 
     def respond_r1(self, pb2: float) -> tuple[float, float, float | None]:
@@ -273,8 +281,13 @@ class BestResponses:
             return self._r1_memo[key]
         params, scenario, pair = self.params, self.scenario, self._regime_pair
         v, reduced, terms = self._plans_r1
-        if pair[0].r1_matched:  # T1: the R1_HIGH structure's terms read pb2
-            terms = (linear_terms_r1(params, pair[:1], pb2)[0], terms[1])
+        if pair[0].r1_matched:
+            # T1: the R1_HIGH structure's item terms move by their pb2
+            # addend, added last, as gradient_r1_at adds it; c1 + c2 is
+            # total_cost's body, without the property call
+            g1, g2, g3 = terms[0]
+            moved = (pb2 - (params.c1 + params.c2)) * params.lambda_l
+            terms = ((g1 + moved, g2 + moved, g3), terms[1])
         best_value, best = -math.inf, None
         for side, on_kink, on_face in _PLANS[scenario.bundling]:
             for row in plan_r1(reduced[side], terms[side], v, pb2, on_kink, on_face):
@@ -294,7 +307,7 @@ class BestResponses:
                     continue
                 if not on_face and not prices.bundle_within_parts():
                     continue
-                value = profit_r1(params, pair[Regime.of(r1_eq, pb2) is _LOW], prices)
+                value = profit_r1(params, pair[_regime_of(r1_eq, pb2) is _LOW], prices)
                 if best is None or value > best_value:
                     best_value, best = value, row
         assert best is not None  # the kink plans always yield a candidate
@@ -305,26 +318,32 @@ class BestResponses:
         """Retailer 2's best response to r1_prices, which its profit reads
         only through their bundle-equivalent price r1_eq: r1_eq itself (the
         kink) and each regime's stationary point clamped to that regime's
-        side of it, compared at their realized profits.  r1_prices.pb2 is
-        not read."""
+        side of it, compared at their realized profits, each distinct price
+        once.  r1_prices.pb2 is not read."""
         r1_eq = r1_prices.r1_bundle_equivalent()
         if not math.isfinite(r1_eq):
             raise ValueError("r1 prices must be finite")
         p1, p2, pb1 = r1_prices.p1, r1_prices.p2, r1_prices.pb1
-        scenario, pair = self.scenario, self._regime_pair
+        params, scenario, (high_s, low_s) = self.params, self.scenario, self._regime_pair
         # retailer 1's prices, validated once, with the kink candidate as pb2
         validate_prices(scenario, _tuple_new(PriceVector, (p1, p2, pb1, r1_eq)))
         high, low = self._stationary_r2
-        # a clamped point equal to r1_eq scores r1_eq's bits after it, so the
-        # strict > keeps the kink
+        # the kink, under the R1_HIGH structure a tie lies in, compared with
+        # -inf as every candidate is, so that a NaN profit never wins
         best_value, best_pb2 = -math.inf, r1_eq
-        for pb2 in (r1_eq, min(high, r1_eq), max(low, r1_eq)):
+        value = profit_r2(params, high_s, r1_eq, r1_eq)
+        if value > best_value:
+            best_value = value
+        # a point clamped to r1_eq is the kink again, which the strict >
+        # keeps, so only one strictly on its side, and in its regime, is scored
+        for s, pb2 in ((high_s, min(high, r1_eq)), (low_s, max(low, r1_eq))):
             if not math.isfinite(pb2):
                 # raises, naming pb2
                 validate_prices(scenario, _tuple_new(PriceVector, (p1, p2, pb1, pb2)))
-            value = profit_r2(self.params, pair[Regime.of(r1_eq, pb2) is _LOW], r1_eq, pb2)
-            if value > best_value:
-                best_value, best_pb2 = value, pb2
+            if pb2 != r1_eq:
+                value = profit_r2(params, s, r1_eq, pb2)
+                if value > best_value:
+                    best_value, best_pb2 = value, pb2
         return float(max(best_pb2, 0.0))
 
 

@@ -173,10 +173,12 @@ def profit_r1(params: MarketParams, s: RegimeStructure, prices: PriceVector) -> 
     evaluate(params, s, prices)[1].pi_r1 to the bit: only the effective
     prices and the five segment demands it reads, each written as
     RegimeStructure.effective_prices, market.demands and profits_at write
-    it.  The prices are not validated here, and must fit s's bundling value."""
+    it, and the total cost as total_cost's body, c1 + c2, so that scoring a
+    candidate makes no property call.  The prices are not validated here,
+    and must fit s's bundling value."""
     p = params
     p1, p2, pb1, pb2 = prices
-    c = p.total_cost
+    c = p.c1 + p.c2
     share = s.strategic_share(p.alpha)
     if s.bundling == 1:
         tilde_pb1 = pb2 if s.r1_matched else pb1
@@ -216,11 +218,12 @@ def profit_r2(params: MarketParams, s: RegimeStructure, r1_eq: float, pb2: float
     evaluate(params, s, prices)[1].pi_r2 to the bit, from only the effective
     prices and the three segment demands it reads, each written as
     RegimeStructure.effective_prices, market.demands and profits_at write
-    it.  The prices are not validated here."""
+    it, and the total cost as total_cost's body, c1 + c2, so that scoring a
+    candidate makes no property call.  The prices are not validated here."""
     p = params
     tilde_pb2 = r1_eq if s.r2_matched else pb2
     hat_pb = r1_eq if s.strategic_at_r1 else pb2
-    c = p.total_cost
+    c = p.c1 + p.c2
     d_l_jb = p.a_l_jb - p.b_l * pb2
     d_q_jb = p.a_q_jb - p.b_l * tilde_pb2
     d_s = p.a_s - p.b_s * hat_pb

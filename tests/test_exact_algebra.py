@@ -290,8 +290,8 @@ def test_hessians_are_negative_definite_with_the_closed_form_eigenvalues():
 def test_unmatched_linear_terms_have_zero_pb2_derivative():
     # the terms are affine in pb2 (their second difference is 0), so the
     # difference over a unit step is the derivative; it is exactly 0 where
-    # retailer 1 is unmatched, and not 0 on a matched row, whose loyal
-    # price-aware buyers pay pb2
+    # retailer 1 is unmatched, and exactly (lambda_l, lambda_l, 0) on a
+    # matched row, whose loyal price-aware buyers pay pb2
     rng = np.random.default_rng(24)
     for _ in range(40):
         exact = exact_params(draw_valid_params(rng))
@@ -301,7 +301,10 @@ def test_unmatched_linear_terms_have_zero_pb2_derivative():
             assert is_exact((*at, *step, *two))
             assert all(c - 2 * b + a == 0 for a, b, c in zip(at, step, two)), s
             derivative = [b - a for a, b in zip(at, step)]
-            assert all(d == 0 for d in derivative) is not s.r1_matched, (s, derivative)
+            if s.r1_matched:
+                assert derivative == [exact.lambda_l, exact.lambda_l, 0], (s, derivative)
+            else:
+                assert all(d == 0 for d in derivative), (s, derivative)
 
 
 def _free_directions(n: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

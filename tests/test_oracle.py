@@ -529,31 +529,47 @@ class TestR2ReadsOnlyTheBundleEquivalent:
                         best_response_r2(params, scen, y).hex()
                     )
 
-    def test_clamping_every_point_answers_as_the_filtered_rule(self):
+    def test_clamping_every_point_answers_as_the_filtered_rule(self, monkeypatch):
         # at and around each stationary point, on both sides of the
         # FEASIBILITY_TOL band: a point the filter dropped clamps to r1_eq
-        # itself, which scores r1_eq's bits after it and never wins
+        # itself, which is the kink, so it is not scored again: each
+        # distinct price is scored once
+        scored = []
+        profit_r2 = bundlematch.oracle.profit_r2
+
+        def counted(params, s, r1_eq, pb2):
+            scored.append(pb2)
+            return profit_r2(params, s, r1_eq, pb2)
+
+        monkeypatch.setattr(bundlematch.oracle, "profit_r2", counted)
         rng = np.random.default_rng(5)
         points = [MarketParams.baseline()] + [draw_valid_params(rng) for _ in range(40)]
         offsets = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1e-8, -1e-8, 1.0, -1.0)
-        compared, dropped = 0, 0
+        compared, dropped, counts = 0, 0, set()
         for params in points:
             for scen in SCENARIOS.values():
                 levels = [-0.0]
                 for s in regime_structures(scen):
                     h, g0 = quadratic_r2(params, s)
                     levels += [-g0 / h + d for d in offsets]
+                high, low = bundlematch.oracle.BestResponses(params, scen)._stationary_r2
                 for r1_eq in levels:
                     r1_prices = _r1_prices(scen, r1_eq)
                     want = _filtered_r2(params, scen, r1_prices)
+                    before = len(scored)
                     assert best_response_r2(params, scen, r1_prices).hex() == want.hex()
+                    prices = scored[before:]
+                    assert len(prices) == 1 + (high < r1_eq) + (low > r1_eq), (scen, r1_eq)
+                    assert len(set(prices)) == len(prices)
+                    counts.add(len(prices))
                     compared += 1
                 for s in regime_structures(scen):
                     h, g0 = quadratic_r2(params, s)
                     dropped += sum(not s.regime.holds(v, -g0 / h) for v in levels)
         assert compared == len(points) * 5 * 19
-        # the filter's drops are reached
+        # the filter's drops, and one, two and three scored prices, are reached
         assert dropped > compared // 4
+        assert counts == {1, 2, 3}
 
 
 class TestPriceErrors:
@@ -719,12 +735,9 @@ class TestPlans:
             assert count_solves[before:] == [pb2] * _plan_count(SCENARIOS[label])
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
-    def test_uncached_response_evaluates_only_the_matched_terms(
-        self, baseline, label, monkeypatch
-    ):
-        # unmatched linear terms are taken once per game, so a response
-        # evaluates only the R1_HIGH structure's, for its interior and kink
-        # plans, when retailer 1 has a PMG
+    def test_uncached_response_evaluates_no_linear_terms(self, baseline, label, monkeypatch):
+        # every structure's linear terms are taken once per game; T1's move
+        # with pb2 by one addend, which a response adds to them
         evaluated = []
         linear_terms_r1 = bundlematch.oracle.linear_terms_r1
 
@@ -736,14 +749,16 @@ class TestPlans:
         responses._plans_r1  # the game's setup, before the count
         monkeypatch.setattr(bundlematch.oracle, "linear_terms_r1", counted)
         for pb2 in (60.0, 135.0, 210.0):
-            before = sum(evaluated)
             responses.respond_r1(pb2)
-            assert sum(evaluated) - before == (1 if SCENARIOS[label].pmg_r1 else 0)
+        assert evaluated == []
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
-    def test_game_setup_evaluates_only_zero_price_profiles(self, baseline, label, monkeypatch):
-        # the setup reads each regime structure's linear terms at pb2 = 0.0,
-        # one demand profile a structure, every price of it 0.0
+    def test_game_setup_evaluates_two_profiles_at_the_total_cost(
+        self, baseline, label, monkeypatch
+    ):
+        # the setup reads each regime structure's linear terms at zero own
+        # prices and pb2 = total_cost, where the matched structure's pb2
+        # addend is exactly 0.0: one demand profile a structure
         profiles = []
         # bundlematch.profits is the package's profits function, so the
         # module is read off a function it defines
@@ -758,7 +773,9 @@ class TestPlans:
         bundlematch.oracle.BestResponses(baseline, SCENARIOS[label])._plans_r1
         assert len(profiles) == 2
         for prices in profiles:
-            assert prices.present() == (0.0,) * len(prices.present())
+            *own, pb2 = prices.present()
+            assert own == [0.0] * len(own)
+            assert pb2 == baseline.total_cost
 
     @pytest.mark.parametrize("label", list(SCENARIOS))
     def test_a_search_reads_only_the_subgames_two_structures(self, baseline, label, monkeypatch):
@@ -786,20 +803,27 @@ class TestPlans:
         # the fact the per-game linear terms rest on: an unmatched
         # structure's linear terms at any pb2 are its terms at 0.0, to the
         # bit; a matched structure's move at every level that does not
-        # round away against the costs
+        # round away against the costs, and are its terms at total_cost
+        # with the addend (pb2 - c) * lambda_l added to the item terms
         rng = np.random.default_rng(24)
         levels = [-0.0, 1e-300, 135.0, 1e150, *rng.uniform(0.0, 300.0, 6).tolist()]
         moved = unmatched = 0
         for _ in range(300):
             params = draw_valid_params(rng)
+            c = params.total_cost
             for scen in SCENARIOS.values():
                 for s in regime_structures(scen):
                     at_zero = _hex_terms(linear_terms_r1(params, (s,), 0.0)[0])
+                    at_cost = linear_terms_r1(params, (s,), c)[0]
                     for pb2 in levels:
                         terms = _hex_terms(linear_terms_r1(params, (s,), pb2)[0])
                         if not s.r1_matched:
                             assert terms == at_zero, (s, pb2, params)
-                        elif abs(pb2) >= 1.0:
+                            continue
+                        g1, g2, g3 = at_cost
+                        addend = (pb2 - c) * params.lambda_l
+                        assert terms == _hex_terms((g1 + addend, g2 + addend, g3)), (pb2, params)
+                        if abs(pb2) >= 1.0:
                             moved += terms != at_zero
                     unmatched += not s.r1_matched
         assert unmatched == 300 * 8
